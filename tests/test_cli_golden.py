@@ -1,0 +1,60 @@
+"""Golden CLI output: stdout of a fixed set of commands, byte for byte.
+
+Each command runs in a fresh interpreter, so cached bases and refined
+brackets from other tests cannot leak into the printed intervals.  JSON
+output is used wherever a subcommand has it, so the exact rational brackets
+are pinned along with the decimals.
+
+The expected bytes live in cli_golden.json.  After a deliberate output
+change, rewrite them with
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import twobases
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+SRC = Path(twobases.__file__).resolve().parents[1]
+
+Q_S_SPEC = "poly:[-1,-1,-2,0,1]@[17/10,9/5]"
+Q_F_SPEC = "poly:[-1,1,-2,1]@[7/4,9/5]"
+
+CASES = [
+    ["solve", "--c", "000(01)", "--d", "0(01)", "--lo", "17/10", "--hi", "9/5"],
+    ["ladder", "--gen", "0", "--N", "5"],
+    ["enum-b2", "--n", "1"],
+    ["derived", "--min", "2"],
+    ["entropy", "alpha:(110)"],
+    ["dim-bound", "--delta", "1/1000000", "alpha:(11010011001011010010)"],
+    ["classify", Q_F_SPEC],
+    ["classify", Q_S_SPEC, "--probable-depth", "64"],
+    ["count", "--x", "100(10)", "--base", Q_S_SPEC, "--cap", "3"],
+    ["witness", "--gen", "0", "--prop62", "3"],
+]
+
+
+def _run(args):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "twobases.cli", "--format", "json", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return {"argv": args, "rc": proc.returncode, "stdout": proc.stdout}
+
+
+@pytest.mark.parametrize("args", CASES, ids=lambda a: " ".join(a[:2]))
+def test_cli_stdout_matches_golden(args):
+    expected = {tuple(e["argv"]): e for e in json.loads(GOLDEN.read_text())}
+    assert _run(args) == expected[tuple(args)]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps([_run(a) for a in CASES], indent=1) + "\n")

@@ -21,9 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import polys
-from .bases import AlgBase, FieldElem, base_from_alpha
+from .bases import AlgBase, FieldElem, base_from_alpha, real_roots, _tail_numerator
 from .classify import in_A_prime, in_Vq_seq
 from .errors import DomainError, NoRootByCaseError
+from .polys import _sign
 from .words import (
     EPSeq,
     ComponentSpec,
@@ -75,15 +76,6 @@ def f_eval(c: EPSeq, d: EPSeq, q):
     return eval_seq(tc, q) + eval_seq(td, q) - Fraction(1) / (q - 1)
 
 
-def _tail_numerator(t: EPSeq):
-    """Numerator of (t)_q over the denominator q^m (q^p - 1)."""
-    m, p = len(t.pre), len(t.per)
-    qpre = polys.trim(int(ch) for ch in reversed(t.pre))
-    qper = polys.trim(int(ch) for ch in reversed(t.per))
-    qp1 = polys.add(polys.shift((1,), p), (-1,))
-    return polys.add(polys.mul(qpre, qp1), qper), m, p
-
-
 def f_minpoly(c: EPSeq, d: EPSeq) -> tuple:
     """Monic integer polynomial whose roots in (1, 2] are exactly the roots
     of the defect function for the pair (c, d).
@@ -108,7 +100,8 @@ def f_minpoly(c: EPSeq, d: EPSeq) -> tuple:
     ones = polys.shift(tuple([1] * P), M)
     F = polys.sub(polys.add(lifted(nc, mc, pc), lifted(nd, md, pd)), ones)
     F = polys.trim(F)
-    assert polys.degree(F) == M + P - 1 and F[-1] == 1, "defect numerator is monic"
+    if polys.degree(F) != M + P - 1 or F[-1] != 1:
+        raise DomainError("defect numerator must be monic of degree M + P - 1")
     return F
 
 
@@ -152,8 +145,7 @@ def sign_at(F, q: AlgBase) -> int:
     """Certified sign of the integer polynomial F at the algebraic point q."""
     F = polys.trim(F)
     if q.exact_rational is not None:
-        v = polys.eval_at(F, q.exact_rational)
-        return (v > 0) - (v < 0)
+        return _sign(polys.eval_at(F, q.exact_rational))
     # exact-zero test first so the refinement loop below must terminate
     if _is_root_of(q, F):
         return 0
@@ -202,18 +194,9 @@ def solve_qcd(c: EPSeq, d: EPSeq, lo, hi) -> AlgBase | None:
         raise NoRootByCaseError(
             f"pair of shape {case.value} has no zero at or above q_f"
         )
-    F = f_minpoly(c, d)
-    found = []
-    for g, _ in polys.factor_int(F):
-        if polys.degree(g) < 1:
-            continue
-        if polys.degree(g) == 1:
-            r = Fraction(-g[0], g[1])
-            if lo <= r <= hi:
-                found.append(AlgBase.from_rational(r))
-            continue
-        for a, b in polys.isolate_roots(g, lo, hi):
-            found.append(AlgBase.from_bracket(g, a, b))
+    # f_minpoly is monic, so a rational root is an integer and cannot sit at
+    # lo in (1, 2): the half-open (lo, hi] misses no root of [lo, hi]
+    found = real_roots(f_minpoly(c, d), lo, hi)
     if not found:
         return None
     if len(found) > 1:
@@ -324,6 +307,20 @@ def _bridge(comp: ComponentSpec, k_from: int, k_to: int) -> str:
     return comp.omega(k_from) + reflect(comp.omega(k_to))
 
 
+def _check_profile(k: tuple, s: tuple, j: tuple) -> None:
+    """Raise DomainError unless (k, s, j) is a well-formed block profile."""
+    if len(j) != len(k) + 1 or len(s) != max(len(k) - 1, 0):
+        raise DomainError("profile shapes must satisfy |j| = |k|+1, |s| = |k|-1")
+    if not j or j[-1] is not math.inf:
+        raise DomainError("final repetition count must be math.inf")
+    if any(not isinstance(x, int) or x < 0 for x in j[:-1]):
+        raise DomainError("interior repetition counts must be integers >= 0")
+    if any(k[i] >= k[i + 1] for i in range(len(k) - 1)) or (k and k[0] < 0):
+        raise DomainError("block levels must be strictly increasing and >= 0")
+    if any(x not in (0, 1) for x in s):
+        raise DomainError("bridge indicators must be 0 or 1")
+
+
 def udiff_generate(comp: ComponentSpec, initial: str, k, s, j) -> EPSeq:
     """Assemble the sequence with block profile (k, s, j) after the word
     `initial`:
@@ -334,23 +331,15 @@ def udiff_generate(comp: ComponentSpec, initial: str, k, s, j) -> EPSeq:
     for s_i = 1 the bridge omega_{k_i} reflect(omega_{k_{i+1}}) is inserted
     between the k_i and k_{i+1} runs.  The final count must be math.inf.
     """
-    k = tuple(k)
-    s = tuple(s)
-    j = tuple(j)
+    k, s, j = tuple(k), tuple(s), tuple(j)
     if set(initial) - {"0", "1"}:
         raise DomainError("initial word must be binary")
-    if len(j) != len(k) + 1 or (k and len(s) != len(k) - 1) or (not k and s):
-        raise DomainError("profile shapes must satisfy |j| = |k|+1, |s| = |k|-1")
-    if not j or j[-1] is not math.inf:
-        raise DomainError("final repetition count must be math.inf")
-    if any(x is math.inf for x in j[:-1]) or any(
-        not isinstance(x, int) or x < 0 for x in j[:-1]
-    ):
-        raise DomainError("interior repetition counts must be integers >= 0")
-    if any(k[i] >= k[i + 1] for i in range(len(k) - 1)) or (k and k[0] < 0):
-        raise DomainError("block levels must be strictly increasing and >= 0")
-    if any(x not in (0, 1) for x in s):
-        raise DomainError("bridge indicators must be 0 or 1")
+    _check_profile(k, s, j)
+    return _assemble(comp, initial, k, s, j)
+
+
+def _assemble(comp: ComponentSpec, initial: str, k, s, j) -> EPSeq:
+    """udiff_generate without validation, for profiles already checked."""
     if not k:
         return EPSeq(initial, "0")
     pre = initial + comp.generator * j[0]

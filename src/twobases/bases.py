@@ -9,12 +9,12 @@ Q(q) for quasi-greedy remainders and expansion counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
 from .errors import DomainError, UnsupportedBaseError
-from .words import EPSeq, eval_seq
+from .polys import _sign
+from .words import EPSeq, lex_cmp, shift
 
 # ---------------------------------------------------------------------------
 # number field arithmetic
@@ -195,8 +195,8 @@ class AlgBase:
             if not _verified:
                 raise DomainError("use a from_* constructor")
             # endpoint signs for pure sign bisection
-            self._slo = _sgn(polys.eval_at(self.poly, self._lo))
-            self._shi = _sgn(polys.eval_at(self.poly, self._hi))
+            self._slo = _sign(polys.eval_at(self.poly, self._lo))
+            self._shi = _sign(polys.eval_at(self.poly, self._hi))
             if self._slo * self._shi >= 0:
                 raise DomainError("bracket endpoints must straddle the root")
 
@@ -263,7 +263,7 @@ class AlgBase:
         lo, hi, slo = self._lo, self._hi, self._slo
         while hi - lo >= width:
             mid = (lo + hi) / 2
-            s = _sgn(polys.eval_at(self.poly, mid))
+            s = _sign(polys.eval_at(self.poly, mid))
             if s == 0:
                 self.exact_rational = mid
                 self._lo = self._hi = mid
@@ -298,7 +298,10 @@ class AlgBase:
                     if polys.degree(f) >= 1
                     and polys.count_roots_halfopen(f, self._lo, self._hi) == 1
                 ]
-                assert len(hits) == 1, "bracket must isolate one root"
+                if len(hits) != 1:
+                    raise DomainError(
+                        f"bracket holds a root of {len(hits)} irreducible factors"
+                    )
                 self._minpoly = hits[0]
         return self._minpoly
 
@@ -313,7 +316,7 @@ class AlgBase:
     def cmp(self, other: "AlgBase") -> int:
         a, b = self, other
         if a.exact_rational is not None and b.exact_rational is not None:
-            return _sgn(a.exact_rational - b.exact_rational)
+            return _sign(a.exact_rational - b.exact_rational)
         if b.exact_rational is not None:
             return a.cmp_rational(b.exact_rational)
         if a.exact_rational is not None:
@@ -355,7 +358,7 @@ class AlgBase:
     def cmp_rational(self, r) -> int:
         r = Fraction(r)
         if self.exact_rational is not None:
-            return _sgn(self.exact_rational - r)
+            return _sign(self.exact_rational - r)
         while True:
             lo, hi = self.bracket()
             if r <= lo:
@@ -392,21 +395,40 @@ class AlgBase:
         }
 
 
-def _sgn(x) -> int:
-    return (x > 0) - (x < 0)
+def _round_half_up(x: Fraction) -> int:
+    # certification loops make the tie case immaterial
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 
-def _dec_str(fr: Fraction, digits: int) -> str:
-    scaled = fr * 10**digits
-    n, rem = divmod(scaled.numerator, scaled.denominator)
-    # round half up; certification loops make the tie case immaterial
-    if 2 * rem >= scaled.denominator:
-        n += 1
+def _dec_str(x: Fraction, digits: int, rounding=_round_half_up) -> str:
+    """x with `digits` fractional digits, rounded to an integer multiple of
+    10**-digits by `rounding` (half up by default; math.floor and math.ceil
+    give outward enclosure ends)."""
+    n = rounding(x * 10**digits)
     if digits == 0:
         return str(n)
     sign = "-" if n < 0 else ""
     n = abs(n)
     return f"{sign}{n // 10**digits}.{n % 10**digits:0{digits}d}"
+
+
+def real_roots(F, lo, hi) -> list:
+    """Every real root of the integer polynomial F in (lo, hi], as AlgBases,
+    taken factor by factor (in `polys.factor_int` order) and left to right
+    within each factor.  Needs 1 <= lo < hi <= 2."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not (1 <= lo < hi <= 2):
+        raise DomainError("bracket must satisfy 1 <= lo < hi <= 2")
+    found = []
+    for g, _ in polys.factor_int(F):
+        if polys.degree(g) == 1:
+            r = Fraction(-g[0], g[1])
+            if lo < r <= hi:
+                found.append(AlgBase.from_rational(r))
+        else:
+            found.extend(AlgBase.from_bracket(g, a, b)
+                         for a, b in polys.isolate_roots(g, lo, hi))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +446,7 @@ def _one_and_q(q: AlgBase):
 def _sign_of(x) -> int:
     if isinstance(x, FieldElem):
         return x.sign()
-    return _sgn(x)
+    return _sign(x)
 
 
 def alpha_digits(q: AlgBase, n: int) -> str:
@@ -498,8 +520,6 @@ def parry_check(s: EPSeq) -> bool:
     """Is s the quasi-greedy expansion of 1 for some base in (1, 2]?
     Required: infinitely many ones, and every tail after a zero digit stays
     lexicographically at most the whole sequence."""
-    from .words import lex_cmp, shift
-
     if s.per == "0":
         raise DomainError("sequence must have infinitely many ones")
     if s.digit(0) != 1:
@@ -510,19 +530,23 @@ def parry_check(s: EPSeq) -> bool:
     return True
 
 
+def _tail_numerator(t: EPSeq):
+    """Numerator of (t)_q over the denominator q^m (q^p - 1)."""
+    m, p = len(t.pre), len(t.per)
+    qpre = polys.trim(int(ch) for ch in reversed(t.pre))
+    qper = polys.trim(int(ch) for ch in reversed(t.per))
+    qp1 = polys.add(polys.shift((1,), p), (-1,))
+    return polys.add(polys.mul(qpre, qp1), qper), m, p
+
+
 def base_from_alpha(s: EPSeq) -> AlgBase:
     """The unique base whose quasi-greedy expansion of 1 equals s."""
     if not parry_check(s):
         raise DomainError(f"{s} fails the quasi-greedy admissibility condition")
-    k, p = len(s.pre), len(s.per)
-    # clear denominators of eval_seq(s, q) = 1:
-    #   P_pre(q) (q^p - 1) + P_per(q) - q^k (q^p - 1) = 0
-    ppre = polys.trim(int(c) for c in reversed(s.pre))
-    pper = polys.trim(int(c) for c in reversed(s.per))
-    qp1 = polys.add(polys.shift((1,), p), (-1,))
-    F = polys.add(polys.mul(ppre, qp1), pper)
-    F = polys.sub(F, polys.shift(qp1, k))
-    F = polys.neg(F)  # make the leading coefficient positive
+    # clear denominators of eval_seq(s, q) = 1: q^k (q^p - 1) - numerator = 0,
+    # with a positive leading coefficient
+    num, k, p = _tail_numerator(s)
+    F = polys.sub(polys.shift(polys.add(polys.shift((1,), p), (-1,)), k), num)
     if polys.eval_at(F, 2) == 0:
         base = AlgBase.from_rational(2)
         base.alpha_hint = s
@@ -543,8 +567,6 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
     proves equality, a digit mismatch decides the order.  Terminates for
     every eventually periodic t."""
     if q.alpha_hint is not None:
-        from .words import lex_cmp
-
         return lex_cmp(t, q.alpha_hint)
     r, qe = _one_and_q(q)
     k, p = len(t.pre), len(t.per)

@@ -45,24 +45,24 @@ def is_univoque_seq(s: EPSeq, q: AlgBase) -> bool:
     Tail after each 0 must stay strictly below alpha(q); reflected tail
     after each 1 likewise.  One period window of shifts suffices.
     """
-    window = len(s.pre) + len(s.per)
-    for i in range(window):
-        t = shift(s, i + 1)
-        if s.digit(i) == 1:
-            t = reflect(t)
-        if cmp_seq_alpha(t, q) >= 0:
-            return False
-    return True
+    return _tails_below_alpha(s, q, strict=True)
 
 
 def in_Vq_seq(s: EPSeq, q: AlgBase) -> bool:
     """Weak variant: tails may touch alpha(q) but not exceed it."""
-    window = len(s.pre) + len(s.per)
-    for i in range(window):
+    return _tails_below_alpha(s, q, strict=False)
+
+
+def _tails_below_alpha(s: EPSeq, q: AlgBase, strict: bool) -> bool:
+    """Every tail after a 0, and every reflected tail after a 1, stays below
+    alpha(q): strictly, or with equality allowed.  Stops at the first
+    failing shift."""
+    for i in range(len(s.pre) + len(s.per)):
         t = shift(s, i + 1)
         if s.digit(i) == 1:
             t = reflect(t)
-        if cmp_seq_alpha(t, q) > 0:
+        c = cmp_seq_alpha(t, q)
+        if c > 0 or (strict and c == 0):
             return False
     return True
 
@@ -95,15 +95,19 @@ def classify_base(q: AlgBase, max_steps: int = 4096) -> BaseClass:
         if lo > 0 and fails["weak_lower"] is None:
             fails["weak_lower"] = n
     evidence = {"window": window, "first_fail": fails}
+    return BaseClass(_tag_from_fails(fails), evidence, alpha)
+
+
+def _tag_from_fails(fails: dict) -> BaseTag:
+    """Placement from the first failing shift of each of the four shift
+    conditions on alpha (None: the condition never fails)."""
     if fails["strict_upper"] is None and fails["strict_lower"] is None:
-        tag = BaseTag.IN_U
-    elif fails["weak_upper"] is None and fails["strict_lower"] is None:
-        tag = BaseTag.UBAR_MINUS_U
-    elif fails["weak_upper"] is None and fails["weak_lower"] is None:
-        tag = BaseTag.V_MINUS_UBAR
-    else:
-        tag = BaseTag.NOT_V
-    return BaseClass(tag, evidence, alpha)
+        return BaseTag.IN_U
+    if fails["weak_upper"] is None and fails["strict_lower"] is None:
+        return BaseTag.UBAR_MINUS_U
+    if fails["weak_upper"] is None and fails["weak_lower"] is None:
+        return BaseTag.V_MINUS_UBAR
+    return BaseTag.NOT_V
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,9 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
             raise UnsupportedBaseError("remainder graph exceeded the state budget")
         queue.extend(c for c in outs if c not in children)
 
-    cyclic = _cyclic_states(children)
+    cyclic = {s for comp in _sccs(children)
+              if len(comp) > 1 or comp[0] in children[comp[0]]
+              for s in comp}
     if any(len(children[s]) > 1 for s in cyclic):
         return CountResult(cap + 1, exact=False)
     # remaining graph: cycles are exit-free, everything else is acyclic
@@ -183,49 +189,40 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
     return CountResult(counts[val])
 
 
-def _cyclic_states(children) -> set:
-    """States lying on some cycle of the remainder graph (Tarjan)."""
-    index, low, on, stack = {}, {}, set(), []
-    cyclic, counter = set(), [0]
-
-    def strong(v0):
-        work = [(v0, iter(children[v0]))]
-        index[v0] = low[v0] = counter[0]
-        counter[0] += 1
-        stack.append(v0)
-        on.add(v0)
+def _sccs(graph) -> list:
+    """Strongly connected components of the digraph mapping each node to its
+    successors, in Tarjan's order (iterative, so deep graphs are fine)."""
+    index, low, on, stack, comps = {}, {}, set(), [], []
+    for root in graph:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on.add(root)
+        work = [(root, iter(graph[root]))]
         while work:
             v, it = work[-1]
-            adv = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on.add(w)
-                    work.append((w, iter(children[w])))
-                    adv = True
+                    work.append((w, iter(graph[w])))
                     break
                 if w in on:
                     low[v] = min(low[v], index[w])
-            if adv:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1 or any(c == v for c in children[v]):
-                    cyclic.update(comp)
-
-    for s in children:
-        if s not in index:
-            strong(s)
-    return cyclic
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps

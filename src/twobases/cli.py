@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bases import AlgBase, alpha_digits, base_from_alpha
+from .bases import AlgBase, alpha_digits, base_from_alpha, _dec_str
 from .b2core import certify_b2, f_sign, prop62_pair, solve_qcd, witness_for_V_base
-from .classify import classify_base, count_expansions, BaseTag
+from .classify import classify_base, count_expansions, _tag_from_fails
 from .dimension import b2_local_bound, dim_U, entropy
 from .enum_b2 import enum_B2, min_derived, qn_ladder
 from .errors import DomainError, NotFoundWithinBoundsError
@@ -79,25 +80,13 @@ def _parse_point(text: str):
     return _rat(text)
 
 
-def _dec_floor(x: Fraction, digits: int) -> str:
-    scale = 10 ** digits
-    n = (x.numerator * scale) // x.denominator
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    return f"{sign}{n // scale}.{n % scale:0{digits}d}"
-
-
-def _dec_ceil(x: Fraction, digits: int) -> str:
-    scale = 10 ** digits
-    n = -((-x.numerator * scale) // x.denominator)
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    return f"{sign}{n // scale}.{n % scale:0{digits}d}"
+def _dec_outward(lo: Fraction, hi: Fraction, digits: int) -> list:
+    """Decimal ends of [lo, hi], rounded outward."""
+    return [_dec_str(lo, digits, math.floor), _dec_str(hi, digits, math.ceil)]
 
 
 def _enclosure(lo: Fraction, hi: Fraction, digits: int) -> dict:
-    return {
-        "dec": [_dec_floor(lo, digits), _dec_ceil(hi, digits)],
-        "exact": [str(lo), str(hi)],
-    }
+    return {"dec": _dec_outward(lo, hi, digits), "exact": [str(lo), str(hi)]}
 
 
 def _emit_json(obj) -> None:
@@ -151,29 +140,18 @@ def _probable_classify(q: AlgBase, depth: int) -> dict:
     Window ties count against the strict conditions only."""
     w = alpha_digits(q, depth)
     rw = w.translate(str.maketrans("01", "10"))
-    strict_up = weak_up = strict_lo = weak_lo = None
+    fails = dict.fromkeys(
+        ("strict_upper", "weak_upper", "strict_lower", "weak_lower"))
     for n in range(1, len(w)):
         a = w[n:]
         b = w[: len(w) - n]
-        if strict_up is None and a >= b:
-            strict_up = n
-        if weak_up is None and a > b:
-            weak_up = n
         r = rw[: len(a)]
-        if strict_lo is None and r >= a:
-            strict_lo = n
-        if weak_lo is None and r > a:
-            weak_lo = n
-    if strict_up is None and strict_lo is None:
-        tag = BaseTag.IN_U
-    elif weak_up is None and strict_lo is None:
-        tag = BaseTag.UBAR_MINUS_U
-    elif weak_up is None and weak_lo is None:
-        tag = BaseTag.V_MINUS_UBAR
-    else:
-        tag = BaseTag.NOT_V
-    return {"class": tag.value, "probable": True, "depth": depth,
-            "note": "finite-prefix verdict, not certified"}
+        for key, hit in (("strict_upper", a >= b), ("weak_upper", a > b),
+                         ("strict_lower", r >= a), ("weak_lower", r > a)):
+            if fails[key] is None and hit:
+                fails[key] = n
+    return {"class": _tag_from_fails(fails).value, "probable": True,
+            "depth": depth, "note": "finite-prefix verdict, not certified"}
 
 
 def _cmd_omega(cfg: RunConfig, args) -> int:
@@ -255,10 +233,9 @@ def _cmd_entropy(cfg: RunConfig, args) -> int:
     lo, hi = dim_U(q, nmax=max(cfg.nmax, 4))
     out = ent.to_json()
     out["base"] = q.to_json(cfg.precision)
-    out["entropy_log_dec"] = [_dec_floor(ent.lower, cfg.precision),
-                              _dec_ceil(ent.upper, cfg.precision)]
+    out["entropy_log_dec"] = _dec_outward(ent.lower, ent.upper, cfg.precision)
     out["dim"] = [str(lo), str(hi)]
-    out["dim_dec"] = [_dec_floor(lo, cfg.precision), _dec_ceil(hi, cfg.precision)]
+    out["dim_dec"] = _dec_outward(lo, hi, cfg.precision)
     if (cfg.format or "json") == "plain":
         print(*out["entropy_log_dec"])
     else:

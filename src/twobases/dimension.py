@@ -27,6 +27,7 @@ log of the contraction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass
@@ -35,7 +36,9 @@ from fractions import Fraction
 import mpmath
 
 from . import polys
-from .bases import AlgBase, alpha_epseq, base_from_alpha, parry_check
+from .bases import AlgBase, alpha_epseq, base_from_alpha, parry_check, real_roots
+from .classify import _sccs
+from .enum_b2 import qn_ladder
 from .errors import DomainError, NotFoundWithinBoundsError, UnsupportedBaseError
 from .words import EPSeq, ComponentSpec, GEN0
 
@@ -217,58 +220,11 @@ class EntropyResult:
         return out
 
 
-def _sccs(edges) -> list:
-    """Strongly connected components, Tarjan, iterative."""
-    n = len(edges)
-    index = [None] * n
-    low = [0] * n
-    on = [False] * n
-    stack, comps = [], []
-    counter = [0]
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(edges[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for _b, w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on[w] = True
-                    work.append((w, iter(edges[w])))
-                    advanced = True
-                    break
-                if on[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 def _cycles_only(aut: UqAutomaton) -> bool:
     """True when every strongly connected piece is a lone state or one simple
     cycle; path counts then grow at most polynomially."""
-    for comp in _sccs(aut.edges):
+    graph = {s: [t for _b, t in es] for s, es in enumerate(aut.edges)}
+    for comp in _sccs(graph):
         members = set(comp)
         for s in comp:
             inside = sum(1 for _b, t in aut.edges[s] if t in members)
@@ -288,20 +244,9 @@ def _charpoly(aut: UqAutomaton) -> tuple:
 def _perron_root(cp) -> AlgBase:
     """Largest real root of the characteristic polynomial in (1, 2]."""
     best = None
-    for g, _ in polys.factor_int(cp):
-        if polys.degree(g) < 1:
-            continue
-        if polys.degree(g) == 1:
-            r = Fraction(-g[0], g[1])
-            if 1 < r <= 2:
-                cand = AlgBase.from_rational(r)
-                if best is None or cand.cmp(best) > 0:
-                    best = cand
-            continue
-        for a, b in polys.isolate_roots(g, Fraction(1), Fraction(2)):
-            cand = AlgBase.from_bracket(g, a, b)
-            if best is None or cand.cmp(best) > 0:
-                best = cand
+    for cand in real_roots(cp, 1, 2):
+        if best is None or cand.cmp(best) > 0:
+            best = cand
     if best is None:
         raise DomainError("no growth root in (1, 2] despite branching cycles")
     return best
@@ -402,10 +347,6 @@ def overapprox_pool(comp: ComponentSpec = GEN0, N: int = 6, M: int = 48) -> list
     the accumulation ladder from below, bases whose alpha repeats a prefix of
     the generator limit word (these exist on both sides of the accumulation
     point), and 2 itself.  Sorted increasingly, duplicates removed."""
-    from .enum_b2 import qn_ladder
-
-    import functools
-
     pool = [e.base for e in qn_ladder(comp, N)]
     tau = _tm_prefix(comp, 4 * M)
     for m in range(1, M + 1):

@@ -16,13 +16,14 @@ order-n point strictly inside (q_n, q_{n+1}).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .bases import AlgBase, base_from_alpha
+from .bases import AlgBase, base_from_alpha, real_roots, _tail_numerator
 from .b2core import (
     B2Witness,
     MonotoneCase,
@@ -30,9 +31,9 @@ from .b2core import (
     monotone_case,
     prop62_pair,
     q_f_base,
-    udiff_generate,
+    _assemble,
+    _check_profile,
     _residual_check,
-    _tail_numerator,
 )
 from .classify import in_A_prime
 from .errors import DomainError, NotFoundWithinBoundsError
@@ -64,16 +65,7 @@ class ReprVector:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "j", j)
-        if len(j) != len(k) + 1 or len(s) != max(len(k) - 1, 0):
-            raise DomainError("profile shapes must satisfy |j| = |k|+1, |s| = |k|-1")
-        if not j or j[-1] is not math.inf:
-            raise DomainError("final repetition count must be math.inf")
-        if any(not isinstance(x, int) or x < 0 for x in j[:-1]):
-            raise DomainError("interior repetition counts must be integers >= 0")
-        if any(k[i] >= k[i + 1] for i in range(len(k) - 1)) or (k and k[0] < 0):
-            raise DomainError("block levels must be strictly increasing and >= 0")
-        if any(x not in (0, 1) for x in s):
-            raise DomainError("bridge indicators must be 0 or 1")
+        _check_profile(k, s, j)
 
     @property
     def m(self) -> int:
@@ -100,7 +92,8 @@ def pair_weight(vc: ReprVector, vd: ReprVector) -> int:
 def repr_to_seq(v: ReprVector, comp: ComponentSpec = GEN0, initial: str = "") -> EPSeq:
     if initial == "" and v.m >= 1 and v.j[0] < 1:
         raise DomainError("leading generator run must be nonempty")
-    return udiff_generate(comp, initial, v.k, v.s, v.j)
+    # the profile was checked when v was built; EPSeq checks the initial word
+    return _assemble(comp, initial, v.k, v.s, v.j)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +130,7 @@ def enum_reprs(n: int, Jmax: int) -> list:
     length of the assembled sequence description, then lexicographic."""
     if n < 0 or Jmax < 1:
         raise DomainError("need n >= 0 and Jmax >= 1")
-    out = [ReprVector((), (), (math.inf,))]
-    for m in range(1, n + 1):
-        for k in itertools.combinations(range(n), m):
-            for s in itertools.product((0, 1), repeat=m - 1):
-                for j0 in range(1, Jmax + 1):
-                    for mids in itertools.product(range(Jmax + 1), repeat=m - 1):
-                        out.append(ReprVector(k, s, (j0, *mids, math.inf)))
+    out = list(_profiles(n, Jmax))
 
     def key(v):
         seq = repr_to_seq(v)
@@ -154,32 +141,25 @@ def enum_reprs(n: int, Jmax: int) -> list:
     return out
 
 
+def _profiles(top: int, Jmax: int):
+    """Every block profile with levels below `top` and finite repetition
+    counts at most Jmax (a nonempty leading run), the all-zero one first."""
+    yield ReprVector((), (), (math.inf,))
+    for m in range(1, top + 1):
+        for k in itertools.combinations(range(top), m):
+            for s in itertools.product((0, 1), repeat=m - 1):
+                for j0 in range(1, Jmax + 1):
+                    for mids in itertools.product(range(Jmax + 1), repeat=m - 1):
+                        yield ReprVector(k, s, (j0, *mids, math.inf))
+
+
 def _roots_in_interval(F, lo_base, hi_base) -> list:
     """Certified roots of the integer polynomial F inside (lo, hi], where lo
     may be None for an interval starting at 1 (exclusive)."""
     lo_r = Fraction(1) if lo_base is None else lo_base.bracket()[0]
     hi_r = hi_base.bracket()[1]
-    found = []
-    for g, _ in polys.factor_int(F):
-        if polys.degree(g) < 1:
-            continue
-        if polys.degree(g) == 1:
-            r = Fraction(-g[0], g[1])
-            if 1 < r <= 2 and lo_r < r <= hi_r:
-                found.append(AlgBase.from_rational(r))
-            continue
-        for a, b in polys.isolate_roots(g, lo_r, hi_r):
-            found.append(AlgBase.from_bracket(g, a, b))
-    kept = []
-    for root in found:
-        if lo_base is not None and root.cmp(lo_base) <= 0:
-            continue
-        if root.cmp(hi_base) > 0:
-            continue
-        if root.cmp_rational(1) <= 0:
-            continue
-        kept.append(root)
-    return kept
+    return [root for root in real_roots(F, lo_r, hi_r)
+            if (lo_base is None or root.cmp(lo_base) > 0) and root.cmp(hi_base) <= 0]
 
 
 def _seq_pairs(comp, vectors):
@@ -246,17 +226,8 @@ def enum_B2(n: int, Jmax: int, comp: ComponentSpec = GEN0) -> list:
         order = derived_order_bound(w, n)
         out.append(B2Witness(w.c, w.d, w.root, w.minpoly, w.admissible,
                              w.repr_vectors, order))
-    out.sort(key=_root_sort_key(out))
+    out.sort(key=functools.cmp_to_key(lambda a, b: a.root.cmp(b.root)))
     return out
-
-
-def _root_sort_key(witnesses):
-    import functools
-
-    def cmp(a, b):
-        return a.root.cmp(b.root)
-
-    return functools.cmp_to_key(cmp)
 
 
 def derived_order_bound(w: B2Witness, n: int) -> int:
@@ -323,14 +294,9 @@ def _weight_graded_seqs(comp, n, Jmax, maxweight):
         if cur is None or w < cur[0]:
             lightest[s] = (w, v)
 
-    note(ReprVector((), (), (math.inf,)))
-    top = min(n, maxweight)  # top_k + 1 <= maxweight and top_k <= n - 1
-    for m in range(1, top + 1):
-        for k in itertools.combinations(range(top), m):
-            for s in itertools.product((0, 1), repeat=m - 1):
-                for j0 in range(1, Jmax + 1):
-                    for mids in itertools.product(range(Jmax + 1), repeat=m - 1):
-                        note(ReprVector(k, s, (j0, *mids, math.inf)))
+    # levels stay below min(n, maxweight): top_k + 1 <= maxweight, top_k < n
+    for v in _profiles(min(n, maxweight), Jmax):
+        note(v)
     grades = {}
     for s, (w, v) in lightest.items():
         grades.setdefault(w, []).append((s, v))
@@ -468,22 +434,6 @@ def _interior_candidates(comp, ladder, n, j, Jmax):
     return out
 
 
-def _isolated_roots(F, lo, hi) -> list:
-    """Certified roots of the integer polynomial F in (lo, hi], rational ends."""
-    found = []
-    for g, _ in polys.factor_int(F):
-        if polys.degree(g) < 1:
-            continue
-        if polys.degree(g) == 1:
-            r = Fraction(-g[0], g[1])
-            if lo < r <= hi:
-                found.append(AlgBase.from_rational(r))
-            continue
-        for a, b in polys.isolate_roots(g, lo, hi):
-            found.append(AlgBase.from_bracket(g, a, b))
-    return found
-
-
 def _interior_fast(comp, ladder, n, Jmax, maxweight):
     """Interval n >= 3 sits above the strict-monotonicity threshold, so the
     remaining pairs all have strictly increasing defects there: four exact
@@ -508,18 +458,18 @@ def _interior_fast(comp, ladder, n, Jmax, maxweight):
         roots = []
         if polys.eval_at(F, a1) >= 0:
             # root pinned inside the left bracket; keep it only above q_n
-            roots = [r for r in _isolated_roots(F, a0, a1) if r.cmp(qa) > 0]
+            roots = [r for r in real_roots(F, a0, a1) if r.cmp(qa) > 0]
         else:
             vb0 = polys.eval_at(F, b0)
             if vb0 > 0:
-                roots = _isolated_roots(F, a1, b0)
+                roots = real_roots(F, a1, b0)
             elif vb0 == 0:
                 roots = [AlgBase.from_rational(b0)]
             else:
                 vb1 = polys.eval_at(F, b1)
                 if vb1 >= 0:
                     # root inside the right bracket; keep it only up to q_{n+1}
-                    roots = [r for r in _isolated_roots(F, b0, b1) if r.cmp(qb) <= 0]
+                    roots = [r for r in real_roots(F, b0, b1) if r.cmp(qb) <= 0]
                 # still negative at b1: the root lies beyond the interval
         for root in roots:
             _residual_check(c, d, root)
@@ -539,12 +489,7 @@ def _prop62_root(comp, ladder, n) -> AlgBase:
     while polys.eval_at(F, qb.bracket()[0]) <= 0:
         lo, hi = qb.bracket()
         qb.refine((hi - lo) / 4)
-    roots = []
-    for g, _ in polys.factor_int(F):
-        if polys.degree(g) < 1:
-            continue
-        for a, b in polys.isolate_roots(g, qa.bracket()[1], qb.bracket()[0]):
-            roots.append(AlgBase.from_bracket(g, a, b))
+    roots = real_roots(F, qa.bracket()[1], qb.bracket()[0])
     if len(roots) != 1:
         raise DomainError("deep pair must have a unique root in the open interval")
     root = roots[0]

@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Sequence
 
+from .errors import DomainError
+
 Poly = tuple  # alias for readability in signatures
 
 
@@ -111,23 +113,12 @@ def content(p: Poly) -> Fraction:
     return Fraction(num, den)
 
 
-def to_int_poly(p: Poly, keep_sign: bool = True) -> Poly:
+def to_int_poly(p: Poly) -> Poly:
     """Primitive integer polynomial proportional to p (positive multiplier)."""
     if not p:
         return ()
     c = content(p)
-    out = tuple(int(Fraction(a) / c) for a in p)
-    if not keep_sign:
-        raise ValueError("keep_sign=False unsupported")
-    return out
-
-
-def monicize(p: Poly) -> Poly:
-    """Divide by the leading coefficient (result over Fractions)."""
-    if not p:
-        return ()
-    lead = Fraction(p[-1])
-    return tuple(Fraction(a) / lead for a in p)
+    return tuple(int(Fraction(a) / c) for a in p)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -153,7 +144,8 @@ def squarefree_part(p: Poly) -> Poly:
     if degree(g) == 0:
         return to_int_poly(p)
     q, r = divmod_exact(p, g)
-    assert not r
+    if r:
+        raise DomainError("gcd with the derivative does not divide the polynomial")
     return to_int_poly(q)
 
 
@@ -190,17 +182,21 @@ def count_roots_halfopen(p: Poly, a, b, chain=None) -> int:
         raise ValueError("zero polynomial")
     root_at_b = eval_at(sf, b) == 0
     if root_at_b:
-        sf, r = divmod_exact(sf, (-Fraction(b), Fraction(1)))
-        assert not r
-        sf = to_int_poly(sf) if sf else ()
+        sf = _drop_root(sf, b)
     if sf and eval_at(sf, a) == 0:
-        sf2, r = divmod_exact(sf, (-Fraction(a), Fraction(1)))
-        assert not r
-        sf = to_int_poly(sf2) if sf2 else ()
+        sf = _drop_root(sf, a)
     if not sf or len(sf) == 1:
         return int(root_at_b)
     ch = sturm_chain(sf)
     return sign_variations(ch, a) - sign_variations(ch, b) + int(root_at_b)
+
+
+def _drop_root(p: Poly, r) -> Poly:
+    """p / (x - r) for a rational root r of p, primitive integral."""
+    quot, rem = divmod_exact(p, (-Fraction(r), Fraction(1)))
+    if rem:
+        raise DomainError(f"{r} is not a root")
+    return to_int_poly(quot)
 
 
 def isolate_roots(p: Poly, lo, hi) -> list:
@@ -223,20 +219,6 @@ def isolate_roots(p: Poly, lo, hi) -> list:
 
     split(lo, hi, total)
     return out
-
-
-def refine_root(p: Poly, lo, hi, eps) -> tuple:
-    """Shrink an isolating interval (lo, hi] (known to hold exactly one root)
-    until its width is < eps."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    sf = squarefree_part(p)
-    while hi - lo >= eps:
-        mid = (lo + hi) / 2
-        if count_roots_halfopen(sf, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def interval_eval(p: Poly, lo, hi) -> tuple:

@@ -116,9 +116,6 @@ class EPSeq:
     def is_zero(self) -> bool:
         return not self.pre and self.per == "0"
 
-    def starts_with(self, w: str) -> bool:
-        return self.prefix(len(w)) == w
-
 
 ZERO_SEQ = EPSeq("", "0")
 ONE_SEQ = EPSeq("", "1")
@@ -206,15 +203,6 @@ class ComponentSpec:
             w = self._omegas[-1]
             self._omegas.append(w + word_inc(reflect(w)))
         return self._omegas[n]
-
-    def omega_minus(self, n: int) -> str:
-        return word_dec(self.omega(n))
-
-    def alpha_word(self, n: int) -> EPSeq:
-        """Quasi-greedy expansion at the n-th ladder base, as a sequence."""
-        if n == 0:
-            return EPSeq("", self.generator) if self.generator != "0" else ZERO_SEQ
-        return EPSeq("", self.omega_minus(n))
 
 
 GEN0 = ComponentSpec("0")

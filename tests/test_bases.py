@@ -9,7 +9,7 @@ import pytest
 from twobases import polys
 from twobases.bases import (
     AlgBase, alpha_digits, beta_digits, alpha_epseq, parry_check,
-    base_from_alpha, cmp_seq_alpha,
+    base_from_alpha, cmp_seq_alpha, real_roots,
 )
 from twobases.errors import DomainError, UnsupportedBaseError
 from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq
@@ -54,6 +54,40 @@ def test_minpoly_squarefree_and_monic_content():
     assert q.minpoly() == (-1, -1, 1)
     assert Q_S.minpoly() == (-1, -1, -2, 0, 1)
     assert Q_F.minpoly() == (-1, 1, -2, 1)
+
+
+def test_minpoly_refuses_bracket_with_several_factor_roots():
+    # (2x-3)(5x-8)(10x-17) changes sign across (7/5, 9/5] but each factor has
+    # its root there: no minimal polynomial can be chosen, and the refusal
+    # must survive python -O
+    p = polys.mul(polys.mul((-3, 2), (-8, 5)), (-17, 10))
+    q = AlgBase.from_bracket(p, Fraction(7, 5), Fraction(9, 5))
+    with pytest.raises(DomainError):
+        q.minpoly()
+
+
+def test_real_roots_match_sturm_count():
+    rng = random.Random(3011)
+    for _ in range(80):
+        p = (rng.choice((1, -1, 2)),)
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                den = rng.randint(1, 6)
+                factor = (-rng.randint(den, 2 * den), den)   # root in [1, 2]
+            else:   # irreducible, with a root in (1, 2)
+                factor = rng.choice(((-2, 0, 1), (-1, -1, 1), (-5, 0, 2),
+                                     (-1, -2, 2), (-1, 1, -2, 1),
+                                     (-1, -1, -2, 0, 1)))
+            p = polys.mul(p, factor)
+        lo = 1 + Fraction(rng.randint(0, 8), 10)
+        hi = lo + Fraction(rng.randint(1, 10 - int(10 * (lo - 1))), 10)
+        roots = real_roots(p, lo, hi)
+        assert len(roots) == polys.count_roots_halfopen(p, lo, hi)
+        for r in roots:
+            assert r.cmp_rational(lo) > 0 and r.cmp_rational(hi) <= 0
+        assert all(a.cmp(b) != 0 for i, a in enumerate(roots) for b in roots[i + 1:])
+    with pytest.raises(DomainError):
+        real_roots((-3, 2), Fraction(1, 2), 2)
 
 
 def test_field_arithmetic():

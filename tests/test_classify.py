@@ -9,7 +9,7 @@ import pytest
 from twobases.bases import AlgBase, base_from_alpha
 from twobases.classify import (
     BaseTag, CountResult, classify_base, count_expansions, in_A_prime,
-    in_Vq_seq, is_univoque_seq,
+    in_Vq_seq, is_univoque_seq, _sccs,
 )
 from twobases.enum_b2 import enum_reprs, qn_ladder, repr_to_seq
 from twobases.errors import UnsupportedBaseError
@@ -138,3 +138,28 @@ def test_count_expansions_sequence_input():
 def test_count_respects_cap():
     r = count_expansions(Fraction(1), PHI, cap=2)
     assert r == CountResult(3, exact=False) and not r.exact
+
+
+def test_scc_cyclic_states_match_reachability():
+    rng = random.Random(4011)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        graph = {v: tuple(w for w in range(n) if rng.random() < 0.2)
+                 for v in range(n)}
+        comps = _sccs(graph)
+        assert sorted(v for c in comps for v in c) == list(range(n))
+        cyclic = {v for c in comps if len(c) > 1 or c[0] in graph[c[0]]
+                  for v in c}
+
+        def reaches_itself(v):
+            seen, todo = set(), list(graph[v])
+            while todo:
+                w = todo.pop()
+                if w == v:
+                    return True
+                if w not in seen:
+                    seen.add(w)
+                    todo.extend(graph[w])
+            return False
+
+        assert cyclic == {v for v in graph if reaches_itself(v)}

@@ -24,10 +24,10 @@ from . import polys
 from .bases import AlgBase, FieldElem, base_from_alpha, real_roots, _tail_numerator
 from .classify import in_A_prime, in_Vq_seq
 from .errors import DomainError, NoRootByCaseError
-from .polys import _sign
 from .words import (
     EPSeq,
     ComponentSpec,
+    _check_seq,
     eval_seq,
     format_epseq,
     from_word,
@@ -63,6 +63,7 @@ def f_eval(c: EPSeq, d: EPSeq, q):
     q may be a rational in (1, 2] (Fraction result) or an AlgBase (FieldElem
     result in the field generated by its minimal polynomial).
     """
+    _check_seq(c, d)
     tc, td = prepend("1", c), prepend("1", d)
     if isinstance(q, AlgBase):
         if q.exact_rational is not None:
@@ -145,24 +146,22 @@ def sign_at(F, q: AlgBase) -> int:
     """Certified sign of the integer polynomial F at the algebraic point q."""
     F = polys.trim(F)
     if q.exact_rational is not None:
-        return _sign(polys.eval_at(F, q.exact_rational))
+        return polys.sign_at_rational(F, q.exact_rational)
     # exact-zero test first so the refinement loop below must terminate
     if _is_root_of(q, F):
         return 0
     while True:
         lo, hi = q.bracket()
-        a, b = polys.interval_eval(F, lo, hi)
-        if a > 0:
-            return 1
-        if b < 0:
-            return -1
+        s = polys.interval_sign(F, lo, hi)
+        if s:
+            return s
         q.refine((hi - lo) / 4)
 
 
 def _is_root_of(q: AlgBase, F) -> bool:
     """Does the value q root the integer polynomial F?  Exact."""
     if q.exact_rational is not None:
-        return polys.eval_at(F, q.exact_rational) == 0
+        return polys.sign_at_rational(F, q.exact_rational) == 0
     if q._minpoly is not None:
         _, rem = polys.divmod_exact(F, q._minpoly)
         return polys.is_zero(rem)

@@ -168,11 +168,9 @@ class FieldElem:
         p = polys.trim(self.coeffs)
         while True:
             lo, hi = base.bracket()
-            vlo, vhi = polys.interval_eval(p, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
+            s = polys.interval_sign(p, lo, hi)
+            if s:
+                return s
             base.refine((hi - lo) / 2)
 
 
@@ -195,8 +193,8 @@ class AlgBase:
             if not _verified:
                 raise DomainError("use a from_* constructor")
             # endpoint signs for pure sign bisection
-            self._slo = _sign(polys.eval_at(self.poly, self._lo))
-            self._shi = _sign(polys.eval_at(self.poly, self._hi))
+            self._slo = polys.sign_at_rational(self.poly, self._lo)
+            self._shi = polys.sign_at_rational(self.poly, self._hi)
             if self._slo * self._shi >= 0:
                 raise DomainError("bracket endpoints must straddle the root")
 
@@ -229,7 +227,7 @@ class AlgBase:
         if polys.count_roots_halfopen(p, lo, hi) != 1:
             raise DomainError("polynomial must have exactly one root in (lo, hi]")
         sf = polys.squarefree_part(p)
-        if polys.eval_at(sf, hi) == 0:
+        if polys.sign_at_rational(sf, hi) == 0:
             return cls(p, lo, hi, exact=hi, alpha_hint=alpha_hint)
         # the one root is simple in sf and interior, so sf straddles it
         return cls(sf, lo, hi, alpha_hint=alpha_hint, _verified=True)
@@ -243,7 +241,7 @@ class AlgBase:
         if not (1 <= lo < hi <= 2):
             raise DomainError("bracket must satisfy 1 <= lo < hi <= 2")
         p = polys.trim(poly)
-        if polys.eval_at(p, hi) == 0:
+        if polys.sign_at_rational(p, hi) == 0:
             return cls(p, lo, hi, exact=hi, alpha_hint=alpha_hint)
         return cls(p, lo, hi, alpha_hint=alpha_hint, _verified=True)
 
@@ -263,7 +261,7 @@ class AlgBase:
         lo, hi, slo = self._lo, self._hi, self._slo
         while hi - lo >= width:
             mid = (lo + hi) / 2
-            s = _sign(polys.eval_at(self.poly, mid))
+            s = polys.sign_at_rational(self.poly, mid)
             if s == 0:
                 self.exact_rational = mid
                 self._lo = self._hi = mid
@@ -365,7 +363,7 @@ class AlgBase:
                 return 1
             if r > hi:
                 return -1
-            if polys.eval_at(self.poly, r) == 0:
+            if polys.sign_at_rational(self.poly, r) == 0:
                 # unique root in the bracket, and r is a root inside it
                 self.exact_rational = r
                 self._lo = self._hi = r
@@ -547,14 +545,14 @@ def base_from_alpha(s: EPSeq) -> AlgBase:
     # with a positive leading coefficient
     num, k, p = _tail_numerator(s)
     F = polys.sub(polys.shift(polys.add(polys.shift((1,), p), (-1,)), k), num)
-    if polys.eval_at(F, 2) == 0:
+    if polys.sign_at_rational(F, 2) == 0:
         base = AlgBase.from_rational(2)
         base.alpha_hint = s
         return base
     # series value strictly decreases in q, so the root is unique; find a
     # bracket by walking toward 1 until the sign flips
     lo = Fraction(3, 2)
-    while polys.eval_at(F, lo) >= 0:
+    while polys.sign_at_rational(F, lo) >= 0:
         lo = 1 + (lo - 1) / 2
     return AlgBase.from_bracket(F, lo, Fraction(2), alpha_hint=s)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bases import AlgBase, alpha_epseq, cmp_seq_alpha, _one_and_q, _sign_of
 from .errors import DomainError, UnsupportedBaseError
-from .words import EPSeq, eval_seq, lex_cmp, parse_epseq, reflect, shift
+from .words import EPSeq, _check_seq, eval_seq, lex_cmp, parse_epseq, reflect, shift
 
 
 class BaseTag(Enum):
@@ -57,6 +57,7 @@ def _tails_below_alpha(s: EPSeq, q: AlgBase, strict: bool) -> bool:
     """Every tail after a 0, and every reflected tail after a 1, stays below
     alpha(q): strictly, or with equality allowed.  Stops at the first
     failing shift."""
+    _check_seq(s)
     for i in range(len(s.pre) + len(s.per)):
         t = shift(s, i + 1)
         if s.digit(i) == 1:
@@ -69,6 +70,7 @@ def _tails_below_alpha(s: EPSeq, q: AlgBase, strict: bool) -> bool:
 
 def in_A_prime(s: EPSeq, q: AlgBase) -> bool:
     """Member of the zero-leading half of the unique-expansion sequences."""
+    _check_seq(s)
     return s.digit(0) == 0 and is_univoque_seq(s, q)
 
 

@@ -453,21 +453,20 @@ def _interior_fast(comp, ladder, n, Jmax, maxweight):
         if monotone_case(c, d) is not MonotoneCase.INCREASING_III:
             continue  # guaranteed positive on the whole interval
         F = f_minpoly(c, d)
-        if polys.eval_at(F, a0) >= 0:
+        if polys.sign_at_rational(F, a0) >= 0:
             continue  # increasing and already nonnegative below q_n
         roots = []
-        if polys.eval_at(F, a1) >= 0:
+        if polys.sign_at_rational(F, a1) >= 0:
             # root pinned inside the left bracket; keep it only above q_n
             roots = [r for r in real_roots(F, a0, a1) if r.cmp(qa) > 0]
         else:
-            vb0 = polys.eval_at(F, b0)
-            if vb0 > 0:
+            sb0 = polys.sign_at_rational(F, b0)
+            if sb0 > 0:
                 roots = real_roots(F, a1, b0)
-            elif vb0 == 0:
+            elif sb0 == 0:
                 roots = [AlgBase.from_rational(b0)]
             else:
-                vb1 = polys.eval_at(F, b1)
-                if vb1 >= 0:
+                if polys.sign_at_rational(F, b1) >= 0:
                     # root inside the right bracket; keep it only up to q_{n+1}
                     roots = [r for r in real_roots(F, b0, b1) if r.cmp(qb) <= 0]
                 # still negative at b1: the root lies beyond the interval
@@ -483,10 +482,10 @@ def _prop62_root(comp, ladder, n) -> AlgBase:
     c, d = prop62_pair(comp, n)
     F = f_minpoly(c, d)
     qa, qb = ladder[n - 1].base, ladder[n].base
-    while polys.eval_at(F, qa.bracket()[1]) >= 0:
+    while polys.sign_at_rational(F, qa.bracket()[1]) >= 0:
         lo, hi = qa.bracket()
         qa.refine((hi - lo) / 4)
-    while polys.eval_at(F, qb.bracket()[0]) <= 0:
+    while polys.sign_at_rational(F, qb.bracket()[0]) <= 0:
         lo, hi = qb.bracket()
         qb.refine((hi - lo) / 4)
     roots = real_roots(F, qa.bracket()[1], qb.bracket()[0])

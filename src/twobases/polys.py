@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import lcm as _int_lcm
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -76,6 +77,21 @@ def eval_at(p: Poly, x):
     for a in reversed(p):
         acc = acc * x + a
     return acc
+
+
+def sign_at_rational(p: Poly, x) -> int:
+    """Sign of p at the rational x, by homogenised Horner.
+
+    For x = a/b with b > 0 and n = deg p, b^n p(x) = sum c_i a^i b^(n-i) has
+    the sign of p(x); with integer coefficients it is computed in integers,
+    with no division and no gcd."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    bk = 1
+    for c in reversed(p):
+        acc = acc * a + c * bk
+        bk *= b
+    return _sign(acc)
 
 
 def derivative(p: Poly) -> Poly:
@@ -169,65 +185,75 @@ def sturm_chain(p: Poly) -> list:
 
 
 def sign_variations(chain: Sequence[Poly], x) -> int:
-    signs = [s for s in (_sign(eval_at(p, x)) for p in chain) if s != 0]
+    signs = [s for s in (sign_at_rational(p, x) for p in chain) if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots_halfopen(p: Poly, a, b, chain=None) -> int:
-    """Number of distinct real roots of p in (a, b], endpoints rational."""
+def _squarefree_chain(p: Poly, a, b) -> list:
+    """Sturm chain of the squarefree part of p, for a count on (a, b]."""
     if not (a < b):
         raise ValueError("need a < b")
     sf = squarefree_part(p)
     if not sf:
         raise ValueError("zero polynomial")
-    root_at_b = eval_at(sf, b) == 0
-    if root_at_b:
-        sf = _drop_root(sf, b)
-    if sf and eval_at(sf, a) == 0:
-        sf = _drop_root(sf, a)
-    if not sf or len(sf) == 1:
-        return int(root_at_b)
-    ch = sturm_chain(sf)
-    return sign_variations(ch, a) - sign_variations(ch, b) + int(root_at_b)
+    return sturm_chain(sf)
 
 
-def _drop_root(p: Poly, r) -> Poly:
-    """p / (x - r) for a rational root r of p, primitive integral."""
-    quot, rem = divmod_exact(p, (-Fraction(r), Fraction(1)))
-    if rem:
-        raise DomainError(f"{r} is not a root")
-    return to_int_poly(quot)
+def count_roots_halfopen(p: Poly, a, b) -> int:
+    """Number of distinct real roots of p in (a, b], endpoints rational.
+
+    For a squarefree chain V(a) - V(b) counts the roots in (a, b] even when a
+    or b is a root: at a root r the leading sign drops out, so V(r) equals V
+    just right of r."""
+    ch = _squarefree_chain(p, a, b)
+    return sign_variations(ch, a) - sign_variations(ch, b)
 
 
 def isolate_roots(p: Poly, lo, hi) -> list:
     """Disjoint rational intervals (l, h], each holding one distinct root of p,
     covering all roots in (lo, hi].  Ordered left to right."""
     lo, hi = Fraction(lo), Fraction(hi)
-    total = count_roots_halfopen(p, lo, hi)
+    ch = _squarefree_chain(p, lo, hi)
     out = []
 
-    def split(l, h, n):
+    def split(l, h, vl, vh):
+        n = vl - vh
         if n == 0:
             return
         if n == 1:
             out.append((l, h))
             return
         m = (l + h) / 2
-        nl = count_roots_halfopen(p, l, m)
-        split(l, m, nl)
-        split(m, h, n - nl)
+        vm = sign_variations(ch, m)
+        split(l, m, vl, vm)
+        split(m, h, vm, vh)
 
-    split(lo, hi, total)
+    split(lo, hi, sign_variations(ch, lo), sign_variations(ch, hi))
     return out
 
 
-def interval_eval(p: Poly, lo, hi) -> tuple:
-    """Enclosure of p over [lo, hi] by interval Horner; exact rational bounds."""
-    alo, ahi = Fraction(0), Fraction(0)
-    for a in reversed(p):
-        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(prods) + a, max(prods) + a
-    return alo, ahi
+def interval_sign(p: Poly, lo, hi) -> int:
+    """+1 or -1 when interval Horner over [lo, hi] excludes zero, else 0
+    (the caller must narrow the interval).
+
+    lo and hi are put over one denominator D and p's coefficients cleared
+    by the positive lcm L of their denominators, so the integer enclosure
+    is exactly D^n L times the rational interval-Horner enclosure."""
+    d = _int_lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    el = _int_lcm(*(c.denominator for c in p))
+    alo = ahi = 0
+    dk = 1
+    for c in reversed(p):
+        t = c.numerator * (el // c.denominator) * dk
+        prods = (alo * a, alo * b, ahi * a, ahi * b)
+        alo, ahi = min(prods) + t, max(prods) + t
+        dk *= d
+    if alo > 0:
+        return 1
+    if ahi < 0:
+        return -1
+    return 0
 
 
 def factor_int(p: Poly) -> list:

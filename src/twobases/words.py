@@ -21,6 +21,16 @@ def _check_word(w: str, name: str = "word") -> None:
         raise DomainError(f"{name} must consist of digits 0/1, got {w!r}")
 
 
+def _check_seq(*seqs) -> None:
+    """Refuse anything but an EPSeq; sequence text goes through parse_epseq."""
+    for s in seqs:
+        if not isinstance(s, EPSeq):
+            raise DomainError(
+                f"expected an EPSeq, got {type(s).__name__} {s!r}; "
+                "parse sequence text with parse_epseq"
+            )
+
+
 def reflect(s):
     """Complement every digit.  Works on words (str) and EPSeqs."""
     if isinstance(s, EPSeq):
@@ -142,6 +152,7 @@ def shift(s: EPSeq, n: int) -> EPSeq:
 
 def lex_cmp(a: EPSeq, b: EPSeq) -> int:
     """First-difference comparison, certified by the periodicity bound."""
+    _check_seq(a, b)
     bound = (
         max(len(a.pre), len(b.pre))
         + lcm(len(a.per), len(b.per))
@@ -219,6 +230,7 @@ def eval_seq(s: EPSeq, q):
     """
     from .bases import AlgBase
 
+    _check_seq(s)
     if isinstance(q, AlgBase):
         if q.exact_rational is not None:
             q = q.exact_rational

@@ -40,6 +40,13 @@ def test_symmetry():
             assert f_eval(c, d, q) == f_eval(d, c, q)
 
 
+def test_f_eval_refuses_text():
+    c = parse_epseq("0(01)")
+    for pair in (("0(01)", c), (c, "0(01)")):
+        with pytest.raises(DomainError, match="EPSeq"):
+            f_eval(*pair, Fraction(3, 2))
+
+
 def test_f_minpoly_matches_f_eval_sign():
     # the cleared denominator q^M (q^P - 1) is positive on (1, 2], so the
     # integer polynomial and the exact value must agree in sign there

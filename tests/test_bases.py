@@ -90,6 +90,42 @@ def test_real_roots_match_sturm_count():
         real_roots((-3, 2), Fraction(1, 2), 2)
 
 
+def _fraction_bisection(poly, lo, hi, width):
+    """Oracle for AlgBase.refine: the same sign bisection with Fraction
+    Horner; an exact hit at a midpoint collapses the bracket."""
+    slo = polys._sign(polys.eval_at(poly, lo))
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        s = polys._sign(polys.eval_at(poly, mid))
+        if s == 0:
+            return mid, mid
+        if s == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_refine_matches_fraction_bisection():
+    rng = random.Random(3012)
+    width = Fraction(1, 2 ** 200)
+    bases = [AlgBase.from_poly((-1, -1, 1), 1, 2),
+             AlgBase.from_poly((-1, 1, -2, 1), Fraction(17, 10), Fraction(9, 5)),
+             # rational root on a bisection midpoint of (1, 2]
+             AlgBase.from_poly(polys.mul((-13, 8), (-5, 0, 1)), 1, 2),
+             base_from_alpha(parse_epseq("11(10)")),
+             base_from_alpha(parse_epseq("(1110100)"))]
+    while len(bases) < 20:
+        # monic, negative at 1: a root in (1, 2] whenever positive at 2
+        p = [rng.randint(-9, 9) for _ in range(rng.randint(2, 30))] + [1]
+        p[0] -= polys.eval_at(p, 1) + rng.randint(1, 5)
+        bases.extend(r for r in real_roots(tuple(p), 1, 2) if r.exact_rational is None)
+    for q in bases:
+        lo, hi = q.bracket()
+        want = _fraction_bisection(q.poly, lo, hi, width)
+        assert q.bracket(width) == want
+
+
 def test_field_arithmetic():
     rng = random.Random(3001)
     fld = Q_S.field()

@@ -12,7 +12,7 @@ from twobases.classify import (
     in_Vq_seq, is_univoque_seq, _sccs,
 )
 from twobases.enum_b2 import enum_reprs, qn_ladder, repr_to_seq
-from twobases.errors import UnsupportedBaseError
+from twobases.errors import DomainError, UnsupportedBaseError
 from twobases.words import ComponentSpec, EPSeq, parse_epseq, reflect
 
 GEN0 = ComponentSpec("0")
@@ -34,6 +34,12 @@ def test_membership_examples():
     assert not is_univoque_seq(parse_epseq("0(10)"), PHI)
     assert is_univoque_seq(parse_epseq("0*"), PHI)
     assert is_univoque_seq(parse_epseq("(1)"), PHI)
+
+
+def test_membership_refuses_text():
+    for member in (is_univoque_seq, in_Vq_seq, in_A_prime):
+        with pytest.raises(DomainError, match="EPSeq"):
+            member("0(01)", Q_S)
 
 
 def test_weak_vs_strict_membership():

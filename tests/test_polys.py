@@ -1,13 +1,55 @@
 """Integer/rational polynomial helpers: arithmetic, Sturm counting, root
-isolation."""
+isolation, and the integer sign kernels against Fraction oracles."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twobases import polys
 from twobases.errors import DomainError
+
+ORACLE = settings(max_examples=400, derandomize=True, database=None, deadline=None)
+
+
+def interval_eval(p, lo, hi) -> tuple:
+    """Oracle: enclosure of p over [lo, hi] by interval Horner in Fractions."""
+    alo, ahi = Fraction(0), Fraction(0)
+    for a in reversed(p):
+        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(prods) + a, max(prods) + a
+    return alo, ahi
+
+
+def _root_factor(x):
+    return (-x.numerator, x.denominator)
+
+
+COEFFS = st.one_of(st.integers(-30, 30), st.integers(-10**40, 10**40),
+                   st.fractions(max_denominator=10**6))
+POLYS = st.lists(COEFFS, max_size=12).map(polys.trim)
+POINTS = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction),
+                   st.fractions(-5, 5, max_denominator=30),
+                   st.fractions(-3, 3, max_denominator=10**30))
+
+
+@st.composite
+def poly_and_point(draw):
+    p, x = draw(POLYS), draw(POINTS)
+    if draw(st.booleans()):
+        p = polys.mul(p, _root_factor(x))   # x is then an exact root
+    return p, draw(st.sampled_from((x, int(x)) if x.denominator == 1 else (x,)))
+
+
+@st.composite
+def poly_and_interval(draw):
+    p, lo = draw(POLYS), draw(POINTS)
+    hi = lo if draw(st.booleans()) else lo + draw(st.fractions(0, 4, max_denominator=10**9))
+    if draw(st.booleans()):
+        p = polys.mul(p, _root_factor(draw(st.sampled_from((lo, hi)))))
+    return p, lo, hi
 
 
 def test_trim_and_degree():
@@ -92,6 +134,61 @@ def test_isolate_many_roots():
             assert lo < r <= hi or lo == r  # each box holds its root
 
 
+def test_isolate_roots_on_bisection_midpoints():
+    # roots sit on the dyadic points the bisection of (-8, 8] visits, some
+    # repeated, some with an irrational pair beside them
+    rng = random.Random(1005)
+    lo, hi = Fraction(-8), Fraction(8)
+    dyadic = [Fraction(k, 2 ** j) for j in range(4) for k in range(-8 * 2 ** j + 1, 8 * 2 ** j)]
+    for _ in range(60):
+        roots = set(rng.sample(dyadic, rng.randint(1, 6)))
+        if rng.random() < 0.3:
+            roots.add(Fraction(rng.randint(-20, 20), 7))
+        p = (rng.choice((1, -3)),)
+        for r in roots:
+            for _ in range(rng.randint(1, 2)):
+                p = polys.mul(p, _root_factor(r))
+        surd = rng.random() < 0.3
+        if surd:
+            p = polys.mul(p, (-2, 0, 1))
+        boxes = polys.isolate_roots(p, lo, hi)
+        total = polys.count_roots_halfopen(p, lo, hi)
+        assert len(boxes) == total == len(roots) + 2 * surd
+        prev = lo
+        for a, b in boxes:
+            assert prev <= a < b
+            assert polys.count_roots_halfopen(p, a, b) == 1
+            prev = b
+        ends = sorted(roots | {lo, hi, Fraction(0)})
+        for _ in range(10):
+            a, b = sorted(rng.sample(ends, 2))
+            want = sum(1 for r in roots if a < r <= b)
+            want += sum(1 for s in (-1, 1) if surd and _sqrt2_in(s, a, b))
+            assert polys.count_roots_halfopen(p, a, b) == want
+
+
+def _sqrt2_in(s, a, b) -> bool:
+    """Is s*sqrt(2) (s = +-1) in (a, b]?  Decided exactly by squares."""
+    def above(x):   # s*sqrt(2) > x
+        return (x < 0 or x * x < 2) if s > 0 else (x < 0 and x * x > 2)
+    return above(a) and not above(b)
+
+
+@ORACLE
+@given(poly_and_point())
+def test_sign_at_rational_matches_eval_at(case):
+    p, x = case
+    assert polys.sign_at_rational(p, x) == polys._sign(polys.eval_at(p, x))
+
+
+@ORACLE
+@given(poly_and_interval())
+def test_interval_sign_matches_fraction_oracle(case):
+    p, lo, hi = case
+    vlo, vhi = interval_eval(p, lo, hi)
+    assert polys.interval_sign(p, lo, hi) == (1 if vlo > 0 else -1 if vhi < 0 else 0)
+
+
 def test_factor_int_reassembles():
     p = polys.mul(polys.mul((-1, -1, 1), (-1, 1)), (-1, 1))
     fac = polys.factor_int(p)
@@ -111,7 +208,7 @@ def test_interval_eval_contains_value():
         p = polys.trim([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))])
         a = Fraction(rng.randint(-4, 3), rng.randint(1, 5))
         b = a + Fraction(rng.randint(1, 4), rng.randint(1, 5))
-        lo, hi = polys.interval_eval(p, a, b)
+        lo, hi = interval_eval(p, a, b)
         for t in (a, b, (a + b) / 2):
             v = polys.eval_at(p, t)
             assert lo <= v <= hi

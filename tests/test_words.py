@@ -131,6 +131,18 @@ def test_eval_geometric_identities():
         assert eval_seq(shift(s, n), q) == q ** n * (eval_seq(s, q) - head)
 
 
+def test_lex_cmp_refuses_text():
+    s = parse_epseq("0(01)")
+    for a, b in (("0(01)", s), (s, "0(01)")):
+        with pytest.raises(DomainError, match="EPSeq"):
+            lex_cmp(a, b)
+
+
+def test_eval_seq_refuses_text():
+    with pytest.raises(DomainError, match="EPSeq"):
+        eval_seq("0(01)", Fraction(3, 2))
+
+
 def test_parse_format_roundtrip():
     for text in ["00(10)", "(1100)", "101*", "0*", "(1)"]:
         s = parse_epseq(text)

@@ -31,6 +31,7 @@ CASES = [
     ["solve", "--c", "000(01)", "--d", "0(01)", "--lo", "17/10", "--hi", "9/5"],
     ["ladder", "--gen", "0", "--N", "5"],
     ["enum-b2", "--n", "1"],
+    ["enum-b2", "--n", "2", "--jmax", "4"],
     ["derived", "--min", "2"],
     ["entropy", "alpha:(110)"],
     ["dim-bound", "--delta", "1/1000000", "alpha:(11010011001011010010)"],
@@ -39,6 +40,17 @@ CASES = [
     ["count", "--x", "100(10)", "--base", Q_S_SPEC, "--cap", "3"],
     ["witness", "--gen", "0", "--prop62", "3"],
 ]
+
+
+def _case_ids(cases):
+    """The first two words of each command, or the whole command where those
+    two repeat an earlier case."""
+    seen, ids = set(), []
+    for a in cases:
+        short = " ".join(a[:2])
+        ids.append(" ".join(a) if short in seen else short)
+        seen.add(short)
+    return ids
 
 
 def _run(args):
@@ -50,7 +62,7 @@ def _run(args):
     return {"argv": args, "rc": proc.returncode, "stdout": proc.stdout}
 
 
-@pytest.mark.parametrize("args", CASES, ids=lambda a: " ".join(a[:2]))
+@pytest.mark.parametrize("args", CASES, ids=_case_ids(CASES))
 def test_cli_stdout_matches_golden(args):
     expected = {tuple(e["argv"]): e for e in json.loads(GOLDEN.read_text())}
     assert _run(args) == expected[tuple(args)]

@@ -21,13 +21,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import polys
-from .bases import AlgBase, FieldElem, base_from_alpha, real_roots, _tail_numerator
+from .bases import AlgBase, FieldElem, base_from_alpha, real_roots
 from .classify import in_A_prime, in_Vq_seq
 from .errors import DomainError, NoRootByCaseError
 from .words import (
     EPSeq,
     ComponentSpec,
     _check_seq,
+    _tail_numerator,
     eval_seq,
     format_epseq,
     from_word,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import polys
 from .errors import DomainError, UnsupportedBaseError
 from .polys import _sign
-from .words import EPSeq, lex_cmp, shift
+from .words import EPSeq, lex_cmp, shift, _tail_numerator
 
 # ---------------------------------------------------------------------------
 # number field arithmetic
@@ -32,6 +32,7 @@ class NumberField:
         # x^deg = -(m_0 + m_1 x + ...)/m_deg, precomputed for reduction
         lead = Fraction(self.minpoly[-1])
         self._red = tuple(-Fraction(c) / lead for c in self.minpoly[:-1])
+        self._series_den_inv = {}
 
     def reduce(self, coeffs) -> tuple:
         c = [Fraction(a) for a in coeffs]
@@ -57,6 +58,15 @@ class NumberField:
 
     def from_rational(self, r) -> "FieldElem":
         return self.elem((Fraction(r),))
+
+    def series_den_inv(self, m: int, p: int) -> "FieldElem":
+        """1 / (q^m (q^p - 1)), the inverse denominator of a series with
+        preperiod length m and period length p; cached per (m, p)."""
+        inv = self._series_den_inv.get((m, p))
+        if inv is None:
+            den = polys.shift(polys.add(polys.shift((1,), p), (-1,)), m)
+            inv = self._series_den_inv[(m, p)] = self.elem(den).inv()
+        return inv
 
 
 class FieldElem:
@@ -526,15 +536,6 @@ def parry_check(s: EPSeq) -> bool:
         if s.digit(n - 1) == 0 and lex_cmp(shift(s, n), s) > 0:
             return False
     return True
-
-
-def _tail_numerator(t: EPSeq):
-    """Numerator of (t)_q over the denominator q^m (q^p - 1)."""
-    m, p = len(t.pre), len(t.per)
-    qpre = polys.trim(int(ch) for ch in reversed(t.pre))
-    qper = polys.trim(int(ch) for ch in reversed(t.per))
-    qp1 = polys.add(polys.shift((1,), p), (-1,))
-    return polys.add(polys.mul(qpre, qp1), qper), m, p
 
 
 def base_from_alpha(s: EPSeq) -> AlgBase:

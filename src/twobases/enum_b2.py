@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .bases import AlgBase, base_from_alpha, real_roots, _tail_numerator
+from .bases import AlgBase, base_from_alpha, cmp_seq_alpha, real_roots
 from .b2core import (
     B2Witness,
     MonotoneCase,
@@ -37,7 +37,7 @@ from .b2core import (
 )
 from .classify import in_A_prime
 from .errors import DomainError, NotFoundWithinBoundsError
-from .words import EPSeq, ComponentSpec, GEN0, lex_cmp, prepend, word_dec
+from .words import EPSeq, ComponentSpec, GEN0, eval_seq, lex_cmp, prepend, word_dec
 
 __all__ = [
     "ReprVector",
@@ -82,6 +82,10 @@ class ReprVector:
             "s": list(self.s),
             "j": [x if x is not math.inf else "inf" for x in self.j],
         }
+
+
+def _vector_key(v: ReprVector) -> tuple:
+    return v.k, v.s, v.j[:-1]
 
 
 def pair_weight(vc: ReprVector, vd: ReprVector) -> int:
@@ -135,7 +139,7 @@ def enum_reprs(n: int, Jmax: int) -> list:
     def key(v):
         seq = repr_to_seq(v)
         return (len(seq.pre) + len(seq.per), seq.pre + "(" + seq.per + ")",
-                v.k, v.s, v.j[:-1])
+                *_vector_key(v))
 
     out.sort(key=key)
     return out
@@ -153,32 +157,113 @@ def _profiles(top: int, Jmax: int):
                         yield ReprVector(k, s, (j0, *mids, math.inf))
 
 
-def _roots_in_interval(F, lo_base, hi_base) -> list:
-    """Certified roots of the integer polynomial F inside (lo, hi], where lo
-    may be None for an interval starting at 1 (exclusive)."""
-    lo_r = Fraction(1) if lo_base is None else lo_base.bracket()[0]
-    hi_r = hi_base.bracket()[1]
-    return [root for root in real_roots(F, lo_r, hi_r)
-            if (lo_base is None or root.cmp(lo_base) > 0) and root.cmp(hi_base) <= 0]
+def _graded_tails(comp, n, Jmax, cap=math.inf) -> dict:
+    """Distinct assembled sequences of interval n, each with every profile
+    that assembles it (in generation order), grouped by the weight of the
+    lightest one; each group in (length, text) order.
+
+    A weight cap enumerates only block levels below it (top_k + 1 <= cap),
+    which prunes the profile space hard when cap < n.
+    """
+    profiles = {}
+    for v in _profiles(min(n, cap), Jmax):
+        profiles.setdefault(repr_to_seq(v, comp), []).append(v)
+    grades = {}
+    for s, vs in profiles.items():
+        grades.setdefault(min(v.top_k for v in vs) + 1, []).append((s, vs))
+    for bucket in grades.values():
+        bucket.sort(key=lambda t: (len(t[0].pre) + len(t[0].per), str(t[0])))
+    return grades
 
 
-def _seq_pairs(comp, vectors):
-    """Group unordered vector pairs by their assembled sequence pair."""
-    seqs = [(v, repr_to_seq(v, comp)) for v in vectors]
-    grouped = {}
-    for (vc, c), (vd, d) in itertools.combinations_with_replacement(seqs, 2):
-        if vc.m == 0 and vd.m == 0:
-            continue  # the defect of (0^inf, 0^inf) vanishes only at 2
-        if lex_cmp(c, d) <= 0:
-            key, pair = (c, d), (vc, vd)
-        else:
-            key, pair = (d, c), (vd, vc)
-        grouped.setdefault(key, []).append(pair)
-    return sorted(
-        ((c, d, tuple(pairs)) for (c, d), pairs in grouped.items()),
-        key=lambda t: (len(t[0].pre) + len(t[0].per) + len(t[1].pre) + len(t[1].per),
-                       str(t[0]), str(t[1])),
-    )
+def _tail_pairs(comp, n, Jmax, cap=math.inf):
+    """Unordered pairs of distinct sequences of interval n, as (c, d, pairs)
+    with c <= d lexicographically and `pairs` every profile pair (vc, vd)
+    assembling them; a sequence paired with itself gets its profile pairs in
+    `enum_reprs` order.
+
+    Sequences are paired grade by grade, lightest first.  A cap keeps only
+    pairs whose lightest weights sum to at most it, so heavy-by-heavy
+    products are never formed.  (0^inf, 0^inf) is left out: its defect
+    vanishes only at 2.
+    """
+    grades = _graded_tails(comp, n, Jmax, cap)
+    weights = sorted(grades)
+    for i, w1 in enumerate(weights):
+        for w2 in weights[i:]:
+            if w1 + w2 > cap:
+                break
+            if w1 == w2:
+                it = itertools.combinations_with_replacement(grades[w1], 2)
+            else:
+                it = itertools.product(grades[w1], grades[w2])
+            for (c, vcs), (d, vds) in it:
+                if c == d:
+                    if not c.is_zero():
+                        vs = sorted(vcs, key=_vector_key)
+                        yield c, d, tuple(itertools.combinations_with_replacement(vs, 2))
+                    continue
+                if lex_cmp(c, d) > 0:
+                    c, d, vcs, vds = d, c, vds, vcs
+                yield c, d, tuple(itertools.product(vcs, vds))
+
+
+@dataclass(frozen=True)
+class _Interval:
+    """The ladder interval (lo, hi] = (q_n, q_{n+1}]; lo is None for n = 0,
+    the interval (1, q_1].
+
+    shaped: q_f <= q_n, so pairs of shape I or II are positive throughout.
+    monotone: q_f lies below the left end of q_n's bracket, refined to width
+    10^-30 at both ends, so shape-III defects increase strictly across both
+    brackets and four signs locate each root.
+    """
+
+    lo: AlgBase | None
+    hi: AlgBase
+    shaped: bool
+    monotone: bool
+
+
+def _interval(ladder, n) -> _Interval:
+    lo, hi = (ladder[n - 1].base if n >= 1 else None), ladder[n].base
+    # sign of q_n - q_f, read off the quasi-greedy expansions, which grow
+    # strictly with the base; unlike cmp, this leaves lo's bracket alone
+    side = -1 if lo is None else cmp_seq_alpha(ladder[n - 1].alpha, q_f_base())
+    monotone = False
+    if side > 0:
+        eps = Fraction(1, 10 ** 30)
+        lo.refine(eps)
+        hi.refine(eps)
+        monotone = q_f_base().cmp_rational(lo.bracket()[0]) < 0
+    return _Interval(lo, hi, side >= 0, monotone)
+
+
+def _pair_roots(c: EPSeq, d: EPSeq, iv: _Interval) -> list:
+    """Certified defect roots of the pair (c, d) in the interval, each with
+    its admissibility verdict: [(root, admissible)]."""
+    if iv.shaped and monotone_case(c, d) is not MonotoneCase.INCREASING_III:
+        return []  # positive on the whole interval
+    F = f_minpoly(c, d)
+    a0, a1 = (1, 1) if iv.lo is None else iv.lo.bracket()
+    b0, b1 = iv.hi.bracket()
+    lo, hi = a0, b1  # isolate in (lo, hi]
+    if iv.monotone:
+        # F increases strictly from a0 to b1, so its one root there lies in
+        # the window ending at the first bracket end where F is nonnegative
+        ends = (a0, a1, b0, b1)
+        k = next((i for i, e in enumerate(ends) if polys.sign_at_rational(F, e) >= 0), 0)
+        if k == 0:
+            return []  # nonnegative from a0 on, or still negative at b1
+        lo, hi = ends[k - 1], ends[k]
+    out = []
+    for root in real_roots(F, lo, hi):
+        # windows reaching into a ladder bracket are cut at its base
+        if (lo < a1 and root.cmp(iv.lo) <= 0) or (hi > b0 and root.cmp(iv.hi) > 0):
+            continue
+        _residual_check(c, d, root)
+        out.append((root, in_A_prime(c, root) and in_A_prime(d, root)))
+    return out
 
 
 def enum_B2(n: int, Jmax: int, comp: ComponentSpec = GEN0) -> list:
@@ -187,17 +272,10 @@ def enum_B2(n: int, Jmax: int, comp: ComponentSpec = GEN0) -> list:
 
     Complete only up to Jmax: deeper witnesses need longer generator runs.
     """
-    ladder = qn_ladder(comp, n + 1)
-    lo_base = ladder[n - 1].base if n >= 1 else None
-    hi_base = ladder[n].base
-    above_qf = n >= 2  # for the zero component the interval sits above q_f
+    iv = _interval(qn_ladder(comp, n + 1), n)
     by_minpoly = {}
-    for c, d, pairs in _seq_pairs(comp, enum_reprs(n, Jmax)):
-        if above_qf and monotone_case(c, d) is not MonotoneCase.INCREASING_III:
-            continue  # guaranteed positive on the whole interval
-        for root in _roots_in_interval(f_minpoly(c, d), lo_base, hi_base):
-            _residual_check(c, d, root)
-            ok = in_A_prime(c, root) and in_A_prime(d, root)
+    for c, d, pairs in _tail_pairs(comp, n, Jmax):
+        for root, ok in _pair_roots(c, d, iv):
             key = tuple(root.minpoly())
             if key in by_minpoly:
                 prev = by_minpoly[key]
@@ -211,8 +289,7 @@ def enum_B2(n: int, Jmax: int, comp: ComponentSpec = GEN0) -> list:
     for key, data in by_minpoly.items():
         pairs = sorted(
             set(data["pairs"]),
-            key=lambda p: (pair_weight(*p), p[0].k, p[0].s, p[0].j[:-1],
-                           p[1].k, p[1].s, p[1].j[:-1]),
+            key=lambda p: (pair_weight(*p), *_vector_key(p[0]), *_vector_key(p[1])),
         )
         vc, vd = pairs[0]
         w = B2Witness(
@@ -260,13 +337,13 @@ def min_derived(j: int, Jmax: int = 6, Nmax: int = 6, comp: ComponentSpec = GEN0
     ladder = qn_ladder(comp, Nmax + 1)
     n_min = max(1, (j + 2) // 2)
     for n in range(n_min, Nmax + 1):
-        if n >= 2:
-            cand = _endpoint_certificate(comp, ladder, n, j, Jmax)
-            if cand is not None:
-                return cand
-        cands = _interior_candidates(comp, ladder, n, j, Jmax)
+        iv = _interval(ladder, n)
+        cand = _endpoint_certificate(comp, iv, n, j, Jmax)
+        if cand is not None:
+            return cand
+        cands = _interior_candidates(comp, iv, n, j, Jmax)
         if n == j and j >= 2:
-            cands.append(_prop62_root(comp, ladder, j))
+            cands.append(_prop62_root(comp, iv, j))
         if cands:
             best = cands[0]
             for c in cands[1:]:
@@ -278,72 +355,7 @@ def min_derived(j: int, Jmax: int = 6, Nmax: int = 6, comp: ComponentSpec = GEN0
     )
 
 
-def _weight_graded_seqs(comp, n, Jmax, maxweight):
-    """Distinct assembled sequences of interval n with a representation of
-    weight <= maxweight, grouped by the weight of their lightest one.
-
-    Only block levels below maxweight can appear, which prunes the profile
-    space hard when maxweight < n.
-    """
-    lightest = {}
-
-    def note(v):
-        w = v.top_k + 1
-        s = repr_to_seq(v, comp)
-        cur = lightest.get(s)
-        if cur is None or w < cur[0]:
-            lightest[s] = (w, v)
-
-    # levels stay below min(n, maxweight): top_k + 1 <= maxweight, top_k < n
-    for v in _profiles(min(n, maxweight), Jmax):
-        note(v)
-    grades = {}
-    for s, (w, v) in lightest.items():
-        grades.setdefault(w, []).append((s, v))
-    for bucket in grades.values():
-        bucket.sort(key=lambda t: (len(t[0].pre) + len(t[0].per), str(t[0])))
-    return grades
-
-
-def _graded_pairs(grades, maxweight):
-    """Unordered sequence pairs from the weight grading, total weight capped.
-
-    Pairing bucket by bucket keeps heavy-by-heavy products out entirely.
-    """
-    weights = sorted(grades)
-    for w1 in weights:
-        for w2 in weights:
-            if w2 < w1 or w1 + w2 > maxweight:
-                continue
-            if w1 == w2:
-                it = itertools.combinations_with_replacement(grades[w1], 2)
-            else:
-                it = itertools.product(grades[w1], grades[w2])
-            for (c, vc), (d, vd) in it:
-                if vc.m == 0 and vd.m == 0:
-                    continue  # the defect of (0^inf, 0^inf) vanishes only at 2
-                yield c, d, vc, vd
-
-
-def _tail_value(fld, t: EPSeq):
-    """Value of the eventually periodic sequence t at the field's base.
-
-    Works modulo the minimal polynomial: reduce the cleared numerator and
-    multiply by the cached inverse of q^m (q^p - 1)."""
-    num, m, p = _tail_numerator(t)
-    cache = getattr(fld, "_tail_den_inv", None)
-    if cache is None:
-        cache = {}
-        fld._tail_den_inv = cache
-    inv = cache.get((m, p))
-    if inv is None:
-        den = polys.shift(polys.add(polys.shift((1,), p), (-1,)), m)
-        inv = fld.elem(den).inv()
-        cache[(m, p)] = inv
-    return fld.elem(num) * inv
-
-
-def _endpoint_certificate(comp, ladder, n, j, Jmax):
+def _endpoint_certificate(comp, iv, n, j, Jmax):
     """If the ladder base q_n roots a previous-interval pair of weight S with
     2n - S >= j, and the appended family strictly decreases to q_n through
     admissible roots, return q_n.
@@ -353,13 +365,13 @@ def _endpoint_certificate(comp, ladder, n, j, Jmax):
     maxweight = 2 * n - j
     if maxweight < 1:
         return None
-    qn = ladder[n - 1].base
+    qn = iv.lo
     fld = qn.field()
     ones = (fld.base_elem() - fld.one()).inv()
-    entries = []
-    for w, bucket in sorted(_weight_graded_seqs(comp, n - 1, Jmax, maxweight).items()):
-        for s, v in bucket:
-            entries.append((w, s, v, _tail_value(fld, prepend("1", s))))
+    # each sequence stands for itself through its first lightest profile
+    entries = [(w, s, min(vs, key=lambda v: v.top_k), eval_seq(prepend("1", s), qn))
+               for w, bucket in sorted(_graded_tails(comp, n - 1, Jmax, maxweight).items())
+               for s, vs in bucket]
     by_value = {}
     for w, s, v, val in entries:
         cur = by_value.get(val)
@@ -382,15 +394,15 @@ def _endpoint_certificate(comp, ladder, n, j, Jmax):
     S, pair, (c, d) = best
     if not (in_A_prime(c, qn) and in_A_prime(d, qn)):
         raise DomainError("endpoint pair must be admissible at its root")
-    if not _family_decreases_to(comp, ladder, n, pair):
+    if not _family_decreases_to(comp, iv, pair):
         raise DomainError("endpoint family certificate failed")
     return qn
 
 
-def _family_decreases_to(comp, ladder, n, pair) -> bool:
+def _family_decreases_to(comp, iv, pair) -> bool:
     """Append one block level to the heavier side of the pair and check that
-    the resulting roots are admissible and strictly decrease inside
-    (q_n, q_{n+1}) as the new repetition count grows."""
+    the resulting roots are admissible and strictly decrease inside the
+    interval as the new repetition count grows."""
     vc, vd = pair
     if vc.m >= 1:
         side, other = vc, vd
@@ -401,98 +413,33 @@ def _family_decreases_to(comp, ladder, n, pair) -> bool:
     roots = []
     for u in (1, 2, 3):
         v_u = ReprVector(side.k + (k_new,), side.s + (1,), side.j[:-1] + (u, math.inf))
-        seq_u = repr_to_seq(v_u, comp)
-        rs = _roots_in_interval(f_minpoly(seq_u, other_seq),
-                               ladder[n - 1].base, ladder[n].base)
-        if len(rs) != 1:
+        rs = _pair_roots(repr_to_seq(v_u, comp), other_seq, iv)
+        if len(rs) != 1 or not rs[0][1]:
             return False
-        if not (in_A_prime(seq_u, rs[0]) and in_A_prime(other_seq, rs[0])):
-            return False
-        roots.append(rs[0])
+        roots.append(rs[0][0])
     return roots[0].cmp(roots[1]) > 0 and roots[1].cmp(roots[2]) > 0
 
 
-def _interior_candidates(comp, ladder, n, j, Jmax):
-    """Interior roots of interval n certified with order >= j by weight."""
+def _interior_candidates(comp, iv, n, j, Jmax):
+    """Admissible interior roots of interval n certified with order >= j by
+    weight."""
     maxweight = 2 * n - j
     if maxweight < 1:
         return []
-    if n >= 3:
-        return _interior_fast(comp, ladder, n, Jmax, maxweight)
-    lo_base = ladder[n - 1].base if n >= 1 else None
-    hi_base = ladder[n].base
-    above_qf = n >= 2
-    out = []
-    grades = _weight_graded_seqs(comp, n, Jmax, maxweight)
-    for c, d, vc, vd in _graded_pairs(grades, maxweight):
-        if above_qf and monotone_case(c, d) is not MonotoneCase.INCREASING_III:
-            continue
-        for root in _roots_in_interval(f_minpoly(c, d), lo_base, hi_base):
-            _residual_check(c, d, root)
-            if in_A_prime(c, root) and in_A_prime(d, root):
-                out.append(root)
-    return out
+    return [root for c, d, _ in _tail_pairs(comp, n, Jmax, maxweight)
+            for root, ok in _pair_roots(c, d, iv) if ok]
 
 
-def _interior_fast(comp, ladder, n, Jmax, maxweight):
-    """Interval n >= 3 sits above the strict-monotonicity threshold, so the
-    remaining pairs all have strictly increasing defects there: four exact
-    signs at tight rational brackets around the interval ends decide root
-    existence, and only survivors pay for isolation."""
-    qa, qb = ladder[n - 1].base, ladder[n].base
-    eps = Fraction(1, 10 ** 30)
-    qa.refine(eps)
-    qb.refine(eps)
-    a0, a1 = qa.bracket()
-    b0, b1 = qb.bracket()
-    if not q_f_base().cmp_rational(a0) < 0:
-        raise DomainError("interval must sit above the monotonicity threshold")
-    out = []
-    grades = _weight_graded_seqs(comp, n, Jmax, maxweight)
-    for c, d, vc, vd in _graded_pairs(grades, maxweight):
-        if monotone_case(c, d) is not MonotoneCase.INCREASING_III:
-            continue  # guaranteed positive on the whole interval
-        F = f_minpoly(c, d)
-        if polys.sign_at_rational(F, a0) >= 0:
-            continue  # increasing and already nonnegative below q_n
-        roots = []
-        if polys.sign_at_rational(F, a1) >= 0:
-            # root pinned inside the left bracket; keep it only above q_n
-            roots = [r for r in real_roots(F, a0, a1) if r.cmp(qa) > 0]
-        else:
-            sb0 = polys.sign_at_rational(F, b0)
-            if sb0 > 0:
-                roots = real_roots(F, a1, b0)
-            elif sb0 == 0:
-                roots = [AlgBase.from_rational(b0)]
-            else:
-                if polys.sign_at_rational(F, b1) >= 0:
-                    # root inside the right bracket; keep it only up to q_{n+1}
-                    roots = [r for r in real_roots(F, b0, b1) if r.cmp(qb) <= 0]
-                # still negative at b1: the root lies beyond the interval
-        for root in roots:
-            _residual_check(c, d, root)
-            if in_A_prime(c, root) and in_A_prime(d, root):
-                out.append(root)
-    return out
-
-
-def _prop62_root(comp, ladder, n) -> AlgBase:
+def _prop62_root(comp, iv, n) -> AlgBase:
     """Certified root of the deep pair strictly inside (q_n, q_{n+1})."""
     c, d = prop62_pair(comp, n)
-    F = f_minpoly(c, d)
-    qa, qb = ladder[n - 1].base, ladder[n].base
-    while polys.sign_at_rational(F, qa.bracket()[1]) >= 0:
-        lo, hi = qa.bracket()
-        qa.refine((hi - lo) / 4)
-    while polys.sign_at_rational(F, qb.bracket()[0]) <= 0:
-        lo, hi = qb.bracket()
-        qb.refine((hi - lo) / 4)
-    roots = real_roots(F, qa.bracket()[1], qb.bracket()[0])
+    # strictly below q_{n+1}: the upper end of r's bracket decides first, so
+    # r's own bracket is refined only when it reaches past q_{n+1}'s value
+    roots = [(r, ok) for r, ok in _pair_roots(c, d, iv)
+             if iv.hi.cmp_rational(r.bracket()[1]) > 0 or r.cmp(iv.hi) < 0]
     if len(roots) != 1:
         raise DomainError("deep pair must have a unique root in the open interval")
-    root = roots[0]
-    _residual_check(c, d, root)
-    if not (in_A_prime(c, root) and in_A_prime(d, root)):
+    root, ok = roots[0]
+    if not ok:
         raise DomainError("deep pair root must be admissible")
     return root

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from . import polys
 from .errors import DomainError
 
 LT, EQ, GT = -1, 0, 1
@@ -137,11 +138,13 @@ def from_word(w: str) -> EPSeq:
 
 
 def prepend(w: str, s: EPSeq) -> EPSeq:
+    _check_seq(s)
     return EPSeq(w + s.pre, s.per)
 
 
 def shift(s: EPSeq, n: int) -> EPSeq:
     """Drop the first n digits."""
+    _check_seq(s)
     if n < 0:
         raise DomainError("shift needs n >= 0")
     if n <= len(s.pre):
@@ -222,8 +225,18 @@ GEN0 = ComponentSpec("0")
 # -- series evaluation -----------------------------------------------------
 
 
+def _tail_numerator(t: EPSeq):
+    """Numerator of (t)_q over the denominator q^m (q^p - 1)."""
+    m, p = len(t.pre), len(t.per)
+    qpre = polys.trim(int(ch) for ch in reversed(t.pre))
+    qper = polys.trim(int(ch) for ch in reversed(t.per))
+    qp1 = polys.add(polys.shift((1,), p), (-1,))
+    return polys.add(polys.mul(qpre, qp1), qper), m, p
+
+
 def eval_seq(s: EPSeq, q):
-    """Exact value of sum_i s_i q^{-i} (digits 1-indexed).
+    """Exact value of sum_i s_i q^{-i} (digits 1-indexed), as the numerator
+    of `_tail_numerator` over q^m (q^p - 1).
 
     Rational q (int/Fraction, or an exact-rational algebraic base) gives a
     Fraction; an algebraic base gives an element of its number field.
@@ -231,38 +244,16 @@ def eval_seq(s: EPSeq, q):
     from .bases import AlgBase
 
     _check_seq(s)
+    num, m, p = _tail_numerator(s)
     if isinstance(q, AlgBase):
-        if q.exact_rational is not None:
-            q = q.exact_rational
-        else:
-            return _eval_seq_field(s, q)
+        if q.exact_rational is None:
+            fld = q.field()
+            return fld.elem(num) * fld.series_den_inv(m, p)
+        q = q.exact_rational
     q = Fraction(q)
     if q <= 1:
         raise DomainError("base must exceed 1")
-    x = 1 / q
-    head = Fraction(0)
-    for ch in reversed(s.pre):
-        head = (head + int(ch)) * x
-    tail = Fraction(0)
-    for ch in reversed(s.per):
-        tail = (tail + int(ch)) * x
-    k, p = len(s.pre), len(s.per)
-    return head + x**k * tail / (1 - x**p)
-
-
-def _eval_seq_field(s: EPSeq, q):
-    fld = q.field()
-    one = fld.one()
-    x = fld.base_elem().inv()
-    head = fld.zero()
-    for ch in reversed(s.pre):
-        head = (head + int(ch) * one) * x
-    tail = fld.zero()
-    for ch in reversed(s.per):
-        tail = (tail + int(ch) * one) * x
-    xk = x ** len(s.pre)
-    xp = x ** len(s.per)
-    return head + xk * tail * (one - xp).inv()
+    return polys.eval_at(num, q) / (q**m * (q**p - 1))
 
 
 # -- text form -------------------------------------------------------------

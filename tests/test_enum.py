@@ -1,19 +1,25 @@
 """Ladder bases, block-profile enumeration, interval sweeps for
 two-expansion bases, and derived-order certification."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
-from twobases.b2core import udiff_generate, B2Witness
-from twobases.bases import beta_digits
+from twobases.b2core import f_minpoly, solve_qcd, udiff_generate, B2Witness
+from twobases.bases import AlgBase, beta_digits, real_roots
 from twobases.classify import CountResult, count_expansions, is_univoque_seq
+from twobases.classify import in_A_prime
 from twobases.enum_b2 import (
     LadderEntry, ReprVector, derived_order_bound, enum_B2, enum_reprs,
     min_derived, pair_weight, qn_ladder, repr_to_seq,
+    _Interval, _interval, _pair_roots, _tail_pairs,
 )
 from twobases.errors import DomainError
-from twobases.words import ComponentSpec, EPSeq, format_epseq, parse_epseq, prepend, word_dec
+from twobases.words import (
+    ComponentSpec, EPSeq, format_epseq, lex_cmp, parse_epseq, prepend, word_dec,
+)
 
 GEN0 = ComponentSpec("0")
 INF = math.inf
@@ -109,6 +115,87 @@ def test_omega_never_a_factor():
             assert om not in w
             reflected_hits += rom in w
     assert reflected_hits > 0
+
+
+def _brute_vector_pairs(n, Jmax, comp):
+    """Every unordered pair of enum_reprs profiles as (c, d, vc, vd) with
+    c <= d lexicographically, (0^inf, 0^inf) left out."""
+    seqs = [(v, repr_to_seq(v, comp)) for v in enum_reprs(n, Jmax)]
+    out = set()
+    for (vc, c), (vd, d) in itertools.combinations_with_replacement(seqs, 2):
+        if vc.m == 0 and vd.m == 0:
+            continue
+        if lex_cmp(c, d) > 0:
+            c, d, vc, vd = d, c, vd, vc
+        out.add((c, d, vc, vd))
+    return out
+
+
+@pytest.mark.parametrize("n, Jmax, gen", [(1, 4, "0"), (2, 4, "0"), (3, 2, "0"),
+                                          (4, 1, "0"), (2, 2, "10")])
+def test_tail_pairs_match_brute_pairing(n, Jmax, gen):
+    comp = ComponentSpec(gen)
+    got = [(c, d, vc, vd) for c, d, pairs in _tail_pairs(comp, n, Jmax)
+           for vc, vd in pairs]
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_vector_pairs(n, Jmax, comp)
+
+
+@pytest.mark.parametrize("n, Jmax, cap", [(3, 3, 3), (4, 1, 4), (4, 1, 2)])
+def test_tail_pairs_weight_cap(n, Jmax, cap):
+    # a capped pair's lightest profiles weigh at most cap in total
+    lightest = {}
+    for v in enum_reprs(n, Jmax):
+        s = repr_to_seq(v, GEN0)
+        lightest[s] = min(lightest.get(s, math.inf), v.top_k + 1)
+    want = {(c, d) for c, d, _, _ in _brute_vector_pairs(n, Jmax, GEN0)
+            if lightest[c] + lightest[d] <= cap}
+    got = [(c, d) for c, d, _ in _tail_pairs(GEN0, n, Jmax, cap)]
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+def test_interval_flags_follow_q_f():
+    # q_f = q_2 for the zero component, and q_1 for the component "10"
+    for gen, shaped_from, monotone_from in (("0", 2, 3), ("10", 1, 2)):
+        ladder = qn_ladder(ComponentSpec(gen), 5)
+        for n in range(5):
+            iv = _interval(ladder, n)
+            assert (iv.shaped, iv.monotone) == (n >= shaped_from, n >= monotone_from)
+
+
+def test_bracket_signs_match_isolation():
+    # interval 3 is monotone: four bracket signs stand in for isolating over
+    # the whole interval with the ladder brackets, then filtering by cmp
+    ladder = qn_ladder(GEN0, 4)
+    iv = _interval(ladder, 3)
+    assert iv.monotone
+    q3, q4 = ladder[2].base, ladder[3].base
+    pairs = list(_tail_pairs(GEN0, 3, 3, 3))
+    assert len(pairs) == 309
+    found = []
+    for c, d, _ in pairs:
+        fast = [(r.minpoly(), ok) for r, ok in _pair_roots(c, d, iv)]
+        slow = [(r.minpoly(), in_A_prime(c, r) and in_A_prime(d, r))
+                for r in real_roots(f_minpoly(c, d), q3.bracket()[0], q4.bracket()[1])
+                if r.cmp(q3) > 0 and r.cmp(q4) <= 0]
+        assert fast == slow, (c, d)
+        found += [key for key, ok in fast if ok]
+    assert len(found) == 1
+
+
+def test_bracket_signs_at_interval_ends():
+    # the defect of (000(01), 0(01)) crosses zero upwards at q_s; intervals
+    # ending and starting at q_s put that root in the right and the left
+    # bracket window, and only (.., q_s] keeps it
+    c, d = parse_epseq("000(01)"), parse_epseq("0(01)")
+    q_s = solve_qcd(c, d, Fraction(17, 10), Fraction(9, 5))
+    q_s.refine(Fraction(1, 10**30))
+    ending = _Interval(AlgBase.from_rational(Fraction(17, 10)), q_s, False, True)
+    [(root, ok)] = _pair_roots(c, d, ending)
+    assert root.same_value(q_s) and ok
+    starting = _Interval(q_s, AlgBase.from_rational(Fraction(9, 5)), False, True)
+    assert _pair_roots(c, d, starting) == []
 
 
 def test_enum_B2_first_interval():

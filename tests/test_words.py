@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twobases.bases import AlgBase
 from twobases.errors import DomainError
 from twobases.words import (
     EPSeq, ComponentSpec, GEN0, ZERO_SEQ, ONE_SEQ,
@@ -141,6 +144,47 @@ def test_lex_cmp_refuses_text():
 def test_eval_seq_refuses_text():
     with pytest.raises(DomainError, match="EPSeq"):
         eval_seq("0(01)", Fraction(3, 2))
+
+
+def test_shift_and_prepend_refuse_text():
+    with pytest.raises(DomainError, match="EPSeq"):
+        shift("0(01)", 1)
+    with pytest.raises(DomainError, match="EPSeq"):
+        prepend("1", "0(01)")
+
+
+def _horner_value(s, x):
+    """sum_i s_i x^i (digits 1-indexed) at x = 1/q, digit by digit over the
+    preperiod and one period: the oracle for eval_seq, on Fractions and on
+    number-field elements alike."""
+    head = tail = x * 0
+    for ch in reversed(s.pre):
+        head = (head + int(ch)) * x
+    for ch in reversed(s.per):
+        tail = (tail + int(ch)) * x
+    return head + x ** len(s.pre) * tail / (1 - x ** len(s.per))
+
+
+SEQS = st.builds(EPSeq, st.text("01", max_size=12), st.text("01", min_size=1, max_size=12))
+# q_f, and the degree-12 least base of derived order 3
+FIELD_BASES = (
+    AlgBase.from_poly((-1, 1, -2, 1), Fraction(7, 4), Fraction(9, 5)),
+    AlgBase.from_poly((-1, -1, -2, -2, -2, -2, -1, -2, -3, -1, -1, 0, 1),
+                      Fraction(1785, 1000), Fraction(1786, 1000)),
+)
+
+
+@given(SEQS, st.fractions(1, 2, max_denominator=10**6).filter(lambda q: q > 1))
+def test_eval_seq_matches_digit_horner_at_rationals(s, q):
+    want = _horner_value(s, 1 / q)
+    assert eval_seq(s, q) == want
+    assert eval_seq(s, AlgBase.from_rational(q)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEQS, st.sampled_from(FIELD_BASES))
+def test_eval_seq_matches_digit_horner_in_number_fields(s, q):
+    assert eval_seq(s, q) == _horner_value(s, q.field().base_elem().inv())
 
 
 def test_parse_format_roundtrip():

@@ -70,8 +70,7 @@ def f_eval(c: EPSeq, d: EPSeq, q):
         if q.exact_rational is not None:
             q = q.exact_rational
         else:
-            x = q.as_field_elem()
-            return eval_seq(tc, q) + eval_seq(td, q) - (x - 1).inv()
+            return eval_seq(tc, q) + eval_seq(td, q) - q.field().series_den_inv(0, 1)
     q = Fraction(q)
     if not (1 < q <= 2):
         raise DomainError(f"base must lie in (1,2], got {q}")

@@ -4,12 +4,14 @@ An AlgBase carries an integer polynomial and a shrinking rational bracket
 isolating one root in (1, 2].  All sign decisions are exact: either the
 number is rational and we compare directly, or we refine the bracket until
 an interval evaluation excludes zero.  FieldElem gives exact arithmetic in
-Q(q) for quasi-greedy remainders and expansion counting.
+Q(q), as integer coefficients over one denominator, for quasi-greedy
+remainders and expansion counting.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import polys
 from .errors import DomainError, UnsupportedBaseError
@@ -18,6 +20,10 @@ from .words import EPSeq, lex_cmp, shift, _tail_numerator
 
 # ---------------------------------------------------------------------------
 # number field arithmetic
+
+# Refinements of the base's bracket (each at least halves it) that
+# FieldElem.sign may ask for before it gives up on separating a value from 0.
+SIGN_REFINE_BUDGET = 4096
 
 
 class NumberField:
@@ -29,23 +35,41 @@ class NumberField:
         self.deg = len(self.minpoly) - 1
         if self.deg < 1:
             raise DomainError("degenerate minimal polynomial")
-        # x^deg = -(m_0 + m_1 x + ...)/m_deg, precomputed for reduction
-        lead = Fraction(self.minpoly[-1])
-        self._red = tuple(-Fraction(c) / lead for c in self.minpoly[:-1])
+        # the nonzero lower coefficients of m, for reduction
+        self._terms = tuple((j, c) for j, c in enumerate(self.minpoly[:-1]) if c)
         self._series_den_inv = {}
 
-    def reduce(self, coeffs) -> tuple:
-        c = [Fraction(a) for a in coeffs]
-        for i in range(len(c) - 1, self.deg - 1, -1):
+    def reduce(self, coeffs, den: int = 1) -> "FieldElem":
+        """The element coeffs(q) / den, for integer coeffs and den > 0.
+
+        coeffs is pseudo-reduced in integers by the primitive minimal
+        polynomial m.  When m is monic that subtracts multiples of m and den
+        stays; otherwise, before a top term t is eliminated, everything is
+        scaled by lead(m) / gcd(t, lead(m)), and den by the same factor."""
+        c = list(coeffs)
+        d, lead, terms = self.deg, self.minpoly[-1], self._terms
+        for i in range(len(c) - 1, d - 1, -1):
             top = c.pop()
-            if top:
-                for j, r in enumerate(self._red):
-                    c[i - self.deg + j] += top * r
-        c += [Fraction(0)] * (self.deg - len(c))
-        return tuple(c)
+            if not top:
+                continue
+            if lead != 1:
+                g = gcd(top, lead)
+                k = lead // g
+                if k != 1:
+                    c = [a * k for a in c]
+                    den *= k
+                top //= g
+            base = i - d
+            for j, m in terms:
+                c[base + j] -= top * m
+        if len(c) < d:
+            c += [0] * (d - len(c))
+        return FieldElem(self, tuple(c), den)
 
     def elem(self, coeffs) -> "FieldElem":
-        return FieldElem(self, self.reduce(coeffs))
+        """The element sum coeffs[i] q^i, for int or Fraction coefficients."""
+        den = lcm(*(a.denominator for a in coeffs))
+        return self.reduce((a.numerator * (den // a.denominator) for a in coeffs), den)
 
     def zero(self) -> "FieldElem":
         return self.elem(())
@@ -57,7 +81,8 @@ class NumberField:
         return self.elem((0, 1))
 
     def from_rational(self, r) -> "FieldElem":
-        return self.elem((Fraction(r),))
+        r = Fraction(r)
+        return FieldElem(self, (r.numerator,) + (0,) * (self.deg - 1), r.denominator)
 
     def series_den_inv(self, m: int, p: int) -> "FieldElem":
         """1 / (q^m (q^p - 1)), the inverse denominator of a series with
@@ -70,29 +95,43 @@ class NumberField:
 
 
 class FieldElem:
-    """Element of Q(q), held as a reduced coefficient tuple."""
+    """Element num(q) / den of Q(q): num an integer tuple of length deg and
+    den a positive integer, kept in lowest terms (gcd(den, *num) = 1), so
+    equal values have equal num and den."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: NumberField, coeffs: tuple):
+    def __init__(self, field: NumberField, num: tuple, den: int = 1):
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = tuple(a // g for a in num)
+                den //= g
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of q^0, ..., q^(deg-1), as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElem)
             and self.field is other.field
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self):
-        return f"FieldElem{self.coeffs}"
+        return f"FieldElem({self.num}, {self.den})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
@@ -104,43 +143,57 @@ class FieldElem:
         return NotImplemented
 
     def __add__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return self
+            num = list(self.num)
+            num[0] += other * self.den
+            return FieldElem(self.field, tuple(num), self.den)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        a, b = self.den, o.den
+        if a == b:
+            return FieldElem(self.field, tuple(x + y for x, y in zip(self.num, o.num)), a)
+        g = gcd(a, b)
+        ka, kb = b // g, a // g
         return FieldElem(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
+            self.field,
+            tuple(x * ka + y * kb for x, y in zip(self.num, o.num)),
+            a * ka,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(self.field, tuple(-a for a in self.coeffs))
+        return FieldElem(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (int, Fraction, FieldElem)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, FieldElem):
+            if other.field is not self.field:
+                raise DomainError("field mismatch")
+            return self.field.reduce(polys.mul(self.num, other.num), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return FieldElem(self.field, tuple(a * other for a in self.coeffs))
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.field.elem(polys.mul(self.coeffs, o.coeffs))
+            p, q = other.numerator, other.denominator
+            return FieldElem(self.field, tuple(a * p for a in self.num), self.den * q)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElem":
-        # extended Euclid: u*self + v*minpoly = g (a nonzero constant)
+        # extended Euclid over Q: u*num + v*minpoly = g (a nonzero constant)
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        a = polys.trim(self.coeffs)
-        b = tuple(Fraction(c) for c in self.field.minpoly)
+        a = polys.trim(self.num)
+        b = self.field.minpoly
         s0, s1 = (Fraction(1),), ()
         while b:
             q, r = polys.divmod_exact(a, b)
@@ -149,7 +202,7 @@ class FieldElem:
         # a is a nonzero constant since minpoly is irreducible
         if len(a) != 1:
             raise DomainError("minimal polynomial not irreducible")
-        return self.field.elem(polys.scale(s0, 1 / Fraction(a[0])))
+        return self.field.elem(polys.scale(s0, self.den / Fraction(a[0])))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -170,18 +223,22 @@ class FieldElem:
         return out
 
     def sign(self) -> int:
-        """Exact sign of the represented real number."""
+        """Exact sign of the represented real number; UnsupportedBaseError
+        when SIGN_REFINE_BUDGET refinements of the base's bracket do not
+        separate it from zero."""
         if self.is_zero():
             return 0
-        # nonzero reduced coeffs + irreducible minpoly => value is nonzero
+        # nonzero reduced num + irreducible minpoly => value is nonzero, and
+        # den > 0 gives it the sign of num(q)
         base = self.field.base
-        p = polys.trim(self.coeffs)
-        while True:
+        for _ in range(SIGN_REFINE_BUDGET):
             lo, hi = base.bracket()
-            s = polys.interval_sign(p, lo, hi)
+            s = polys.interval_sign(self.num, lo, hi)
             if s:
                 return s
             base.refine((hi - lo) / 2)
+        raise UnsupportedBaseError(
+            f"sign undecided after {SIGN_REFINE_BUDGET} bracket refinements")
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,11 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
     else:
         val = q.field().from_rational(Fraction(x))
     one, qe = _one_and_q(q)
-    lim = (qe - one).inv() if hasattr(qe, "inv") else Fraction(1) / (qe - 1)
+    # lim = 1 / (q - 1), the value of 1^inf
+    if q.exact_rational is not None:
+        lim = 1 / (qe - 1)
+    else:
+        lim = q.field().series_den_inv(0, 1)
     if _sign_of(val) < 0 or _sign_of(lim - val) < 0:
         return CountResult(0)
 

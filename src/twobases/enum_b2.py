@@ -366,8 +366,7 @@ def _endpoint_certificate(comp, iv, n, j, Jmax):
     if maxweight < 1:
         return None
     qn = iv.lo
-    fld = qn.field()
-    ones = (fld.base_elem() - fld.one()).inv()
+    ones = qn.field().series_den_inv(0, 1)
     # each sequence stands for itself through its first lightest profile
     entries = [(w, s, min(vs, key=lambda v: v.top_k), eval_seq(prepend("1", s), qn))
                for w, bucket in sorted(_graded_tails(comp, n - 1, Jmax, maxweight).items())

@@ -3,16 +3,20 @@ and greedy expansions, admissibility, base reconstruction."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twobases import polys
+from twobases import bases, polys
 from twobases.bases import (
     AlgBase, alpha_digits, beta_digits, alpha_epseq, parry_check,
     base_from_alpha, cmp_seq_alpha, real_roots,
 )
 from twobases.errors import DomainError, UnsupportedBaseError
 from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq
+from test_polys import interval_eval
 
 PHI = AlgBase.from_poly((-1, -1, 1), Fraction(3, 2), Fraction(17, 10))
 Q_S = AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
@@ -151,6 +155,143 @@ def test_sign_determination():
     assert (x - fld.from_rational(Fraction(9, 5))).sign() < 0
     assert (x - x).sign() == 0
     assert (x * x - x - one).sign() != 0   # q_s is not the golden ratio
+
+
+class _FractionField:
+    """Oracle: Q(q) with one Fraction coefficient per power of q, reduced
+    by the minimal polynomial made monic over Q.  Elements are plain
+    tuples."""
+
+    def __init__(self, base):
+        self.base = base
+        m = base.minpoly()
+        self.deg = len(m) - 1
+        self.minpoly = m
+        self._red = tuple(-Fraction(c) / m[-1] for c in m[:-1])
+
+    def elem(self, coeffs) -> tuple:
+        c = [Fraction(a) for a in coeffs]
+        for i in range(len(c) - 1, self.deg - 1, -1):
+            top = c.pop()
+            for j, r in enumerate(self._red):
+                c[i - self.deg + j] += top * r
+        return tuple(c + [Fraction(0)] * (self.deg - len(c)))
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return self.elem(polys.mul(a, b))
+
+    def inv(self, a):
+        # extended Euclid over Q: u*a + v*minpoly = g, a nonzero constant
+        a, b = polys.trim(a), self.minpoly
+        s0, s1 = (Fraction(1),), ()
+        while b:
+            quo, r = polys.divmod_exact(a, b)
+            a, b = b, r
+            s0, s1 = s1, polys.sub(s0, polys.mul(quo, s1))
+        return self.elem(polys.scale(s0, 1 / Fraction(a[0])))
+
+    def sign(self, a) -> int:
+        if not any(a):
+            return 0
+        for _ in range(2000):
+            lo, hi = self.base.bracket()
+            elo, ehi = interval_eval(a, lo, hi)
+            if elo > 0 or ehi < 0:
+                return 1 if elo > 0 else -1
+            self.base.refine((hi - lo) / 2)
+        raise AssertionError("oracle sign undecided")
+
+
+# q_s (monic), the root ~1.366 of 2x^2 - 2x - 1 (not monic), and the
+# degree-12 least base of derived order 3 (monic)
+ORACLE_FIELDS = (
+    Q_S,
+    AlgBase.from_poly((-1, -2, 2), Fraction(13, 10), Fraction(7, 5)),
+    AlgBase.from_poly((-1, -1, -2, -2, -2, -2, -1, -2, -3, -1, -1, 0, 1),
+                      Fraction(1785, 1000), Fraction(1786, 1000)),
+)
+COEFFS = st.lists(st.one_of(st.integers(-5, 5), st.integers(-10**20, 10**20),
+                            st.fractions(max_denominator=60)), max_size=26)
+RATIONALS = st.one_of(st.integers(-40, 40), st.fractions(max_denominator=10**6))
+
+
+def _normal(e) -> bool:
+    return (e.den > 0 and len(e.num) == e.field.deg
+            and all(isinstance(a, int) for a in e.num + (e.den,))
+            and gcd(e.den, *e.num) == 1)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(ORACLE_FIELDS), COEFFS, COEFFS, RATIONALS)
+def test_field_elem_matches_fraction_oracle(q, ca, cb, r):
+    fld, ref = q.field(), _FractionField(q)
+    a, b = fld.elem(ca), fld.elem(cb)
+    ra, rb = ref.elem(ca), ref.elem(cb)
+    k = r.numerator if isinstance(r, int) else r.denominator
+    cases = [
+        (a, ra), (b, rb),
+        (a + b, ref.add(ra, rb)),
+        (a - b, ref.add(ra, tuple(-x for x in rb))),
+        (a * b, ref.mul(ra, rb)),
+        (a * k, tuple(x * k for x in ra)),
+        (k * a, tuple(x * k for x in ra)),
+        (a * r, tuple(x * r for x in ra)),
+        (a + r, ref.add(ra, ref.elem((r,)))),
+        (r - a, ref.add(ref.elem((r,)), tuple(-x for x in ra))),
+        (fld.from_rational(r), ref.elem((r,))),
+    ]
+    if any(rb):
+        cases.append((b.inv(), ref.inv(rb)))
+        cases.append((a / b, ref.mul(ra, ref.inv(rb))))
+    for e, want in cases:
+        assert _normal(e)
+        assert e.coeffs == want
+        assert e.sign() == ref.sign(want)
+    # equal values reached by different paths are equal, with equal hashes
+    same = [(a, (a * 2) / 2), (a, (a * r) / r if r else a),
+            (a, (a + b) - b), (fld.from_rational(r), fld.elem((r, 0)) + fld.zero()),
+            (fld.from_rational(Fraction(1, 2)), fld.elem((Fraction(2, 4),))),
+            (fld.from_rational(Fraction(1, 2)), fld.one() * 2 * Fraction(1, 4))]
+    if any(rb):
+        same.append((a, (a * b) * b.inv()))
+    for x, y in same:
+        assert x == y and hash(x) == hash(y)
+
+
+def test_field_elem_from_rational_normal_form():
+    for q in ORACLE_FIELDS:
+        fld = q.field()
+        half = fld.from_rational(Fraction(1, 2))
+        assert half.num == (1,) + (0,) * (fld.deg - 1) and half.den == 2
+        assert fld.from_rational(0) == fld.zero() and fld.zero().den == 1
+        assert (half - half).den == 1
+
+
+def test_monic_orbits_stay_integral():
+    # every remainder of the quasi-greedy orbit of a monic base lies in Z[q]
+    for q in (Q_S, ORACLE_FIELDS[2], base_from_alpha(EPSeq("", "1110"))):
+        fld = q.field()
+        r, x = fld.one(), fld.base_elem()
+        for _ in range(200):
+            t = x * r - 1
+            r = t if t.sign() > 0 else x * r
+            assert r.den == 1
+
+
+def test_sign_refinement_budget(monkeypatch):
+    # a fresh copy of q_s, whose bracket [17/10, 9/5] needs about 40 halvings
+    # to separate q_s from r
+    q = AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
+    r = Fraction(17106440950451, 10**13)
+    near = q.field().base_elem() - r
+    monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 4)
+    with pytest.raises(UnsupportedBaseError):
+        near.sign()
+    monkeypatch.undo()
+    assert near.sign() == q.cmp_rational(r) != 0
 
 
 def test_alpha_digits_frozen():

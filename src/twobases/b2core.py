@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from . import polys
+from . import bases, polys
 from .bases import AlgBase, FieldElem, base_from_alpha, real_roots
 from .classify import in_A_prime, in_Vq_seq
 from .errors import DomainError, NoRootByCaseError
@@ -143,19 +143,22 @@ def f_sign(c: EPSeq, d: EPSeq, q: AlgBase) -> int:
 
 
 def sign_at(F, q: AlgBase) -> int:
-    """Certified sign of the integer polynomial F at the algebraic point q."""
+    """Certified sign of the integer polynomial F at the algebraic point q;
+    UnsupportedBaseError when bases.SIGN_REFINE_BUDGET refinements of q's
+    bracket leave it undecided."""
     F = polys.trim(F)
     if q.exact_rational is not None:
         return polys.sign_at_rational(F, q.exact_rational)
     # exact-zero test first so the refinement loop below must terminate
     if _is_root_of(q, F):
         return 0
-    while True:
+    for _ in range(bases.SIGN_REFINE_BUDGET):
         lo, hi = q.bracket()
         s = polys.interval_sign(F, lo, hi)
         if s:
             return s
         q.refine((hi - lo) / 4)
+    raise bases._undecided("sign")
 
 
 def _is_root_of(q: AlgBase, F) -> bool:

@@ -21,9 +21,14 @@ from .words import EPSeq, lex_cmp, shift, _tail_numerator
 # ---------------------------------------------------------------------------
 # number field arithmetic
 
-# Refinements of the base's bracket (each at least halves it) that
-# FieldElem.sign may ask for before it gives up on separating a value from 0.
+# Refinements of a bracket (each at least halves it) that a sign, comparison
+# or printing loop may ask for before it gives up with UnsupportedBaseError.
 SIGN_REFINE_BUDGET = 4096
+
+
+def _undecided(what: str) -> UnsupportedBaseError:
+    return UnsupportedBaseError(
+        f"{what} undecided after {SIGN_REFINE_BUDGET} bracket refinements")
 
 
 class NumberField:
@@ -237,8 +242,7 @@ class FieldElem:
             if s:
                 return s
             base.refine((hi - lo) / 2)
-        raise UnsupportedBaseError(
-            f"sign undecided after {SIGN_REFINE_BUDGET} bracket refinements")
+        raise _undecided("sign")
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +411,7 @@ class AlgBase:
             if polys.count_roots_halfopen(ma, lo, hi) == 1:
                 return 0
         # distinct algebraic numbers: refinement must separate them
-        while True:
+        for _ in range(SIGN_REFINE_BUDGET):
             alo, ahi = a.bracket()
             blo, bhi = b.bracket()
             if ahi < blo:
@@ -416,6 +420,7 @@ class AlgBase:
                 return 1
             a.refine((ahi - alo) / 4)
             b.refine((bhi - blo) / 4)
+        raise _undecided("comparison")
 
     def same_value(self, other: "AlgBase") -> bool:
         return self.cmp(other) == 0
@@ -424,7 +429,7 @@ class AlgBase:
         r = Fraction(r)
         if self.exact_rational is not None:
             return _sign(self.exact_rational - r)
-        while True:
+        for _ in range(SIGN_REFINE_BUDGET):
             lo, hi = self.bracket()
             if r <= lo:
                 return 1
@@ -436,6 +441,7 @@ class AlgBase:
                 self._lo = self._hi = r
                 return 0
             self.refine((hi - lo) / 2)
+        raise _undecided("rational comparison")
 
     # -- output ------------------------------------------------------------
 
@@ -444,12 +450,13 @@ class AlgBase:
         if self.exact_rational is not None:
             return _dec_str(self.exact_rational, digits)
         self.refine(Fraction(1, 10 ** (digits + 2)))
-        while True:
+        for _ in range(SIGN_REFINE_BUDGET):
             lo, hi = self.bracket()
             a, b = _dec_str(lo, digits), _dec_str(hi, digits)
             if a == b:
                 return a
             self.refine((hi - lo) / 4)
+        raise _undecided("decimal rounding")
 
     def to_json(self, digits: int = 14) -> dict:
         lo, hi = self.bracket(Fraction(1, 10 ** (digits + 2)))
@@ -528,7 +535,7 @@ def alpha_digits(q: AlgBase, n: int) -> str:
             r = t
         else:
             out.append("0")
-            r = qe * r
+            r = t + 1
     return "".join(out)
 
 
@@ -549,7 +556,7 @@ def beta_digits(q: AlgBase, n: int):
                 return "".join(out), True
         else:
             out.append("0")
-            r = qe * r
+            r = t + 1
     return "".join(out), False
 
 
@@ -574,7 +581,7 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
             r = t
         else:
             digits.append("0")
-            r = qe * r
+            r = t + 1
     raise UnsupportedBaseError(
         f"no remainder cycle within {max_steps} steps; "
         "quasi-greedy expansion not detected to be eventually periodic"
@@ -639,7 +646,7 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
             nr = d
         else:
             a = 0
-            nr = qe * r
+            nr = d + 1
         ti = t.digit(i)
         if ti != a:
             return -1 if ti < a else 1

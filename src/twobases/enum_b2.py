@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polys
@@ -37,7 +37,9 @@ from .b2core import (
 )
 from .classify import in_A_prime
 from .errors import DomainError, NotFoundWithinBoundsError
-from .words import EPSeq, ComponentSpec, GEN0, eval_seq, lex_cmp, prepend, word_dec
+from .words import (
+    EPSeq, ComponentSpec, GEN0, SeriesEnclosure, eval_seq, lex_cmp, prepend, word_dec,
+)
 
 __all__ = [
     "ReprVector",
@@ -223,6 +225,30 @@ class _Interval:
     hi: AlgBase
     shaped: bool
     monotone: bool
+    # per bracket end, by exact value (comparisons may refine the ladder
+    # brackets later): its enclosure table and the enclosure of each (1t)_e
+    _ends: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def end_sign(self, c: EPSeq, d: EPSeq, e: Fraction) -> int | None:
+        """Sign of the defect of (c, d) at e, decided from enclosures of
+        (1c)_e + (1d)_e against 1/(e - 1); None when the sum straddles it."""
+        table = self._ends.get(e)
+        if table is None:
+            table = self._ends[e] = (SeriesEnclosure(e), {})
+        enc, tails = table
+        bounds = []
+        for t in (c, d):
+            b = tails.get(t)
+            if b is None:
+                b = tails[t] = enc.enclose(t, "1")
+            bounds.append(b)
+        (lc, hc), (ld, hd) = bounds
+        floor, ceil = enc.ones
+        if lc + ld > floor:
+            return 1
+        if hc + hd < ceil:
+            return -1
+        return None
 
 
 def _interval(ladder, n) -> _Interval:
@@ -244,18 +270,30 @@ def _pair_roots(c: EPSeq, d: EPSeq, iv: _Interval) -> list:
     its admissibility verdict: [(root, admissible)]."""
     if iv.shaped and monotone_case(c, d) is not MonotoneCase.INCREASING_III:
         return []  # positive on the whole interval
-    F = f_minpoly(c, d)
+    F = None
     a0, a1 = (1, 1) if iv.lo is None else iv.lo.bracket()
     b0, b1 = iv.hi.bracket()
     lo, hi = a0, b1  # isolate in (lo, hi]
     if iv.monotone:
         # F increases strictly from a0 to b1, so its one root there lies in
-        # the window ending at the first bracket end where F is nonnegative
+        # the window ending at the first bracket end where F is nonnegative;
+        # the exact sign is taken only where the enclosures straddle
         ends = (a0, a1, b0, b1)
-        k = next((i for i, e in enumerate(ends) if polys.sign_at_rational(F, e) >= 0), 0)
+        k = 0
+        for i, e in enumerate(ends):
+            s = iv.end_sign(c, d, e)
+            if s is None:
+                if F is None:
+                    F = f_minpoly(c, d)
+                s = polys.sign_at_rational(F, e)
+            if s >= 0:
+                k = i
+                break
         if k == 0:
             return []  # nonnegative from a0 on, or still negative at b1
         lo, hi = ends[k - 1], ends[k]
+    if F is None:
+        F = f_minpoly(c, d)
     out = []
     for root in real_roots(F, lo, hi):
         # windows reaching into a ladder bracket are cut at its base

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
 from math import lcm
 
 from . import polys
@@ -254,6 +255,60 @@ def eval_seq(s: EPSeq, q):
     if q <= 1:
         raise DomainError("base must exceed 1")
     return polys.eval_at(num, q) / (q**m * (q**p - 1))
+
+
+# Fixed-point scale of `SeriesEnclosure`, in bits.  It decides only how
+# often an enclosure is too wide to settle a comparison, never whether the
+# enclosure holds.
+ENCLOSE_BITS = 128
+
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+class SeriesEnclosure:
+    """Integer enclosures of series values at one rational point e > 1.
+
+    With K = ENCLOSE_BITS and x = 1/e = b/a, `enclose(s)` gives integers
+    lo <= 2^K (s)_e <= hi.  The powers 2^K x^i are kept rounded down and
+    rounded up, grown on demand and shared by every sequence enclosed at e;
+    the geometric factor 1/(1 - x^p) of the period is rounded outward too.
+    `ones` is (floor, ceil) of 2^K/(e - 1), the value of 1^inf.
+    """
+
+    def __init__(self, e):
+        e = Fraction(e)
+        if e <= 1:
+            raise DomainError("point must exceed 1")
+        self._a, self._b = e.numerator, e.denominator
+        self._one = 1 << ENCLOSE_BITS
+        self._lo, self._hi = [self._one], [self._one]
+        num, den = self._one * self._b, self._a - self._b
+        self.ones = (num // den, -(-num // den))
+
+    def _powers(self, n: int):
+        lo, hi, a, b = self._lo, self._hi, self._a, self._b
+        while len(lo) <= n:
+            lo.append(lo[-1] * b // a)
+            hi.append(-(-hi[-1] * b // a))
+        return lo, hi
+
+    def enclose(self, s: EPSeq, lead: str = "") -> tuple:
+        """(lo, hi) around 2^K times the value of the sequence lead s."""
+        _check_seq(s)
+        _check_word(lead, "leading word")
+        pre = (lead + s.pre).encode().translate(_DIGIT_BYTES)
+        per = s.per.encode().translate(_DIGIT_BYTES)
+        m, p = len(pre), len(per)
+        lo, hi = self._powers(m + p)
+        one, top = self._one, self.ones[1]
+        # the period repeats with ratio x^p: per / (1 - x^p)
+        plo = sum(compress(islice(lo, m + 1, None), per)) * one // (one - lo[p])
+        den = one - hi[p]
+        phi = (-(-sum(compress(islice(hi, m + 1, None), per)) * one // den)
+               if den > 0 else top)
+        # every 0/1 series is at most 1^inf
+        return (sum(compress(islice(lo, 1, None), pre)) + plo,
+                min(sum(compress(islice(hi, 1, None), pre)) + phi, top))
 
 
 # -- text form -------------------------------------------------------------

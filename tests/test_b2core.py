@@ -6,15 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from twobases import polys
+from twobases import bases, polys
 from twobases.b2core import (
-    MonotoneCase, monotone_case, f_eval, f_minpoly, f_sign, solve_qcd,
+    MonotoneCase, monotone_case, f_eval, f_minpoly, f_sign, sign_at, solve_qcd,
     certify_b2, witness_for_V_base, prop62_pair, q_f_base,
 )
 from twobases.bases import AlgBase
 from twobases.classify import CountResult, count_expansions, in_A_prime
 from twobases.enum_b2 import enum_reprs, qn_ladder, repr_to_seq
-from twobases.errors import DomainError
+from twobases.errors import DomainError, UnsupportedBaseError
 from twobases.words import (
     ComponentSpec, EPSeq, format_epseq, lex_cmp, parse_epseq, prepend,
 )
@@ -238,3 +238,17 @@ def test_q_f_base_frozen():
     q = q_f_base()
     assert q.decimal(10) == "1.7548776662"
     assert q.minpoly() == (-1, 1, -2, 1)
+
+
+def test_sign_at_refinement_budget(monkeypatch):
+    # F = 10^13 x - r has its root r / 10^13 just above q_s: some 40
+    # halvings of a fresh q_s bracket [17/10, 9/5] before F's sign is certain
+    F = (-17106440950451, 10**13)
+
+    def q_s():
+        return AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
+    monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 4)
+    with pytest.raises(UnsupportedBaseError):
+        sign_at(F, q_s())
+    monkeypatch.undo()
+    assert sign_at(F, q_s()) == -1

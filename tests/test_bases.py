@@ -294,6 +294,48 @@ def test_sign_refinement_budget(monkeypatch):
     assert near.sign() == q.cmp_rational(r) != 0
 
 
+def test_cmp_rational_refinement_budget(monkeypatch):
+    # r sits just above q_s: some 40 halvings of [17/10, 9/5]
+    q = AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
+    r = Fraction(17106440950451, 10**13)
+    monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 4)
+    with pytest.raises(UnsupportedBaseError):
+        q.cmp_rational(r)
+    monkeypatch.undo()
+    assert q.cmp_rational(r) == -1
+
+
+def test_cmp_separation_refinement_budget(monkeypatch):
+    # sqrt(3) and sqrt(3 + 10^-12), about 3e-13 apart, with distinct
+    # minimal polynomials: only the separation loop can order them
+    def pair():
+        return (AlgBase.from_poly((-3, 0, 1), Fraction(17, 10), Fraction(9, 5)),
+                AlgBase.from_poly((-(3 * 10**12 + 1), 0, 10**12),
+                                  Fraction(17, 10), Fraction(9, 5)))
+    a, b = pair()
+    monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 4)
+    with pytest.raises(UnsupportedBaseError):
+        a.cmp(b)
+    monkeypatch.undo()
+    a, b = pair()
+    assert a.cmp(b) == -1 and b.cmp(a) == 1
+
+
+def test_decimal_refinement_budget(monkeypatch):
+    # 1.755 + 10^-40 rounds to 1.76 only once the bracket is above 1.755,
+    # some 130 halvings of [17/10, 9/5]
+    def base():
+        return AlgBase.from_poly((-(1755 * 10**37 + 1), 10**40),
+                                 Fraction(17, 10), Fraction(9, 5))
+    q = base()
+    assert q.exact_rational is None
+    monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 4)
+    with pytest.raises(UnsupportedBaseError):
+        q.decimal(2)
+    monkeypatch.undo()
+    assert base().decimal(2) == "1.76"
+
+
 def test_alpha_digits_frozen():
     assert alpha_digits(PHI, 10) == "10" * 5
     assert alpha_digits(Q_F, 12) == "1100" * 3

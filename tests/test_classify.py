@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twobases.bases import AlgBase, base_from_alpha
 from twobases.classify import (
@@ -13,7 +15,7 @@ from twobases.classify import (
 )
 from twobases.enum_b2 import enum_reprs, qn_ladder, repr_to_seq
 from twobases.errors import DomainError, UnsupportedBaseError
-from twobases.words import ComponentSpec, EPSeq, parse_epseq, reflect
+from twobases.words import ComponentSpec, EPSeq, eval_seq, parse_epseq, reflect
 
 GEN0 = ComponentSpec("0")
 PHI = AlgBase.from_poly((-1, -1, 1), Fraction(3, 2), Fraction(17, 10))
@@ -121,6 +123,47 @@ def test_classify_unsupported():
         classify_base(Q_S)
     with pytest.raises(UnsupportedBaseError):
         classify_base(AlgBase.from_rational(Fraction(3, 2)), max_steps=300)
+
+
+def _brute_count(x, q, cap, depth):
+    """Digit-tree count of the expansions of x in the rational base q: the
+    length-`depth` digit prefixes whose remainder stays in [0, 1/(q - 1)].
+    Each extends to an expansion, and distinct ones to distinct expansions.
+    Returns cap + 1 as soon as there are more than cap."""
+    lim = 1 / (q - 1)
+    alive = [x] if 0 <= x <= lim else []
+    for _ in range(depth):
+        alive = [t for r in alive for t in (q * r, q * r - 1) if 0 <= t <= lim]
+        if len(alive) > cap:
+            return cap + 1
+    return len(alive)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(st.builds(EPSeq, st.text("01", max_size=8),
+                          st.text("01", min_size=1, max_size=4)),
+                st.fractions(-1, 3, max_denominator=16)),
+       st.fractions(1, 2, max_denominator=7).filter(lambda q: q > 1),
+       st.integers(1, 4))
+@example(EPSeq("1", "0"), Fraction(2), 3)            # 1/2: two expansions
+@example(EPSeq("", "01"), Fraction(2), 3)            # 1/3: one
+@example(EPSeq("1", "0"), Fraction(3, 2), 3)         # below the golden ratio
+@example(EPSeq("11", "0"), Fraction(7, 4), 1)
+@example(Fraction(5, 2), Fraction(7, 4), 1)        # above 1/(q - 1): none
+def test_count_expansions_matches_digit_tree(x, q, cap):
+    # with at most S remainder states and no branching cycle, every branch
+    # happens within S digits; a branching cycle of length <= S yields a new
+    # expansion every S digits after the first S.  So (cap + 1) S digits of
+    # the brute tree settle both kinds of answer.
+    states = 24
+    try:
+        got = count_expansions(x, AlgBase.from_rational(q), cap=cap, max_states=states)
+    except UnsupportedBaseError:
+        return  # remainder graph too large: nothing to compare
+    value = eval_seq(x, q) if isinstance(x, EPSeq) else x
+    want = _brute_count(value, q, cap, (cap + 1) * (states + 1))
+    assert min(got.value, cap + 1) == want
+    assert got.exact or got.value == cap + 1
 
 
 def test_count_expansions_frozen():

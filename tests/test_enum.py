@@ -6,8 +6,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from twobases.b2core import f_minpoly, solve_qcd, udiff_generate, B2Witness
+from twobases import enum_b2, words
+from twobases.b2core import (
+    MonotoneCase, f_eval, f_minpoly, monotone_case, solve_qcd, udiff_generate,
+    B2Witness,
+)
 from twobases.bases import AlgBase, beta_digits, real_roots
 from twobases.classify import CountResult, count_expansions, is_univoque_seq
 from twobases.classify import in_A_prime
@@ -164,15 +170,15 @@ def test_interval_flags_follow_q_f():
             assert (iv.shaped, iv.monotone) == (n >= shaped_from, n >= monotone_from)
 
 
-def test_bracket_signs_match_isolation():
-    # interval 3 is monotone: four bracket signs stand in for isolating over
-    # the whole interval with the ladder brackets, then filtering by cmp
+def _isolation_slice():
+    """Check every pair of the interval-3, Jmax-3, weight-3 slice against
+    isolating over the whole interval with the ladder brackets, then
+    filtering by cmp; return the pairs and the admissible roots found."""
     ladder = qn_ladder(GEN0, 4)
     iv = _interval(ladder, 3)
     assert iv.monotone
     q3, q4 = ladder[2].base, ladder[3].base
     pairs = list(_tail_pairs(GEN0, 3, 3, 3))
-    assert len(pairs) == 309
     found = []
     for c, d, _ in pairs:
         fast = [(r.minpoly(), ok) for r, ok in _pair_roots(c, d, iv)]
@@ -181,7 +187,59 @@ def test_bracket_signs_match_isolation():
                 if r.cmp(q3) > 0 and r.cmp(q4) <= 0]
         assert fast == slow, (c, d)
         found += [key for key, ok in fast if ok]
+    return pairs, found
+
+
+def test_bracket_signs_match_isolation():
+    # interval 3 is monotone: four bracket signs stand in for isolating over
+    # the whole interval with the ladder brackets, then filtering by cmp
+    pairs, found = _isolation_slice()
+    assert len(pairs) == 309
     assert len(found) == 1
+
+
+def test_bracket_signs_fall_back_to_exact_signs(monkeypatch):
+    # at 2 bits every enclosure sum straddles 1/(e - 1), so each window sign
+    # of the slice comes from f_minpoly, and the roots stay the same
+    built = []
+
+    def counted(c, d):
+        built.append((c, d))
+        return f_minpoly(c, d)
+    monkeypatch.setattr(words, "ENCLOSE_BITS", 2)
+    monkeypatch.setattr(enum_b2, "f_minpoly", counted)
+    pairs, found = _isolation_slice()
+    shape_iii = [(c, d) for c, d, _ in pairs
+                 if monotone_case(c, d) is MonotoneCase.INCREASING_III]
+    assert len(found) == 1
+    assert len(shape_iii) > 100 and built == shape_iii
+
+
+TAILS = st.builds(EPSeq, st.text("01", max_size=40), st.text("01", min_size=1, max_size=24))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(TAILS, TAILS, st.fractions(1, 2, max_denominator=10**30).filter(lambda q: q > 1))
+@example(EPSeq("", "0"), EPSeq("", "0"), Fraction(2))          # f(2) = 0
+@example(EPSeq("", "0"), EPSeq("", "0"), Fraction(3, 2))       # f < 0
+@example(EPSeq("", "1"), EPSeq("", "1"), Fraction(3, 2))       # f > 0
+@example(parse_epseq("000(01)"), parse_epseq("0(01)"), Fraction(17, 10))
+@example(parse_epseq("000(01)"), parse_epseq("0(01)"), Fraction(9, 5))
+def test_end_sign_agrees_with_exact_defect(c, d, e):
+    # a decided window sign is the exact sign of f(e), and an exact zero
+    # never decides; away from 1, any defect above 2^-100 in size decides
+    iv = _Interval(AlgBase.from_rational(Fraction(3, 2)), AlgBase.from_rational(2),
+                   False, True)
+    s = iv.end_sign(c, d, e)
+    exact = f_eval(c, d, e)
+    if exact == 0:
+        assert s is None
+    elif s is not None:
+        assert s == (1 if exact > 0 else -1)
+    elif e >= Fraction(11, 10):
+        assert abs(exact) <= Fraction(1, 2**100)
+    # the defect is symmetric, and a second lookup reuses the tail table
+    assert iv.end_sign(d, c, e) == s
 
 
 def test_bracket_signs_at_interval_ends():

@@ -1,5 +1,6 @@
 """Words, eventually periodic sequences, generator components, evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twobases import words
 from twobases.bases import AlgBase
 from twobases.errors import DomainError
 from twobases.words import (
-    EPSeq, ComponentSpec, GEN0, ZERO_SEQ, ONE_SEQ,
+    EPSeq, ComponentSpec, GEN0, ZERO_SEQ, ONE_SEQ, SeriesEnclosure,
     reflect, word_inc, word_dec, word_cmp, thue_morse, from_word, prepend,
     shift, lex_cmp, check_generator, eval_seq, format_epseq, parse_epseq,
 )
@@ -185,6 +187,47 @@ def test_eval_seq_matches_digit_horner_at_rationals(s, q):
 @given(SEQS, st.sampled_from(FIELD_BASES))
 def test_eval_seq_matches_digit_horner_in_number_fields(s, q):
     assert eval_seq(s, q) == _horner_value(s, q.field().base_elem().inv())
+
+
+LONG_SEQS = st.builds(EPSeq, st.text("01", max_size=160),
+                      st.text("01", min_size=1, max_size=90))
+# rational points in (1, 2]: small and huge denominators, and points so
+# close to 1 that x^p rounds up to 1 at the default scale
+POINTS = st.one_of(
+    st.fractions(1, 2, max_denominator=10**6),
+    st.fractions(1, 2, max_denominator=10**40),
+    st.integers(1, 2**60).map(lambda k: 1 + Fraction(k, 2**200)),
+).filter(lambda q: q > 1)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.one_of(SEQS, LONG_SEQS), POINTS, st.sampled_from(["", "1", "0110"]),
+       st.sampled_from([words.ENCLOSE_BITS, 40, 3, 0]))
+def test_series_enclosure_contains_exact_value(s, e, lead, bits):
+    saved, words.ENCLOSE_BITS = words.ENCLOSE_BITS, bits
+    try:
+        enc = SeriesEnclosure(e)
+        lo, hi = enc.enclose(s, lead)
+        floor, ceil = enc.ones
+    finally:
+        words.ENCLOSE_BITS = saved
+    scale = 2**bits
+    exact = eval_seq(prepend(lead, s), e) * scale
+    assert lo <= exact <= hi
+    ones = scale / (e - 1)
+    assert (floor, ceil) == (math.floor(ones), math.ceil(ones))
+    if bits == saved and e >= Fraction(11, 10):
+        # away from 1 the default scale leaves a width of a few units
+        assert hi - lo < 2**20
+
+
+def test_series_enclosure_refuses_bad_input():
+    with pytest.raises(DomainError):
+        SeriesEnclosure(1)
+    with pytest.raises(DomainError, match="EPSeq"):
+        SeriesEnclosure(Fraction(3, 2)).enclose("0(01)")
+    with pytest.raises(DomainError):
+        SeriesEnclosure(Fraction(3, 2)).enclose(ZERO_SEQ, "12")
 
 
 def test_parse_format_roundtrip():

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import bases, polys
-from .bases import AlgBase, FieldElem, base_from_alpha, real_roots
+from .bases import AlgBase, FieldElem, base_from_alpha, gcd_has_root_in, real_roots
 from .classify import in_A_prime, in_Vq_seq
 from .errors import DomainError, NoRootByCaseError
 from .words import (
@@ -170,11 +170,7 @@ def _is_root_of(q: AlgBase, F) -> bool:
         return polys.is_zero(rem)
     # no minimal polynomial yet: the bracket of q holds exactly one root of
     # q.poly, so q roots F iff gcd(q.poly, F) has a root in that bracket
-    g = polys.poly_gcd(q.poly, F)
-    if polys.degree(g) < 1:
-        return False
-    lo, hi = q._lo, q._hi
-    return polys.count_roots_halfopen(g, lo, hi) > 0
+    return gcd_has_root_in(q.poly, F, q._lo, q._hi)
 
 
 # ---------------------------------------------------------------------------

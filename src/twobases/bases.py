@@ -249,6 +249,17 @@ class FieldElem:
 # algebraic bases
 
 
+def gcd_has_root_in(p, q, lo, hi) -> bool:
+    """Does gcd(p, q) have a root in (lo, hi]?  Exact, with no factoring.
+
+    When (lo, hi] holds exactly one root of p, this asks whether that root
+    is also a root of q."""
+    if not lo < hi:
+        return False
+    g = polys.poly_gcd(p, q)
+    return polys.degree(g) >= 1 and polys.count_roots_halfopen(g, lo, hi) > 0
+
+
 class AlgBase:
     """A real algebraic number q in (1, 2], the base of the expansions."""
 
@@ -401,15 +412,12 @@ class AlgBase:
             w = min(ahi - alo, bhi - blo, Fraction(1, 2))
             a.refine(w / 4)
             b.refine(w / 4)
-        # persistent overlap: decide equality through minimal polynomials
+        # persistent overlap: each bracket holds one root of its own poly, so
+        # a = b exactly when the two polys share a root in the overlap
         if a.exact_rational is not None or b.exact_rational is not None:
             return a.cmp(b)
-        ma, mb = a.minpoly(), b.minpoly()
-        if ma == mb:
-            lo = min(a._lo, b._lo)
-            hi = max(a._hi, b._hi)
-            if polys.count_roots_halfopen(ma, lo, hi) == 1:
-                return 0
+        if gcd_has_root_in(a.poly, b.poly, max(a._lo, b._lo), min(a._hi, b._hi)):
+            return 0
         # distinct algebraic numbers: refinement must separate them
         for _ in range(SIGN_REFINE_BUDGET):
             alo, ahi = a.bracket()

@@ -129,40 +129,95 @@ def content(p: Poly) -> Fraction:
     return Fraction(num, den)
 
 
+def _primitive(p: Poly) -> Poly:
+    """An integer polynomial divided by the (positive) gcd of its coefficients."""
+    g = _int_gcd(*p) if p else 0
+    return tuple(a // g for a in p) if g > 1 else tuple(p)
+
+
 def to_int_poly(p: Poly) -> Poly:
     """Primitive integer polynomial proportional to p (positive multiplier)."""
     if not p:
         return ()
+    if all(type(a) is int for a in p):
+        return _primitive(p)
     c = content(p)
     return tuple(int(Fraction(a) / c) for a in p)
 
 
+def _prem(a: Poly, b: Poly) -> Poly:
+    """A positive integer multiple of the remainder of a by b, for integer
+    polynomials with b nonzero.
+
+    Before the top term t of the running remainder is eliminated, the
+    remainder is scaled by |lc(b)| / gcd(t, lc(b)): a positive factor, so
+    the result has the sign of the rational remainder, and the primitive
+    parts of the two agree."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    alead = abs(lead)
+    terms = tuple((j, c) for j, c in enumerate(b[:-1]) if c)
+    for i in range(len(r) - 1, db - 1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        g = _int_gcd(top, alead)
+        k = alead // g
+        if k != 1:
+            r = [x * k for x in r]
+        m = top // g if lead > 0 else -top // g
+        base = i - db
+        for j, c in terms:
+            r[base + j] -= m * c
+    return trim(r)
+
+
+def _quo_exact(p: Poly, g: Poly) -> Poly:
+    """p / g for integer polynomials where g divides p in Z[x]."""
+    r = list(p)
+    dg = len(g) - 1
+    lead = g[-1]
+    terms = tuple((j, c) for j, c in enumerate(g[:-1]) if c)
+    quot = [0] * (len(p) - dg)
+    for i in range(len(p) - 1, dg - 1, -1):
+        top = r.pop()
+        if not top:
+            continue
+        m, rest = divmod(top, lead)
+        if rest:
+            raise DomainError("the divisor does not divide the polynomial")
+        quot[i - dg] = m
+        base = i - dg
+        for j, c in terms:
+            r[base + j] -= m * c
+    if any(r):
+        raise DomainError("the divisor does not divide the polynomial")
+    return tuple(quot)
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Primitive integer gcd with positive leading coefficient."""
-    a, b = trim(p), trim(q)
+    """Primitive integer gcd with positive leading coefficient, by the
+    primitive pseudo-remainder sequence (Collins; Brown and Traub)."""
+    a, b = to_int_poly(trim(p)), to_int_poly(trim(q))
     while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
+        a, b = b, _primitive(_prem(a, b))
     if not a:
         return ()
-    a = to_int_poly(a)
-    if a[-1] < 0:
-        a = neg(a)
-    return a
+    return a if a[-1] > 0 else neg(a)
 
 
 def squarefree_part(p: Poly) -> Poly:
     """p with repeated factors collapsed; primitive integral, sign of p kept."""
-    p = trim(p)
+    p = to_int_poly(trim(p))
     if degree(p) <= 0:
-        return to_int_poly(p) if p else ()
+        return p
     g = poly_gcd(p, derivative(p))
     if degree(g) == 0:
-        return to_int_poly(p)
-    q, r = divmod_exact(p, g)
-    if r:
-        raise DomainError("gcd with the derivative does not divide the polynomial")
-    return to_int_poly(q)
+        return p
+    # p primitive and g primitive with lc(g) > 0: by Gauss's lemma the
+    # quotient is primitive integral with the sign of p
+    return _quo_exact(p, g)
 
 
 def _sign(x) -> int:
@@ -170,17 +225,21 @@ def _sign(x) -> int:
 
 
 def sturm_chain(p: Poly) -> list:
-    """Sturm chain of a squarefree p, entries primitive integral."""
+    """Sturm chain of a squarefree p, entries primitive integral.
+
+    Each entry after the derivative is the primitive part of minus a
+    positive multiple of the previous remainder, so it is the same tuple a
+    rational Euclid would give."""
     p0 = to_int_poly(p)
     chain = [p0]
     d = derivative(p0)
     if d:
-        chain.append(to_int_poly(d))
+        chain.append(_primitive(d))
     while len(chain[-1]) > 1:
-        _, r = divmod_exact(chain[-2], chain[-1])
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(to_int_poly(neg(r)))
+        chain.append(_primitive(neg(r)))
     return chain
 
 
@@ -192,10 +251,10 @@ def sign_variations(chain: Sequence[Poly], x) -> int:
 def _squarefree_chain(p: Poly, a, b) -> list:
     """Sturm chain of the squarefree part of p, for a count on (a, b]."""
     if not (a < b):
-        raise ValueError("need a < b")
+        raise DomainError("need a < b")
     sf = squarefree_part(p)
     if not sf:
-        raise ValueError("zero polynomial")
+        raise DomainError("zero polynomial")
     return sturm_chain(sf)
 
 
@@ -241,14 +300,24 @@ def interval_sign(p: Poly, lo, hi) -> int:
     is exactly D^n L times the rational interval-Horner enclosure."""
     d = _int_lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    el = _int_lcm(*(c.denominator for c in p))
+    if not all(type(c) is int for c in p):
+        el = _int_lcm(*(c.denominator for c in p))
+        p = [c.numerator * (el // c.denominator) for c in p]
     alo = ahi = 0
     dk = 1
-    for c in reversed(p):
-        t = c.numerator * (el // c.denominator) * dk
-        prods = (alo * a, alo * b, ahi * a, ahi * b)
-        alo, ahi = min(prods) + t, max(prods) + t
-        dk *= d
+    if a >= 0:
+        # x >= 0 on the whole bracket: each bound's sign picks its product
+        for c in reversed(p):
+            t = c * dk
+            alo = (alo * a if alo >= 0 else alo * b) + t
+            ahi = (ahi * b if ahi >= 0 else ahi * a) + t
+            dk *= d
+    else:
+        for c in reversed(p):
+            t = c * dk
+            prods = (alo * a, alo * b, ahi * a, ahi * b)
+            alo, ahi = min(prods) + t, max(prods) + t
+            dk *= d
     if alo > 0:
         return 1
     if ahi < 0:

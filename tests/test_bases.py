@@ -50,6 +50,34 @@ def test_cmp_and_cmp_rational():
     assert AlgBase.from_rational(2).cmp_rational(2) == 0
 
 
+def test_cmp_decides_equality_without_factoring(monkeypatch):
+    from twobases.dimension import overapprox_pool
+    from twobases.enum_b2 import GEN0, qn_ladder
+
+    def no_factoring(p):
+        raise AssertionError("cmp factored a polynomial")
+
+    monkeypatch.setattr(polys, "factor_int", no_factoring)
+    cubic = (-1, 1, -2, 1)
+    # q_f from its cubic, from its quasi-greedy expansion (1100)^inf, and
+    # from the cubic times (x + 1)(x^2 + 1), each in a fresh bracket
+    copies = [AlgBase.from_poly(cubic, Fraction(7, 4), Fraction(9, 5)),
+              base_from_alpha(EPSeq("", "1100")),
+              AlgBase.from_poly(polys.mul(cubic, polys.mul((1, 1), (1, 0, 1))),
+                                Fraction(17, 10), Fraction(2))]
+    for a in copies:
+        for b in copies:
+            assert a.cmp(b) == 0
+    # q_5 and q_6 agree to 10^-5 and their degree-32 and degree-64
+    # polynomials share no root there
+    ladder = qn_ladder(GEN0, 6)
+    q5, q6 = ladder[4].base, ladder[5].base
+    assert q5.cmp(q6) == -1 and q6.cmp(q5) == 1
+    pool = overapprox_pool()
+    assert all(a.cmp(b) < 0 for a, b in zip(pool, pool[1:]))
+    assert sum(b.cmp(q6) == 0 for b in pool) == 1
+
+
 def test_minpoly_squarefree_and_monic_content():
     # from_poly squares away repeated factors; minpoly() strips to the
     # irreducible factor vanishing at the root

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twobases import polys
@@ -33,6 +33,18 @@ POLYS = st.lists(COEFFS, max_size=12).map(polys.trim)
 POINTS = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction),
                    st.fractions(-5, 5, max_denominator=30),
                    st.fractions(-3, 3, max_denominator=10**30))
+
+
+@st.composite
+def straddling_interval(draw):
+    """A polynomial and a bracket with lo <= 0 < hi, where interval Horner
+    multiplies by factors of both signs."""
+    p = draw(POLYS)
+    lo = -draw(st.fractions(0, 3, max_denominator=10**9))
+    hi = draw(st.fractions(0, 3, max_denominator=10**9).filter(lambda x: x > 0))
+    if draw(st.booleans()):
+        p = polys.mul(p, _root_factor(draw(st.sampled_from((lo, hi, Fraction(0))))))
+    return p, lo, hi
 
 
 @st.composite
@@ -99,6 +111,113 @@ def test_gcd_and_squarefree():
     assert polys.degree(sf) == 2
     g = polys.poly_gcd(p, polys.derivative(p))
     assert polys.degree(g) == 1 and polys.eval_at(g, 1) == 0
+
+
+def _fraction_primitive(p):
+    c = polys.content(p)
+    return tuple(int(Fraction(a) / c) for a in p)
+
+
+def fraction_gcd(p, q):
+    """Oracle: gcd by the Euclid algorithm over the rationals."""
+    a, b = polys.trim(p), polys.trim(q)
+    while b:
+        _, r = polys.divmod_exact(a, b)
+        a, b = b, r
+    if not a:
+        return ()
+    a = _fraction_primitive(a)
+    return a if a[-1] > 0 else polys.neg(a)
+
+
+def fraction_squarefree_part(p):
+    """Oracle: p over its rational gcd with p', made primitive."""
+    p = polys.trim(p)
+    if polys.degree(p) <= 0:
+        return _fraction_primitive(p) if p else ()
+    g = fraction_gcd(p, polys.derivative(p))
+    q, r = polys.divmod_exact(p, g)
+    assert not r
+    return _fraction_primitive(q)
+
+
+def fraction_sturm_chain(p):
+    """Oracle: Sturm chain by rational remainders, each entry made
+    primitive with a positive multiplier."""
+    chain = [_fraction_primitive(p)]
+    d = polys.derivative(chain[0])
+    if d:
+        chain.append(_fraction_primitive(d))
+    while len(chain[-1]) > 1:
+        _, r = polys.divmod_exact(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(_fraction_primitive(polys.neg(r)))
+    return chain
+
+
+FACTORS = st.lists(st.integers(-9, 9), min_size=2, max_size=4).map(polys.trim).filter(
+    lambda f: polys.degree(f) >= 1)
+
+
+@st.composite
+def factored_poly(draw):
+    """A product of small factors, some repeated, times a unit or content of
+    either sign, so leading coefficients of both signs occur."""
+    p = (draw(st.sampled_from((1, -1, 6, -4, Fraction(-2, 3)))),)
+    for f, e in draw(st.lists(st.tuples(FACTORS, st.integers(1, 3)), max_size=4)):
+        for _ in range(e):
+            p = polys.mul(p, f)
+    if draw(st.booleans()):
+        p = polys.add(p, polys.trim(draw(st.lists(st.integers(-10**12, 10**12), max_size=6))))
+    return p
+
+
+REMAINDER_CASES = st.one_of(
+    st.tuples(factored_poly(), factored_poly()),
+    st.tuples(factored_poly(), factored_poly(), factored_poly()).map(
+        lambda t: (polys.mul(t[0], t[2]), polys.mul(t[1], t[2]))),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(REMAINDER_CASES)
+@example(((-1, 1, -2, 1), polys.mul((-1, 1, -2, 1), (1, 1))))
+@example((polys.mul((3, -1), (3, -1)), (2, 0, -5)))
+def test_remainder_sequences_match_fraction_euclid(case):
+    p, q = case
+    assert polys.poly_gcd(p, q) == fraction_gcd(p, q)
+    for f in (p, q):
+        sf = polys.squarefree_part(f)
+        assert sf == fraction_squarefree_part(f)
+        if f:
+            assert polys.sturm_chain(f) == fraction_sturm_chain(f)
+            assert polys.sturm_chain(sf) == fraction_sturm_chain(sf)
+
+
+def test_remainder_sequences_match_fraction_euclid_at_degree_49():
+    from twobases.b2core import f_minpoly
+    from twobases.enum_b2 import GEN0, prop62_pair
+
+    F = f_minpoly(*prop62_pair(GEN0, 5))
+    assert polys.degree(F) == 49
+    G = polys.mul(polys.neg(F), (1, 1, 3))   # negative leading coefficient
+    H = polys.mul(G, (2, -3))
+    for p in (F, G, polys.mul(H, (2, -3))):
+        assert polys.squarefree_part(p) == fraction_squarefree_part(p)
+        assert polys.sturm_chain(p) == fraction_sturm_chain(p)
+    assert polys.poly_gcd(G, H) == fraction_gcd(G, H) == polys.neg(G)
+    assert polys.poly_gcd(F, polys.derivative(F)) == fraction_gcd(F, polys.derivative(F))
+
+
+def test_root_counts_refuse_empty_brackets_and_zero():
+    for bad in (lambda: polys.count_roots_halfopen((-2, 0, 1), 2, 1),
+                lambda: polys.count_roots_halfopen((-2, 0, 1), 1, 1),
+                lambda: polys.count_roots_halfopen((), 0, 1),
+                lambda: polys.isolate_roots((-2, 0, 1), Fraction(2), Fraction(1)),
+                lambda: polys.isolate_roots((0, 0), Fraction(0), Fraction(1))):
+        with pytest.raises(DomainError):
+            bad()
 
 
 def test_sturm_root_count():
@@ -182,7 +301,10 @@ def test_sign_at_rational_matches_eval_at(case):
 
 
 @ORACLE
-@given(poly_and_interval())
+@given(st.one_of(poly_and_interval(), straddling_interval()))
+@example(((1, -3, 1), Fraction(0), Fraction(1, 2)))
+@example(((Fraction(1, 3), 0, -2), Fraction(-1, 4), Fraction(1, 5)))
+@example(((-1, 0, 1), Fraction(-2), Fraction(3)))
 def test_interval_sign_matches_fraction_oracle(case):
     p, lo, hi = case
     vlo, vhi = interval_eval(p, lo, hi)

@@ -166,8 +166,7 @@ def _is_root_of(q: AlgBase, F) -> bool:
     if q.exact_rational is not None:
         return polys.sign_at_rational(F, q.exact_rational) == 0
     if q._minpoly is not None:
-        _, rem = polys.divmod_exact(F, q._minpoly)
-        return polys.is_zero(rem)
+        return polys.is_zero(polys.pseudo_divmod(F, q._minpoly)[2])
     # no minimal polynomial yet: the bracket of q holds exactly one root of
     # q.poly, so q roots F iff gcd(q.poly, F) has a root in that bracket
     return gcd_has_root_in(q.poly, F, q._lo, q._hi)

@@ -50,7 +50,12 @@ class NumberField:
         coeffs is pseudo-reduced in integers by the primitive minimal
         polynomial m.  When m is monic that subtracts multiples of m and den
         stays; otherwise, before a top term t is eliminated, everything is
-        scaled by lead(m) / gcd(t, lead(m)), and den by the same factor."""
+        scaled by lead(m) / gcd(t, lead(m)), and den by the same factor.
+
+        This is `polys.pseudo_divmod` specialised to one fixed divisor with
+        its terms precomputed and no quotient kept: routed through the
+        general loop, reducing products of two elements took 1.2-2.6x as
+        long in fields of degree 2 to 17 (CPython 3.11)."""
         c = list(coeffs)
         d, lead, terms = self.deg, self.minpoly[-1], self._terms
         for i in range(len(c) - 1, d - 1, -1):
@@ -194,20 +199,31 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElem":
-        # extended Euclid over Q: u*num + v*minpoly = g (a nonzero constant)
+        """1 / self, by the extended primitive remainder sequence of
+        (minpoly, num) in integers.
+
+        The cofactor s_i of remainder r_i is the element with
+        r_i(q) = s_i num(q).  From k r_(i-1) = quo r_i + rem and
+        r_(i+1) = rem / c, with c the content of rem signed so that r_(i+1)
+        has a positive leading coefficient,
+        s_(i+1) = (k s_(i-1) - quo(q) s_i) / c.  Degrees fall at every
+        step, so the loop ends within deg m steps at a constant r_last,
+        and 1 / self = den s / r_last."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        a = polys.trim(self.num)
-        b = self.field.minpoly
-        s0, s1 = (Fraction(1),), ()
-        while b:
-            q, r = polys.divmod_exact(a, b)
-            a, b = b, r
-            s0, s1 = s1, polys.sub(s0, polys.mul(q, s1))
-        # a is a nonzero constant since minpoly is irreducible
-        if len(a) != 1:
-            raise DomainError("minimal polynomial not irreducible")
-        return self.field.elem(polys.scale(s0, self.den / Fraction(a[0])))
+        fld = self.field
+        a, b = fld.minpoly, polys.trim(self.num)
+        s0, s1 = fld.zero(), fld.one()
+        while len(b) > 1:
+            k, quo, rem = polys.pseudo_divmod(a, b)
+            if not rem:
+                raise DomainError("minimal polynomial not irreducible")
+            c = gcd(*rem) if rem[-1] > 0 else -gcd(*rem)
+            a, b = b, tuple(x // c for x in rem)
+            # deg quo + deg s_i < deg m, so the product needs no reduction
+            qs = fld.reduce(polys.mul(quo, s1.num), s1.den)
+            s0, s1 = s1, (s0 * k - qs) * Fraction(1, c)
+        return s1 * Fraction(self.den, b[0])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -515,18 +531,14 @@ def real_roots(F, lo, hi) -> list:
 # expansions of 1
 
 
-def _one_and_q(q: AlgBase):
-    """Representation-appropriate (1, q) pair for exact remainder arithmetic."""
-    if q.exact_rational is not None:
-        return Fraction(1), q.exact_rational
-    fld = q.field()
-    return fld.one(), fld.base_elem()
-
-
-def _sign_of(x) -> int:
-    if isinstance(x, FieldElem):
-        return x.sign()
-    return _sign(x)
+def _step(qe: FieldElem, r: FieldElem) -> tuple:
+    """One step of the remainder orbit of 1 at q = qe, from remainder r:
+    (quasi-greedy digit, sign of q r - 1, next remainder)."""
+    t = qe * r - 1
+    s = t.sign()
+    if s > 0:
+        return 1, s, t
+    return 0, s, t + 1
 
 
 def alpha_digits(q: AlgBase, n: int) -> str:
@@ -534,16 +546,12 @@ def alpha_digits(q: AlgBase, n: int) -> str:
     when the remainder stays strictly positive afterwards."""
     if n < 1:
         raise DomainError("need n >= 1")
-    r, qe = _one_and_q(q)
+    qe = q.as_field_elem()
+    r = qe.field.one()
     out = []
     for _ in range(n):
-        t = qe * r - 1
-        if _sign_of(t) > 0:
-            out.append("1")
-            r = t
-        else:
-            out.append("0")
-            r = t + 1
+        a, _, r = _step(qe, r)
+        out.append("01"[a])
     return "".join(out)
 
 
@@ -552,19 +560,14 @@ def beta_digits(q: AlgBase, n: int):
     is the full expansion b with beta = b 0^inf."""
     if n < 1:
         raise DomainError("need n >= 1")
-    r, qe = _one_and_q(q)
+    qe = q.as_field_elem()
+    r = qe.field.one()
     out = []
     for _ in range(n):
-        t = qe * r - 1
-        s = _sign_of(t)
-        if s >= 0:
-            out.append("1")
-            r = t
-            if s == 0:
-                return "".join(out), True
-        else:
-            out.append("0")
-            r = t + 1
+        a, s, r = _step(qe, r)
+        if s == 0:
+            return "".join(out) + "1", True
+        out.append("01"[a])
     return "".join(out), False
 
 
@@ -573,7 +576,8 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
     exact cycle detection on the remainder orbit."""
     if q.alpha_hint is not None:
         return q.alpha_hint
-    r, qe = _one_and_q(q)
+    qe = q.as_field_elem()
+    r = qe.field.one()
     seen = {}
     digits = []
     for step in range(max_steps):
@@ -583,13 +587,8 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
             q.alpha_hint = seq
             return seq
         seen[r] = step
-        t = qe * r - 1
-        if _sign_of(t) > 0:
-            digits.append("1")
-            r = t
-        else:
-            digits.append("0")
-            r = t + 1
+        a, _, r = _step(qe, r)
+        digits.append("01"[a])
     raise UnsupportedBaseError(
         f"no remainder cycle within {max_steps} steps; "
         "quasi-greedy expansion not detected to be eventually periodic"
@@ -639,7 +638,8 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
     every eventually periodic t."""
     if q.alpha_hint is not None:
         return lex_cmp(t, q.alpha_hint)
-    r, qe = _one_and_q(q)
+    qe = q.as_field_elem()
+    r = qe.field.one()
     k, p = len(t.pre), len(t.per)
     seen = set()
     for i in range(max_steps):
@@ -648,15 +648,8 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
         if state in seen:
             return 0
         seen.add(state)
-        d = qe * r - 1
-        if _sign_of(d) > 0:
-            a = 1
-            nr = d
-        else:
-            a = 0
-            nr = d + 1
+        a, _, r = _step(qe, r)
         ti = t.digit(i)
         if ti != a:
             return -1 if ti < a else 1
-        r = nr
     raise UnsupportedBaseError(f"comparison unresolved after {max_steps} digits")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .bases import AlgBase, alpha_epseq, cmp_seq_alpha, _one_and_q, _sign_of
+from .bases import AlgBase, alpha_epseq, cmp_seq_alpha
 from .errors import DomainError, UnsupportedBaseError
 from .words import EPSeq, _check_seq, eval_seq, lex_cmp, parse_epseq, reflect, shift
 
@@ -140,19 +140,13 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
         raise DomainError("need cap >= 1")
     if isinstance(x, str):
         x = parse_epseq(x)
-    if isinstance(x, EPSeq):
-        val = eval_seq(x, q)
-    elif q.exact_rational is not None:
-        val = Fraction(x)
-    else:
-        val = q.field().from_rational(Fraction(x))
-    one, qe = _one_and_q(q)
+    fld = q.field()
+    # a rational base gives a Fraction value: move it into Q(q) too
+    val = fld.zero() + (eval_seq(x, q) if isinstance(x, EPSeq) else Fraction(x))
+    one, qe = fld.one(), fld.base_elem()
     # lim = 1 / (q - 1), the value of 1^inf
-    if q.exact_rational is not None:
-        lim = 1 / (qe - 1)
-    else:
-        lim = q.field().series_den_inv(0, 1)
-    if _sign_of(val) < 0 or _sign_of(lim - val) < 0:
+    lim = fld.series_den_inv(0, 1)
+    if val.sign() < 0 or (lim - val).sign() < 0:
         return CountResult(0)
 
     # breadth-first closure of the remainder graph
@@ -164,9 +158,9 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
             continue
         t = qe * r
         outs = []
-        if _sign_of(lim - t) >= 0:
+        if (lim - t).sign() >= 0:
             outs.append(t)
-        if _sign_of(t - one) >= 0:
+        if (t - one).sign() >= 0:
             outs.append(t - one)
         children[r] = tuple(outs)
         if len(children) > max_states:

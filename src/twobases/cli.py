@@ -64,9 +64,14 @@ def _parse_base(spec: str) -> AlgBase:
         for part in (ctext, btext):
             if not (part.startswith("[") and part.endswith("]")):
                 raise DomainError(f"malformed base-spec list {part!r}")
-        coeffs = [int(t) for t in ctext[1:-1].split(",") if t.strip()]
-        lo, hi = (_rat(t) for t in btext[1:-1].split(","))
-        return AlgBase.from_poly(coeffs, lo, hi)
+        try:
+            coeffs = [int(t) for t in ctext[1:-1].split(",") if t.strip()]
+        except ValueError:
+            raise DomainError(f"poly coefficients must be integers: {ctext!r}") from None
+        ends = btext[1:-1].split(",")
+        if len(ends) != 2:
+            raise DomainError(f"poly bracket needs exactly two ends: {btext!r}")
+        return AlgBase.from_poly(coeffs, _rat(ends[0]), _rat(ends[1]))
     if spec.startswith("alpha:"):
         return base_from_alpha(parse_epseq(spec[len("alpha:"):]))
     return AlgBase.from_rational(_rat(spec))

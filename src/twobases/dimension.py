@@ -149,13 +149,7 @@ def path_counts(aut: UqAutomaton, n: int) -> list:
     vec[0] = 1
     out = []
     for _ in range(n):
-        nxt = [0] * aut.size
-        for s, es in enumerate(aut.edges):
-            x = vec[s]
-            if x:
-                for _b, t in es:
-                    nxt[t] += x
-        vec = nxt
+        vec = _matvec(aut.edges, vec)
         out.append(sum(vec))
     return out
 
@@ -276,6 +270,16 @@ def _log_bounds(x: Fraction, prec: int = 120) -> tuple:
         mpmath.iv.prec = old
 
 
+def _log_bracket(q: AlgBase) -> tuple:
+    """Certified rational bounds around log q, from q's bracket refined to
+    width 10^-25."""
+    qlo, qhi = q.bracket(Fraction(1, 10 ** 25))
+    log_lo = _log_bounds(qlo)[0]
+    if log_lo <= 0:
+        raise DomainError("base bracket must stay above 1")
+    return log_lo, _log_bounds(qhi)[1]
+
+
 def _matvec(edges, vec) -> list:
     out = [0] * len(edges)
     for s, es in enumerate(edges):
@@ -378,11 +382,7 @@ def dim_U(q: AlgBase, nmax: int = 24, exact_cap: int = 64,
         return Fraction(0), Fraction(0)
     if ent.growth is not None and ent.growth.cmp(q) == 0:
         return Fraction(1), Fraction(1)
-    qlo, qhi = q.bracket(Fraction(1, 10 ** 25))
-    log_lo = _log_bounds(qlo)[0]
-    log_hi = _log_bounds(qhi)[1]
-    if log_lo <= 0:
-        raise DomainError("base bracket must stay above 1")
+    log_lo, log_hi = _log_bracket(q)
     lower = max(ent.lower / log_hi, Fraction(0))
     upper = min(ent.upper / log_lo, Fraction(1))
     return lower, upper
@@ -400,11 +400,7 @@ def _dim_sandwich(q: AlgBase, nmax: int, exact_cap: int, pool) -> tuple:
             above = r
     if above is None:
         raise DomainError("pool must contain a base at least q")
-    qlo, qhi = q.bracket(Fraction(1, 10 ** 25))
-    log_lo = _log_bounds(qlo)[0]
-    log_hi = _log_bounds(qhi)[1]
-    if log_lo <= 0:
-        raise DomainError("base bracket must stay above 1")
+    log_lo, log_hi = _log_bracket(q)
     lower = Fraction(0)
     if below is not None:
         lower = max(entropy(below, nmax, exact_cap).lower / log_hi, Fraction(0))

@@ -1,8 +1,10 @@
 """Dense univariate polynomials with exact coefficients.
 
 A polynomial is a tuple of coefficients in ascending order of degree with no
-trailing zeros; the zero polynomial is the empty tuple.  Coefficients are ints
-or Fractions.  Everything here is exact; floats never enter.
+trailing zeros; the zero polynomial is the empty tuple.  The library computes
+with integer coefficients; Fraction coefficients are accepted only where
+input enters, in `to_int_poly`, `eval_at` and `interval_sign`.  Points may be
+rational.  Everything here is exact; floats never enter.
 """
 
 from __future__ import annotations
@@ -44,12 +46,6 @@ def neg(p: Poly) -> Poly:
 
 def sub(p: Poly, q: Poly) -> Poly:
     return add(p, neg(q))
-
-
-def scale(p: Poly, c) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
 
 
 def shift(p: Poly, k: int) -> Poly:
@@ -98,24 +94,6 @@ def derivative(p: Poly) -> Poly:
     return trim(i * a for i, a in enumerate(p) if i > 0)
 
 
-def divmod_exact(p: Poly, q: Poly):
-    """Quotient and remainder over the rationals.  q must be nonzero."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(a) for a in p]
-    d = len(q) - 1
-    lead = Fraction(q[-1])
-    quot = [Fraction(0)] * max(0, len(p) - d)
-    for i in range(len(p) - 1, d - 1, -1):
-        if r[i] == 0:
-            continue
-        c = r[i] / lead
-        quot[i - d] = c
-        for j, b in enumerate(q):
-            r[i - d + j] -= c * b
-    return trim(quot), trim(r)
-
-
 def content(p: Poly) -> Fraction:
     """Positive rational c with p / c primitive integral; content(0) = 0."""
     if not p:
@@ -145,55 +123,42 @@ def to_int_poly(p: Poly) -> Poly:
     return tuple(int(Fraction(a) / c) for a in p)
 
 
-def _prem(a: Poly, b: Poly) -> Poly:
-    """A positive integer multiple of the remainder of a by b, for integer
-    polynomials with b nonzero.
+def pseudo_divmod(a: Poly, b: Poly) -> tuple:
+    """(k, quo, rem) with k a positive integer, k a = quo b + rem and
+    deg rem < deg b, for integer polynomials a and b with b nonzero.
 
     Before the top term t of the running remainder is eliminated, the
-    remainder is scaled by |lc(b)| / gcd(t, lc(b)): a positive factor, so
-    the result has the sign of the rational remainder, and the primitive
-    parts of the two agree."""
+    remainder and the quotient so far are scaled by |lc(b)| / gcd(t, lc(b)),
+    and k by the same factor.  The factor is positive, so rem has the sign
+    of the rational remainder and the same primitive part; k = 1 and
+    rem = 0 exactly when b divides a in Z[x]."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     r = list(a)
     db = len(b) - 1
     lead = b[-1]
     alead = abs(lead)
     terms = tuple((j, c) for j, c in enumerate(b[:-1]) if c)
+    quo = [0] * max(0, len(r) - db)
+    k = 1
     for i in range(len(r) - 1, db - 1, -1):
         top = r.pop()
         if not top:
             continue
-        g = _int_gcd(top, alead)
-        k = alead // g
-        if k != 1:
-            r = [x * k for x in r]
-        m = top // g if lead > 0 else -top // g
+        if alead != 1:
+            g = _int_gcd(top, alead)
+            f = alead // g
+            if f != 1:
+                r = [x * f for x in r]
+                quo = [x * f for x in quo]
+                k *= f
+            top //= g
+        m = top if lead > 0 else -top
         base = i - db
+        quo[base] = m
         for j, c in terms:
             r[base + j] -= m * c
-    return trim(r)
-
-
-def _quo_exact(p: Poly, g: Poly) -> Poly:
-    """p / g for integer polynomials where g divides p in Z[x]."""
-    r = list(p)
-    dg = len(g) - 1
-    lead = g[-1]
-    terms = tuple((j, c) for j, c in enumerate(g[:-1]) if c)
-    quot = [0] * (len(p) - dg)
-    for i in range(len(p) - 1, dg - 1, -1):
-        top = r.pop()
-        if not top:
-            continue
-        m, rest = divmod(top, lead)
-        if rest:
-            raise DomainError("the divisor does not divide the polynomial")
-        quot[i - dg] = m
-        base = i - dg
-        for j, c in terms:
-            r[base + j] -= m * c
-    if any(r):
-        raise DomainError("the divisor does not divide the polynomial")
-    return tuple(quot)
+    return k, trim(quo), trim(r)
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
@@ -201,7 +166,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     primitive pseudo-remainder sequence (Collins; Brown and Traub)."""
     a, b = to_int_poly(trim(p)), to_int_poly(trim(q))
     while b:
-        a, b = b, _primitive(_prem(a, b))
+        a, b = b, _primitive(pseudo_divmod(a, b)[2])
     if not a:
         return ()
     return a if a[-1] > 0 else neg(a)
@@ -217,7 +182,10 @@ def squarefree_part(p: Poly) -> Poly:
         return p
     # p primitive and g primitive with lc(g) > 0: by Gauss's lemma the
     # quotient is primitive integral with the sign of p
-    return _quo_exact(p, g)
+    k, quo, rem = pseudo_divmod(p, g)
+    if k != 1 or rem:
+        raise DomainError("the divisor does not divide the polynomial")
+    return quo
 
 
 def _sign(x) -> int:
@@ -236,7 +204,7 @@ def sturm_chain(p: Poly) -> list:
     if d:
         chain.append(_primitive(d))
     while len(chain[-1]) > 1:
-        r = _prem(chain[-2], chain[-1])
+        r = pseudo_divmod(chain[-2], chain[-1])[2]
         if not r:
             break
         chain.append(_primitive(neg(r)))

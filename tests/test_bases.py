@@ -1,12 +1,14 @@
 """Algebraic bases: exact comparison, number-field arithmetic, quasi-greedy
 and greedy expansions, admissibility, base reconstruction."""
 
+import itertools
 import random
+import types
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twobases import bases, polys
@@ -16,7 +18,7 @@ from twobases.bases import (
 )
 from twobases.errors import DomainError, UnsupportedBaseError
 from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq
-from test_polys import interval_eval
+from test_polys import divmod_exact, interval_eval
 
 PHI = AlgBase.from_poly((-1, -1, 1), Fraction(3, 2), Fraction(17, 10))
 Q_S = AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
@@ -216,10 +218,10 @@ class _FractionField:
         a, b = polys.trim(a), self.minpoly
         s0, s1 = (Fraction(1),), ()
         while b:
-            quo, r = polys.divmod_exact(a, b)
+            quo, r = divmod_exact(a, b)
             a, b = b, r
             s0, s1 = s1, polys.sub(s0, polys.mul(quo, s1))
-        return self.elem(polys.scale(s0, 1 / Fraction(a[0])))
+        return self.elem(tuple(c / a[0] for c in s0))
 
     def sign(self, a) -> int:
         if not any(a):
@@ -287,6 +289,106 @@ def test_field_elem_matches_fraction_oracle(q, ca, cb, r):
         same.append((a, (a * b) * b.inv()))
     for x, y in same:
         assert x == y and hash(x) == hash(y)
+
+
+def _series_dens() -> list:
+    """q^m (q^p - 1) for a few preperiod and period lengths (m, p)."""
+    return [polys.shift(polys.add(polys.shift((1,), p), (-1,)), m)
+            for m, p in ((0, 1), (1, 2), (3, 5), (7, 16), (0, 33), (40, 3))]
+
+
+def test_field_inverse_matches_fraction_euclid_at_degree_33():
+    from twobases.enum_b2 import GEN0, qn_ladder
+
+    q6 = qn_ladder(GEN0, 6)[5].base
+    fld, ref = q6.field(), _FractionField(q6)
+    assert fld.deg == 33
+    x = fld.base_elem()
+    for den in _series_dens():
+        e = fld.elem(den)
+        inv = e.inv()
+        assert inv.coeffs == ref.inv(ref.elem(den))
+        assert e * inv == fld.one()
+    # non-monic numerators, negative leading coefficients, a rational multiple
+    for e in (3 * x - 5, x ** 20 * Fraction(-7, 3) + x - 1, (x + 2) * Fraction(5, 6)):
+        assert e.inv().coeffs == ref.inv(e.coeffs)
+
+
+def test_field_inverse_at_degree_65():
+    from twobases.enum_b2 import GEN0, qn_ladder
+
+    q7 = qn_ladder(GEN0, 7)[6].base
+    fld = q7.field()
+    assert fld.deg == 65
+    x = fld.base_elem()
+    elems = [fld.elem(den) for den in _series_dens()]
+    elems += [x - 2, 3 * x ** 64 - x ** 7 + Fraction(1, 5), fld.from_rational(-4)]
+    for e in elems:
+        assert _normal(e.inv())
+        assert e * e.inv() == fld.one()
+
+
+def test_field_inverse_refuses_reducible_minpoly():
+    # a field on the reducible (q - 1)(q + 1): the remainder sequence of
+    # q - 1 and the polynomial hits zero before a constant
+    fld = bases.NumberField(types.SimpleNamespace(minpoly=lambda: (-1, 0, 1)))
+    with pytest.raises(DomainError):
+        bases.FieldElem(fld, (-1, 1)).inv()
+    with pytest.raises(ZeroDivisionError):
+        fld.zero().inv()
+
+
+def fraction_orbit(q):
+    """Oracle: the remainder orbit of 1 at the rational base q, in
+    Fractions; yields (remainder, quasi-greedy digit, sign of q r - 1)."""
+    r = Fraction(1)
+    while True:
+        t = q * r - 1
+        s = (t > 0) - (t < 0)
+        yield r, int(s > 0), s
+        r = t if s > 0 else t + 1
+
+
+def fraction_beta(q, n):
+    out = []
+    for _, a, s in itertools.islice(fraction_orbit(q), n):
+        if s == 0:
+            return "".join(out) + "1", True
+        out.append(str(a))
+    return "".join(out), False
+
+
+def fraction_cmp_seq_alpha(t, q, max_steps=100000):
+    """Oracle: t against the quasi-greedy expansion of 1, with equality
+    proved by a repeated (position class, remainder) pair."""
+    k, p = len(t.pre), len(t.per)
+    seen = set()
+    for i, (r, a, _) in zip(range(max_steps), fraction_orbit(q)):
+        state = (i if i < k else k + (i - k) % p, r)
+        if state in seen:
+            return 0
+        seen.add(state)
+        if t.digit(i) != a:
+            return -1 if t.digit(i) < a else 1
+    raise AssertionError("oracle comparison unresolved")
+
+
+RATIONAL_BASES = st.fractions(1, 2, max_denominator=60).filter(lambda x: x > 1)
+WORDS = st.text("01", max_size=12)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(RATIONAL_BASES, st.integers(1, 80), WORDS, WORDS.filter(bool))
+@example(Fraction(2), 40, "", "1")
+@example(Fraction(3, 2), 60, "1010", "0")
+@example(Fraction(19, 10), 60, "111", "01")
+def test_rational_walks_match_fraction_orbit(r, n, pre, per):
+    want = "".join(str(a) for _, a, _ in itertools.islice(fraction_orbit(r), n))
+    assert alpha_digits(AlgBase.from_rational(r), n) == want
+    assert beta_digits(AlgBase.from_rational(r), n) == fraction_beta(r, n)
+    # a word that follows alpha for a while before it is free to differ
+    for t in (EPSeq(pre, per), EPSeq(want[: len(pre)] + pre, per)):
+        assert cmp_seq_alpha(t, AlgBase.from_rational(r)) == fraction_cmp_seq_alpha(t, r)
 
 
 def test_field_elem_from_rational_normal_form():

@@ -174,6 +174,10 @@ def test_exit_codes(capsys):
     assert _run(capsys)[0] == 64
     assert _run(capsys, "--precision", "4", "omega", "--gen", "0", "--n", "1")[0] == 64
     assert _run(capsys, "alpha", "poly:[-1,-1,1]@")[0] == 2
+    # non-integer coefficients, and brackets without exactly two ends
+    for spec in ("poly:[-1,x,1]@[3/2,17/10]", "poly:[-1,1.5,1]@[3/2,17/10]",
+                 "poly:[-1,-1,1]@[3/2]", "poly:[-1,-1,1]@[1,3/2,2]"):
+        assert _run(capsys, "alpha", spec)[0] == 2
     assert _run(capsys, "alpha", "alpha:(02)")[0] == 2
     rc, _, err = _run(capsys, "solve", "--c", "0*", "--d", "0*",
                       "--lo", "3/2", "--hi", "8/5")

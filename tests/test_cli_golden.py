@@ -53,15 +53,18 @@ def _case_ids(cases):
     return ids
 
 
-# cases whose bases are certified by enum_b2._pair_roots or compared by
-# AlgBase.cmp's equality test, run again with assert statements stripped:
-# their answers may not rest on them
+# cases whose bases are certified by enum_b2._pair_roots, compared by
+# AlgBase.cmp's equality test or counted in Q(q) through FieldElem.inv and
+# the remainder walks, run again with assert statements stripped: their
+# answers may not rest on them
 OPTIMIZED = [
     ["derived", "--min", "2"],
     ["witness", "--gen", "0", "--prop62", "3"],
     ["dim-bound", "--delta", "1/1000000", "alpha:(11010011001011010010)"],
     ["classify", Q_F_SPEC],
     ["classify", Q_S_SPEC, "--probable-depth", "64"],
+    ["count", "--x", "100(10)", "--base", Q_S_SPEC, "--cap", "3"],
+    ["entropy", "alpha:(110)"],
 ]
 
 

@@ -23,6 +23,24 @@ def interval_eval(p, lo, hi) -> tuple:
     return alo, ahi
 
 
+def divmod_exact(p, q):
+    """Oracle: quotient and remainder over the rationals.  q must be nonzero."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    r = [Fraction(a) for a in p]
+    d = len(q) - 1
+    lead = Fraction(q[-1])
+    quot = [Fraction(0)] * max(0, len(p) - d)
+    for i in range(len(p) - 1, d - 1, -1):
+        if r[i] == 0:
+            continue
+        c = r[i] / lead
+        quot[i - d] = c
+        for j, b in enumerate(q):
+            r[i - d + j] -= c * b
+    return polys.trim(quot), polys.trim(r)
+
+
 def _root_factor(x):
     return (-x.numerator, x.denominator)
 
@@ -93,8 +111,53 @@ def test_divmod_exact_roundtrip():
         r = polys.trim([rng.randint(-4, 4) for _ in range(polys.degree(q))])
         m = polys.trim([rng.randint(-4, 4) for _ in range(rng.randint(0, 4))])
         p = polys.add(polys.mul(m, q), r)
-        mm, rr = polys.divmod_exact(p, q)
+        mm, rr = divmod_exact(p, q)
         assert mm == m and rr == r
+        # q is monic, so the integer division needs no scaling
+        assert polys.pseudo_divmod(p, q) == (1, m, r)
+
+
+INT_COEFFS = st.one_of(st.integers(-30, 30), st.integers(-10**30, 10**30))
+INT_POLYS = st.lists(INT_COEFFS, max_size=12).map(polys.trim)
+DIVISORS = st.lists(INT_COEFFS, max_size=6).map(polys.trim)
+
+
+@st.composite
+def division_case(draw):
+    """A dividend and a nonzero divisor, which is monic, has a negative
+    leading coefficient, is arbitrary, or divides the dividend in Z[x]."""
+    kind = draw(st.sampled_from(("monic", "negative", "any", "exact")))
+    b = draw(DIVISORS)
+    if kind == "monic":
+        lead = 1
+    elif kind == "negative":
+        lead = -draw(st.integers(1, 10**6))
+    else:
+        lead = draw(INT_COEFFS.filter(bool))
+    b = b + (lead,)
+    if kind == "exact":
+        return polys.mul(draw(INT_POLYS), b), b, kind
+    return draw(INT_POLYS), b, kind
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(division_case())
+@example(((1, 2, 3, 4, 5), (3, -2, 7), "any"))
+@example(((), (2,), "any"))
+def test_pseudo_divmod_matches_fraction_division(case):
+    a, b, kind = case
+    k, quo, rem = polys.pseudo_divmod(a, b)
+    assert type(k) is int and k > 0
+    assert all(type(c) is int for c in quo + rem)
+    assert polys.degree(rem) < polys.degree(b)
+    assert polys.add(polys.mul(quo, b), rem) == polys.mul((k,), a)
+    oq, orem = divmod_exact(a, b)
+    assert tuple(Fraction(c, k) for c in quo) == oq
+    assert tuple(Fraction(c, k) for c in rem) == orem
+    if kind in ("monic", "exact"):
+        assert k == 1
+    if kind == "exact":
+        assert not rem
 
 
 def test_content_and_to_int():
@@ -122,7 +185,7 @@ def fraction_gcd(p, q):
     """Oracle: gcd by the Euclid algorithm over the rationals."""
     a, b = polys.trim(p), polys.trim(q)
     while b:
-        _, r = polys.divmod_exact(a, b)
+        _, r = divmod_exact(a, b)
         a, b = b, r
     if not a:
         return ()
@@ -136,7 +199,7 @@ def fraction_squarefree_part(p):
     if polys.degree(p) <= 0:
         return _fraction_primitive(p) if p else ()
     g = fraction_gcd(p, polys.derivative(p))
-    q, r = polys.divmod_exact(p, g)
+    q, r = divmod_exact(p, g)
     assert not r
     return _fraction_primitive(q)
 
@@ -149,7 +212,7 @@ def fraction_sturm_chain(p):
     if d:
         chain.append(_fraction_primitive(d))
     while len(chain[-1]) > 1:
-        _, r = polys.divmod_exact(chain[-2], chain[-1])
+        _, r = divmod_exact(chain[-2], chain[-1])
         if not r:
             break
         chain.append(_fraction_primitive(polys.neg(r)))
@@ -337,5 +400,7 @@ def test_interval_eval_contains_value():
 
 
 def test_divmod_by_zero():
-    with pytest.raises((DomainError, ZeroDivisionError)):
-        polys.divmod_exact((1,), ())
+    with pytest.raises(ZeroDivisionError):
+        polys.pseudo_divmod((1,), ())
+    with pytest.raises(ZeroDivisionError):
+        divmod_exact((1,), ())

@@ -32,7 +32,9 @@ CASES = [
     ["ladder", "--gen", "0", "--N", "5"],
     ["enum-b2", "--n", "1"],
     ["enum-b2", "--n", "2", "--jmax", "4"],
+    ["enum-b2", "--n", "3", "--jmax", "3"],
     ["derived", "--min", "2"],
+    ["--jmax", "4", "--nmax", "5", "derived", "--min", "4"],
     ["entropy", "alpha:(110)"],
     ["dim-bound", "--delta", "1/1000000", "alpha:(11010011001011010010)"],
     ["classify", Q_F_SPEC],
@@ -59,6 +61,7 @@ def _case_ids(cases):
 # answers may not rest on them
 OPTIMIZED = [
     ["derived", "--min", "2"],
+    ["--jmax", "4", "--nmax", "5", "derived", "--min", "4"],
     ["witness", "--gen", "0", "--prop62", "3"],
     ["dim-bound", "--delta", "1/1000000", "alpha:(11010011001011010010)"],
     ["classify", Q_F_SPEC],

@@ -16,9 +16,11 @@ order-n point strictly inside (q_n, q_{n+1}).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -178,7 +180,7 @@ def _graded_tails(comp, n, Jmax, cap=math.inf) -> dict:
     return grades
 
 
-def _tail_pairs(comp, n, Jmax, cap=math.inf):
+def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
     """Unordered pairs of distinct sequences of interval n, as (c, d, pairs)
     with c <= d lexicographically and `pairs` every profile pair (vc, vd)
     assembling them; a sequence paired with itself gets its profile pairs in
@@ -188,18 +190,36 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf):
     pairs whose lightest weights sum to at most it, so heavy-by-heavy
     products are never formed.  (0^inf, 0^inf) is left out: its defect
     vanishes only at 2.
+
+    On a monotone interval iv, only the pairs whose window can hold a root
+    are formed, in the same order: a pair is dropped when its defect is
+    decided positive at a0 = lo(q_n) or negative at b1 = hi(q_{n+1}), the
+    bracket ends at scan start.  The defect increases on [a0, b1] and later
+    refinement only moves the ends inward, so `_pair_roots` returns [] for
+    every dropped pair.
     """
     grades = _graded_tails(comp, n, Jmax, cap)
+    bands = None
+    if iv is not None and iv.monotone:
+        a0, b1 = iv.lo.bracket()[0], iv.hi.bracket()[1]
+        bands = {w: _Band([iv.bounds(t, a0)[0] for t, _ in bucket],
+                          [iv.bounds(t, b1)[1] for t, _ in bucket],
+                          iv.ones(a0)[0], iv.ones(b1)[1])
+                 for w, bucket in grades.items()}
     weights = sorted(grades)
     for i, w1 in enumerate(weights):
         for w2 in weights[i:]:
             if w1 + w2 > cap:
                 break
-            if w1 == w2:
-                it = itertools.combinations_with_replacement(grades[w1], 2)
+            g1, g2 = grades[w1], grades[w2]
+            if bands is not None:
+                idx = bands[w2].pairs(bands[w1], w1 == w2)
+            elif w1 == w2:
+                idx = itertools.combinations_with_replacement(range(len(g1)), 2)
             else:
-                it = itertools.product(grades[w1], grades[w2])
-            for (c, vcs), (d, vds) in it:
+                idx = itertools.product(range(len(g1)), range(len(g2)))
+            for x, y in idx:
+                (c, vcs), (d, vds) = g1[x], g2[y]
                 if c == d:
                     if not c.is_zero():
                         vs = sorted(vcs, key=_vector_key)
@@ -208,6 +228,40 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf):
                 if lex_cmp(c, d) > 0:
                     c, d, vcs, vds = d, c, vds, vcs
                 yield c, d, tuple(itertools.product(vcs, vds))
+
+
+class _Band:
+    """Tails sorted by a lower key, to find for a tail c every partner d with
+    lo[c] + lo[d] <= floor and hi[c] + hi[d] >= ceil: the pairs that two
+    enclosure tests cannot rule out, in O(log N + partners) per tail.
+
+    Bisecting on hi needs hi nondecreasing along the lo order.  That is
+    checked once with exact integers; where it fails, the lo prefix is
+    tested tail by tail.
+    """
+
+    def __init__(self, lo: list, hi: list, floor: int, ceil: int):
+        self.lo, self.hi, self.floor, self.ceil = lo, hi, floor, ceil
+        self._order = sorted(range(len(lo)), key=lambda i: (lo[i], hi[i]))
+        self._lo = [lo[i] for i in self._order]
+        self._hi = [hi[i] for i in self._order]
+        self._hi_sorted = all(map(operator.le, self._hi, self._hi[1:]))
+
+    def partners(self, lc: int, hc: int) -> list:
+        """Positions of the partners of a tail with keys (lc, hc), increasing."""
+        end = bisect.bisect_right(self._lo, self.floor - lc)
+        need = self.ceil - hc
+        if self._hi_sorted:
+            return sorted(self._order[bisect.bisect_left(self._hi, need, 0, end):end])
+        return sorted(i for i, h in zip(self._order[:end], self._hi) if h >= need)
+
+    def pairs(self, first: "_Band", same: bool):
+        """(x, y) for each tail x of `first` and each partner y of it here, in
+        (x, y) order; with `same` (first is this band) only y >= x."""
+        for x, (lc, hc) in enumerate(zip(first.lo, first.hi)):
+            for y in self.partners(lc, hc):
+                if y >= x or not same:
+                    yield x, y
 
 
 @dataclass(frozen=True)
@@ -229,21 +283,29 @@ class _Interval:
     # brackets later): its enclosure table and the enclosure of each (1t)_e
     _ends: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def end_sign(self, c: EPSeq, d: EPSeq, e: Fraction) -> int | None:
-        """Sign of the defect of (c, d) at e, decided from enclosures of
-        (1c)_e + (1d)_e against 1/(e - 1); None when the sum straddles it."""
+    def ones(self, e: Fraction) -> tuple:
+        """(floor, ceil) of 2^K/(e - 1)."""
+        return self._table(e)[0].ones
+
+    def bounds(self, t: EPSeq, e: Fraction) -> tuple:
+        """(lo, hi) around 2^K (1t)_e, enclosed once per tail and end."""
+        enc, tails = self._table(e)
+        b = tails.get(t)
+        if b is None:
+            b = tails[t] = enc.enclose(t, "1")
+        return b
+
+    def _table(self, e: Fraction) -> tuple:
         table = self._ends.get(e)
         if table is None:
             table = self._ends[e] = (SeriesEnclosure(e), {})
-        enc, tails = table
-        bounds = []
-        for t in (c, d):
-            b = tails.get(t)
-            if b is None:
-                b = tails[t] = enc.enclose(t, "1")
-            bounds.append(b)
-        (lc, hc), (ld, hd) = bounds
-        floor, ceil = enc.ones
+        return table
+
+    def end_sign(self, c: EPSeq, d: EPSeq, e: Fraction) -> int | None:
+        """Sign of the defect of (c, d) at e, decided from enclosures of
+        (1c)_e + (1d)_e against 1/(e - 1); None when the sum straddles it."""
+        (lc, hc), (ld, hd) = self.bounds(c, e), self.bounds(d, e)
+        floor, ceil = self.ones(e)
         if lc + ld > floor:
             return 1
         if hc + hd < ceil:
@@ -310,9 +372,11 @@ def enum_B2(n: int, Jmax: int, comp: ComponentSpec = GEN0) -> list:
 
     Complete only up to Jmax: deeper witnesses need longer generator runs.
     """
+    if n < 0 or Jmax < 1:
+        raise DomainError("need n >= 0 and Jmax >= 1")
     iv = _interval(qn_ladder(comp, n + 1), n)
     by_minpoly = {}
-    for c, d, pairs in _tail_pairs(comp, n, Jmax):
+    for c, d, pairs in _tail_pairs(comp, n, Jmax, iv=iv):
         for root, ok in _pair_roots(c, d, iv):
             key = tuple(root.minpoly())
             if key in by_minpoly:
@@ -399,16 +463,28 @@ def _endpoint_certificate(comp, iv, n, j, Jmax):
     admissible roots, return q_n.
 
     Rooted pairs are found by a hash join on exact field values: (c, d) is
-    rooted at q_n iff value(1c) + value(1d) = 1/(q_n - 1) in Q(q_n)."""
+    rooted at q_n iff value(1c) + value(1d) = 1/(q_n - 1) in Q(q_n).  Both
+    sides decrease in q, so on q_n's bracket [a0, a1] such a pair has
+    (1c) + (1d) at most 1/(a0 - 1) at a1 and at least 1/(a1 - 1) at a0; only
+    tails with a partner passing those enclosure tests are evaluated."""
     maxweight = 2 * n - j
     if maxweight < 1:
         return None
     qn = iv.lo
-    ones = qn.field().series_den_inv(0, 1)
+    a0, a1 = qn.bracket()
     # each sequence stands for itself through its first lightest profile
-    entries = [(w, s, min(vs, key=lambda v: v.top_k), eval_seq(prepend("1", s), qn))
-               for w, bucket in sorted(_graded_tails(comp, n - 1, Jmax, maxweight).items())
-               for s, vs in bucket]
+    tails = [(w, s, min(vs, key=lambda v: v.top_k))
+             for w, bucket in sorted(_graded_tails(comp, n - 1, Jmax, maxweight).items())
+             for s, vs in bucket]
+    band = _Band([iv.bounds(s, a1)[0] for _, s, _ in tails],
+                 [iv.bounds(s, a0)[1] for _, s, _ in tails],
+                 iv.ones(a0)[0], iv.ones(a1)[1])
+    entries = [(w, s, v, eval_seq(prepend("1", s), qn))
+               for (w, s, v), lc, hc in zip(tails, band.lo, band.hi)
+               if band.partners(lc, hc)]
+    if not entries:
+        return None
+    ones = qn.field().series_den_inv(0, 1)
     by_value = {}
     for w, s, v, val in entries:
         cur = by_value.get(val)
@@ -463,7 +539,7 @@ def _interior_candidates(comp, iv, n, j, Jmax):
     maxweight = 2 * n - j
     if maxweight < 1:
         return []
-    return [root for c, d, _ in _tail_pairs(comp, n, Jmax, maxweight)
+    return [root for c, d, _ in _tail_pairs(comp, n, Jmax, maxweight, iv)
             for root, ok in _pair_roots(c, d, iv) if ok]
 
 

@@ -173,6 +173,8 @@ def test_exit_codes(capsys):
     assert _run(capsys, "nosuch")[0] == 64
     assert _run(capsys)[0] == 64
     assert _run(capsys, "--precision", "4", "omega", "--gen", "0", "--n", "1")[0] == 64
+    assert _run(capsys, "--jmax", "0", "enum-b2", "--n", "1")[0] == 64
+    assert _run(capsys, "enum-b2", "--n", "1", "--jmax", "0")[0] == 2
     assert _run(capsys, "alpha", "poly:[-1,-1,1]@")[0] == 2
     # non-integer coefficients, and brackets without exactly two ends
     for spec in ("poly:[-1,x,1]@[3/2,17/10]", "poly:[-1,1.5,1]@[3/2,17/10]",

@@ -256,6 +256,105 @@ def test_bracket_signs_at_interval_ends():
     assert _pair_roots(c, d, starting) == []
 
 
+def _band_against_brute(comp, n, Jmax, cap=INF):
+    """Scan the monotone interval n with the enclosure band and by brute
+    force over `_tail_pairs`.  The band's pairs must be the brute pairs it
+    keeps, in brute order, and every pair with a root must be kept.  Returns
+    the band and the brute pair counts and the rooted pairs with their
+    admissibility verdicts."""
+    iv = _interval(qn_ladder(comp, n + 1), n)
+    assert iv.monotone
+    band = list(_tail_pairs(comp, n, Jmax, cap, iv))
+    brute = list(_tail_pairs(comp, n, Jmax, cap))
+    kept = {(c, d) for c, d, _ in band}
+    assert band == [t for t in brute if (t[0], t[1]) in kept]
+    verdicts = {(c, d): [ok for _, ok in _pair_roots(c, d, iv)] for c, d, _ in brute}
+    rooted = [(c, d, verdicts[c, d]) for c, d, _ in brute if verdicts[c, d]]
+    assert [(c, d, verdicts[c, d]) for c, d, _ in band if verdicts[c, d]] == rooted
+    return len(band), len(brute), rooted
+
+
+@pytest.mark.parametrize("gen, n, Jmax, cap, roots", [
+    ("0", 3, 3, INF, 100),      # the scan of enum_B2(3, 3)
+    ("0", 4, 3, 4, 0),
+    ("10", 2, 3, INF, 0),       # no root at this depth; the band keeps no pair
+])
+def test_band_keeps_every_rooted_pair(gen, n, Jmax, cap, roots):
+    kept, total, rooted = _band_against_brute(ComponentSpec(gen), n, Jmax, cap)
+    assert len(rooted) == roots
+    assert kept * 20 < total
+
+
+def test_band_falls_back_to_pairwise_tests(monkeypatch):
+    # at 4 bits the hi enclosures of the two heaviest grades are not sorted
+    # along the lo order, so the band tests their lo prefix tail by tail;
+    # the rooted pairs stay the same (at 2 bits the (lo, hi) sort still
+    # leaves hi sorted on this slice)
+    bands = []
+
+    class Recorded(enum_b2._Band):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bands.append(self)
+    monkeypatch.setattr(words, "ENCLOSE_BITS", 4)
+    monkeypatch.setattr(enum_b2, "_Band", Recorded)
+    _, _, rooted = _band_against_brute(GEN0, 3, 3, 3)
+    assert len(rooted) == 1
+    assert any(not b._hi_sorted for b in bands)
+
+
+KEYS = st.lists(st.tuples(st.integers(0, 30), st.integers(-5, 30)), max_size=14)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(KEYS, KEYS, st.integers(0, 60), st.integers(0, 80), st.booleans())
+def test_band_matches_pairwise_tests(keys, other, floor, ceil, sorted_hi):
+    # partners and pairs against testing every pair; sorted_hi makes hi
+    # nondecreasing along the lo order, so the bisection path runs too
+    def band(ks):
+        lo = [a for a, _ in ks]
+        hi = [3 * a for a in lo] if sorted_hi else [a + b for a, b in ks]
+        return enum_b2._Band(lo, hi, floor, ceil)
+    first, second = band(keys), band(other)
+    assert second._hi_sorted or not sorted_hi
+
+    def brute(a, b, same):
+        idx = (itertools.combinations_with_replacement(range(len(a.lo)), 2) if same
+               else itertools.product(range(len(a.lo)), range(len(b.lo))))
+        return [(x, y) for x, y in idx
+                if a.lo[x] + b.lo[y] <= floor and a.hi[x] + b.hi[y] >= ceil]
+    want = brute(first, second, False)
+    for x in range(len(keys)):
+        assert second.partners(first.lo[x], first.hi[x]) == [y for x2, y in want if x2 == x]
+    assert list(second.pairs(first, False)) == want
+    assert list(first.pairs(first, True)) == brute(first, first, True)
+
+
+class _EveryPair(enum_b2._Band):
+    """A band that rules nothing out: the exact endpoint join and the full
+    pair scan."""
+
+    def partners(self, lc, hc):
+        return list(range(len(self.lo)))
+
+
+@pytest.mark.parametrize("j, saved", [(2, 1), (3, 10), (4, 10)])
+def test_filtered_scans_match_exact_scans(monkeypatch, j, saved):
+    # the same base, bracket included; the endpoint join evaluates at most
+    # 1/saved of the tails the exact join does (q_2's bracket is too wide
+    # for the enclosures to rule out any of interval 1's five tails)
+    evaluated = []
+
+    def counted(s, q):
+        evaluated.append(s)
+        return words.eval_seq(s, q)
+    monkeypatch.setattr(enum_b2, "eval_seq", counted)
+    fast, n_fast = min_derived(j, 4, 5).to_json(), len(evaluated)
+    monkeypatch.setattr(enum_b2, "_Band", _EveryPair)
+    assert min_derived(j, 4, 5).to_json() == fast
+    assert n_fast * saved <= len(evaluated) - n_fast
+
+
 def test_enum_B2_first_interval():
     wits = enum_B2(1, 6)
     assert [w.root.decimal(10) for w in wits] == ["1.7106440950", "1.7548776662"]
@@ -283,6 +382,12 @@ def test_enum_B2_second_interval():
     # isolated witnesses are dense in the picture: order-0 ones show up here
     orders = {w.derived_order for w in wits}
     assert 0 in orders and max(orders) >= 2
+
+
+def test_enum_B2_validates_bounds():
+    for n, Jmax in ((1, 0), (1, -3), (-1, 3)):
+        with pytest.raises(DomainError, match="need n >= 0 and Jmax >= 1"):
+            enum_B2(n, Jmax)
 
 
 def test_enum_B2_witnesses_count_two():

@@ -176,6 +176,7 @@ FIELD_BASES = (
 )
 
 
+@settings(derandomize=True, database=None, deadline=None)
 @given(SEQS, st.fractions(1, 2, max_denominator=10**6).filter(lambda q: q > 1))
 def test_eval_seq_matches_digit_horner_at_rationals(s, q):
     want = _horner_value(s, 1 / q)
@@ -183,7 +184,7 @@ def test_eval_seq_matches_digit_horner_at_rationals(s, q):
     assert eval_seq(s, AlgBase.from_rational(q)) == want
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(SEQS, st.sampled_from(FIELD_BASES))
 def test_eval_seq_matches_digit_horner_in_number_fields(s, q):
     assert eval_seq(s, q) == _horner_value(s, q.field().base_elem().inv())

@@ -194,9 +194,9 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
     On a monotone interval iv, only the pairs whose window can hold a root
     are formed, in the same order: a pair is dropped when its defect is
     decided positive at a0 = lo(q_n) or negative at b1 = hi(q_{n+1}), the
-    bracket ends at scan start.  The defect increases on [a0, b1] and later
-    refinement only moves the ends inward, so `_pair_roots` returns [] for
-    every dropped pair.
+    bracket ends at scan start.  Shape-III defects increase on [a0, b1],
+    the other shapes are positive there, and later refinement only moves
+    the ends inward, so `_pair_roots` returns [] for every dropped pair.
     """
     grades = _graded_tails(comp, n, Jmax, cap)
     bands = None
@@ -213,7 +213,7 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
                 break
             g1, g2 = grades[w1], grades[w2]
             if bands is not None:
-                idx = bands[w2].pairs(bands[w1], w1 == w2)
+                idx = bands[w2].pairs(bands[w1])
             elif w1 == w2:
                 idx = itertools.combinations_with_replacement(range(len(g1)), 2)
             else:
@@ -255,9 +255,10 @@ class _Band:
             return sorted(self._order[bisect.bisect_left(self._hi, need, 0, end):end])
         return sorted(i for i, h in zip(self._order[:end], self._hi) if h >= need)
 
-    def pairs(self, first: "_Band", same: bool):
+    def pairs(self, first: "_Band"):
         """(x, y) for each tail x of `first` and each partner y of it here, in
-        (x, y) order; with `same` (first is this band) only y >= x."""
+        (x, y) order; when first is this band, only y >= x."""
+        same = first is self
         for x, (lc, hc) in enumerate(zip(first.lo, first.hi)):
             for y in self.partners(lc, hc):
                 if y >= x or not same:

@@ -286,8 +286,8 @@ def test_band_keeps_every_rooted_pair(gen, n, Jmax, cap, roots):
 
 
 def test_band_falls_back_to_pairwise_tests(monkeypatch):
-    # at 4 bits the hi enclosures of the two heaviest grades are not sorted
-    # along the lo order, so the band tests their lo prefix tail by tail;
+    # at 4 bits the hi enclosures of some grades are not sorted along the
+    # lo order, so the band tests their lo prefix tail by tail;
     # the rooted pairs stay the same (at 2 bits the (lo, hi) sort still
     # leaves hi sorted on this slice)
     bands = []
@@ -326,8 +326,8 @@ def test_band_matches_pairwise_tests(keys, other, floor, ceil, sorted_hi):
     want = brute(first, second, False)
     for x in range(len(keys)):
         assert second.partners(first.lo[x], first.hi[x]) == [y for x2, y in want if x2 == x]
-    assert list(second.pairs(first, False)) == want
-    assert list(first.pairs(first, True)) == brute(first, first, True)
+    assert list(second.pairs(first)) == want
+    assert list(first.pairs(first)) == brute(first, first, True)
 
 
 class _EveryPair(enum_b2._Band):
@@ -341,8 +341,8 @@ class _EveryPair(enum_b2._Band):
 @pytest.mark.parametrize("j, saved", [(2, 1), (3, 10), (4, 10)])
 def test_filtered_scans_match_exact_scans(monkeypatch, j, saved):
     # the same base, bracket included; the endpoint join evaluates at most
-    # 1/saved of the tails the exact join does (q_2's bracket is too wide
-    # for the enclosures to rule out any of interval 1's five tails)
+    # 1/saved of the tails the exact join does (at j = 2 the band rules out
+    # none of interval 1's five tails at q_2's bracket)
     evaluated = []
 
     def counted(s, q):

@@ -414,3 +414,23 @@ def test_min_derived_small_orders():
     assert lad[2].base.cmp(q3) < 0 < lad[3].base.cmp(q3)
     with pytest.raises(DomainError):
         min_derived(-1)
+
+
+# min_derived(5, 6, 5).to_json(), captured before the tail walk replaced the
+# per-profile assembly: interval 5 at the default Jmax
+MIN_DERIVED_5 = {
+    "minpoly": [-1, -1, -1, -1, -1, -1, -1, -1, -2, -2, -2, -2, -2, -2, -2, -2,
+                -2, -2, -1, -2, -4, -2, -2, -2, 0, -2, -3, -2, -2, -2, -2, -2,
+                -2, -1, -1, -1, 0, -1, -1, -1, -2, 0, 1],
+    "interval": [
+        "311379668699743525062499348903975519441201/"
+        "174224571863520493293247799005065324265472",
+        "155689834349871768443638807813077269321685/"
+        "87112285931760246646623899502532662132736",
+    ],
+    "approx": "1.78723164803449",
+}
+
+
+def test_min_derived_order_5_frozen():
+    assert min_derived(5, 6, 5).to_json() == MIN_DERIVED_5

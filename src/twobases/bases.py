@@ -511,7 +511,8 @@ def _dec_str(x: Fraction, digits: int, rounding=_round_half_up) -> str:
 def real_roots(F, lo, hi) -> list:
     """Every real root of the integer polynomial F in (lo, hi], as AlgBases,
     taken factor by factor (in `polys.factor_int` order) and left to right
-    within each factor.  Needs 1 <= lo < hi <= 2."""
+    within each factor.  Needs 1 <= lo < hi <= 2.  Each root keeps its
+    irreducible factor as its minimal polynomial."""
     lo, hi = Fraction(lo), Fraction(hi)
     if not (1 <= lo < hi <= 2):
         raise DomainError("bracket must satisfy 1 <= lo < hi <= 2")
@@ -521,9 +522,11 @@ def real_roots(F, lo, hi) -> list:
             r = Fraction(-g[0], g[1])
             if lo < r <= hi:
                 found.append(AlgBase.from_rational(r))
-        else:
-            found.extend(AlgBase.from_bracket(g, a, b)
-                         for a, b in polys.isolate_roots(g, lo, hi))
+            continue
+        for a, b in polys.isolate_roots(g, lo, hi):
+            root = AlgBase.from_bracket(g, a, b)
+            root._minpoly = g
+            found.append(root)
     return found
 
 

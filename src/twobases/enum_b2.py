@@ -34,6 +34,8 @@ from .b2core import (
     prop62_pair,
     q_f_base,
     _assemble,
+    _block,
+    _bridge,
     _check_profile,
     _residual_check,
 )
@@ -41,6 +43,7 @@ from .classify import in_A_prime
 from .errors import DomainError, NotFoundWithinBoundsError
 from .words import (
     EPSeq, ComponentSpec, GEN0, SeriesEnclosure, eval_seq, lex_cmp, prepend, word_dec,
+    _primitive, _shortest,
 )
 
 __all__ = [
@@ -138,45 +141,140 @@ def enum_reprs(n: int, Jmax: int) -> list:
     length of the assembled sequence description, then lexicographic."""
     if n < 0 or Jmax < 1:
         raise DomainError("need n >= 0 and Jmax >= 1")
-    out = list(_profiles(n, Jmax))
-
-    def key(v):
-        seq = repr_to_seq(v)
-        return (len(seq.pre) + len(seq.per), seq.pre + "(" + seq.per + ")",
-                *_vector_key(v))
-
-    out.sort(key=key)
-    return out
+    rows = [(_text_key(text), _profile(n, Jmax, i))
+            for text, (_, *ids) in _walk(GEN0, n, Jmax).items() for i in ids]
+    rows.sort(key=lambda r: (*r[0], r[1][0], r[1][1], r[1][2][:-1]))
+    return [ReprVector(*v) for _, v in rows]
 
 
-def _profiles(top: int, Jmax: int):
+def _text_key(text) -> tuple:
+    """(length, text) of the sequence pre (per)^inf; (0) alone has length 1."""
+    pre, per = text
+    return len(pre) + len(per), pre + "(" + per + ")"
+
+
+def _walk(comp, top, Jmax, encs=()) -> dict:
     """Every block profile with levels below `top` and finite repetition
-    counts at most Jmax (a nonempty leading run), the all-zero one first."""
-    yield ReprVector((), (), (math.inf,))
+    counts at most Jmax (a nonempty leading run), by the sequence it
+    assembles: {(pre, per): (weight, *bounds, *ids)}, with the canonical
+    text of each sequence, the least top_k + 1 of its profiles, the
+    enclosure (lo, hi) of (1t) at each SeriesEnclosure of `encs` in turn,
+    and the places of its profiles in the walk (see `_profile`).
+
+    The walk goes depth first through the zero profile, then the number of
+    levels, the levels k, the bridges s and the counts j0, j1, ... in turn,
+    extending the raw preperiod one run at a time.  It carries the digit
+    sums of the lead 1 and the raw preperiod at every enclosure, flattened
+    to (lo, hi, lo, hi, ...); a run's sums depend only on its word and its
+    position, so each is computed once.  The canonical preperiod is a
+    prefix of the raw one, so the bounds are exactly
+    `enc.enclose(EPSeq(pre, per), "1")`.  Entries are flat tuples of
+    numbers, which the garbage collector stops tracking at once.
+    """
+    periods = [_primitive(_block(comp, k)) for k in range(top)]
+    tails = {}
+    runs = {}
+    count = 0
+
+    def run(word, at):
+        # the digit sums of word at positions at, at + 1, ...
+        d = runs.get((word, at))
+        if d is None:
+            d = runs[word, at] = tuple(x for enc in encs for x in enc.digit_sums(word, at))
+        return d
+
+    def leaf(pre, per, weight, sums):
+        nonlocal count
+        text = _shortest(pre, per)
+        seen = tails.get(text)
+        if seen is not None:
+            tails[text] = (min(seen[0], weight), *seen[1:], count)
+        else:
+            cut = len(text[0])
+            if encs and cut < len(pre):
+                sums = tuple(map(operator.sub, sums, run(pre[cut:], cut + 2)))
+            entry = [weight]
+            for i, enc in enumerate(encs):
+                entry += enc.with_period(sums[2 * i], sums[2 * i + 1], text[1], cut + 1)
+            entry.append(count)
+            tails[text] = tuple(entry)
+        count += 1
+
+    def grow(k, s, i, pre, sums):
+        # the run of stage i: the generator (i = 0, nonempty), or block
+        # k[i - 1] and then the bridge to k[i] where s[i - 1] is set; the
+        # last stage ends in the periodic tail of block k[-1]
+        if i == 0:
+            block, bridge = comp.generator, ""
+        else:
+            block = _block(comp, k[i - 1])
+            bridge = _bridge(comp, k[i - 1], k[i]) if s[i - 1] else ""
+        last = i + 1 == len(k)
+        for c in range(Jmax + 1):
+            if c:
+                if encs:
+                    sums = tuple(map(operator.add, sums, run(block, len(pre) + 2)))
+                pre += block
+            elif i == 0:
+                continue
+            if bridge:
+                child = pre + bridge, (tuple(map(operator.add, sums, run(bridge, len(pre) + 2)))
+                                       if encs else sums)
+            else:
+                child = pre, sums
+            if last:
+                leaf(child[0], periods[k[-1]], k[-1] + 1, child[1])
+            else:
+                grow(k, s, i + 1, *child)
+
+    # digit i of the raw preperiod sits at position i + 2, after the lead 1
+    ones = run("1", 1)
+    leaf("", "0", 0, ones)
     for m in range(1, top + 1):
         for k in itertools.combinations(range(top), m):
             for s in itertools.product((0, 1), repeat=m - 1):
-                for j0 in range(1, Jmax + 1):
-                    for mids in itertools.product(range(Jmax + 1), repeat=m - 1):
-                        yield ReprVector(k, s, (j0, *mids, math.inf))
+                grow(k, s, 0, "", ones)
+    return tails
 
 
-def _graded_tails(comp, n, Jmax, cap=math.inf) -> dict:
-    """Distinct assembled sequences of interval n, each with every profile
-    that assembles it (in generation order), grouped by the weight of the
-    lightest one; each group in (length, text) order.
+def _profile(top, Jmax, i) -> tuple:
+    """The profile (k, s, j) that `_walk` with these bounds visits i-th."""
+    if i == 0:
+        return (), (), (math.inf,)
+    i -= 1
+    for m in range(1, top + 1):
+        size = Jmax * (Jmax + 1) ** (m - 1)
+        groups = math.comb(top, m) << (m - 1)
+        if i >= groups * size:
+            i -= groups * size
+            continue
+        g, i = divmod(i, size)
+        ki, si = divmod(g, 1 << (m - 1))
+        k = next(itertools.islice(itertools.combinations(range(top), m), ki, None))
+        s = tuple((si >> b) & 1 for b in range(m - 2, -1, -1))
+        mids = []
+        for _ in range(m - 1):
+            i, c = divmod(i, Jmax + 1)
+            mids.append(c)
+        return k, s, (i + 1, *reversed(mids), math.inf)
+    raise DomainError("no such profile")
+
+
+def _graded_tails(comp, n, Jmax, cap=math.inf, encs=()) -> dict:
+    """Distinct assembled sequences of interval n as (text, ids, bounds),
+    grouped by the weight of the lightest profile; each group in (length,
+    text) order.  `ids` are `_profile` places and `bounds` the enclosures
+    at `encs`, flattened to (lo, hi, lo, hi, ...); see `_walk`.
 
     A weight cap enumerates only block levels below it (top_k + 1 <= cap),
     which prunes the profile space hard when cap < n.
     """
-    profiles = {}
-    for v in _profiles(min(n, cap), Jmax):
-        profiles.setdefault(repr_to_seq(v, comp), []).append(v)
     grades = {}
-    for s, vs in profiles.items():
-        grades.setdefault(min(v.top_k for v in vs) + 1, []).append((s, vs))
+    ids = 1 + 2 * len(encs)
+    for text, entry in _walk(comp, min(n, cap), Jmax, encs).items():
+        grades.setdefault(entry[0], []).append((text, entry[ids:], entry[1:ids]))
     for bucket in grades.values():
-        bucket.sort(key=lambda t: (len(t[0].pre) + len(t[0].per), str(t[0])))
+        bucket.sort(key=lambda t: _text_key(t[0]))
     return grades
 
 
@@ -197,15 +295,33 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
     bracket ends at scan start.  Shape-III defects increase on [a0, b1],
     the other shapes are positive there, and later refinement only moves
     the ends inward, so `_pair_roots` returns [] for every dropped pair.
+
+    EPSeqs and ReprVectors are built only for the sequences of the pairs
+    formed.
     """
-    grades = _graded_tails(comp, n, Jmax, cap)
-    bands = None
+    points = ()
     if iv is not None and iv.monotone:
-        a0, b1 = iv.lo.bracket()[0], iv.hi.bracket()[1]
-        bands = {w: _Band([iv.bounds(t, a0)[0] for t, _ in bucket],
-                          [iv.bounds(t, b1)[1] for t, _ in bucket],
+        points = (iv.lo.bracket()[0], iv.hi.bracket()[1])
+    grades = _graded_tails(comp, n, Jmax, cap, iv.enclosures(points) if points else ())
+    bands = None
+    if points:
+        a0, b1 = points
+        bands = {w: _Band([b[0] for _, _, b in bucket], [b[3] for _, _, b in bucket],
                           iv.ones(a0)[0], iv.ones(b1)[1])
                  for w, bucket in grades.items()}
+    built = {}
+
+    def tail(w, x):
+        got = built.get((w, x))
+        if got is None:
+            text, ids, bounds = grades[w][x]
+            t = EPSeq(*text)
+            if points:
+                iv.record(t, points, bounds)
+            got = built[w, x] = (t, [ReprVector(*_profile(min(n, cap), Jmax, i))
+                                     for i in ids])
+        return got
+
     weights = sorted(grades)
     for i, w1 in enumerate(weights):
         for w2 in weights[i:]:
@@ -219,7 +335,7 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
             else:
                 idx = itertools.product(range(len(g1)), range(len(g2)))
             for x, y in idx:
-                (c, vcs), (d, vds) = g1[x], g2[y]
+                (c, vcs), (d, vds) = tail(w1, x), tail(w2, y)
                 if c == d:
                     if not c.is_zero():
                         vs = sorted(vcs, key=_vector_key)
@@ -287,6 +403,16 @@ class _Interval:
     def ones(self, e: Fraction) -> tuple:
         """(floor, ceil) of 2^K/(e - 1)."""
         return self._table(e)[0].ones
+
+    def enclosures(self, points) -> list:
+        """The SeriesEnclosure of each point, for `_walk`."""
+        return [self._table(e)[0] for e in points]
+
+    def record(self, t: EPSeq, points, bounds) -> None:
+        """Keep the enclosures of (1t) at the points, flattened to
+        (lo, hi, lo, hi, ...), for `bounds`."""
+        for i, e in enumerate(points):
+            self._table(e)[1][t] = bounds[2 * i:2 * i + 2]
 
     def bounds(self, t: EPSeq, e: Fraction) -> tuple:
         """(lo, hi) around 2^K (1t)_e, enclosed once per tail and end."""
@@ -473,16 +599,22 @@ def _endpoint_certificate(comp, iv, n, j, Jmax):
         return None
     qn = iv.lo
     a0, a1 = qn.bracket()
-    # each sequence stands for itself through its first lightest profile
-    tails = [(w, s, min(vs, key=lambda v: v.top_k))
-             for w, bucket in sorted(_graded_tails(comp, n - 1, Jmax, maxweight).items())
-             for s, vs in bucket]
-    band = _Band([iv.bounds(s, a1)[0] for _, s, _ in tails],
-                 [iv.bounds(s, a0)[1] for _, s, _ in tails],
+    points = (a1, a0)
+    tails = [(w, text, ids, bounds)
+             for w, bucket in sorted(_graded_tails(comp, n - 1, Jmax, maxweight,
+                                                   iv.enclosures(points)).items())
+             for text, ids, bounds in bucket]
+    band = _Band([b[0] for *_, b in tails], [b[3] for *_, b in tails],
                  iv.ones(a0)[0], iv.ones(a1)[1])
-    entries = [(w, s, v, eval_seq(prepend("1", s), qn))
-               for (w, s, v), lc, hc in zip(tails, band.lo, band.hi)
-               if band.partners(lc, hc)]
+    entries = []
+    for (w, text, ids, bounds), lc, hc in zip(tails, band.lo, band.hi):
+        if band.partners(lc, hc):
+            s = EPSeq(*text)
+            iv.record(s, points, bounds)
+            # each sequence stands for itself through its first lightest profile
+            v = min((ReprVector(*_profile(min(n - 1, maxweight), Jmax, i)) for i in ids),
+                    key=lambda v: v.top_k)
+            entries.append((w, s, v, eval_seq(prepend("1", s), qn)))
     if not entries:
         return None
     ones = qn.field().series_den_inv(0, 1)

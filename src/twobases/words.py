@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from math import lcm
 
 from . import polys
@@ -19,7 +19,8 @@ LT, EQ, GT = -1, 0, 1
 
 
 def _check_word(w: str, name: str = "word") -> None:
-    if any(ch not in "01" for ch in w):
+    # strip leaves a character exactly when some digit is not 0/1
+    if not isinstance(w, str) or w.strip("01"):
         raise DomainError(f"{name} must consist of digits 0/1, got {w!r}")
 
 
@@ -85,6 +86,17 @@ def _primitive(per: str) -> str:
     return per
 
 
+def _shortest(pre: str, per: str) -> tuple:
+    """(pre, per) with the shortest preperiod: the period window moves left
+    over every trailing digit of pre that the period repeats.  The result's
+    preperiod is a prefix of pre."""
+    n, p, t = len(pre), len(per), 0
+    while t < n and pre[n - 1 - t] == per[p - 1 - t % p]:
+        t += 1
+    r = t % p
+    return pre[:n - t], per[p - r:] + per[:p - r]
+
+
 @dataclass(frozen=True)
 class EPSeq:
     """Eventually periodic 0/1 sequence pre (per)^inf, canonicalized."""
@@ -97,11 +109,7 @@ class EPSeq:
         _check_word(self.per, "period")
         if not self.per:
             raise DomainError("period must be nonempty")
-        pre, per = self.pre, _primitive(self.per)
-        # shortest preperiod: rotate the period window left while possible
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1] + per[:-1]
+        pre, per = _shortest(self.pre, _primitive(self.per))
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
@@ -271,8 +279,13 @@ class SeriesEnclosure:
     With K = ENCLOSE_BITS and x = 1/e = b/a, `enclose(s)` gives integers
     lo <= 2^K (s)_e <= hi.  The powers 2^K x^i are kept rounded down and
     rounded up, grown on demand and shared by every sequence enclosed at e;
-    the geometric factor 1/(1 - x^p) of the period is rounded outward too.
+    the geometric factor 1/(1 - x^p) of the period is rounded outward too,
+    and the period's share is kept per (period, preperiod length).
     `ones` is (floor, ceil) of 2^K/(e - 1), the value of 1^inf.
+
+    `digit_sums` and `with_period` are the two halves of `enclose`, so a
+    caller can sum a preperiod block by block and still get its enclosure
+    bit for bit.
     """
 
     def __init__(self, e):
@@ -284,6 +297,7 @@ class SeriesEnclosure:
         self._lo, self._hi = [self._one], [self._one]
         num, den = self._one * self._b, self._a - self._b
         self.ones = (num // den, -(-num // den))
+        self._periods = {}
 
     def _powers(self, n: int):
         lo, hi, a, b = self._lo, self._hi, self._a, self._b
@@ -292,23 +306,36 @@ class SeriesEnclosure:
             hi.append(-(-hi[-1] * b // a))
         return lo, hi
 
+    def digit_sums(self, word: str, start: int = 1) -> tuple:
+        """(lo, hi): the rounded-down and the rounded-up 2^K x^i summed over
+        the positions i = start, start + 1, ... that hold a digit 1 of word."""
+        digits = word.encode().translate(_DIGIT_BYTES)
+        end = start + len(digits)
+        lo, hi = self._powers(end)
+        return (sum(compress(lo[start:end], digits)),
+                sum(compress(hi[start:end], digits)))
+
+    def with_period(self, lo: int, hi: int, per: str, m: int) -> tuple:
+        """(lo, hi) around 2^K times the value of the sequence whose m-digit
+        preperiod has the digit sums (lo, hi) and whose period is per."""
+        part = self._periods.get((per, m))
+        if part is None:
+            # the period repeats with ratio x^p: per / (1 - x^p)
+            plo, phi = self.digit_sums(per, m + 1)
+            one, p = self._one, len(per)
+            den = one - self._hi[p]
+            part = self._periods[per, m] = (
+                plo * one // (one - self._lo[p]),
+                -(-phi * one // den) if den > 0 else self.ones[1])
+        # every 0/1 series is at most 1^inf
+        return lo + part[0], min(hi + part[1], self.ones[1])
+
     def enclose(self, s: EPSeq, lead: str = "") -> tuple:
         """(lo, hi) around 2^K times the value of the sequence lead s."""
         _check_seq(s)
         _check_word(lead, "leading word")
-        pre = (lead + s.pre).encode().translate(_DIGIT_BYTES)
-        per = s.per.encode().translate(_DIGIT_BYTES)
-        m, p = len(pre), len(per)
-        lo, hi = self._powers(m + p)
-        one, top = self._one, self.ones[1]
-        # the period repeats with ratio x^p: per / (1 - x^p)
-        plo = sum(compress(islice(lo, m + 1, None), per)) * one // (one - lo[p])
-        den = one - hi[p]
-        phi = (-(-sum(compress(islice(hi, m + 1, None), per)) * one // den)
-               if den > 0 else top)
-        # every 0/1 series is at most 1^inf
-        return (sum(compress(islice(lo, 1, None), pre)) + plo,
-                min(sum(compress(islice(hi, 1, None), pre)) + phi, top))
+        pre = lead + s.pre
+        return self.with_period(*self.digit_sums(pre), s.per, len(pre))
 
 
 # -- text form -------------------------------------------------------------

@@ -16,6 +16,7 @@ from twobases.bases import (
     AlgBase, alpha_digits, beta_digits, alpha_epseq, parry_check,
     base_from_alpha, cmp_seq_alpha, real_roots,
 )
+from twobases.b2core import solve_qcd
 from twobases.errors import DomainError, UnsupportedBaseError
 from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq
 from test_polys import divmod_exact, interval_eval
@@ -122,6 +123,42 @@ def test_real_roots_match_sturm_count():
         assert all(a.cmp(b) != 0 for i, a in enumerate(roots) for b in roots[i + 1:])
     with pytest.raises(DomainError):
         real_roots((-3, 2), Fraction(1, 2), 2)
+
+
+def test_real_roots_keep_their_factor_as_minpoly():
+    # each root's minimal polynomial is the irreducible factor it was
+    # isolated from: the one factoring the whole polynomial again picks
+    # once the root's bracket holds no other root
+    rng = random.Random(3019)
+    pool = ((-2, 0, 1), (-1, -1, 1), (-5, 0, 2), (-1, -2, 2), (-1, 1, -2, 1),
+            (-1, -1, -2, 0, 1), (1, 0, 1), (1, 1, 1))
+    for _ in range(30):
+        p = (1,)
+        for _ in range(rng.randint(1, 4)):
+            p = polys.mul(p, rng.choice(pool))
+        factors = [g for g, _ in polys.factor_int(p)]
+        for r in real_roots(p, 1, 2):
+            assert r.minpoly() in factors
+            lo, hi = r.bracket()
+            while polys.count_roots_halfopen(p, lo, hi) > 1:
+                lo, hi = r.bracket((hi - lo) / 2)
+            assert AlgBase.from_poly(p, lo, hi).minpoly() == r.minpoly()
+
+
+def test_solve_qcd_factors_the_defect_once(monkeypatch):
+    # the root's minimal polynomial is the factor real_roots found, so
+    # minpoly() does not factor it again
+    calls = []
+    factor_int = polys.factor_int
+
+    def counted(p):
+        calls.append(p)
+        return factor_int(p)
+    monkeypatch.setattr(polys, "factor_int", counted)
+    root = solve_qcd(parse_epseq("000(01)"), parse_epseq("0(01)"),
+                     Fraction(17, 10), Fraction(9, 5))
+    assert root.minpoly() == (-1, -1, -2, 0, 1)
+    assert len(calls) == 1
 
 
 def _fraction_bisection(poly, lo, hi, width):

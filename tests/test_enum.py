@@ -123,6 +123,86 @@ def test_omega_never_a_factor():
     assert reflected_hits > 0
 
 
+def _profiles_oracle(top, Jmax):
+    """Every block profile with levels below `top` and finite counts at most
+    Jmax (a nonempty leading run), the all-zero one first: the generation
+    order that `enum_b2._walk` follows."""
+    yield ReprVector((), (), (INF,))
+    for m in range(1, top + 1):
+        for k in itertools.combinations(range(top), m):
+            for s in itertools.product((0, 1), repeat=m - 1):
+                for j0 in range(1, Jmax + 1):
+                    for mids in itertools.product(range(Jmax + 1), repeat=m - 1):
+                        yield ReprVector(k, s, (j0, *mids, INF))
+
+
+def _graded_oracle(comp, n, Jmax, cap=INF):
+    """Grades built profile by profile through repr_to_seq and EPSeq."""
+    profiles = {}
+    for v in _profiles_oracle(min(n, cap), Jmax):
+        profiles.setdefault(repr_to_seq(v, comp), []).append(v)
+    grades = {}
+    for t, vs in profiles.items():
+        grades.setdefault(min(v.top_k for v in vs) + 1, []).append((t, vs))
+    for bucket in grades.values():
+        bucket.sort(key=lambda b: (len(b[0].pre) + len(b[0].per), str(b[0])))
+    return grades
+
+
+@pytest.mark.parametrize("gen, n, Jmax, cap", [
+    ("0", 0, 3, INF), ("0", 1, 4, INF), ("0", 2, 3, INF), ("0", 3, 2, INF),
+    ("0", 4, 2, INF), ("0", 3, 3, 2), ("0", 4, 2, 3), ("0", 4, 1, 1),
+    ("10", 1, 3, INF), ("10", 2, 2, INF), ("10", 2, 3, 1),
+])
+def test_walk_matches_profile_route(gen, n, Jmax, cap):
+    # the same sequences with the same profiles in generation order, the
+    # same lightest weights, in the same order; the text is canonical
+    comp = ComponentSpec(gen)
+    walked = enum_b2._graded_tails(comp, n, Jmax, cap)
+    top = min(n, cap)
+    got = {w: [(EPSeq(*text), [ReprVector(*enum_b2._profile(top, Jmax, i)) for i in ids])
+               for text, ids, _ in bucket]
+           for w, bucket in walked.items()}
+    assert got == _graded_oracle(comp, n, Jmax, cap)
+    for bucket in walked.values():
+        for text, _, _ in bucket:
+            t = EPSeq(*text)
+            assert (t.pre, t.per) == text
+
+
+@pytest.mark.parametrize("n, Jmax", [(0, 1), (1, 4), (2, 4), (3, 3), (4, 4)])
+def test_enum_reprs_matches_profile_route(n, Jmax):
+    def key(v):
+        t = repr_to_seq(v, GEN0)
+        return (len(t.pre) + len(t.per), t.pre + "(" + t.per + ")",
+                v.k, v.s, v.j[:-1])
+    assert enum_reprs(n, Jmax) == sorted(_profiles_oracle(n, Jmax), key=key)
+
+
+POINTS = st.fractions(1, 3, max_denominator=10**30).filter(lambda e: e > 1)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(POINTS, POINTS, st.sampled_from([4, 128]),
+       st.sampled_from([("0", 3, 2), ("0", 2, 4), ("10", 2, 2)]))
+@example(Fraction(3, 2), Fraction(2), 4, ("0", 3, 2))
+def test_walk_enclosures_match_enclose(e1, e2, bits, slice_):
+    # the running digit sums and the cached periods give bit for bit what
+    # enclosing each canonical sequence afresh gives
+    gen, n, Jmax = slice_
+    saved = words.ENCLOSE_BITS
+    words.ENCLOSE_BITS = bits
+    try:
+        walked = enum_b2._walk(ComponentSpec(gen), n, Jmax,
+                               [words.SeriesEnclosure(e1), words.SeriesEnclosure(e2)])
+        fresh = words.SeriesEnclosure(e1), words.SeriesEnclosure(e2)
+        for text, entry in walked.items():
+            t = EPSeq(*text)
+            assert entry[1:5] == (*fresh[0].enclose(t, "1"), *fresh[1].enclose(t, "1"))
+    finally:
+        words.ENCLOSE_BITS = saved
+
+
 def _brute_vector_pairs(n, Jmax, comp):
     """Every unordered pair of enum_reprs profiles as (c, d, vc, vd) with
     c <= d lexicographically, (0^inf, 0^inf) left out."""

@@ -141,10 +141,10 @@ def enum_reprs(n: int, Jmax: int) -> list:
     length of the assembled sequence description, then lexicographic."""
     if n < 0 or Jmax < 1:
         raise DomainError("need n >= 0 and Jmax >= 1")
-    rows = [(_text_key(text), _profile(n, Jmax, i))
+    rows = [(_text_key(text), ReprVector(*_profile(n, Jmax, i)))
             for text, (_, *ids) in _walk(GEN0, n, Jmax).items() for i in ids]
-    rows.sort(key=lambda r: (*r[0], r[1][0], r[1][1], r[1][2][:-1]))
-    return [ReprVector(*v) for _, v in rows]
+    rows.sort(key=lambda r: (*r[0], *_vector_key(r[1])))
+    return [v for _, v in rows]
 
 
 def _text_key(text) -> tuple:
@@ -191,7 +191,7 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
             tails[text] = (min(seen[0], weight), *seen[1:], count)
         else:
             cut = len(text[0])
-            if encs and cut < len(pre):
+            if cut < len(pre):
                 sums = tuple(map(operator.sub, sums, run(pre[cut:], cut + 2)))
             entry = [weight]
             for i, enc in enumerate(encs):
@@ -212,20 +212,18 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
         last = i + 1 == len(k)
         for c in range(Jmax + 1):
             if c:
-                if encs:
-                    sums = tuple(map(operator.add, sums, run(block, len(pre) + 2)))
+                sums = tuple(map(operator.add, sums, run(block, len(pre) + 2)))
                 pre += block
             elif i == 0:
                 continue
+            child, child_sums = pre, sums
             if bridge:
-                child = pre + bridge, (tuple(map(operator.add, sums, run(bridge, len(pre) + 2)))
-                                       if encs else sums)
-            else:
-                child = pre, sums
+                child += bridge
+                child_sums = tuple(map(operator.add, sums, run(bridge, len(pre) + 2)))
             if last:
-                leaf(child[0], periods[k[-1]], k[-1] + 1, child[1])
+                leaf(child, periods[k[-1]], k[-1] + 1, child_sums)
             else:
-                grow(k, s, i + 1, *child)
+                grow(k, s, i + 1, child, child_sums)
 
     # digit i of the raw preperiod sits at position i + 2, after the lead 1
     ones = run("1", 1)

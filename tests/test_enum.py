@@ -182,7 +182,7 @@ def test_enum_reprs_matches_profile_route(n, Jmax):
 POINTS = st.fractions(1, 3, max_denominator=10**30).filter(lambda e: e > 1)
 
 
-@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(POINTS, POINTS, st.sampled_from([4, 128]),
        st.sampled_from([("0", 3, 2), ("0", 2, 4), ("10", 2, 2)]))
 @example(Fraction(3, 2), Fraction(2), 4, ("0", 3, 2))
@@ -496,8 +496,8 @@ def test_min_derived_small_orders():
         min_derived(-1)
 
 
-# min_derived(5, 6, 5).to_json(), captured before the tail walk replaced the
-# per-profile assembly: interval 5 at the default Jmax
+# min_derived(5, 6, 5).to_json() at the default Jmax: the deep-pair root of
+# interval 5 (no endpoint or interior certificate of order 5 up to Jmax 6)
 MIN_DERIVED_5 = {
     "minpoly": [-1, -1, -1, -1, -1, -1, -1, -1, -2, -2, -2, -2, -2, -2, -2, -2,
                 -2, -2, -1, -2, -4, -2, -2, -2, 0, -2, -3, -2, -2, -2, -2, -2,

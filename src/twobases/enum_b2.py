@@ -304,6 +304,7 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
     bands = None
     if points:
         a0, b1 = points
+        # bounds are (lo, hi) at a0, then (lo, hi) at b1
         bands = {w: _Band([b[0] for _, _, b in bucket], [b[3] for _, _, b in bucket],
                           iv.ones(a0)[0], iv.ones(b1)[1])
                  for w, bucket in grades.items()}
@@ -602,6 +603,7 @@ def _endpoint_certificate(comp, iv, n, j, Jmax):
              for w, bucket in sorted(_graded_tails(comp, n - 1, Jmax, maxweight,
                                                    iv.enclosures(points)).items())
              for text, ids, bounds in bucket]
+    # lo at a1 and hi at a0, from bounds (lo, hi) at a1, then (lo, hi) at a0
     band = _Band([b[0] for *_, b in tails], [b[3] for *_, b in tails],
                  iv.ones(a0)[0], iv.ones(a1)[1])
     entries = []

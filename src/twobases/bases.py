@@ -387,13 +387,8 @@ class AlgBase:
                 r = self.exact_rational
                 self._minpoly = polys.to_int_poly((-r.numerator, r.denominator))
             else:
-                cands = [f for f, _ in polys.factor_int(self.poly)]
-                hits = [
-                    f
-                    for f in cands
-                    if polys.degree(f) >= 1
-                    and polys.count_roots_halfopen(f, self._lo, self._hi) == 1
-                ]
+                hits = [f for f, n in polys.root_factors(self.poly, self._lo, self._hi)
+                        if n == 1]
                 if len(hits) != 1:
                     raise DomainError(
                         f"bracket holds a root of {len(hits)} irreducible factors"
@@ -510,20 +505,21 @@ def _dec_str(x: Fraction, digits: int, rounding=_round_half_up) -> str:
 
 def real_roots(F, lo, hi) -> list:
     """Every real root of the integer polynomial F in (lo, hi], as AlgBases,
-    taken factor by factor (in `polys.factor_int` order) and left to right
-    within each factor.  Needs 1 <= lo < hi <= 2.  Each root keeps its
-    irreducible factor as its minimal polynomial."""
+    taken factor by factor (the irreducible factors of F with a root there,
+    in `polys.root_factors` order) and left to right within each factor.
+    Needs 1 <= lo < hi <= 2.  Each root keeps its irreducible factor as its
+    minimal polynomial."""
     lo, hi = Fraction(lo), Fraction(hi)
     if not (1 <= lo < hi <= 2):
         raise DomainError("bracket must satisfy 1 <= lo < hi <= 2")
     found = []
-    for g, _ in polys.factor_int(F):
+    for g, n in polys.root_factors(F, lo, hi):
         if polys.degree(g) == 1:
-            r = Fraction(-g[0], g[1])
-            if lo < r <= hi:
-                found.append(AlgBase.from_rational(r))
+            found.append(AlgBase.from_rational(Fraction(-g[0], g[1])))
             continue
-        for a, b in polys.isolate_roots(g, lo, hi):
+        # isolate_roots returns (lo, hi) itself when it holds one root
+        boxes = [(lo, hi)] if n == 1 else polys.isolate_roots(g, lo, hi)
+        for a, b in boxes:
             root = AlgBase.from_bracket(g, a, b)
             root._minpoly = g
             found.append(root)

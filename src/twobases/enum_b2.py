@@ -174,6 +174,7 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
     periods = [_primitive(_block(comp, k)) for k in range(top)]
     tails = {}
     runs = {}
+    strips = {}
     count = 0
 
     def run(word, at):
@@ -183,9 +184,9 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
             d = runs[word, at] = tuple(x for enc in encs for x in enc.digit_sums(word, at))
         return d
 
-    def leaf(pre, per, weight, sums):
+    def leaf(pre, per, weight, sums, start=0):
         nonlocal count
-        text = _shortest(pre, per)
+        text = _shortest_memo(strips, pre, per, start)
         seen = tails.get(text)
         if seen is not None:
             tails[text] = (min(seen[0], weight), *seen[1:], count)
@@ -210,6 +211,7 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
             block = _block(comp, k[i - 1])
             bridge = _bridge(comp, k[i - 1], k[i]) if s[i - 1] else ""
         last = i + 1 == len(k)
+        start = len(pre)
         for c in range(Jmax + 1):
             if c:
                 sums = tuple(map(operator.add, sums, run(block, len(pre) + 2)))
@@ -221,7 +223,7 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
                 child += bridge
                 child_sums = tuple(map(operator.add, sums, run(bridge, len(pre) + 2)))
             if last:
-                leaf(child, periods[k[-1]], k[-1] + 1, child_sums)
+                leaf(child, periods[k[-1]], k[-1] + 1, child_sums, start)
             else:
                 grow(k, s, i + 1, child, child_sums)
 
@@ -233,6 +235,22 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
             for s in itertools.product((0, 1), repeat=m - 1):
                 grow(k, s, 0, "", ones)
     return tails
+
+
+def _shortest_memo(strips, pre, per, start) -> tuple:
+    """`_shortest(pre, per)`, with the cut memoised in `strips` by the last
+    run pre[start:] and the period.  While the strip stays inside the run it
+    reads only the run's digits, so the cut and the turned period depend on
+    (run, per) alone; a strip that takes the whole run may go on into the
+    digits before it, so there the character loop runs on pre."""
+    key = (pre[start:], per)
+    cut = strips.get(key)
+    if cut is None:
+        head, turned = _shortest(*key)
+        cut = strips[key] = (len(key[0]) - len(head), turned) if head else ()
+    if not cut:
+        return _shortest(pre, per)
+    return pre[:len(pre) - cut[0]], cut[1]
 
 
 def _profile(top, Jmax, i) -> tuple:

@@ -311,7 +311,60 @@ def factor_int(p: Poly) -> list:
         if coeffs[-1] < 0:
             coeffs = [-c for c in coeffs]
         out.append((tuple(coeffs), int(m)))
-    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    out.sort(key=_factor_order)
+    return out
+
+
+def _factor_order(fm) -> tuple:
+    return len(fm[0]), fm[0]
+
+
+def _chain_count(chain: list, a, b) -> int:
+    return sign_variations(chain, a) - sign_variations(chain, b)
+
+
+def root_factors(p: Poly, lo, hi) -> list:
+    """[(factor, n)] for the irreducible factors of the nonzero integer
+    polynomial p that have n >= 1 distinct roots in (lo, hi], in
+    `factor_int` order, with lo < hi rational.
+
+    Only the part of p that holds those roots is factored.  The squarefree
+    part sf is split as g = gcd(sf, reversed sf), which collects the
+    reciprocal factors (cyclotomic, Salem) and each pair f, reversed f, and
+    h = sf / g.  As sf is squarefree, g and h are coprime, so each root of
+    sf is a root of exactly one of them; a part is factored only when its
+    Sturm count on (lo, hi] is positive.  When g is 1 or sf, sf is factored
+    whole."""
+    if not (lo < hi):
+        raise DomainError("need a < b")
+    sf = squarefree_part(p)
+    if degree(sf) < 1:
+        return []
+    if sf[-1] < 0:
+        sf = neg(sf)
+    g = poly_gcd(sf, tuple(reversed(sf)))
+    if 0 < degree(g) < degree(sf):
+        k, h, rem = pseudo_divmod(sf, g)
+        if k != 1 or rem:
+            raise DomainError("the divisor does not divide the polynomial")
+        parts = []
+        for part in (g, h):
+            n = _chain_count(sturm_chain(part), lo, hi)
+            if n:
+                parts.append((part, n))
+    else:
+        parts = [(sf, None)]
+    out = []
+    for part, n in parts:
+        factors = factor_int(part)
+        if len(factors) == 1 and n is not None:
+            out.append((factors[0][0], n))
+            continue
+        for f, _ in factors:
+            m = _chain_count(sturm_chain(f), lo, hi)
+            if m:
+                out.append((f, m))
+    out.sort(key=_factor_order)
     return out
 
 

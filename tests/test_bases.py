@@ -161,6 +161,32 @@ def test_solve_qcd_factors_the_defect_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_minpoly_factors_only_the_part_holding_the_root(monkeypatch):
+    # q_n's polynomial has degree 2^n and carries the cyclotomic cofactor
+    # (q^(2^n) - 1)/(q - 1); the deep pair's degree-49 defect carries
+    # factors of degree 1, 2 and 4 besides its minimal polynomial
+    from twobases.enum_b2 import GEN0, prop62_pair, qn_ladder
+
+    degrees = []
+    factor_int = polys.factor_int
+
+    def recorded(p):
+        degrees.append(polys.degree(p))
+        return factor_int(p)
+    monkeypatch.setattr(polys, "factor_int", recorded)
+    ladder = qn_ladder(GEN0, 6)
+    assert [polys.degree(e.base.poly) for e in ladder] == [2, 4, 8, 16, 32, 64]
+    assert [polys.degree(e.base.minpoly()) for e in ladder] == [2, 3, 5, 9, 17, 33]
+    assert max(degrees) <= 33
+    degrees.clear()
+    c, d = prop62_pair(GEN0, 5)
+    lo = ladder[4].base.bracket(Fraction(1, 10**12))[1]
+    hi = ladder[5].base.bracket(Fraction(1, 10**12))[0]
+    root = solve_qcd(c, d, lo, hi)
+    assert polys.degree(root.minpoly()) == 42
+    assert degrees == [42]
+
+
 def _fraction_bisection(poly, lo, hi, width):
     """Oracle for AlgBase.refine: the same sign bisection with Fraction
     Horner; an exact hit at a midpoint collapses the bracket."""

@@ -139,18 +139,42 @@ def _brute_count(x, q, cap, depth):
     return len(alive)
 
 
+@st.composite
+def finite_tree_point(draw):
+    """(x, q): a rational base q in (1, 2] and a point x whose expansions
+    all end in 0^inf or 1^inf, so its remainder graph is small.
+
+    x is built backward from r = 0 or 1/(q - 1), whose only expansions are
+    0^inf and 1^inf; each step r -> (r + d)/q puts the digit d in front.
+    The new state's other child is r + 2d - 1, and d is drawn only where
+    that child is outside [0, 1/(q - 1)] or is 0 or 1/(q - 1) itself.  So
+    the remainder graph of x is its path back to the start and the loops at
+    0 and 1/(q - 1): at most 10 states."""
+    q = draw(st.fractions(1, 2, max_denominator=7).filter(lambda q: q > 1))
+    lim = 1 / (q - 1)
+    tail = draw(st.sampled_from("01"))
+    r = lim if tail == "1" else Fraction(0)
+    word = ""
+    for _ in range(draw(st.integers(0, 8))):
+        ok = [d for d in (0, 1)
+              if r + 2 * d - 1 in (0, lim) or not 0 <= r + 2 * d - 1 <= lim]
+        if not ok:
+            break
+        d = draw(st.sampled_from(ok))
+        r = (r + d) / q
+        word = str(d) + word
+    return (EPSeq(word, tail) if draw(st.booleans()) else r), q
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.one_of(st.builds(EPSeq, st.text("01", max_size=8),
-                          st.text("01", min_size=1, max_size=4)),
-                st.fractions(-1, 3, max_denominator=16)),
-       st.fractions(1, 2, max_denominator=7).filter(lambda q: q > 1),
-       st.integers(1, 4))
-@example(EPSeq("1", "0"), Fraction(2), 3)            # 1/2: two expansions
-@example(EPSeq("", "01"), Fraction(2), 3)            # 1/3: one
-@example(EPSeq("1", "0"), Fraction(3, 2), 3)         # below the golden ratio
-@example(EPSeq("11", "0"), Fraction(7, 4), 1)
-@example(Fraction(5, 2), Fraction(7, 4), 1)        # above 1/(q - 1): none
-def test_count_expansions_matches_digit_tree(x, q, cap):
+@given(finite_tree_point(), st.integers(1, 4))
+@example((EPSeq("1", "0"), Fraction(2)), 3)            # 1/2: two expansions
+@example((EPSeq("", "01"), Fraction(2)), 3)            # 1/3: one
+@example((EPSeq("1", "0"), Fraction(3, 2)), 3)         # below the golden ratio
+@example((EPSeq("11", "0"), Fraction(7, 4)), 1)
+@example((Fraction(5, 2), Fraction(7, 4)), 1)        # above 1/(q - 1): none
+def test_count_expansions_matches_digit_tree(case, cap):
+    x, q = case
     # with at most S remainder states and no branching cycle, every branch
     # happens within S digits; a branching cycle of length <= S yields a new
     # expansion every S digits after the first S.  So (cap + 1) S digits of

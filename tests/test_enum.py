@@ -179,6 +179,22 @@ def test_enum_reprs_matches_profile_route(n, Jmax):
     assert enum_reprs(n, Jmax) == sorted(_profiles_oracle(n, Jmax), key=key)
 
 
+WORDS = st.text("01", max_size=12)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(WORDS, st.text("01", min_size=1, max_size=6), st.lists(WORDS, min_size=1, max_size=4))
+@example("011", "01", ["0101", "", "11"])    # the strip ends inside the run
+@example("01", "01", ["0101", "1"])          # it takes the whole run
+def test_shortest_memo_matches_shortest(run, per, heads):
+    # one memo shared by preperiods that end in the same run, each asked
+    # twice, so both the first computation and the memoised cut are checked
+    strips = {}
+    for head in heads + heads:
+        pre = head + run
+        assert enum_b2._shortest_memo(strips, pre, per, len(head)) == words._shortest(pre, per)
+
+
 POINTS = st.fractions(1, 3, max_denominator=10**30).filter(lambda e: e > 1)
 
 

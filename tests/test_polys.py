@@ -387,6 +387,134 @@ def test_factor_int_reassembles():
     assert any(g == (-1, 1) and e == 2 for g, e in fac)
 
 
+CYCLOTOMIC = ((-1, 1), (1, 1), (1, 0, 1), (1, 0, 0, 0, 1), (1, 1, 1), (1, -1, 1))
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)   # Salem root 1.17628...
+NON_RECIPROCAL = ((-1, -1, 1), (-1, 1, -2, 1), (-2, 0, 1), (-3, 2), (-1, -1, -2, 0, 1))
+
+
+def _reversed(f):
+    return polys.trim(reversed(f))
+
+
+@st.composite
+def planted_poly(draw):
+    """A product of planted factors: cyclotomic ones, Lehmer's polynomial,
+    x, non-reciprocal ones with or without their reversal, and small
+    arbitrary ones, some repeated, times a unit or content of either sign."""
+    p = (draw(st.sampled_from((1, -1, 3, -2))),)
+    pool = st.sampled_from(CYCLOTOMIC + NON_RECIPROCAL + (LEHMER, (0, 1)))
+    for f, e in draw(st.lists(st.tuples(st.one_of(pool, FACTORS), st.integers(1, 2)),
+                              min_size=1, max_size=4)):
+        for _ in range(e):
+            p = polys.mul(p, f)
+        if draw(st.booleans()):
+            p = polys.mul(p, _reversed(f))
+    return p
+
+
+@st.composite
+def planted_case(draw):
+    """A planted polynomial and a bracket, mostly inside [1, 2]."""
+    p = draw(planted_poly())
+    ends = st.fractions(1, 2, max_denominator=40) if draw(st.integers(0, 3)) else \
+        st.fractions(-3, 3, max_denominator=12)
+    lo, hi = sorted((draw(ends), draw(ends)))
+    if lo == hi:
+        lo, hi = Fraction(1), Fraction(2)
+    return p, lo, hi
+
+
+def whole_root_factors(p, lo, hi):
+    """Oracle: factor p whole, then keep the factors with a root in (lo, hi]."""
+    out = []
+    for f, _ in polys.factor_int(p):
+        n = polys.count_roots_halfopen(f, lo, hi)
+        if n:
+            out.append((f, n))
+    return out
+
+
+def whole_real_roots(F, lo, hi):
+    """Oracle: (factor, bracket) of each root bases.real_roots finds, from
+    factoring F whole, in the same order."""
+    out = []
+    for g, _ in polys.factor_int(F):
+        if polys.degree(g) == 1:
+            r = Fraction(-g[0], g[1])
+            if lo < r <= hi:
+                out.append((g, (r, r)))
+        else:
+            out.extend((g, box) for box in polys.isolate_roots(g, lo, hi))
+    return out
+
+
+def whole_minpoly(p, lo, hi):
+    """Oracle: the one factor of p, factored whole, with exactly one root in
+    (lo, hi], or None when there is not exactly one such factor."""
+    hits = [f for f, _ in polys.factor_int(p) if polys.count_roots_halfopen(f, lo, hi) == 1]
+    return hits[0] if len(hits) == 1 else None
+
+
+def _minpoly_or_none(base):
+    try:
+        return base.minpoly()
+    except DomainError:
+        return None
+
+
+# Lehmer times cyclotomic factors and x - 3: the root in (1, 2] lies in the
+# reciprocal part, and the other part has no root there
+LEHMER_CASE = polys.mul(polys.mul(LEHMER, polys.mul((1, 1), (1, -1, 1))), (-3, 1))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(planted_case())
+@example((LEHMER_CASE, Fraction(1), Fraction(2)))
+@example((polys.mul((-1, -1, 1), (1, -1, -1)), Fraction(-1), Fraction(2)))
+@example((polys.mul(LEHMER, polys.mul((-6, 5), (-7, 4))), Fraction(1), Fraction(2)))
+@example((polys.neg(polys.mul(polys.mul((0, 1), (0, 1)), (-2, 0, 1))), Fraction(-2), Fraction(2)))
+def test_root_factors_match_factoring_whole(case):
+    from twobases.bases import AlgBase, real_roots
+
+    p, lo, hi = case
+    assert polys.root_factors(p, lo, hi) == whole_root_factors(p, lo, hi)
+    if not (1 <= lo < hi <= 2):
+        return
+    want = whole_real_roots(p, lo, hi)
+    assert [(r.minpoly(), r.bracket()) for r in real_roots(p, lo, hi)] == want
+    sf = polys.squarefree_part(p)
+    # a bracket of sf's sign change, whole or around one root, gets the
+    # minimal polynomial factoring whole gives, or the same refusal
+    for a, b in [(lo, hi)] + [box for g, box in want if polys.degree(g) > 1]:
+        if polys.sign_at_rational(sf, a) * polys.sign_at_rational(sf, b) < 0:
+            base = AlgBase.from_bracket(sf, a, b)
+            assert _minpoly_or_none(base) == whole_minpoly(p, a, b)
+
+
+def test_root_factors_on_the_ladder_polynomial_of_q6(monkeypatch):
+    from twobases.enum_b2 import GEN0, qn_ladder
+
+    q6 = qn_ladder(GEN0, 6)[5].base
+    lo, hi = q6.bracket()
+    assert polys.degree(q6.poly) == 64
+    degrees = []
+    factor_int = polys.factor_int
+
+    def recorded(p):
+        degrees.append(polys.degree(p))
+        return factor_int(p)
+    monkeypatch.setattr(polys, "factor_int", recorded)
+    got = polys.root_factors(q6.poly, lo, hi)
+    # (q^64 - 1)/(q - 1) divides out: only the degree-33 part is factored
+    assert degrees == [33]
+    assert [(polys.degree(f), n) for f, n in got] == [(33, 1)]
+    assert got == whole_root_factors(q6.poly, lo, hi)
+    # the Lehmer case factors its reciprocal part only, chosen by its count
+    degrees.clear()
+    assert polys.root_factors(LEHMER_CASE, 1, 2) == [(LEHMER, 1)]
+    assert degrees == [13]
+
+
 def test_interval_eval_contains_value():
     rng = random.Random(1004)
     for _ in range(60):

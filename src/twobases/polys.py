@@ -216,6 +216,11 @@ def sign_variations(chain: Sequence[Poly], x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _chain_count(chain: list, a, b) -> int:
+    """Roots in (a, b] of the squarefree polynomial whose Sturm chain this is."""
+    return sign_variations(chain, a) - sign_variations(chain, b)
+
+
 def _squarefree_chain(p: Poly, a, b) -> list:
     """Sturm chain of the squarefree part of p, for a count on (a, b]."""
     if not (a < b):
@@ -232,8 +237,7 @@ def count_roots_halfopen(p: Poly, a, b) -> int:
     For a squarefree chain V(a) - V(b) counts the roots in (a, b] even when a
     or b is a root: at a root r the leading sign drops out, so V(r) equals V
     just right of r."""
-    ch = _squarefree_chain(p, a, b)
-    return sign_variations(ch, a) - sign_variations(ch, b)
+    return _chain_count(_squarefree_chain(p, a, b), a, b)
 
 
 def isolate_roots(p: Poly, lo, hi) -> list:
@@ -319,10 +323,6 @@ def _factor_order(fm) -> tuple:
     return len(fm[0]), fm[0]
 
 
-def _chain_count(chain: list, a, b) -> int:
-    return sign_variations(chain, a) - sign_variations(chain, b)
-
-
 def root_factors(p: Poly, lo, hi) -> list:
     """[(factor, n)] for the irreducible factors of the nonzero integer
     polynomial p that have n >= 1 distinct roots in (lo, hi], in
@@ -340,8 +340,6 @@ def root_factors(p: Poly, lo, hi) -> list:
     sf = squarefree_part(p)
     if degree(sf) < 1:
         return []
-    if sf[-1] < 0:
-        sf = neg(sf)
     g = poly_gcd(sf, tuple(reversed(sf)))
     if 0 < degree(g) < degree(sf):
         k, h, rem = pseudo_divmod(sf, g)
@@ -358,6 +356,7 @@ def root_factors(p: Poly, lo, hi) -> list:
     for part, n in parts:
         factors = factor_int(part)
         if len(factors) == 1 and n is not None:
+            # an irreducible part: its count is its factor's
             out.append((factors[0][0], n))
             continue
         for f, _ in factors:

@@ -353,22 +353,38 @@ class AlgBase:
         return self._lo, self._hi
 
     def refine(self, width) -> "AlgBase":
+        """Bisect the bracket until it is narrower than width.
+
+        The ends are integer numerators a < b over one denominator d.  A
+        step doubles a, b and d and takes m = a + b (the old a + b) as the
+        midpoint, so the midpoints and the stored Fractions are those of
+        bisecting in Fractions.  The sign at m / d is that of
+        d^n poly(m / d), by homogenised Horner in integers."""
         if self.exact_rational is not None:
             return self
         width = Fraction(width)
-        lo, hi, slo = self._lo, self._hi, self._slo
-        while hi - lo >= width:
-            mid = (lo + hi) / 2
-            s = polys.sign_at_rational(self.poly, mid)
-            if s == 0:
-                self.exact_rational = mid
-                self._lo = self._hi = mid
+        lo, hi = self._lo, self._hi
+        d = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        wn, wd = width.numerator, width.denominator
+        if (b - a) * wd < wn * d:
+            return self
+        rev, up = tuple(reversed(self.poly)), self._slo > 0
+        while (b - a) * wd >= wn * d:
+            m = a + b
+            a, b, d = 2 * a, 2 * b, 2 * d
+            acc, dk = 0, 1
+            for c in rev:
+                acc = acc * m + c * dk
+                dk *= d
+            if not acc:
+                self.exact_rational = self._lo = self._hi = Fraction(m, d)
                 return self
-            if s == slo:
-                lo = mid
+            if (acc > 0) == up:
+                a = m
             else:
-                hi = mid
-        self._lo, self._hi, self._slo = lo, hi, slo
+                b = m
+        self._lo, self._hi = Fraction(a, d), Fraction(b, d)
         return self
 
     def __float__(self):

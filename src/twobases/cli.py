@@ -12,6 +12,7 @@ bounds, 64 malformed usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -309,7 +310,10 @@ def _cmd_witness(cfg: RunConfig, args) -> int:
 # wiring
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args leaves it unchanged,
+    and it writes usage and errors to the sys.stderr of the moment."""
     p = _Parser(prog="twobases", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--precision", type=int, default=30,

@@ -228,11 +228,32 @@ def _cycles_only(aut: UqAutomaton) -> bool:
 
 
 def _charpoly(aut: UqAutomaton) -> tuple:
-    import sympy
+    """det(xI - A) of the transition matrix A, ascending, by Berkowitz's
+    division-free algorithm on A's sparse rows.
 
-    M = sympy.Matrix(aut.matrix())
-    desc = M.charpoly().all_coeffs()
-    return polys.trim(int(c) for c in reversed(desc))
+    With A_i the trailing block of A from row and column i on, split as
+    [[a, R], [C, M]], the characteristic polynomial of A_i is the Toeplitz
+    product of (1, -a, -RC, -RMC, ..., -RM^(k-1)C), k = n - 1 - i, with that
+    of M = A_(i+1).  Each state has at most two out-edges, so M^j C is a
+    walk over two target lists; a missing edge points at the extra slot n,
+    which stays zero, and the vector is zero at the states before i + 1."""
+    n = aut.size
+    pairs = [tuple(t for _b, t in es) + (n,) * (2 - len(es)) for es in aut.edges]
+    # descending coefficients of det(xI - A_(n-1))
+    cp = [1, -pairs[n - 1].count(n - 1)]
+    for i in range(n - 2, -1, -1):
+        ra, rb = (t if t > i else n for t in pairs[i])
+        v = [0] * (i + 1) + [pairs[s].count(i) for s in range(i + 1, n)] + [0]
+        col = [1, -pairs[i].count(i)]
+        for _ in range(n - 1 - i):
+            col.append(-v[ra] - v[rb])
+            v[i + 1:n] = [v[a] + v[b] for a, b in pairs[i + 1:]]
+        new = [0] * len(col)
+        for l, c in enumerate(cp):
+            if c:
+                new[l:] = [x + c * y for x, y in zip(new[l:], col)]
+        cp = new
+    return polys.trim(reversed(cp))
 
 
 def _perron_root(cp) -> AlgBase:

@@ -14,6 +14,7 @@ from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 from typing import Iterable, Sequence
 
+from . import zfactor
 from .errors import DomainError
 
 Poly = tuple  # alias for readability in signatures
@@ -172,20 +173,25 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return a if a[-1] > 0 else neg(a)
 
 
+def _exact_div(a: Poly, b: Poly) -> Poly:
+    """a / b for integer polynomials with b dividing a in Z[x]."""
+    k, quo, rem = pseudo_divmod(a, b)
+    if k != 1 or rem:
+        raise DomainError("the divisor does not divide the polynomial")
+    return quo
+
+
 def squarefree_part(p: Poly) -> Poly:
     """p with repeated factors collapsed; primitive integral, sign of p kept."""
     p = to_int_poly(trim(p))
-    if degree(p) <= 0:
+    if degree(p) <= 0 or zfactor.squarefree_mod_p(p):
         return p
     g = poly_gcd(p, derivative(p))
     if degree(g) == 0:
         return p
     # p primitive and g primitive with lc(g) > 0: by Gauss's lemma the
     # quotient is primitive integral with the sign of p
-    k, quo, rem = pseudo_divmod(p, g)
-    if k != 1 or rem:
-        raise DomainError("the divisor does not divide the polynomial")
-    return quo
+    return _exact_div(p, g)
 
 
 def _sign(x) -> int:
@@ -297,24 +303,49 @@ def interval_sign(p: Poly, lo, hi) -> int:
     return 0
 
 
+def _squarefree_parts(f: Poly) -> list:
+    """[(a_i, i)] with f = prod a_i^i, each a_i squarefree, primitive and
+    nonconstant with positive leading coefficient, for a primitive f of
+    positive degree and leading coefficient (Yun).
+
+    Every divisor is a primitive gcd, so by Gauss's lemma every quotient is
+    integral and the divisions are exact in Z[x]."""
+    if zfactor.squarefree_mod_p(f):
+        return [(f, 1)]
+    out = []
+    d = derivative(f)
+    a = poly_gcd(f, d)
+    b, c = _exact_div(f, a), _exact_div(d, a)
+    i = 1
+    while degree(b) > 0:
+        d = sub(c, derivative(b))
+        a = poly_gcd(b, d)
+        if degree(a) > 0:
+            out.append((a, i))
+        b, c = _exact_div(b, a), _exact_div(d, a)
+        i += 1
+    return out
+
+
 def factor_int(p: Poly) -> list:
     """Irreducible factors of a nonzero integer polynomial.
 
     Returns [(factor, multiplicity)] with each factor a primitive integer
-    tuple (ascending) with positive leading coefficient.  Content and overall
-    sign are dropped.
+    tuple (ascending) with positive leading coefficient, in `_factor_order`.
+    Content and overall sign are dropped.  The power of x is split off, Yun's
+    algorithm gives the squarefree parts, and `zfactor` factors each part.
     """
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed([int(c) for c in p])), x)
-    _, factors = poly.factor_list()
-    out = []
-    for f, m in factors:
-        coeffs = [int(c) for c in reversed(f.all_coeffs())]
-        if coeffs[-1] < 0:
-            coeffs = [-c for c in coeffs]
-        out.append((tuple(coeffs), int(m)))
+    p = trim(int(c) for c in p)
+    k = 0
+    while k < len(p) and not p[k]:
+        k += 1
+    f = _primitive(p[k:])
+    if f and f[-1] < 0:
+        f = neg(f)
+    out = [((0, 1), k)] if k else []
+    if degree(f) > 0:
+        for part, m in _squarefree_parts(f):
+            out.extend((g, m) for g in zfactor.factor_squarefree(part))
     out.sort(key=_factor_order)
     return out
 
@@ -342,9 +373,7 @@ def root_factors(p: Poly, lo, hi) -> list:
         return []
     g = poly_gcd(sf, tuple(reversed(sf)))
     if 0 < degree(g) < degree(sf):
-        k, h, rem = pseudo_divmod(sf, g)
-        if k != 1 or rem:
-            raise DomainError("the divisor does not divide the polynomial")
+        h = _exact_div(sf, g)
         parts = []
         for part in (g, h):
             n = _chain_count(sturm_chain(part), lo, hi)

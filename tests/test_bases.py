@@ -223,6 +223,46 @@ def test_refine_matches_fraction_bisection():
         assert q.bracket(width) == want
 
 
+ONE_ROOT_FACTORS = ((-2, 0, 1), (-1, -1, 1), (-1, -1, -2, 0, 1), (-1, 1, -2, 1), (-3, 2),
+                    (-5, 4), (-13, 8))
+NO_ROOT_FACTORS = ((1, 0, 1), (3, 1), (-7, 3), (1, 1, 1), (-5, 1))
+
+
+@st.composite
+def bisected_base(draw):
+    """A base from one factor with a root in (1, 2), some of them on a
+    dyadic midpoint, times factors without a root in [1, 2], in a bracket
+    that straddles the root, and a few widths to refine to in turn."""
+    f = draw(st.sampled_from(ONE_ROOT_FACTORS))
+    p = polys.mul((draw(st.sampled_from((1, -1, 3))),), f)
+    for g in draw(st.lists(st.sampled_from(NO_ROOT_FACTORS), max_size=2)):
+        p = polys.mul(p, g)
+    root = polys.isolate_roots(f, 1, 2)[0]
+    lo = draw(st.fractions(1, root[0], max_denominator=50))
+    hi = draw(st.fractions(root[1], 2, max_denominator=50).filter(
+        lambda h: polys.sign_at_rational(p, h) != 0))
+    widths = draw(st.lists(st.fractions(Fraction(1, 10**30), 1, max_denominator=10**30),
+                           min_size=1, max_size=3))
+    return p, lo, hi, widths
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(bisected_base())
+@example(((-3, 2), Fraction(1), Fraction(2), [Fraction(1, 10**9)]))
+@example((polys.mul((-13, 8), (1, 0, 1)), Fraction(3, 2), Fraction(7, 4), [Fraction(1, 3), Fraction(1, 10**20)]))
+def test_integer_refine_matches_fraction_bisection_after_each_width(case):
+    """Refining one base to several widths in turn keeps the brackets of
+    the Fraction bisection, including an exact hit on a midpoint."""
+    p, lo, hi, widths = case
+    if polys.sign_at_rational(p, lo) == 0:
+        return
+    q = AlgBase.from_bracket(p, lo, hi)
+    for w in widths:
+        lo, hi = _fraction_bisection(q.poly, lo, hi, w)
+        assert q.bracket(w) == (lo, hi)
+        assert (q.exact_rational is not None) == (lo == hi)
+
+
 def test_field_arithmetic():
     rng = random.Random(3001)
     fld = Q_S.field()

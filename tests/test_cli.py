@@ -1,8 +1,15 @@
 """Command-line interface: output bytes, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import twobases
 from twobases.cli import run
+
+SRC = Path(twobases.__file__).resolve().parents[1]
 
 Q_S_SPEC = "poly:[-1,-1,-2,0,1]@[17/10,9/5]"
 Q_F_SPEC = "poly:[-1,1,-2,1]@[7/4,9/5]"
@@ -193,3 +200,56 @@ def test_byte_determinism(capsys):
     assert first == second
     args = ("--format", "csv", "ladder", "--gen", "0", "--N", "4")
     assert _run(capsys, *args) == _run(capsys, *args)
+
+
+def _fresh(argv, *flags):
+    """(exit code, stdout, stderr) of one command in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+    proc = subprocess.run([sys.executable, *flags, "-m", "twobases.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_a_sequence_of_runs(capsys):
+    """run builds its parser once per process; a usage error, then two
+    commands, print what each prints in an interpreter of its own."""
+    sequence = [["--bogus", "alpha", Q_F_SPEC],
+                ["alpha", Q_F_SPEC],
+                ["--format", "json", "ladder", "--gen", "0", "--N", "3"]]
+    got = [_run(capsys, *argv) for argv in sequence]
+    assert got[0][0] == 64
+    assert got == [_fresh(argv) for argv in sequence]
+
+
+# one command of each subcommand that may reach factoring, the
+# characteristic polynomial or the entropy bounds
+NO_SYMPY = [
+    ["alpha", Q_F_SPEC],
+    ["classify", Q_S_SPEC, "--probable-depth", "64"],
+    ["count", "--x", "100(10)", "--base", Q_S_SPEC, "--cap", "3"],
+    ["solve", "--c", "000(01)", "--d", "0(01)", "--lo", "17/10", "--hi", "9/5"],
+    ["entropy", "alpha:(110)"],
+    ["ladder", "--gen", "0", "--N", "6"],
+    ["witness", "--gen", "0", "--prop62", "4"],
+    ["dim-bound", "--delta", "1/1000000", "alpha:(11010011001011010010)"],
+    ["enum-b2", "--n", "2", "--jmax", "4"],
+    ["derived", "--min", "3"],
+]
+NO_SYMPY_SCRIPT = """
+import contextlib, io, json, sys
+from twobases.cli import run
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(run(argv))
+print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_no_subcommand_loads_sympy():
+    for flags in ((), ("-O",)):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED="0")
+        proc = subprocess.run([sys.executable, *flags, "-c", NO_SYMPY_SCRIPT, json.dumps(NO_SYMPY)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"codes": [0] * len(NO_SYMPY), "sympy": False}

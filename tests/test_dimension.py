@@ -5,14 +5,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twobases.bases import AlgBase, alpha_epseq, base_from_alpha, parry_check
 from twobases.dimension import (
+    UqAutomaton, _charpoly,
     b2_local_bound, brute_count_words, build_automaton, dim_U, entropy,
     overapprox_pool, path_counts, uq_automaton,
 )
 from twobases.errors import DomainError
-from twobases.words import EPSeq, thue_morse
+from twobases.words import EPSeq, parse_epseq, thue_morse
 
 PHI = AlgBase.from_poly((-1, -1, 1), Fraction(3, 2), Fraction(17, 10))
 Q_F = AlgBase.from_poly((-1, 1, -2, 1), Fraction(17, 10), Fraction(9, 5))
@@ -135,3 +138,30 @@ def test_local_bound_validation():
         b2_local_bound(q20, Fraction(1, 2))       # exceeds (2 - q)/3
     with pytest.raises(DomainError):
         b2_local_bound(AlgBase.from_rational(Fraction(51, 50)), Fraction(1, 25))
+
+
+def _sympy_charpoly(aut):
+    """Oracle: sympy's characteristic polynomial of the dense matrix."""
+    import sympy
+
+    desc = sympy.Matrix(aut.matrix()).charpoly().all_coeffs()
+    return tuple(int(c) for c in reversed(desc))
+
+
+@pytest.mark.parametrize("text", ["(10)", "(110)", "(1110)", "(11010)", "11(10)",
+                                  "110(1)", "1101(0011)", "11101(10110)",
+                                  "11010011001011010(01)", "110100110010110(1001)"])
+def test_charpoly_matches_sympy_on_automata(text):
+    aut = uq_automaton(parse_epseq(text))
+    assert _charpoly(aut) == _sympy_charpoly(aut)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 14).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=2).map(lambda ts: tuple(enumerate(ts))),
+    min_size=n, max_size=n)))
+def test_charpoly_matches_sympy_on_sparse_matrices(edges):
+    """Random matrices with at most two ones per row, as the automata
+    have; a repeated target makes an entry 2."""
+    aut = UqAutomaton(None, tuple(range(len(edges))), tuple(edges))
+    assert _charpoly(aut) == _sympy_charpoly(aut)

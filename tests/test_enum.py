@@ -530,3 +530,48 @@ MIN_DERIVED_5 = {
 
 def test_min_derived_order_5_frozen():
     assert min_derived(5, 6, 5).to_json() == MIN_DERIVED_5
+
+
+# min_derived(7, 2, 7).to_json(): the deep-pair root of interval 7, degree 162
+MIN_DERIVED_7 = {
+    "minpoly": [
+        -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+        -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+        -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+        -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+        -2, -2, -1, -2, -4, -2, -2, -2, 0, -2, -4, -2, 0, -2, -2, -2,
+        -4, -2, -2, -2, 0, -2, -2, -2, -4, -2, 0, -2, -4, -2, -2, -2,
+        0, -2, -3, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+        -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+        -2, -1, -1, -1, 0, -1, -1, -1, -2, -1, 0, -1, -2, -1, -1, -1,
+        0, -1, -1, -1, -2, -1, -1, -1, 0, -1, -2, -1, 0, -1, -1, -1,
+        -2, 0, 1,
+    ],
+    "interval": [
+        "38010213510017146897235423032252296167/"
+        "21267647932558653966460912964485513216",
+        "3011479373173524409670108635726574150172109845308420489219939222585/"
+        "1684996666696914987166688442938726917102321526408785780068975640576",
+    ],
+    "approx": "1.78723165018297",
+}
+
+
+def test_min_derived_order_7_frozen_by_the_deep_pair(monkeypatch):
+    """Order 7 at Jmax 2: no endpoint certificate and no interior root of
+    order 7 in intervals 4 to 7, so the deep pair of interval 7 decides."""
+    seen = {"endpoint": [], "interior": [], "deep": []}
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            out = fn(*args)
+            seen[name].append(list(out) if isinstance(out, list) else out)
+            return out
+        return wrapper
+    for name, attr in (("endpoint", "_endpoint_certificate"),
+                       ("interior", "_interior_candidates"), ("deep", "_prop62_root")):
+        monkeypatch.setattr(enum_b2, attr, recorded(name, getattr(enum_b2, attr)))
+    got = min_derived(7, 2, 7)
+    assert got.to_json() == MIN_DERIVED_7
+    assert seen["endpoint"] == [None] * 4 and seen["interior"] == [[]] * 4
+    assert len(seen["deep"]) == 1 and seen["deep"][0] is got

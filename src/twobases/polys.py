@@ -316,14 +316,15 @@ def _squarefree_parts(f: Poly) -> list:
     d = derivative(f)
     a = poly_gcd(f, d)
     b, c = _exact_div(f, a), _exact_div(d, a)
-    i = 1
-    while degree(b) > 0:
+    # b is the product of the factors of multiplicity i and above
+    for i in range(1, degree(f) + 1):
         d = sub(c, derivative(b))
         a = poly_gcd(b, d)
         if degree(a) > 0:
             out.append((a, i))
         b, c = _exact_div(b, a), _exact_div(d, a)
-        i += 1
+        if degree(b) == 0:
+            break
     return out
 
 

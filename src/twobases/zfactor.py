@@ -40,6 +40,9 @@ PRIME_BUDGET = 8
 
 # Frobenius steps of the distinct-degree factorisation per gcd with f.
 _BLOCK = 16
+# Random trials of an equal-degree split before giving up; each trial
+# splits a product of two or more factors with probability at least 1/2.
+_EDF_TRIES = 200
 
 _ORDER = sys.byteorder
 # the narrowest unsigned array type with at least w bytes, for w = 1..8
@@ -251,7 +254,7 @@ def edf(g: list, d: int, p: int, rng: random.Random) -> list:
         return [g]
     mod = _Modulus(g, p)
     e = (p ** d - 1) // 2
-    while True:
+    for _ in range(_EDF_TRIES):
         a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
@@ -260,6 +263,7 @@ def edf(g: list, d: int, p: int, rng: random.Random) -> list:
         c = _gcd(g, _trim(b), p)
         if 1 < len(c) < len(g):
             return edf(c, d, p, rng) + edf(_div(g, c, p), d, p, rng)
+    raise ArithmeticError("no equal-degree split found")
 
 
 def _usable(f: tuple, p: int):
@@ -456,8 +460,6 @@ def factor_squarefree(f: tuple) -> list:
         return [f]
     rng = random.Random(p)
     facs = [u for d, g in parts for u in edf(g, d, p, rng)]
-    if len(facs) == 1:
-        return [f]
     # any factor g of f, times b = lc(f), has coefficients below
     # b 2^n ||f||_2 (Mignotte); lift past twice that
     bound = (f[-1] << n) * (isqrt(sum(c * c for c in f)) + 1)

@@ -182,8 +182,9 @@ class _Modulus:
         return self.reduce(_trim([c % p for c in _kmul(a, b, p)]))
 
     def powmod(self, a: list, e: int) -> list:
-        out = [1]
-        for bit in bin(e)[2:]:
+        """a^e mod f for e >= 1 and a reduced mod f."""
+        out = a
+        for bit in bin(e)[3:]:
             out = self.mulmod(out, out)
             if bit == "1":
                 out = self.mulmod(out, a)
@@ -258,7 +259,7 @@ def edf(g: list, d: int, p: int, rng: random.Random) -> list:
         a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
-        b = mod.powmod(a, e) or [0]
+        b = list(mod.powmod(a, e)) or [0]
         b[0] = (b[0] - 1) % p
         c = _gcd(g, _trim(b), p)
         if 1 < len(c) < len(g):

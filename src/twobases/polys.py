@@ -182,7 +182,9 @@ def _exact_div(a: Poly, b: Poly) -> Poly:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p with repeated factors collapsed; primitive integral, sign of p kept."""
+    """p with repeated factors collapsed; primitive integral, sign of p kept.
+    A p that is squarefree modulo a small prime is squarefree and skips the
+    gcd."""
     p = to_int_poly(trim(p))
     if degree(p) <= 0 or zfactor.squarefree_mod_p(p):
         return p

@@ -2,16 +2,18 @@
 
 An AlgBase carries an integer polynomial and a shrinking rational bracket
 isolating one root in (1, 2].  All sign decisions are exact: either the
-number is rational and we compare directly, or we refine the bracket until
-an interval evaluation excludes zero.  FieldElem gives exact arithmetic in
-Q(q), as integer coefficients over one denominator, for quasi-greedy
-remainders and expansion counting.
+number is rational and we compare directly, or we refine a bracket until
+an enclosure excludes zero.  FieldElem gives exact arithmetic in Q(q), as
+integer coefficients over one denominator, for quasi-greedy remainders and
+expansion counting; its signs come from a fixed-point table of the powers
+of q, built on a bracket that the field keeps to itself.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from . import polys
 from .errors import DomainError, UnsupportedBaseError
@@ -26,9 +28,40 @@ from .words import EPSeq, lex_cmp, shift, _tail_numerator
 SIGN_REFINE_BUDGET = 4096
 
 
+# Bits beyond a numerator's own size that a field sign test aims its
+# precision at.  It decides only how often a table is rebuilt, never whether
+# an enclosure holds.
+SIGN_GUARD_BITS = 64
+
+
 def _undecided(what: str) -> UnsupportedBaseError:
     return UnsupportedBaseError(
         f"{what} undecided after {SIGN_REFINE_BUDGET} bracket refinements")
+
+
+def _bisect(rev: tuple, up: bool, a: int, b: int, d: int, n: int) -> tuple:
+    """n bisection steps of the bracket (a/d, b/d) of the one root of a
+    polynomial in it, given by its reversed coefficients rev, with up telling
+    whether it is positive at a/d.  Returns the new (a, b, d), or (m, m, d)
+    when the midpoint m/d is the root.
+
+    A step doubles a, b and d and takes m = a + b (the old a + b) as the
+    midpoint, so the midpoints are those of bisecting in Fractions.  The sign
+    at m / d is that of d^n poly(m / d), by homogenised Horner in integers."""
+    for _ in range(n):
+        m = a + b
+        a, b, d = 2 * a, 2 * b, 2 * d
+        acc, dk = 0, 1
+        for c in rev:
+            acc = acc * m + c * dk
+            dk *= d
+        if not acc:
+            return m, m, d
+        if (acc > 0) == up:
+            a = m
+        else:
+            b = m
+    return a, b, d
 
 
 class NumberField:
@@ -43,6 +76,12 @@ class NumberField:
         # the nonzero lower coefficients of m, for reduction
         self._terms = tuple((j, c) for j, c in enumerate(self.minpoly[:-1]) if c)
         self._series_den_inv = {}
+        # the private bracket (a/d, b/d) of q, taken from the base at the
+        # first sign test, and the table of its powers at precision _bits
+        self._bracket = None
+        self._up = None
+        self._bits = 0
+        self._powers = None
 
     def reduce(self, coeffs, den: int = 1) -> "FieldElem":
         """The element coeffs(q) / den, for integer coeffs and den > 0.
@@ -103,6 +142,77 @@ class NumberField:
             inv = self._series_den_inv[(m, p)] = self.elem(den).inv()
         return inv
 
+    def qr_minus_one(self, r: "FieldElem") -> "FieldElem":
+        """q r - 1, the step of every remainder walk: (-den, *num) has
+        degree deg, so one reduction step of its top term gives it."""
+        return self.reduce((-r.den,) + r.num, r.den)
+
+    def sign(self, num) -> int:
+        """Exact sign of num(q), for an integer numerator of length deg;
+        UnsupportedBaseError when SIGN_REFINE_BUDGET halvings of the
+        field's bracket in this call do not separate it from zero.
+
+        With lo <= q <= hi and 1 <= lo, integers lo_i <= 2^K q^i <= hi_i
+        for i < deg, rounded outward, bound each term by the end its
+        coefficient's sign picks.  The table keeps mid_i = lo_i + hi_i and
+        rad_i = hi_i - lo_i, which give the same enclosure of 2^(K+1) num(q):
+        sum c_i mid_i plus or minus sum |c_i| rad_i.
+
+        The bracket is the field's own copy of the base's, taken at the
+        base's width on first use.  Narrowing it never moves the base's
+        bracket, so what the base prints does not depend on the walks run
+        in its field.  When the test is undecided, the precision K grows to
+        the numerator's size plus SIGN_GUARD_BITS, and at least by a quarter,
+        and the table is rebuilt once."""
+        if not any(num[1:]):
+            return _sign(num[0])
+        # nonzero reduced num + irreducible minpoly => num(q) != 0, so
+        # narrowing the bracket must separate it from zero
+        if self._bracket is None:
+            self._start()
+        spent = 0
+        while True:
+            mid, rad = self._powers
+            s = sum(map(mul, num, mid))
+            if abs(s) > sum(map(mul, map(abs, num), rad)):
+                return 1 if s > 0 else -1
+            left = SIGN_REFINE_BUDGET - spent
+            if left <= 0:
+                raise _undecided("sign")
+            size = max(abs(c) for c in num).bit_length()
+            k = self._bits
+            spent += self._narrow(max(size + SIGN_GUARD_BITS, k + k // 4 + 1), left)
+
+    def _start(self):
+        lo, hi = self.base.bracket()
+        d = lcm(lo.denominator, hi.denominator)
+        self._bracket = (lo.numerator * (d // lo.denominator),
+                         hi.numerator * (d // hi.denominator), d)
+        self._up = polys.sign_at_rational(self.minpoly, lo) > 0
+        self._narrow(0, 0)
+
+    def _narrow(self, bits: int, budget: int) -> int:
+        """Halve the bracket until it is at most 2^-bits wide, or budget
+        times, and rebuild the power table at the width reached; the number
+        of halvings made."""
+        a, b, d = self._bracket
+        # halvings n with (b - a) 2^bits <= d 2^n
+        k = -(-((b - a) << bits) // d)
+        n = min((k - 1).bit_length() if k > 1 else 0, budget)
+        a, b, d = _bisect(tuple(reversed(self.minpoly)), self._up, a, b, d, n)
+        if a == b:
+            raise DomainError("minimal polynomial has a rational root")
+        self._bracket = a, b, d
+        # the largest K with (b - a) 2^K <= d: a width of at most 2^-K
+        self._bits = K = (d // (b - a)).bit_length() - 1
+        lo, hi = [1 << K], [1 << K]
+        for _ in range(self.deg - 1):
+            lo.append(lo[-1] * a // d)
+            hi.append(-(-hi[-1] * b // d))
+        self._powers = ([x + y for x, y in zip(lo, hi)],
+                        [y - x for x, y in zip(lo, hi)])
+        return n
+
 
 class FieldElem:
     """Element num(q) / den of Q(q): num an integer tuple of length deg and
@@ -152,26 +262,30 @@ class FieldElem:
             return self.field.from_rational(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, for op = operator.add or operator.sub."""
         if isinstance(other, int):
             if not other:
                 return self
             num = list(self.num)
-            num[0] += other * self.den
+            num[0] = op(num[0], other * self.den)
             return FieldElem(self.field, tuple(num), self.den)
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         a, b = self.den, o.den
         if a == b:
-            return FieldElem(self.field, tuple(x + y for x, y in zip(self.num, o.num)), a)
+            return FieldElem(self.field, tuple(map(op, self.num, o.num)), a)
         g = gcd(a, b)
         ka, kb = b // g, a // g
         return FieldElem(
             self.field,
-            tuple(x * ka + y * kb for x, y in zip(self.num, o.num)),
+            tuple(op(x * ka, y * kb) for x, y in zip(self.num, o.num)),
             a * ka,
         )
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -179,9 +293,7 @@ class FieldElem:
         return FieldElem(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, FieldElem)):
-            return self + (-other)
-        return NotImplemented
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -244,21 +356,9 @@ class FieldElem:
         return out
 
     def sign(self) -> int:
-        """Exact sign of the represented real number; UnsupportedBaseError
-        when SIGN_REFINE_BUDGET refinements of the base's bracket do not
-        separate it from zero."""
-        if self.is_zero():
-            return 0
-        # nonzero reduced num + irreducible minpoly => value is nonzero, and
-        # den > 0 gives it the sign of num(q)
-        base = self.field.base
-        for _ in range(SIGN_REFINE_BUDGET):
-            lo, hi = base.bracket()
-            s = polys.interval_sign(self.num, lo, hi)
-            if s:
-                return s
-            base.refine((hi - lo) / 2)
-        raise _undecided("sign")
+        """Exact sign of the represented real number, by `NumberField.sign`
+        (den > 0 gives it the sign of num(q))."""
+        return self.field.sign(self.num)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +422,9 @@ class AlgBase:
         p = polys.trim(poly)
         if polys.degree(p) < 1:
             raise DomainError("need a nonconstant polynomial")
-        if polys.count_roots_halfopen(p, lo, hi) != 1:
-            raise DomainError("polynomial must have exactly one root in (lo, hi]")
         sf = polys.squarefree_part(p)
+        if polys._chain_count(polys.sturm_chain(sf), lo, hi) != 1:
+            raise DomainError("polynomial must have exactly one root in (lo, hi]")
         if polys.sign_at_rational(sf, hi) == 0:
             return cls(p, lo, hi, exact=hi, alpha_hint=alpha_hint)
         # the one root is simple in sf and interior, so sf straddles it
@@ -355,36 +455,27 @@ class AlgBase:
     def refine(self, width) -> "AlgBase":
         """Bisect the bracket until it is narrower than width.
 
-        The ends are integer numerators a < b over one denominator d.  A
-        step doubles a, b and d and takes m = a + b (the old a + b) as the
-        midpoint, so the midpoints and the stored Fractions are those of
-        bisecting in Fractions.  The sign at m / d is that of
-        d^n poly(m / d), by homogenised Horner in integers."""
+        The ends are integer numerators a < b over one denominator d; every
+        halving keeps b - a and doubles d, so the bracket is narrower than
+        width after n halvings exactly when n is the bit length of
+        floor((b - a) / (width d)).  The midpoints and the stored Fractions
+        are those of bisecting in Fractions (`_bisect`)."""
         if self.exact_rational is not None:
             return self
         width = Fraction(width)
+        if width <= 0:
+            raise DomainError("refinement width must be positive")
         lo, hi = self._lo, self._hi
         d = lcm(lo.denominator, hi.denominator)
         a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-        wn, wd = width.numerator, width.denominator
-        if (b - a) * wd < wn * d:
+        n = ((b - a) * width.denominator // (width.numerator * d)).bit_length()
+        if not n:
             return self
-        rev, up = tuple(reversed(self.poly)), self._slo > 0
-        while (b - a) * wd >= wn * d:
-            m = a + b
-            a, b, d = 2 * a, 2 * b, 2 * d
-            acc, dk = 0, 1
-            for c in rev:
-                acc = acc * m + c * dk
-                dk *= d
-            if not acc:
-                self.exact_rational = self._lo = self._hi = Fraction(m, d)
-                return self
-            if (acc > 0) == up:
-                a = m
-            else:
-                b = m
-        self._lo, self._hi = Fraction(a, d), Fraction(b, d)
+        a, b, d = _bisect(tuple(reversed(self.poly)), self._slo > 0, a, b, d, n)
+        if a == b:
+            self.exact_rational = self._lo = self._hi = Fraction(a, d)
+        else:
+            self._lo, self._hi = Fraction(a, d), Fraction(b, d)
         return self
 
     def __float__(self):
@@ -546,10 +637,10 @@ def real_roots(F, lo, hi) -> list:
 # expansions of 1
 
 
-def _step(qe: FieldElem, r: FieldElem) -> tuple:
-    """One step of the remainder orbit of 1 at q = qe, from remainder r:
-    (quasi-greedy digit, sign of q r - 1, next remainder)."""
-    t = qe * r - 1
+def _step(r: FieldElem) -> tuple:
+    """One step of the remainder orbit of 1 in the field of r, from
+    remainder r: (quasi-greedy digit, sign of q r - 1, next remainder)."""
+    t = r.field.qr_minus_one(r)
     s = t.sign()
     if s > 0:
         return 1, s, t
@@ -561,11 +652,10 @@ def alpha_digits(q: AlgBase, n: int) -> str:
     when the remainder stays strictly positive afterwards."""
     if n < 1:
         raise DomainError("need n >= 1")
-    qe = q.as_field_elem()
-    r = qe.field.one()
+    r = q.field().one()
     out = []
     for _ in range(n):
-        a, _, r = _step(qe, r)
+        a, _, r = _step(r)
         out.append("01"[a])
     return "".join(out)
 
@@ -575,11 +665,10 @@ def beta_digits(q: AlgBase, n: int):
     is the full expansion b with beta = b 0^inf."""
     if n < 1:
         raise DomainError("need n >= 1")
-    qe = q.as_field_elem()
-    r = qe.field.one()
+    r = q.field().one()
     out = []
     for _ in range(n):
-        a, s, r = _step(qe, r)
+        a, s, r = _step(r)
         if s == 0:
             return "".join(out) + "1", True
         out.append("01"[a])
@@ -591,8 +680,7 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
     exact cycle detection on the remainder orbit."""
     if q.alpha_hint is not None:
         return q.alpha_hint
-    qe = q.as_field_elem()
-    r = qe.field.one()
+    r = q.field().one()
     seen = {}
     digits = []
     for step in range(max_steps):
@@ -602,7 +690,7 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
             q.alpha_hint = seq
             return seq
         seen[r] = step
-        a, _, r = _step(qe, r)
+        a, _, r = _step(r)
         digits.append("01"[a])
     raise UnsupportedBaseError(
         f"no remainder cycle within {max_steps} steps; "
@@ -653,8 +741,7 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
     every eventually periodic t."""
     if q.alpha_hint is not None:
         return lex_cmp(t, q.alpha_hint)
-    qe = q.as_field_elem()
-    r = qe.field.one()
+    r = q.field().one()
     k, p = len(t.pre), len(t.per)
     seen = set()
     for i in range(max_steps):
@@ -663,7 +750,7 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
         if state in seen:
             return 0
         seen.add(state)
-        a, _, r = _step(qe, r)
+        a, _, r = _step(r)
         ti = t.digit(i)
         if ti != a:
             return -1 if ti < a else 1

@@ -143,7 +143,6 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
     fld = q.field()
     # a rational base gives a Fraction value: move it into Q(q) too
     val = fld.zero() + (eval_seq(x, q) if isinstance(x, EPSeq) else Fraction(x))
-    one, qe = fld.one(), fld.base_elem()
     # lim = 1 / (q - 1), the value of 1^inf
     lim = fld.series_den_inv(0, 1)
     if val.sign() < 0 or (lim - val).sign() < 0:
@@ -156,12 +155,13 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
         r = queue.pop()
         if r in children:
             continue
-        t = qe * r
+        t1 = fld.qr_minus_one(r)
+        t = t1 + 1
         outs = []
         if (lim - t).sign() >= 0:
             outs.append(t)
-        if (t - one).sign() >= 0:
-            outs.append(t - one)
+        if t1.sign() >= 0:
+            outs.append(t1)
         children[r] = tuple(outs)
         if len(children) > max_states:
             raise UnsupportedBaseError("remainder graph exceeded the state budget")

@@ -5,7 +5,7 @@ import itertools
 import random
 import types
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +16,8 @@ from twobases.bases import (
     AlgBase, alpha_digits, beta_digits, alpha_epseq, parry_check,
     base_from_alpha, cmp_seq_alpha, real_roots,
 )
-from twobases.b2core import solve_qcd
+from twobases.b2core import sign_at, solve_qcd
+from twobases.classify import CountResult, count_expansions
 from twobases.errors import DomainError, UnsupportedBaseError
 from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq
 from test_polys import divmod_exact, interval_eval
@@ -375,6 +376,7 @@ def test_field_elem_matches_fraction_oracle(q, ca, cb, r):
         (a + r, ref.add(ra, ref.elem((r,)))),
         (r - a, ref.add(ref.elem((r,)), tuple(-x for x in ra))),
         (fld.from_rational(r), ref.elem((r,))),
+        (fld.qr_minus_one(a), ref.add(ref.mul(ref.elem((0, 1)), ra), ref.elem((-1,)))),
     ]
     if any(rb):
         cases.append((b.inv(), ref.inv(rb)))
@@ -525,6 +527,100 @@ def test_sign_refinement_budget(monkeypatch):
         near.sign()
     monkeypatch.undo()
     assert near.sign() == q.cmp_rational(r) != 0
+
+
+def _fresh(q):
+    """A copy of the base q with the bracket it was built with."""
+    return AlgBase.from_poly(q.poly, *FRESH_BRACKETS[q])
+
+
+# q_s, q_f, a degree-10 root of enum_B2(2, 4) and the non-monic root of
+# 2x^2 - 2x - 1, each with the bracket it is built from
+SIGN_FIELDS = (
+    (Q_S, (Fraction(17, 10), Fraction(9, 5))),
+    (Q_F, (Fraction(17, 10), Fraction(9, 5))),
+    (AlgBase.from_poly((1, -1, 1, -1, 2, -2, 0, -2, 0, -1, 1), Fraction(7, 4), Fraction(9, 5)),
+     (Fraction(7, 4), Fraction(9, 5))),
+    (AlgBase.from_poly((-1, -2, 2), Fraction(13, 10), Fraction(7, 5)),
+     (Fraction(13, 10), Fraction(7, 5))),
+)
+FRESH_BRACKETS = dict(SIGN_FIELDS)
+
+
+@st.composite
+def field_numerator(draw):
+    """(field, numerator): random integers, or the numerator of
+    +-(2^m q^k - n) with n = floor(2^m q^k) or n - 1 = floor(2^m q^k),
+    a reduced power of q that nearly cancels against an integer."""
+    q = draw(st.sampled_from([q for q, _ in SIGN_FIELDS]))
+    fld = q.field()
+    if draw(st.booleans()):
+        size = draw(st.sampled_from((3, 40, 300)))
+        num = draw(st.lists(st.integers(-2**size, 2**size),
+                            min_size=fld.deg, max_size=fld.deg))
+        return q, tuple(num)
+    k, m = draw(st.integers(1, 60)), draw(st.integers(0, 200))
+    power = fld.base_elem() ** k * 2**m
+    ref = _fresh(q)
+    for _ in range(1000):
+        # floor(2^m q^k) from the bracket ends, once they agree on it
+        lo, hi = ref.bracket()
+        n = floor(lo**k * 2**m)
+        if n == floor(hi**k * 2**m):
+            break
+        ref.refine((hi - lo) / 2)
+    e = power - (n + draw(st.integers(0, 1)))
+    return q, (e if draw(st.booleans()) else -e).num
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(field_numerator())
+def test_field_sign_matches_interval_horner_on_a_fresh_base(case):
+    """`NumberField.sign` on a field whose private bracket carries the
+    history of every earlier example, against `b2core.sign_at` (exact
+    zero test, then interval Horner) on a fresh copy of the base."""
+    q, num = case
+    assert q.field().sign(num) == sign_at(num, _fresh(q))
+
+
+def test_walks_leave_the_base_bracket_as_built():
+    """The printed interval of a base is a function of the base alone: the
+    remainder walks and field signs refine only the field's bracket."""
+    q = _fresh(Q_S)
+    alpha_digits(q, 300)
+    with pytest.raises(UnsupportedBaseError):
+        alpha_epseq(q)
+    assert count_expansions("1000(01)", q, cap=3) == CountResult(2)
+    fresh = _fresh(Q_S)
+    assert q.bracket() == fresh.bracket() == FRESH_BRACKETS[Q_S]
+    before = q.bracket()
+    near = q.field().base_elem() - Fraction(17106440950451, 10**13)
+    assert near.sign() == -1
+    assert q.bracket() == before
+    assert q.to_json() == fresh.to_json()
+
+
+def test_one_sign_call_halves_the_field_bracket_at_most_budget_times(monkeypatch):
+    q = _fresh(Q_S)
+    fld = q.field()
+    # q - 1 > 0 is decided on the table of the base's own bracket
+    assert (fld.base_elem() - 1).sign() == 1
+    _, _, d0 = fld._bracket
+    assert FRESH_BRACKETS[Q_S] == (Fraction(fld._bracket[0], d0), Fraction(fld._bracket[1], d0))
+    # about 40 halvings of [17/10, 9/5] separate q_s from this rational
+    near = fld.base_elem() - Fraction(17106440950451, 10**13)
+    monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 15)
+    for _ in range(2):
+        with pytest.raises(UnsupportedBaseError):
+            near.sign()
+        _, _, d1 = fld._bracket
+        assert d1 == d0 * 2**15
+        d0 = d1
+    # a third call of 15 halvings at most reaches the 40 or so needed
+    assert near.sign() == -1
+    _, _, d1 = fld._bracket
+    assert d1 % d0 == 0 and d1 // d0 <= 2**15
+    assert q.bracket() == FRESH_BRACKETS[Q_S]
 
 
 def test_cmp_rational_refinement_budget(monkeypatch):

@@ -758,3 +758,9 @@ def test_bracket_refine_decimal_consistency():
     assert polys.eval_at(q.minpoly(), lo) < 0 < polys.eval_at(q.minpoly(), hi)
     d = q.decimal(18)
     assert d.startswith("1.710644095045")
+    # a width of zero or less would never be reached: refused, not looped on
+    before = q.bracket()
+    for width in (0, Fraction(-1, 3)):
+        with pytest.raises(DomainError):
+            q.refine(width)
+    assert q.bracket() == before

@@ -456,8 +456,8 @@ class AlgBase:
         """Bisect the bracket until it is narrower than width.
 
         The ends are integer numerators a < b over one denominator d; every
-        halving keeps b - a and doubles d, so the bracket is narrower than
-        width after n halvings exactly when n is the bit length of
+        halving keeps b - a and doubles d, so the fewest halvings that leave
+        the bracket narrower than width are the bit length of
         floor((b - a) / (width d)).  The midpoints and the stored Fractions
         are those of bisecting in Fractions (`_bisect`)."""
         if self.exact_rational is not None:

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from . import bases, polys
+from . import polys
 from .bases import AlgBase, FieldElem, base_from_alpha, gcd_has_root_in, real_roots
 from .classify import in_A_prime, in_Vq_seq
 from .errors import DomainError, NoRootByCaseError
@@ -143,22 +143,15 @@ def f_sign(c: EPSeq, d: EPSeq, q: AlgBase) -> int:
 
 
 def sign_at(F, q: AlgBase) -> int:
-    """Certified sign of the integer polynomial F at the algebraic point q;
-    UnsupportedBaseError when bases.SIGN_REFINE_BUDGET refinements of q's
-    bracket leave it undecided."""
+    """Certified sign of the integer polynomial F at the algebraic point q,
+    from q's power table (`AlgBase.sign_of`); UnsupportedBaseError when
+    bases.SIGN_REFINE_BUDGET halvings of q's sign bracket leave it
+    undecided.  q's printed bracket does not move."""
     F = polys.trim(F)
-    if q.exact_rational is not None:
-        return polys.sign_at_rational(F, q.exact_rational)
-    # exact-zero test first so the refinement loop below must terminate
+    # exact-zero test first: the table separates only a nonzero F(q) from zero
     if _is_root_of(q, F):
         return 0
-    for _ in range(bases.SIGN_REFINE_BUDGET):
-        lo, hi = q.bracket()
-        s = polys.interval_sign(F, lo, hi)
-        if s:
-            return s
-        q.refine((hi - lo) / 4)
-    raise bases._undecided("sign")
+    return q.sign_of(F)
 
 
 def _is_root_of(q: AlgBase, F) -> bool:

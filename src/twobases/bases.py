@@ -2,11 +2,14 @@
 
 An AlgBase carries an integer polynomial and a shrinking rational bracket
 isolating one root in (1, 2].  All sign decisions are exact: either the
-number is rational and we compare directly, or we refine a bracket until
-an enclosure excludes zero.  FieldElem gives exact arithmetic in Q(q), as
-integer coefficients over one denominator, for quasi-greedy remainders and
-expansion counting; its signs come from a fixed-point table of the powers
-of q, built on a bracket that the field keeps to itself.
+number is rational and we compare directly, or an enclosure excludes zero.
+The sign of an integer polynomial at q comes from one engine,
+`AlgBase.sign_of`: a fixed-point table of the powers of q, built on a
+bracket that the base keeps to itself, so signs never move the bracket a
+base prints.  FieldElem gives exact arithmetic in Q(q), as integer
+coefficients over one denominator, for quasi-greedy remainders and
+expansion counting; its signs, `b2core.sign_at` and `AlgBase.cmp_rational`
+all come from that table.
 """
 
 from __future__ import annotations
@@ -23,12 +26,14 @@ from .words import EPSeq, lex_cmp, shift, _tail_numerator
 # ---------------------------------------------------------------------------
 # number field arithmetic
 
-# Refinements of a bracket (each at least halves it) that a sign, comparison
-# or printing loop may ask for before it gives up with UnsupportedBaseError.
+# Refinements of a bracket (each at least halves it) that one call of a
+# comparison or printing loop, or one call of `AlgBase.sign_of` counted in
+# halvings of the base's sign bracket, may make before it gives up with
+# UnsupportedBaseError.
 SIGN_REFINE_BUDGET = 4096
 
 
-# Bits beyond a numerator's own size that a field sign test aims its
+# Bits beyond a polynomial's own coefficient size that a sign test aims its
 # precision at.  It decides only how often a table is rebuilt, never whether
 # an enclosure holds.
 SIGN_GUARD_BITS = 64
@@ -76,12 +81,6 @@ class NumberField:
         # the nonzero lower coefficients of m, for reduction
         self._terms = tuple((j, c) for j, c in enumerate(self.minpoly[:-1]) if c)
         self._series_den_inv = {}
-        # the private bracket (a/d, b/d) of q, taken from the base at the
-        # first sign test, and the table of its powers at precision _bits
-        self._bracket = None
-        self._up = None
-        self._bits = 0
-        self._powers = None
 
     def reduce(self, coeffs, den: int = 1) -> "FieldElem":
         """The element coeffs(q) / den, for integer coeffs and den > 0.
@@ -148,70 +147,13 @@ class NumberField:
         return self.reduce((-r.den,) + r.num, r.den)
 
     def sign(self, num) -> int:
-        """Exact sign of num(q), for an integer numerator of length deg;
-        UnsupportedBaseError when SIGN_REFINE_BUDGET halvings of the
-        field's bracket in this call do not separate it from zero.
-
-        With lo <= q <= hi and 1 <= lo, integers lo_i <= 2^K q^i <= hi_i
-        for i < deg, rounded outward, bound each term by the end its
-        coefficient's sign picks.  The table keeps mid_i = lo_i + hi_i and
-        rad_i = hi_i - lo_i, which give the same enclosure of 2^(K+1) num(q):
-        sum c_i mid_i plus or minus sum |c_i| rad_i.
-
-        The bracket is the field's own copy of the base's, taken at the
-        base's width on first use.  Narrowing it never moves the base's
-        bracket, so what the base prints does not depend on the walks run
-        in its field.  When the test is undecided, the precision K grows to
-        the numerator's size plus SIGN_GUARD_BITS, and at least by a quarter,
-        and the table is rebuilt once."""
+        """Exact sign of num(q), for an integer numerator of length deg, by
+        the base's power table (`AlgBase.sign_of`)."""
         if not any(num[1:]):
             return _sign(num[0])
         # nonzero reduced num + irreducible minpoly => num(q) != 0, so
         # narrowing the bracket must separate it from zero
-        if self._bracket is None:
-            self._start()
-        spent = 0
-        while True:
-            mid, rad = self._powers
-            s = sum(map(mul, num, mid))
-            if abs(s) > sum(map(mul, map(abs, num), rad)):
-                return 1 if s > 0 else -1
-            left = SIGN_REFINE_BUDGET - spent
-            if left <= 0:
-                raise _undecided("sign")
-            size = max(abs(c) for c in num).bit_length()
-            k = self._bits
-            spent += self._narrow(max(size + SIGN_GUARD_BITS, k + k // 4 + 1), left)
-
-    def _start(self):
-        lo, hi = self.base.bracket()
-        d = lcm(lo.denominator, hi.denominator)
-        self._bracket = (lo.numerator * (d // lo.denominator),
-                         hi.numerator * (d // hi.denominator), d)
-        self._up = polys.sign_at_rational(self.minpoly, lo) > 0
-        self._narrow(0, 0)
-
-    def _narrow(self, bits: int, budget: int) -> int:
-        """Halve the bracket until it is at most 2^-bits wide, or budget
-        times, and rebuild the power table at the width reached; the number
-        of halvings made."""
-        a, b, d = self._bracket
-        # halvings n with (b - a) 2^bits <= d 2^n
-        k = -(-((b - a) << bits) // d)
-        n = min((k - 1).bit_length() if k > 1 else 0, budget)
-        a, b, d = _bisect(tuple(reversed(self.minpoly)), self._up, a, b, d, n)
-        if a == b:
-            raise DomainError("minimal polynomial has a rational root")
-        self._bracket = a, b, d
-        # the largest K with (b - a) 2^K <= d: a width of at most 2^-K
-        self._bits = K = (d // (b - a)).bit_length() - 1
-        lo, hi = [1 << K], [1 << K]
-        for _ in range(self.deg - 1):
-            lo.append(lo[-1] * a // d)
-            hi.append(-(-hi[-1] * b // d))
-        self._powers = ([x + y for x, y in zip(lo, hi)],
-                        [y - x for x, y in zip(lo, hi)])
-        return n
+        return self.base.sign_of(num)
 
 
 class FieldElem:
@@ -376,8 +318,23 @@ def gcd_has_root_in(p, q, lo, hi) -> bool:
     return polys.degree(g) >= 1 and polys.count_roots_halfopen(g, lo, hi) > 0
 
 
+def _over_one_den(lo: Fraction, hi: Fraction) -> tuple:
+    """(a, b, d) with lo = a/d and hi = b/d."""
+    d = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator), d
+
+
 class AlgBase:
     """A real algebraic number q in (1, 2], the base of the expansions."""
+
+    # the sign engine's state, made at the first `sign_of`: the bracket
+    # (a/d, b/d) of q private to the engine, its width bits K, the table of
+    # the powers of q at precision K, and the (polynomial, reversed
+    # coefficients, sign at the lower end) that halves the bracket
+    _sign_bracket = None
+    _sign_bits = 0
+    _powers = ((), ())
+    _halver = None
 
     def __init__(self, poly, lo, hi, *, exact=None, alpha_hint=None, _verified=False):
         self.poly = polys.to_int_poly(polys.trim(poly))
@@ -465,9 +422,7 @@ class AlgBase:
         width = Fraction(width)
         if width <= 0:
             raise DomainError("refinement width must be positive")
-        lo, hi = self._lo, self._hi
-        d = lcm(lo.denominator, hi.denominator)
-        a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+        a, b, d = _over_one_den(self._lo, self._hi)
         n = ((b - a) * width.denominator // (width.numerator * d)).bit_length()
         if not n:
             return self
@@ -555,19 +510,94 @@ class AlgBase:
         r = Fraction(r)
         if self.exact_rational is not None:
             return _sign(self.exact_rational - r)
-        for _ in range(SIGN_REFINE_BUDGET):
-            lo, hi = self.bracket()
-            if r <= lo:
-                return 1
-            if r > hi:
-                return -1
-            if polys.sign_at_rational(self.poly, r) == 0:
-                # unique root in the bracket, and r is a root inside it
-                self.exact_rational = r
-                self._lo = self._hi = r
-                return 0
-            self.refine((hi - lo) / 2)
-        raise _undecided("rational comparison")
+        if r <= self._lo:
+            return 1
+        if r > self._hi:
+            return -1
+        if polys.sign_at_rational(self.poly, r) == 0:
+            # unique root in the bracket, and r is a root inside it
+            self.exact_rational = self._lo = self._hi = r
+            return 0
+        return self.sign_of((-r.numerator, r.denominator))
+
+    # -- the sign engine ---------------------------------------------------
+
+    def sign_of(self, p) -> int:
+        """Exact sign of p(q), for an integer polynomial p (ascending
+        coefficients) with p(q) != 0; UnsupportedBaseError when
+        SIGN_REFINE_BUDGET halvings of the base's sign bracket in this call
+        do not separate p(q) from zero.
+
+        With lo <= q <= hi and 1 <= lo, integers lo_i <= 2^K q^i <= hi_i,
+        rounded outward, bound each term by the end its coefficient's sign
+        picks.  The table keeps mid_i = lo_i + hi_i and rad_i = hi_i - lo_i,
+        which give the same enclosure of 2^(K+1) p(q): sum c_i mid_i plus or
+        minus sum |c_i| rad_i.  It grows to the longest p asked for.
+
+        The bracket is the engine's own copy of the base's, taken at the
+        base's width on first use.  Narrowing it never moves the base's
+        bracket, so what the base prints does not depend on the signs taken
+        at it.  When the test is undecided, the precision K grows to the
+        coefficients' size plus SIGN_GUARD_BITS, and at least by a quarter,
+        and the table is rebuilt once.  A halving that lands on q makes the
+        base exact, as `refine` does, and the sign is then taken at that
+        rational."""
+        spent = 0
+        while self.exact_rational is None:
+            if self._sign_bracket is None:
+                self._sign_bracket = _over_one_den(self._lo, self._hi)
+            mid, rad = self._powers
+            if len(mid) < len(p):
+                self._tabulate(len(p))
+                mid, rad = self._powers
+            s = sum(map(mul, p, mid))
+            if abs(s) > sum(map(mul, map(abs, p), rad)):
+                return 1 if s > 0 else -1
+            left = SIGN_REFINE_BUDGET - spent
+            if left <= 0:
+                raise _undecided("sign")
+            size = max(abs(c) for c in p).bit_length()
+            k = self._sign_bits
+            spent += self._narrow(max(size + SIGN_GUARD_BITS, k + k // 4 + 1), left)
+        return polys.sign_at_rational(p, self.exact_rational)
+
+    def _narrow(self, bits: int, budget: int) -> int:
+        """Halve the sign bracket until it is at most 2^-bits wide, or budget
+        times, and rebuild the power table at the width reached; the number
+        of halvings made.
+
+        The halvings use the minimal polynomial when it is known and the
+        base's polynomial otherwise: the bracket holds exactly one root of
+        either, so the midpoints are the same."""
+        a, b, d = self._sign_bracket
+        # halvings n with (b - a) 2^bits <= d 2^n
+        k = -(-((b - a) << bits) // d)
+        n = min((k - 1).bit_length() if k > 1 else 0, budget)
+        p = self._minpoly or self.poly
+        if self._halver is None or self._halver[0] is not p:
+            up = polys.sign_at_rational(p, Fraction(a, d)) > 0
+            self._halver = p, tuple(reversed(p)), up
+        _, rev, up = self._halver
+        a, b, d = _bisect(rev, up, a, b, d, n)
+        if a == b:
+            self.exact_rational = self._lo = self._hi = Fraction(a, d)
+        else:
+            self._sign_bracket = a, b, d
+            self._tabulate(len(self._powers[0]))
+        return n
+
+    def _tabulate(self, n: int):
+        """Build the table of q^0, ..., q^(n-1) at the width of the sign
+        bracket."""
+        a, b, d = self._sign_bracket
+        # the largest K with (b - a) 2^K <= d: a width of at most 2^-K
+        self._sign_bits = K = (d // (b - a)).bit_length() - 1
+        lo, hi = [1 << K], [1 << K]
+        for _ in range(n - 1):
+            lo.append(lo[-1] * a // d)
+            hi.append(-(-hi[-1] * b // d))
+        self._powers = ([x + y for x, y in zip(lo, hi)],
+                        [y - x for x, y in zip(lo, hi)])
 
     # -- output ------------------------------------------------------------
 

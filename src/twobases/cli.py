@@ -16,7 +16,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bases import AlgBase, alpha_digits, base_from_alpha, _dec_str
@@ -27,17 +26,7 @@ from .enum_b2 import enum_B2, min_derived, qn_ladder
 from .errors import DomainError, NotFoundWithinBoundsError
 from .words import ComponentSpec, check_generator, parse_epseq
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    precision: int = 30
-    jmax: int = 6
-    nmax: int = 6
-    depth: int = 64
-    format: str | None = None  # None = per-command default
+__all__ = ["run", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,24 +106,24 @@ def _component(gen: str) -> ComponentSpec:
 # subcommands
 
 
-def _cmd_alpha(cfg: RunConfig, args) -> int:
+def _cmd_alpha(args) -> int:
     q = _parse_base(args.base)
     digits = alpha_digits(q, args.digits)
-    if (cfg.format or "plain") == "json":
-        _emit_json({"base": q.to_json(cfg.precision), "alpha_digits": digits})
+    if (args.format or "plain") == "json":
+        _emit_json({"base": q.to_json(args.precision), "alpha_digits": digits})
     else:
         print(digits)
     return 0
 
 
-def _cmd_classify(cfg: RunConfig, args) -> int:
+def _cmd_classify(args) -> int:
     q = _parse_base(args.base)
     if args.probable_depth:
         out = _probable_classify(q, args.probable_depth)
     else:
-        out = classify_base(q, max_steps=max(cfg.depth, 64) * 64).to_json()
-    out["base"] = q.to_json(cfg.precision)
-    if (cfg.format or "json") == "plain":
+        out = classify_base(q, max_steps=max(args.depth, 64) * 64).to_json()
+    out["base"] = q.to_json(args.precision)
+    if (args.format or "json") == "plain":
         print(out["class"])
     else:
         _emit_json(out)
@@ -160,124 +149,124 @@ def _probable_classify(q: AlgBase, depth: int) -> dict:
             "depth": depth, "note": "finite-prefix verdict, not certified"}
 
 
-def _cmd_omega(cfg: RunConfig, args) -> int:
+def _cmd_omega(args) -> int:
     comp = _component(args.gen)
     w = comp.omega(args.n)
-    if (cfg.format or "plain") == "json":
+    if (args.format or "plain") == "json":
         _emit_json({"gen": args.gen, "n": args.n, "omega": w})
     else:
         print(w)
     return 0
 
 
-def _cmd_ladder(cfg: RunConfig, args) -> int:
+def _cmd_ladder(args) -> int:
     comp = _component(args.gen)
     entries = qn_ladder(comp, args.N)
-    fmt = cfg.format or "csv"
+    fmt = args.format or "csv"
     if fmt == "json":
         _emit_json([
-            {"n": e.n, "root": e.base.decimal(cfg.precision),
+            {"n": e.n, "root": e.base.decimal(args.precision),
              "minpoly": list(e.base.minpoly()), "alpha": str(e.alpha),
              "beta_word": e.beta_word}
             for e in entries
         ])
     else:
         _emit_csv(["n", "root", "alpha", "beta_word", "minpoly"],
-                  [[e.n, e.base.decimal(cfg.precision), str(e.alpha),
+                  [[e.n, e.base.decimal(args.precision), str(e.alpha),
                     e.beta_word, " ".join(map(str, e.base.minpoly()))]
                    for e in entries])
     return 0
 
 
-def _cmd_solve(cfg: RunConfig, args) -> int:
+def _cmd_solve(args) -> int:
     c, d = parse_epseq(args.c), parse_epseq(args.d)
     root = solve_qcd(c, d, _rat(args.lo), _rat(args.hi))
     if root is None:
         raise NotFoundWithinBoundsError(
             "no defect-function root in the given interval")
-    out = {"c": args.c, "d": args.d, "root": root.decimal(cfg.precision),
+    out = {"c": args.c, "d": args.d, "root": root.decimal(args.precision),
            "minpoly": list(root.minpoly())}
-    if (cfg.format or "json") == "plain":
+    if (args.format or "json") == "plain":
         print(out["root"])
     else:
         _emit_json(out)
     return 0
 
 
-def _cmd_enum_b2(cfg: RunConfig, args) -> int:
-    jmax = args.jmax_sub if args.jmax_sub is not None else cfg.jmax
+def _cmd_enum_b2(args) -> int:
+    jmax = args.jmax_sub if args.jmax_sub is not None else args.jmax
     witnesses = enum_B2(args.n, jmax)
     note = (f"complete only for representation vectors with every "
             f"j <= {jmax}; larger j values exist")
-    fmt = cfg.format or "csv"
+    fmt = args.format or "csv"
     if fmt == "json":
         _emit_json({"n": args.n, "jmax": jmax, "jmax_bound_note": note,
-                    "witnesses": [w.to_json(cfg.precision) for w in witnesses]})
+                    "witnesses": [w.to_json(args.precision) for w in witnesses]})
     else:
         print(f"note: {note}", file=sys.stderr)
         _emit_csv(["root", "c", "d", "minpoly", "admissible"],
-                  [[w.root.decimal(cfg.precision), str(w.c), str(w.d),
+                  [[w.root.decimal(args.precision), str(w.c), str(w.d),
                     " ".join(map(str, w.minpoly)), int(w.admissible)]
                    for w in witnesses])
     return 0
 
 
-def _cmd_derived(cfg: RunConfig, args) -> int:
-    root = min_derived(args.min, cfg.jmax, cfg.nmax)
-    out = {"j": args.min, "jmax": cfg.jmax, "nmax": cfg.nmax,
-           "root": root.decimal(cfg.precision), "minpoly": list(root.minpoly())}
-    if (cfg.format or "json") == "plain":
+def _cmd_derived(args) -> int:
+    root = min_derived(args.min, args.jmax, args.nmax)
+    out = {"j": args.min, "jmax": args.jmax, "nmax": args.nmax,
+           "root": root.decimal(args.precision), "minpoly": list(root.minpoly())}
+    if (args.format or "json") == "plain":
         print(out["root"])
     else:
         _emit_json(out)
     return 0
 
 
-def _cmd_entropy(cfg: RunConfig, args) -> int:
+def _cmd_entropy(args) -> int:
     q = _parse_base(args.base)
-    ent = entropy(q, nmax=max(cfg.nmax, 4))
-    lo, hi = dim_U(q, nmax=max(cfg.nmax, 4))
+    ent = entropy(q, nmax=max(args.nmax, 4))
+    lo, hi = dim_U(q, nmax=max(args.nmax, 4))
     out = ent.to_json()
-    out["base"] = q.to_json(cfg.precision)
-    out["entropy_log_dec"] = _dec_outward(ent.lower, ent.upper, cfg.precision)
+    out["base"] = q.to_json(args.precision)
+    out["entropy_log_dec"] = _dec_outward(ent.lower, ent.upper, args.precision)
     out["dim"] = [str(lo), str(hi)]
-    out["dim_dec"] = _dec_outward(lo, hi, cfg.precision)
-    if (cfg.format or "json") == "plain":
+    out["dim_dec"] = _dec_outward(lo, hi, args.precision)
+    if (args.format or "json") == "plain":
         print(*out["entropy_log_dec"])
     else:
         _emit_json(out)
     return 0
 
 
-def _cmd_dim_bound(cfg: RunConfig, args) -> int:
+def _cmd_dim_bound(args) -> int:
     q = _parse_base(args.base)
     delta = _rat(args.delta)
-    lo, hi = b2_local_bound(q, delta, nmax=max(cfg.nmax, 4))
+    lo, hi = b2_local_bound(q, delta, nmax=max(args.nmax, 4))
     certified = bool(hi < 1)
-    out = {"base": q.to_json(cfg.precision), "delta": str(delta),
-           "bound": _enclosure(lo, hi, cfg.precision),
+    out = {"base": q.to_json(args.precision), "delta": str(delta),
+           "bound": _enclosure(lo, hi, args.precision),
            "certified_below_one": certified}
-    if (cfg.format or "json") == "plain":
+    if (args.format or "json") == "plain":
         print(*out["bound"]["dec"], "below-one" if certified else "inconclusive")
     else:
         _emit_json(out)
     return 0
 
 
-def _cmd_count(cfg: RunConfig, args) -> int:
+def _cmd_count(args) -> int:
     q = _parse_base(args.base)
     x = _parse_point(args.x)
     res = count_expansions(x, q, cap=args.cap)
-    out = {"x": args.x, "base": q.to_json(cfg.precision), "cap": args.cap,
+    out = {"x": args.x, "base": q.to_json(args.precision), "cap": args.cap,
            "count": res.value, "exact": res.exact, "display": repr(res)}
-    if (cfg.format or "json") == "plain":
+    if (args.format or "json") == "plain":
         print(repr(res))
     else:
         _emit_json(out)
     return 0
 
 
-def _cmd_witness(cfg: RunConfig, args) -> int:
+def _cmd_witness(args) -> int:
     comp = _component(args.gen)
     if args.prop62 is not None:
         n = args.prop62
@@ -290,19 +279,19 @@ def _cmd_witness(cfg: RunConfig, args) -> int:
         out = {"gen": args.gen, "n": n, "c": str(c), "d": str(d),
                "sign_at_qn": f_sign(c, d, qn), "sign_at_qn1": f_sign(c, d, qn1)}
         if w is not None:
-            out["root"] = w.root.decimal(cfg.precision)
+            out["root"] = w.root.decimal(args.precision)
             out["minpoly"] = list(w.minpoly)
             out["admissible"] = w.admissible
-        if (cfg.format or "json") == "plain" and "root" in out:
+        if (args.format or "json") == "plain" and "root" in out:
             print(out["root"])
         else:
             _emit_json(out)
         return 0
     w = witness_for_V_base(args.gen)
-    if (cfg.format or "json") == "plain":
-        print(w.root.decimal(cfg.precision))
+    if (args.format or "json") == "plain":
+        print(w.root.decimal(args.precision))
     else:
-        _emit_json(w.to_json(cfg.precision))
+        _emit_json(w.to_json(args.precision))
     return 0
 
 
@@ -394,14 +383,12 @@ def run(argv) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    cfg = RunConfig(command=ns.command, precision=ns.precision, jmax=ns.jmax,
-                    nmax=ns.nmax, depth=ns.depth, format=ns.format)
-    if cfg.precision < 8 or cfg.jmax < 1 or cfg.nmax < 1 or cfg.depth < 1:
+    if ns.precision < 8 or ns.jmax < 1 or ns.nmax < 1 or ns.depth < 1:
         print("error: precision >= 8, jmax/nmax/depth >= 1 required",
               file=sys.stderr)
         return 64
     try:
-        return ns.fn(cfg, ns)
+        return ns.fn(ns)
     except NotFoundWithinBoundsError as e:
         print(f"not found: {e}", file=sys.stderr)
         return 3

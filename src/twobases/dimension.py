@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 STATE_CAP = 4096
+# Automata with at most this many states get their exact Perron root from
+# the characteristic polynomial in `entropy`; larger ones get word counts.
+EXACT_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -311,14 +314,14 @@ def _matvec(edges, vec) -> list:
     return out
 
 
-def entropy(target, nmax: int = 24, exact_cap: int = 64,
-            cap: int = STATE_CAP) -> EntropyResult:
+def entropy(target, nmax: int = 24, cap: int = STATE_CAP) -> EntropyResult:
     """Certified entropy of the alive-word language of a base or an alpha.
 
-    Simple-cycle structure certifies zero exactly.  Small automata get the
-    exact Perron root from the characteristic polynomial; larger ones fall
-    back on word counts: (log W_n)/n from above at n = 4*nmax, a diagonal
-    return count of the transition matrix from below.  n_bound always
+    Simple-cycle structure certifies zero exactly.  Automata of at most
+    EXACT_CAP states get the exact Perron root from the characteristic
+    polynomial; larger ones fall back on word counts: (log W_n)/n from above
+    at n = 4*nmax, a diagonal return count of the transition matrix from
+    below.  n_bound always
     reports the word-count bound at nmax itself.
     """
     if nmax < 1:
@@ -330,7 +333,7 @@ def entropy(target, nmax: int = 24, exact_cap: int = 64,
     if _cycles_only(aut):
         return EntropyResult(aut.size, Fraction(0), Fraction(0), n_bound,
                              nmax, zero=True)
-    if aut.size <= exact_cap:
+    if aut.size <= EXACT_CAP:
         cp = _charpoly(aut)
         lam = _perron_root(cp)
         lo, hi = lam.bracket(Fraction(1, 10 ** 25))
@@ -387,8 +390,7 @@ def overapprox_pool(comp: ComponentSpec = GEN0, N: int = 6, M: int = 48) -> list
     return out
 
 
-def dim_U(q: AlgBase, nmax: int = 24, exact_cap: int = 64,
-          pool=None) -> tuple:
+def dim_U(q: AlgBase, nmax: int = 24, pool=None) -> tuple:
     """Certified rational enclosure of the Hausdorff dimension of the set of
     points with a unique expansion in base q.
 
@@ -396,9 +398,9 @@ def dim_U(q: AlgBase, nmax: int = 24, exact_cap: int = 64,
     eventually periodic, the entropy is sandwiched between pool neighbours
     instead (the language only grows with the base)."""
     try:
-        ent = entropy(q, nmax, exact_cap)
+        ent = entropy(q, nmax)
     except UnsupportedBaseError:
-        return _dim_sandwich(q, nmax, exact_cap, pool)
+        return _dim_sandwich(q, nmax, pool)
     if ent.zero:
         return Fraction(0), Fraction(0)
     if ent.growth is not None and ent.growth.cmp(q) == 0:
@@ -409,7 +411,7 @@ def dim_U(q: AlgBase, nmax: int = 24, exact_cap: int = 64,
     return lower, upper
 
 
-def _dim_sandwich(q: AlgBase, nmax: int, exact_cap: int, pool) -> tuple:
+def _dim_sandwich(q: AlgBase, nmax: int, pool) -> tuple:
     pool = overapprox_pool() if pool is None else list(pool)
     below = None
     above = None
@@ -424,8 +426,8 @@ def _dim_sandwich(q: AlgBase, nmax: int, exact_cap: int, pool) -> tuple:
     log_lo, log_hi = _log_bracket(q)
     lower = Fraction(0)
     if below is not None:
-        lower = max(entropy(below, nmax, exact_cap).lower / log_hi, Fraction(0))
-    upper = min(entropy(above, nmax, exact_cap).upper / log_lo, Fraction(1))
+        lower = max(entropy(below, nmax).lower / log_hi, Fraction(0))
+    upper = min(entropy(above, nmax).upper / log_lo, Fraction(1))
     return lower, upper
 
 
@@ -447,8 +449,7 @@ def _certified_geq(r: AlgBase, q: AlgBase, delta: Fraction, depth: int = 40) -> 
     return False
 
 
-def b2_local_bound(q: AlgBase, delta, pool=None, nmax: int = 24,
-                   exact_cap: int = 64) -> tuple:
+def b2_local_bound(q: AlgBase, delta, pool=None, nmax: int = 24) -> tuple:
     """Certified enclosure of the dimension bound for two-expansion bases
     within distance delta of q: twice the unique-expansion entropy just above
     the window, per log of the contraction just below it.
@@ -474,7 +475,7 @@ def b2_local_bound(q: AlgBase, delta, pool=None, nmax: int = 24,
             break
     if chosen is None:
         raise NotFoundWithinBoundsError("no pool base certified above q + delta")
-    h_up = entropy(chosen, nmax, exact_cap).upper
+    h_up = entropy(chosen, nmax).upper
     qlo, qhi = q.bracket(Fraction(1, 10 ** 25))
     log_lo = _log_bounds(qlo - delta)[0]
     if log_lo <= 0:
@@ -486,6 +487,6 @@ def b2_local_bound(q: AlgBase, delta, pool=None, nmax: int = 24,
         if r.cmp(q) <= 0:
             best_below = r
     if best_below is not None:
-        h_lo = entropy(best_below, nmax, exact_cap).lower
+        h_lo = entropy(best_below, nmax).lower
         lo = max(2 * h_lo / _log_bounds(qhi - delta)[1], Fraction(0))
     return lo, hi

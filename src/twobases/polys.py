@@ -3,15 +3,15 @@
 A polynomial is a tuple of coefficients in ascending order of degree with no
 trailing zeros; the zero polynomial is the empty tuple.  The library computes
 with integer coefficients; Fraction coefficients are accepted only where
-input enters, in `to_int_poly`, `eval_at` and `interval_sign`.  Points may be
-rational.  Everything here is exact; floats never enter.
+input enters, in `to_int_poly` and `eval_at`.  Points may be rational;
+signs at an algebraic point are taken in `bases` (`AlgBase.sign_of`).
+Everything here is exact; floats never enter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from math import lcm as _int_lcm
 from typing import Iterable, Sequence
 
 from . import zfactor
@@ -269,40 +269,6 @@ def isolate_roots(p: Poly, lo, hi) -> list:
 
     split(lo, hi, sign_variations(ch, lo), sign_variations(ch, hi))
     return out
-
-
-def interval_sign(p: Poly, lo, hi) -> int:
-    """+1 or -1 when interval Horner over [lo, hi] excludes zero, else 0
-    (the caller must narrow the interval).
-
-    lo and hi are put over one denominator D and p's coefficients cleared
-    by the positive lcm L of their denominators, so the integer enclosure
-    is exactly D^n L times the rational interval-Horner enclosure."""
-    d = _int_lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    if not all(type(c) is int for c in p):
-        el = _int_lcm(*(c.denominator for c in p))
-        p = [c.numerator * (el // c.denominator) for c in p]
-    alo = ahi = 0
-    dk = 1
-    if a >= 0:
-        # x >= 0 on the whole bracket: each bound's sign picks its product
-        for c in reversed(p):
-            t = c * dk
-            alo = (alo * a if alo >= 0 else alo * b) + t
-            ahi = (ahi * b if ahi >= 0 else ahi * a) + t
-            dk *= d
-    else:
-        for c in reversed(p):
-            t = c * dk
-            prods = (alo * a, alo * b, ahi * a, ahi * b)
-            alo, ahi = min(prods) + t, max(prods) + t
-            dk *= d
-    if alo > 0:
-        return 1
-    if ahi < 0:
-        return -1
-    return 0
 
 
 def _squarefree_parts(f: Poly) -> list:

@@ -1,11 +1,12 @@
 """Algebraic bases: exact comparison, number-field arithmetic, quasi-greedy
 and greedy expansions, admissibility, base reconstruction."""
 
+import functools
 import itertools
 import random
 import types
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,7 @@ from twobases.bases import (
     AlgBase, alpha_digits, beta_digits, alpha_epseq, parry_check,
     base_from_alpha, cmp_seq_alpha, real_roots,
 )
-from twobases.b2core import sign_at, solve_qcd
+from twobases.b2core import f_minpoly, sign_at, solve_qcd
 from twobases.classify import CountResult, count_expansions
 from twobases.errors import DomainError, UnsupportedBaseError
 from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq
@@ -534,8 +535,14 @@ def _fresh(q):
     return AlgBase.from_poly(q.poly, *FRESH_BRACKETS[q])
 
 
-# q_s, q_f, a degree-10 root of enum_B2(2, 4) and the non-monic root of
-# 2x^2 - 2x - 1, each with the bracket it is built from
+# (x^2 - x - 1)(x - 3): the golden ratio as a root of a reducible
+# polynomial whose cofactor is negative on the bracket, so the base's
+# polynomial and its minimal polynomial have opposite signs at each end
+PHI_X3 = (3, 2, -4, 1)
+
+# q_s, q_f, a degree-10 root of enum_B2(2, 4), the non-monic root of
+# 2x^2 - 2x - 1 and the golden ratio from PHI_X3, each with the bracket it
+# is built from
 SIGN_FIELDS = (
     (Q_S, (Fraction(17, 10), Fraction(9, 5))),
     (Q_F, (Fraction(17, 10), Fraction(9, 5))),
@@ -543,6 +550,8 @@ SIGN_FIELDS = (
      (Fraction(7, 4), Fraction(9, 5))),
     (AlgBase.from_poly((-1, -2, 2), Fraction(13, 10), Fraction(7, 5)),
      (Fraction(13, 10), Fraction(7, 5))),
+    (AlgBase.from_poly(PHI_X3, Fraction(3, 2), Fraction(17, 10)),
+     (Fraction(3, 2), Fraction(17, 10))),
 )
 FRESH_BRACKETS = dict(SIGN_FIELDS)
 
@@ -573,19 +582,69 @@ def field_numerator(draw):
     return q, (e if draw(st.booleans()) else -e).num
 
 
+@st.composite
+def long_polynomial(draw):
+    """(base, polynomial) longer than the field degree: random integer
+    polynomials of degree up to 60 at a SIGN_FIELDS base, or the defect
+    polynomial of `prop62_pair(GEN0, n)` at q_n or q_(n+1), n = 2..4,
+    where the paper's construction puts a sign change."""
+    if draw(st.booleans()):
+        q = draw(st.sampled_from([q for q, _ in SIGN_FIELDS]))
+        size = draw(st.sampled_from((2, 20)))
+        return q, tuple(draw(st.lists(st.integers(-2**size, 2**size),
+                                      min_size=1, max_size=61)))
+    return draw(st.sampled_from(range(6)).map(_prop62_case))
+
+
+@functools.cache
+def _prop62_case(i):
+    """(q_(n+k), defect polynomial of prop62_pair(GEN0, n)) for
+    (n, k) = (2 + i // 2, i % 2), on ladder bases shared by every draw."""
+    from twobases.enum_b2 import GEN0, prop62_pair
+    n, k = 2 + i // 2, i % 2
+    return _ladder()[n - 1 + k].base, f_minpoly(*prop62_pair(GEN0, n))
+
+
+@functools.cache
+def _ladder():
+    from twobases.enum_b2 import GEN0, qn_ladder
+    return qn_ladder(GEN0, 5)
+
+
+def interval_horner_sign(F, q) -> int:
+    """Oracle: the sign of the integer polynomial F at q, on a fresh copy
+    of q.  An exact zero is a root of gcd(q.poly, F) in q's bracket;
+    otherwise the copy is refined by quarters until interval Horner in
+    Fractions (`test_polys.interval_eval`) excludes zero."""
+    ref = AlgBase.from_bracket(q.poly, *q.bracket())
+    lo, hi = ref.bracket()
+    if bases.gcd_has_root_in(ref.poly, F, lo, hi):
+        return 0
+    for _ in range(2000):
+        lo, hi = ref.bracket()
+        vlo, vhi = interval_eval(F, lo, hi)
+        if vlo > 0 or vhi < 0:
+            return 1 if vlo > 0 else -1
+        ref.refine((hi - lo) / 4)
+    raise AssertionError("interval Horner undecided after 2000 refinements")
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(field_numerator())
+@given(st.one_of(field_numerator(), long_polynomial()))
 def test_field_sign_matches_interval_horner_on_a_fresh_base(case):
-    """`NumberField.sign` on a field whose private bracket carries the
-    history of every earlier example, against `b2core.sign_at` (exact
-    zero test, then interval Horner) on a fresh copy of the base."""
-    q, num = case
-    assert q.field().sign(num) == sign_at(num, _fresh(q))
+    """`NumberField.sign` and `b2core.sign_at` on a base whose sign bracket
+    carries the history of every earlier example, each against interval
+    Horner on a fresh copy of the base (`interval_horner_sign`)."""
+    q, F = case
+    want = interval_horner_sign(F, q)
+    if len(F) == q.field().deg:
+        assert q.field().sign(F) == want
+    assert sign_at(F, q) == want
 
 
 def test_walks_leave_the_base_bracket_as_built():
     """The printed interval of a base is a function of the base alone: the
-    remainder walks and field signs refine only the field's bracket."""
+    remainder walks and field signs refine only the base's sign bracket."""
     q = _fresh(Q_S)
     alpha_digits(q, 300)
     with pytest.raises(UnsupportedBaseError):
@@ -600,25 +659,77 @@ def test_walks_leave_the_base_bracket_as_built():
     assert q.to_json() == fresh.to_json()
 
 
+def test_signs_leave_the_base_bracket_as_built():
+    """`sign_at` and `cmp_rational` decide on the base's sign bracket, so a
+    base prints what a fresh copy prints after either of them."""
+    q, fresh = _fresh(Q_S), _fresh(Q_S)
+    r = Fraction(17106440950451, 10**13)
+    assert q.cmp_rational(r) == -1
+    assert sign_at((-r.numerator, r.denominator), q) == -1
+    # q_s^40 is about 2^30.98: longer than the field degree, and closer to
+    # 2^31 than the bracket [17/10, 9/5] can tell
+    assert sign_at(polys.sub(polys.shift((1,), 40), (2**31,)), q) == -1
+    assert q.bracket() == fresh.bracket() == FRESH_BRACKETS[Q_S]
+    assert q.to_json() == fresh.to_json()
+
+
+def test_sign_engine_halves_with_the_minimal_polynomial_once_known():
+    """Before the minimal polynomial is known the sign bracket is halved
+    with the base's polynomial, after it with the minimal polynomial, each
+    by its own sign at the lower end.  The golden ratio phi < r exactly
+    when (2r - 1)^2 > 5."""
+    q = _fresh(SIGN_FIELDS[4][0])
+    assert q.poly == PHI_X3 and q._minpoly is None
+    for k in (10, 30, 60):
+        # n / 10^k and (n + 1) / 10^k lie within 10^-k of phi
+        n = (10**k + isqrt(5 * 10**(2 * k))) // 2
+        for r in (Fraction(n, 10**k), Fraction(n + 1, 10**k)):
+            want = -1 if (2 * r - 1) ** 2 > 5 else 1
+            assert q.cmp_rational(r) == want
+            assert sign_at((-r.numerator, r.denominator), q) == want
+        if k == 10:
+            assert q.minpoly() == (-1, -1, 1)
+
+
+def test_a_halving_on_the_root_makes_the_base_exact():
+    """(2x - 3)(x^2 - 3) has only 3/2 in (7/5, 8/5]; from_poly keeps the
+    reducible polynomial, and the first halving of the sign bracket lands
+    on the root.  The base becomes exact and answers from 3/2."""
+    def base():
+        return AlgBase.from_poly((9, -6, -3, 2), Fraction(7, 5), Fraction(8, 5))
+    r = Fraction(149, 100)
+    q = base()
+    assert q.exact_rational is None
+    assert q.cmp_rational(r) == 1
+    assert q.exact_rational == Fraction(3, 2) and q.bracket() == (Fraction(3, 2),) * 2
+    q = base()
+    assert sign_at((-r.numerator, r.denominator), q) == 1
+    assert q.exact_rational == Fraction(3, 2)
+    q = base()
+    assert (q.field().base_elem() - r).sign() == 1
+    assert q.sign_of((-r.numerator, r.denominator)) == 1
+    assert q.sign_of((-3, 2)) == 0
+
+
 def test_one_sign_call_halves_the_field_bracket_at_most_budget_times(monkeypatch):
     q = _fresh(Q_S)
     fld = q.field()
     # q - 1 > 0 is decided on the table of the base's own bracket
     assert (fld.base_elem() - 1).sign() == 1
-    _, _, d0 = fld._bracket
-    assert FRESH_BRACKETS[Q_S] == (Fraction(fld._bracket[0], d0), Fraction(fld._bracket[1], d0))
+    a, b, d0 = q._sign_bracket
+    assert FRESH_BRACKETS[Q_S] == (Fraction(a, d0), Fraction(b, d0))
     # about 40 halvings of [17/10, 9/5] separate q_s from this rational
     near = fld.base_elem() - Fraction(17106440950451, 10**13)
     monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 15)
     for _ in range(2):
         with pytest.raises(UnsupportedBaseError):
             near.sign()
-        _, _, d1 = fld._bracket
+        _, _, d1 = q._sign_bracket
         assert d1 == d0 * 2**15
         d0 = d1
     # a third call of 15 halvings at most reaches the 40 or so needed
     assert near.sign() == -1
-    _, _, d1 = fld._bracket
+    _, _, d1 = q._sign_bracket
     assert d1 % d0 == 0 and d1 // d0 <= 2**15
     assert q.bracket() == FRESH_BRACKETS[Q_S]
 

@@ -56,9 +56,11 @@ def _case_ids(cases):
 
 
 # cases whose bases are certified by enum_b2._pair_roots, compared by
-# AlgBase.cmp's equality test or counted in Q(q) through FieldElem.inv and
-# the remainder walks, run again with assert statements stripped: their
-# answers may not rest on them
+# AlgBase.cmp's equality test, signed by the base's power table
+# (AlgBase.sign_of, behind sign_at in `witness --prop62` and cmp_rational in
+# `dim-bound`) or counted in Q(q) through FieldElem.inv and the remainder
+# walks, run again with assert statements stripped: their answers may not
+# rest on them
 OPTIMIZED = [
     ["derived", "--min", "2"],
     ["--jmax", "4", "--nmax", "5", "derived", "--min", "4"],

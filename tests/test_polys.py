@@ -54,32 +54,11 @@ POINTS = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction),
 
 
 @st.composite
-def straddling_interval(draw):
-    """A polynomial and a bracket with lo <= 0 < hi, where interval Horner
-    multiplies by factors of both signs."""
-    p = draw(POLYS)
-    lo = -draw(st.fractions(0, 3, max_denominator=10**9))
-    hi = draw(st.fractions(0, 3, max_denominator=10**9).filter(lambda x: x > 0))
-    if draw(st.booleans()):
-        p = polys.mul(p, _root_factor(draw(st.sampled_from((lo, hi, Fraction(0))))))
-    return p, lo, hi
-
-
-@st.composite
 def poly_and_point(draw):
     p, x = draw(POLYS), draw(POINTS)
     if draw(st.booleans()):
         p = polys.mul(p, _root_factor(x))   # x is then an exact root
     return p, draw(st.sampled_from((x, int(x)) if x.denominator == 1 else (x,)))
-
-
-@st.composite
-def poly_and_interval(draw):
-    p, lo = draw(POLYS), draw(POINTS)
-    hi = lo if draw(st.booleans()) else lo + draw(st.fractions(0, 4, max_denominator=10**9))
-    if draw(st.booleans()):
-        p = polys.mul(p, _root_factor(draw(st.sampled_from((lo, hi)))))
-    return p, lo, hi
 
 
 def test_trim_and_degree():
@@ -361,17 +340,6 @@ def _sqrt2_in(s, a, b) -> bool:
 def test_sign_at_rational_matches_eval_at(case):
     p, x = case
     assert polys.sign_at_rational(p, x) == polys._sign(polys.eval_at(p, x))
-
-
-@ORACLE
-@given(st.one_of(poly_and_interval(), straddling_interval()))
-@example(((1, -3, 1), Fraction(0), Fraction(1, 2)))
-@example(((Fraction(1, 3), 0, -2), Fraction(-1, 4), Fraction(1, 5)))
-@example(((-1, 0, 1), Fraction(-2), Fraction(3)))
-def test_interval_sign_matches_fraction_oracle(case):
-    p, lo, hi = case
-    vlo, vhi = interval_eval(p, lo, hi)
-    assert polys.interval_sign(p, lo, hi) == (1 if vlo > 0 else -1 if vhi < 0 else 0)
 
 
 def test_factor_int_reassembles():

@@ -153,9 +153,9 @@ def test_solve_qcd_factors_the_defect_once(monkeypatch):
     calls = []
     factor_int = polys.factor_int
 
-    def counted(p):
+    def counted(p, **kw):
         calls.append(p)
-        return factor_int(p)
+        return factor_int(p, **kw)
     monkeypatch.setattr(polys, "factor_int", counted)
     root = solve_qcd(parse_epseq("000(01)"), parse_epseq("0(01)"),
                      Fraction(17, 10), Fraction(9, 5))
@@ -172,9 +172,9 @@ def test_minpoly_factors_only_the_part_holding_the_root(monkeypatch):
     degrees = []
     factor_int = polys.factor_int
 
-    def recorded(p):
+    def recorded(p, **kw):
         degrees.append(polys.degree(p))
-        return factor_int(p)
+        return factor_int(p, **kw)
     monkeypatch.setattr(polys, "factor_int", recorded)
     ladder = qn_ladder(GEN0, 6)
     assert [polys.degree(e.base.poly) for e in ladder] == [2, 4, 8, 16, 32, 64]
@@ -265,8 +265,151 @@ def test_integer_refine_matches_fraction_bisection_after_each_width(case):
         assert (q.exact_rational is not None) == (lo == hi)
 
 
+def bisection_loop(poly, a, b, d, n):
+    """Oracle for `bases._bisect`: n plain halvings of (a/d, b/d), each
+    side read from the sign of poly at the lower end, by homogenised Horner
+    in integers; (m, m, D) when the midpoint m/D is the root."""
+    rev = tuple(reversed(poly))
+    up = polys.sign_at_rational(poly, Fraction(a, d)) > 0
+    for _ in range(n):
+        m = a + b
+        a, b, d = 2 * a, 2 * b, 2 * d
+        acc, dk = 0, 1
+        for c in rev:
+            acc = acc * m + c * dk
+            dk *= d
+        if not acc:
+            return m, m, d
+        if (acc > 0) == up:
+            a = m
+        else:
+            b = m
+    return a, b, d
+
+
+def _power(p, k):
+    return functools.reduce(polys.mul, [p] * k, (1,))
+
+
+# x^30 - 2 and (3 - x)^30 - 2: roots near 1 and near 2, where the chord
+# across a wide bracket puts its zero on the first or the last grid point
+STEEP_FACTORS = (polys.sub(polys.shift((1,), 30), (2,)),
+                 polys.sub(_power((3, -1), 30), (2,)))
+SIMPLE_FACTORS = ((-2, 0, 1), (-1, -1, 1), (-1, -1, -2, 0, 1), (-1, 1, -2, 1),
+                  (1, -1, 1, -1, 2, -2, 0, -2, 0, -1, 1))
+
+
+@st.composite
+def kernel_case(draw):
+    """(poly, a, b, d, n) for `bases._bisect`, poly times a random sign and
+    factors without a root in [1, 2]:
+    - a simple irrational root, a steep one, or the triple root of
+      (x^2 - 2)^3, in a random bracket inside [1, 2], refined up to 2000
+      levels (a width of 2^-2000 at most);
+    - a rational root r, simple or triple, on the grid point i / 2^L
+      (i odd) of a random bracket, so that it is a bisection midpoint of
+      level L, refined n = L - 3 .. L + 3 levels: met below level n, at
+      level n, or not at all."""
+    kind = draw(st.sampled_from(("simple", "steep", "triple", "grid")))
+    if kind == "grid":
+        r = draw(st.fractions(Fraction(11, 10), Fraction(19, 10), max_denominator=30))
+        f = (-r.numerator, r.denominator)
+        if draw(st.booleans()):
+            f = _power(f, 3)
+        level = draw(st.integers(1, 60))
+        i = 2 * draw(st.integers(0, 2 ** (level - 1) - 1)) + 1
+        w = draw(st.fractions(Fraction(1, 1000), Fraction(1, 10), max_denominator=1000))
+        lo = r - w * i / 2 ** level
+        hi = lo + w
+        n = draw(st.integers(max(level - 3, 1), level + 3))
+    else:
+        if kind == "triple":
+            g = (-2, 0, 1)
+            f = _power(g, 3)
+        else:
+            g = f = draw(st.sampled_from(STEEP_FACTORS if kind == "steep" else SIMPLE_FACTORS))
+        box = polys.isolate_roots(g, 1, 2)[0]
+        lo = draw(st.fractions(1, box[0], max_denominator=50))
+        hi = draw(st.fractions(box[1], 2, max_denominator=50).filter(
+            lambda h: polys.sign_at_rational(f, h) != 0))
+        most = 300 if kind == "steep" else 2000
+        n = draw(st.one_of(st.integers(1, 80), st.sampled_from((most // 2, most))))
+    p = polys.mul((draw(st.sampled_from((1, -1, 3))),), f)
+    for g in draw(st.lists(st.sampled_from(NO_ROOT_FACTORS), max_size=2)):
+        p = polys.mul(p, g)
+    return (p, *bases._over_one_den(lo, hi), n)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(kernel_case())
+@example((STEEP_FACTORS[0], 1, 2, 1, 200))
+@example((STEEP_FACTORS[1], 1, 2, 1, 200))
+@example((_power((-2, 0, 1), 3), 1, 2, 1, 2000))
+@example(((-3, 2), 1, 2, 1, 1))
+@example(((-13, 8), 1, 2, 1, 3))
+@example(((-13, 8), 1, 2, 1, 2))
+def test_kernel_matches_the_bisection_loop(case):
+    """QIR returns the cell, or the exact root, that plain halvings do."""
+    p, a, b, d, n = case
+    got = bases._bisect(tuple(reversed(p)), a, b, d, n)
+    want = bisection_loop(p, a, b, d, n)
+    assert (Fraction(got[0], got[2]), Fraction(got[1], got[2])) == \
+        (Fraction(want[0], want[2]), Fraction(want[1], want[2]))
+    assert (got[0] == got[1]) == (want[0] == want[1])
+
+
+@pytest.mark.parametrize("poly, lo, hi", [
+    ((-2, 0, 1), 1, 2),
+    ((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5)),
+    (SIMPLE_FACTORS[4], Fraction(7, 4), Fraction(9, 5)),
+])
+def test_kernel_refines_a_simple_root_2000_levels_in_few_evaluations(monkeypatch, poly, lo, hi):
+    """Bisection makes 2000 evaluations here; QIR fewer than 64."""
+    calls = []
+    hvalue = bases._hvalue
+
+    def counted(*args):
+        calls.append(args)
+        return hvalue(*args)
+    monkeypatch.setattr(bases, "_hvalue", counted)
+    a, b, d = bases._over_one_den(Fraction(lo), Fraction(hi))
+    got = bases._bisect(tuple(reversed(poly)), a, b, d, 2000)
+    assert len(calls) < 64
+    monkeypatch.undo()
+    assert got == bisection_loop(poly, a, b, d, 2000)
+
+
+@pytest.mark.parametrize("poly, lo, hi", [
+    ((1, 0, 1), Fraction(1), Fraction(2)),
+    (polys.neg((-2, 0, 1)), Fraction(3, 2), Fraction(2)),
+    (polys.mul((-2, 0, 1), (-3, 0, 1)), Fraction(13, 10), Fraction(9, 5)),
+])
+def test_kernel_ends_without_a_sign_change_at_the_ends(monkeypatch, poly, lo, hi):
+    """The kernel takes its sides from the sign at the lower end that it
+    computes itself, so ends of one sign, which is what a wrong stored sign
+    showed the old loop, cannot make it spin: it stops within 4n + 2
+    evaluations at a level-n cell, bisection's when the bracket holds no
+    root."""
+    n = 300
+    calls = []
+    hvalue = bases._hvalue
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 4 * n + 2, "the kernel does not stop"
+        return hvalue(*args)
+    monkeypatch.setattr(bases, "_hvalue", counted)
+    a, b, d = bases._over_one_den(lo, hi)
+    assert polys.sign_at_rational(poly, lo) == polys.sign_at_rational(poly, hi)
+    a1, b1, d1 = bases._bisect(tuple(reversed(poly)), a, b, d, n)
+    assert d1 == d << n and b1 - a1 == b - a
+    if not polys.count_roots_halfopen(poly, lo, hi):
+        assert (a1, b1, d1) == bisection_loop(poly, a, b, d, n)
+
+
 def test_field_arithmetic():
     rng = random.Random(3001)
+
     fld = Q_S.field()
     one = fld.one()
     x = fld.base_elem()

@@ -9,10 +9,11 @@ bracket that the base keeps to itself, so signs never move the bracket a
 base prints.  Brackets narrow by quadratic interval refinement whose cells
 are bisection's (`_bisect`): a bracket is the one bisection would reach,
 found in a few dozen polynomial evaluations for thousands of levels near a
-simple root, and in at most 4n + 2 for n levels at any root.  FieldElem gives exact arithmetic in Q(q), as integer
-coefficients over one denominator, for quasi-greedy remainders and
-expansion counting; its signs, `b2core.sign_at` and `AlgBase.cmp_rational`
-all come from that table.
+simple root, and in at most 4n + 2 for n levels at any root.  FieldElem
+gives exact arithmetic in Q(q), as integer coefficients over one
+denominator, for quasi-greedy remainders and expansion counting; its
+signs, `b2core.sign_at` and `AlgBase.cmp_rational` all come from that
+table.
 """
 
 from __future__ import annotations

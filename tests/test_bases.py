@@ -409,7 +409,6 @@ def test_kernel_ends_without_a_sign_change_at_the_ends(monkeypatch, poly, lo, hi
 
 def test_field_arithmetic():
     rng = random.Random(3001)
-
     fld = Q_S.field()
     one = fld.one()
     x = fld.base_elem()
@@ -819,7 +818,7 @@ def test_signs_leave_the_base_bracket_as_built():
 def test_sign_engine_halves_with_the_minimal_polynomial_once_known():
     """Before the minimal polynomial is known the sign bracket is halved
     with the base's polynomial, after it with the minimal polynomial, each
-    by its own sign at the lower end.  The golden ratio phi < r exactly
+    read by the kernel at the lower end.  The golden ratio phi < r exactly
     when (2r - 1)^2 > 5."""
     q = _fresh(SIGN_FIELDS[4][0])
     assert q.poly == PHI_X3 and q._minpoly is None

@@ -296,16 +296,13 @@ def _squarefree_parts(f: Poly) -> list:
     return out
 
 
-def factor_int(p: Poly, squarefree: bool = False) -> list:
+def factor_int(p: Poly) -> list:
     """Irreducible factors of a nonzero integer polynomial.
 
     Returns [(factor, multiplicity)] with each factor a primitive integer
     tuple (ascending) with positive leading coefficient, in `_factor_order`.
     Content and overall sign are dropped.  The power of x is split off, Yun's
     algorithm gives the squarefree parts, and `zfactor` factors each part.
-    A caller that knows p to be squarefree says so with squarefree=True, and
-    the rest of p goes to `zfactor` whole: Yun's algorithm would only test
-    it for squarefreeness again.
     """
     p = trim(int(c) for c in p)
     k = 0
@@ -316,7 +313,7 @@ def factor_int(p: Poly, squarefree: bool = False) -> list:
         f = neg(f)
     out = [((0, 1), k)] if k else []
     if degree(f) > 0:
-        for part, m in [(f, 1)] if squarefree else _squarefree_parts(f):
+        for part, m in _squarefree_parts(f):
             out.extend((g, m) for g in zfactor.factor_squarefree(part))
     out.sort(key=_factor_order)
     return out
@@ -337,8 +334,7 @@ def root_factors(p: Poly, lo, hi) -> list:
     h = sf / g.  As sf is squarefree, g and h are coprime, so each root of
     sf is a root of exactly one of them; a part is factored only when its
     Sturm count on (lo, hi] is positive.  When g is 1 or sf, sf is factored
-    whole.  Either way what is factored is squarefree, and is factored as
-    such."""
+    whole."""
     if not (lo < hi):
         raise DomainError("need a < b")
     sf = squarefree_part(p)
@@ -356,7 +352,7 @@ def root_factors(p: Poly, lo, hi) -> list:
         parts = [(sf, None)]
     out = []
     for part, n in parts:
-        factors = factor_int(part, squarefree=True)
+        factors = factor_int(part)
         if len(factors) == 1 and n is not None:
             # an irreducible part: its count is its factor's
             out.append((factors[0][0], n))

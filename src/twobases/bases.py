@@ -25,7 +25,7 @@ from operator import add, mul, sub
 from . import polys
 from .errors import DomainError, UnsupportedBaseError
 from .polys import _sign
-from .words import EPSeq, lex_cmp, shift, _tail_numerator
+from .words import EPSeq, lex_cmp, _tail_numerator
 
 # ---------------------------------------------------------------------------
 # number field arithmetic
@@ -749,6 +749,8 @@ def alpha_digits(q: AlgBase, n: int) -> str:
     when the remainder stays strictly positive afterwards."""
     if n < 1:
         raise DomainError("need n >= 1")
+    if q.alpha_hint is not None:
+        return q.alpha_hint.prefix(n)
     r = q.field().one()
     out = []
     for _ in range(n):
@@ -798,15 +800,19 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
 def parry_check(s: EPSeq) -> bool:
     """Is s the quasi-greedy expansion of 1 for some base in (1, 2]?
     Required: infinitely many ones, and every tail after a zero digit stays
-    lexicographically at most the whole sequence."""
+    lexicographically at most the whole sequence.
+
+    Only the tails at n <= L = |pre| + |per| are distinct.  A tail and s
+    both repeat with period |per| from digit |pre| on, so they are equal
+    once their first L digits agree; each test compares L-digit strings
+    cut from one unrolled prefix of s."""
     if s.per == "0":
         raise DomainError("sequence must have infinitely many ones")
-    if s.digit(0) != 1:
-        return False
-    for n in range(1, len(s.pre) + len(s.per) + 1):
-        if s.digit(n - 1) == 0 and lex_cmp(shift(s, n), s) > 0:
-            return False
-    return True
+    top = len(s.pre) + len(s.per)
+    w = s.prefix(2 * top)
+    head = w[:top]
+    return w[0] == "1" and all(w[n - 1] == "1" or w[n:n + top] <= head
+                               for n in range(1, top + 1))
 
 
 def base_from_alpha(s: EPSeq) -> AlgBase:

@@ -122,10 +122,10 @@ def _cmd_classify(args) -> int:
         out = _probable_classify(q, args.probable_depth)
     else:
         out = classify_base(q, max_steps=max(args.depth, 64) * 64).to_json()
-    out["base"] = q.to_json(args.precision)
     if (args.format or "json") == "plain":
         print(out["class"])
     else:
+        out["base"] = q.to_json(args.precision)
         _emit_json(out)
     return 0
 
@@ -184,12 +184,11 @@ def _cmd_solve(args) -> int:
     if root is None:
         raise NotFoundWithinBoundsError(
             "no defect-function root in the given interval")
-    out = {"c": args.c, "d": args.d, "root": root.decimal(args.precision),
-           "minpoly": list(root.minpoly())}
     if (args.format or "json") == "plain":
-        print(out["root"])
+        print(root.decimal(args.precision))
     else:
-        _emit_json(out)
+        _emit_json({"c": args.c, "d": args.d, "root": root.decimal(args.precision),
+                    "minpoly": list(root.minpoly())})
     return 0
 
 
@@ -213,12 +212,12 @@ def _cmd_enum_b2(args) -> int:
 
 def _cmd_derived(args) -> int:
     root = min_derived(args.min, args.jmax, args.nmax)
-    out = {"j": args.min, "jmax": args.jmax, "nmax": args.nmax,
-           "root": root.decimal(args.precision), "minpoly": list(root.minpoly())}
     if (args.format or "json") == "plain":
-        print(out["root"])
+        print(root.decimal(args.precision))
     else:
-        _emit_json(out)
+        _emit_json({"j": args.min, "jmax": args.jmax, "nmax": args.nmax,
+                    "root": root.decimal(args.precision),
+                    "minpoly": list(root.minpoly())})
     return 0
 
 
@@ -226,14 +225,15 @@ def _cmd_entropy(args) -> int:
     q = _parse_base(args.base)
     ent = entropy(q, nmax=max(args.nmax, 4))
     lo, hi = dim_U(q, nmax=max(args.nmax, 4))
-    out = ent.to_json()
-    out["base"] = q.to_json(args.precision)
-    out["entropy_log_dec"] = _dec_outward(ent.lower, ent.upper, args.precision)
-    out["dim"] = [str(lo), str(hi)]
-    out["dim_dec"] = _dec_outward(lo, hi, args.precision)
+    log_dec = _dec_outward(ent.lower, ent.upper, args.precision)
     if (args.format or "json") == "plain":
-        print(*out["entropy_log_dec"])
+        print(*log_dec)
     else:
+        out = ent.to_json()
+        out["base"] = q.to_json(args.precision)
+        out["entropy_log_dec"] = log_dec
+        out["dim"] = [str(lo), str(hi)]
+        out["dim_dec"] = _dec_outward(lo, hi, args.precision)
         _emit_json(out)
     return 0
 
@@ -243,13 +243,12 @@ def _cmd_dim_bound(args) -> int:
     delta = _rat(args.delta)
     lo, hi = b2_local_bound(q, delta, nmax=max(args.nmax, 4))
     certified = bool(hi < 1)
-    out = {"base": q.to_json(args.precision), "delta": str(delta),
-           "bound": _enclosure(lo, hi, args.precision),
-           "certified_below_one": certified}
+    bound = _enclosure(lo, hi, args.precision)
     if (args.format or "json") == "plain":
-        print(*out["bound"]["dec"], "below-one" if certified else "inconclusive")
+        print(*bound["dec"], "below-one" if certified else "inconclusive")
     else:
-        _emit_json(out)
+        _emit_json({"base": q.to_json(args.precision), "delta": str(delta),
+                    "bound": bound, "certified_below_one": certified})
     return 0
 
 
@@ -257,12 +256,11 @@ def _cmd_count(args) -> int:
     q = _parse_base(args.base)
     x = _parse_point(args.x)
     res = count_expansions(x, q, cap=args.cap)
-    out = {"x": args.x, "base": q.to_json(args.precision), "cap": args.cap,
-           "count": res.value, "exact": res.exact, "display": repr(res)}
     if (args.format or "json") == "plain":
         print(repr(res))
     else:
-        _emit_json(out)
+        _emit_json({"x": args.x, "base": q.to_json(args.precision), "cap": args.cap,
+                    "count": res.value, "exact": res.exact, "display": repr(res)})
     return 0
 
 

@@ -369,8 +369,9 @@ class _Band:
     enclosure tests cannot rule out, in O(log N + partners) per tail.
 
     Bisecting on hi needs hi nondecreasing along the lo order.  That is
-    checked once with exact integers; where it fails, the lo prefix is
-    tested tail by tail.
+    checked once with exact integers; where it fails, a partner still has
+    lo >= hi - G >= need - G, with G the band's largest gap hi - lo, so
+    only that window of the lo prefix is tested tail by tail.
     """
 
     def __init__(self, lo: list, hi: list, floor: int, ceil: int):
@@ -379,6 +380,8 @@ class _Band:
         self._lo = [lo[i] for i in self._order]
         self._hi = [hi[i] for i in self._order]
         self._hi_sorted = all(map(operator.le, self._hi, self._hi[1:]))
+        if not self._hi_sorted:
+            self._gap = max(map(operator.sub, hi, lo))
 
     def partners(self, lc: int, hc: int) -> list:
         """Positions of the partners of a tail with keys (lc, hc), increasing."""
@@ -386,7 +389,9 @@ class _Band:
         need = self.ceil - hc
         if self._hi_sorted:
             return sorted(self._order[bisect.bisect_left(self._hi, need, 0, end):end])
-        return sorted(i for i, h in zip(self._order[:end], self._hi) if h >= need)
+        start = bisect.bisect_left(self._lo, need - self._gap, 0, end)
+        return sorted(i for i, h in zip(self._order[start:end], self._hi[start:end])
+                      if h >= need)
 
     def pairs(self, first: "_Band"):
         """(x, y) for each tail x of `first` and each partner y of it here, in

@@ -2,14 +2,16 @@
 primes, then Zassenhaus.
 
 `factor_squarefree` takes a primitive squarefree integer polynomial with
-positive leading coefficient and no root at zero.  For each small prime p
-that divides neither the leading coefficient nor the discriminant (p is
-*usable*), the distinct-degree factorisation of f mod p gives the degrees
-of its irreducible factors mod p.  An integer factor of f has a degree that
-is a sum of some of those degrees, for every usable p (Musser, "On the
-efficiency of a polynomial irreducibility test", J. ACM 1978).  When no
-proper degree is a subset sum for all of the primes tried, f is irreducible
-and no further work is done.
+positive leading coefficient and no root at zero.  When f is monic with
+f(0) = +-1, its only possible rational roots are +-1; if neither is a root,
+f has no factor of degree 1 or n - 1.  For each small prime p that divides
+neither the leading coefficient nor the discriminant (p is *usable*), the
+distinct-degree factorisation of f mod p, one gcd per Frobenius step, gives
+the degrees of its irreducible factors mod p.  An integer factor of f has a
+degree that is a sum of some of those degrees, for every usable p (Musser,
+"On the efficiency of a polynomial irreducibility test", J. ACM 1978).
+When no proper degree is left allowed, f is irreducible and no further work
+is done.
 
 Otherwise the usable prime with the fewest factors is taken: its factors are
 split by equal degree (Cantor and Zassenhaus), lifted to p^(2^k) by
@@ -38,8 +40,6 @@ PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
           67, 71, 73, 79, 83, 89, 97)
 PRIME_BUDGET = 8
 
-# Frobenius steps of the distinct-degree factorisation per gcd with f.
-_BLOCK = 16
 # Random trials of an equal-degree split before giving up; each trial
 # splits a product of two or more factors with probability at least 1/2.
 _EDF_TRIES = 200
@@ -208,40 +208,26 @@ def ddf(f: list, p: int) -> list:
     [(d, g_d)] in increasing d, where g_d != 1 is the product of the
     irreducible factors of f of degree d.
 
-    h_i = x^(p^i) mod f, and x^(p^i) - x is the product of the monic
-    irreducibles of degree dividing i.  One gcd of f with the product of
-    h_i - x over a block of steps finds every factor of a degree in the
-    block (the smaller degrees are divided out already); only then are the
-    steps of the block taken one by one, modulo that gcd.  Once 2i exceeds
-    the degree of what is left, it is irreducible."""
+    h_i = x^(p^i) mod rest, where rest is f with the factors of degree
+    below i divided out, and x^(p^i) - x is the product of the monic
+    irreducibles of degree dividing i; so g_i = gcd(rest, h_i - x), one gcd
+    per Frobenius step.  Once 2i exceeds the degree of rest, it is
+    irreducible."""
     out = []
     mod = _Modulus(f, p)
     h = mod.reduce([0, 1])
     i = 0
     while 2 * (i + 1) <= mod.n:
-        block = []
-        acc = [1]
-        while len(block) < _BLOCK and 2 * (i + 1) <= mod.n:
-            i += 1
-            h = mod.powmod(h, p)
-            block.append((i, h))
-            acc = mod.mulmod(acc, _minus_x(h, p))
-        g = _gcd(mod.f, acc, p)
-        if len(g) == 1:
-            continue
-        rest = mod.f
-        for j, hj in block:
-            gj = _gcd(g, _minus_x(_rem(hj, g, p), p), p)
-            if len(gj) > 1:
-                out.append((j, gj))
-                g = _div(g, gj, p)
-                rest = _div(rest, gj, p)
-                if len(g) == 1:
-                    break
-        if len(rest) == 1:
-            return out
-        mod = _Modulus(rest, p)
-        h = _rem(h, rest, p)
+        i += 1
+        h = mod.powmod(h, p)
+        g = _gcd(mod.f, _minus_x(h, p), p)
+        if len(g) > 1:
+            out.append((i, g))
+            rest = _div(mod.f, g, p)
+            if len(rest) == 1:
+                return out
+            mod = _Modulus(rest, p)
+            h = _rem(h, rest, p)
     out.append((mod.n, mod.f))
     return out
 
@@ -311,7 +297,14 @@ def degree_analysis(f: tuple) -> tuple:
     of f over Z is in it.  The first PRIME_BUDGET usable primes of PRIMES
     are tried, stopping once only 0 and n are left (f is then irreducible);
     past PRIMES, primes are tried only until one is usable.  best is
-    (p, ddf) for the usable prime with the fewest factors.
+    (p, ddf) for the usable prime with the fewest factors, or None when no
+    prime was needed.
+
+    When lc(f) = 1 and |f(0)| = 1, a linear factor of f over Z is x - 1 or
+    x + 1 (the rational-root theorem), so f(1) != 0 and f(-1) != 0 rule out
+    degrees 1 and n - 1 before any prime is tried.  That alone proves f
+    irreducible at n <= 3; f is squarefree then too, since a repeated factor
+    of degree n <= 3 is linear.
 
     An unusable prime divides the resultant of f and f', whose size is at
     most n^n ||f||_2^(2n), so more unusable primes than its bit length
@@ -319,10 +312,14 @@ def degree_analysis(f: tuple) -> tuple:
     n = len(f) - 1
     full = 1 | 1 << n
     allowed = (1 << (n + 1)) - 1
+    # f(1) = sum(f) and f(-1) = sum(f[::2]) - sum(f[1::2])
+    if f[-1] == 1 and abs(f[0]) == 1 and sum(f) and sum(f[::2]) != sum(f[1::2]):
+        allowed &= ~(1 << 1 | 1 << (n - 1))
     unusable = (n ** n * sum(c * c for c in f) ** n).bit_length()
     best, fewest, used = None, n + 1, 0
     for p in _primes():
-        if used == PRIME_BUDGET or (best is not None and p > PRIMES[-1]):
+        if (allowed == full or used == PRIME_BUDGET
+                or (best is not None and p > PRIMES[-1])):
             break
         fp = _usable(f, p)
         if fp is None:
@@ -340,8 +337,6 @@ def degree_analysis(f: tuple) -> tuple:
         allowed &= sums
         if count < fewest:
             best, fewest = (p, parts), count
-        if allowed == full:
-            break
     return allowed, best
 
 
@@ -456,9 +451,10 @@ def factor_squarefree(f: tuple) -> list:
     n = len(f) - 1
     if n <= 1:
         return [f]
-    allowed, (p, parts) = degree_analysis(f)
+    allowed, best = degree_analysis(f)
     if allowed == 1 | 1 << n:
         return [f]
+    p, parts = best
     rng = random.Random(p)
     facs = [u for d, g in parts for u in edf(g, d, p, rng)]
     # any factor g of f, times b = lc(f), has coefficients below

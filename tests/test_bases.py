@@ -20,7 +20,7 @@ from twobases.bases import (
 from twobases.b2core import f_minpoly, sign_at, solve_qcd
 from twobases.classify import CountResult, count_expansions
 from twobases.errors import DomainError, UnsupportedBaseError
-from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq
+from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq, shift, thue_morse
 from test_polys import divmod_exact, interval_eval
 
 PHI = AlgBase.from_poly((-1, -1, 1), Fraction(3, 2), Fraction(17, 10))
@@ -970,10 +970,55 @@ def test_parry_check():
         parry_check(EPSeq("", "0"))
 
 
+def _parry_by_digits(s: EPSeq) -> bool:
+    """Oracle: Parry's condition digit by digit, each tail after a zero
+    compared with s by `lex_cmp`."""
+    if s.digit(0) != 1:
+        return False
+    return all(s.digit(n - 1) == 1 or lex_cmp(shift(s, n), s) <= 0
+               for n in range(1, len(s.pre) + len(s.per) + 1))
+
+
+WORD = st.text("01", max_size=9)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(WORD, WORD.filter(lambda w: "1" in w))
+@example("", "1101")
+@example("1", "10")
+@example("11", "0110")
+def test_parry_check_matches_digit_loop(pre, per):
+    s = EPSeq(pre, per)
+    assert parry_check(s) == _parry_by_digits(s)
+
+
+def _hint_free(q: AlgBase) -> AlgBase:
+    """The same base with no alpha hint, so its expansion of 1 comes from
+    the remainder orbit in Q(q)."""
+    return AlgBase.from_bracket(q.poly, *q.bracket())
+
+
+ROUNDTRIP_WORDS = ("10", "1100", "110", "1110", "11010010", "111000")
+
+
+def test_alpha_hint_agrees_with_the_orbit():
+    tm = [thue_morse(n) for n in range(1, 25)]
+    words = [EPSeq("", w) for w in ROUNDTRIP_WORDS + tuple(tm)]
+    # (1) is q = 2, a rational with no orbit to walk
+    words = [s for s in words if parry_check(s) and s.per != "1"]
+    assert len(words) > len(ROUNDTRIP_WORDS) + 4
+    for s in words:
+        q = base_from_alpha(s)
+        fresh = _hint_free(q)
+        assert fresh.alpha_hint is None
+        n = 2 * (len(s.pre) + len(s.per)) + 3
+        assert alpha_digits(fresh, n) == alpha_digits(q, n) == s.prefix(n)
+        assert alpha_epseq(fresh) == alpha_epseq(q) == s
+
+
 def test_base_from_alpha_roundtrip():
     rng = random.Random(3002)
-    pool = ["10", "1100", "110", "1110", "11010010", "111000"]
-    for per in pool:
+    for per in ROUNDTRIP_WORDS:
         s = EPSeq("", per)
         assert parry_check(s)
         q = base_from_alpha(s)

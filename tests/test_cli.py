@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import twobases
+from twobases.bases import AlgBase
 from twobases.cli import run
 
 SRC = Path(twobases.__file__).resolve().parents[1]
@@ -174,6 +177,27 @@ def test_dim_bound_certified(capsys):
                       "dim-bound", "--delta", "1/1000000",
                       "alpha:(11010011001011010010)")
     assert (rc, out) == (0, "0.3564972860 0.4143609464 below-one\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("dim-bound", "--delta", "1/1000000", "alpha:(11010011001011010010)"),
+    ("classify", Q_F_SPEC),
+    ("count", "--x", "1000(01)", "--base", Q_S_SPEC),
+])
+def test_plain_output_builds_no_json(capsys, monkeypatch, argv):
+    """Under --format plain the base's JSON (and the minimal polynomial it
+    factors) is never built; under json it is built once."""
+    calls = []
+    to_json = AlgBase.to_json
+
+    def counted(self, *args):
+        calls.append(self)
+        return to_json(self, *args)
+    monkeypatch.setattr(AlgBase, "to_json", counted)
+    rc, _, _ = _run(capsys, "--format", "plain", *argv)
+    assert rc == 0 and calls == []
+    rc, _, _ = _run(capsys, "--format", "json", *argv)
+    assert rc == 0 and len(calls) == 1
 
 
 def test_exit_codes(capsys):

@@ -404,9 +404,15 @@ KEYS = st.lists(st.tuples(st.integers(0, 30), st.integers(-5, 30)), max_size=14)
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(KEYS, KEYS, st.integers(0, 60), st.integers(0, 80), st.booleans())
+@example([], [], 0, 0, False)
+@example([(0, 0), (1, -5), (3, -2)], [(0, 0), (1, -5), (3, -2)], 10, 0, False)
+@example([(2, -1), (3, -4)], [(0, -3), (1, -5)], 9, 0, False)
+@example([(0, 2), (5, -1), (6, -4), (1, 9)], [(0, 2), (5, -1), (6, -4)], 12, 9, False)
 def test_band_matches_pairwise_tests(keys, other, floor, ceil, sorted_hi):
     # partners and pairs against testing every pair; sorted_hi makes hi
-    # nondecreasing along the lo order, so the bisection path runs too
+    # nondecreasing along the lo order, so the bisection path runs too.
+    # Unsorted bands test only lo >= need - G, G the largest hi - lo; the
+    # examples draw the empty band and unsorted bands with G = 0 and G < 0
     def band(ks):
         lo = [a for a, _ in ks]
         hi = [3 * a for a in lo] if sorted_hi else [a + b for a, b in ks]
@@ -532,6 +538,26 @@ def test_min_derived_order_5_frozen():
     assert min_derived(5, 6, 5).to_json() == MIN_DERIVED_5
 
 
+# min_derived(6, 4, 6).to_json(): the deep-pair root of interval 6, degree 82
+MIN_DERIVED_6 = {
+    "minpoly": [
+        -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+        -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+        -2, -2, -3, -2, 0, -2, -2, -2, -4, -2, 0, -2, -4, -2, -2, -2,
+        0, -2, -3, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+        -2, -1, 0, -1, -2, -1, -1, -1, 0, -1, -2, -1, 0, -1, -1, -1,
+        -2, 0, 1,
+    ],
+    "interval": [
+        "4639918641359514951756667235152891/"
+        "2596148429267413814265248164610048",
+        "4639918641359515002103933475616735/"
+        "2596148429267413814265248164610048",
+    ],
+    "approx": "1.78723165018297",
+}
+
+
 # min_derived(7, 2, 7).to_json(): the deep-pair root of interval 7, degree 162
 MIN_DERIVED_7 = {
     "minpoly": [
@@ -557,9 +583,8 @@ MIN_DERIVED_7 = {
 }
 
 
-def test_min_derived_order_7_frozen_by_the_deep_pair(monkeypatch):
-    """Order 7 at Jmax 2: no endpoint certificate and no interior root of
-    order 7 in intervals 4 to 7, so the deep pair of interval 7 decides."""
+def _rules_seen(monkeypatch) -> dict:
+    """What each of the three derived-order rules returns, call by call."""
     seen = {"endpoint": [], "interior": [], "deep": []}
 
     def recorded(name, fn):
@@ -571,6 +596,24 @@ def test_min_derived_order_7_frozen_by_the_deep_pair(monkeypatch):
     for name, attr in (("endpoint", "_endpoint_certificate"),
                        ("interior", "_interior_candidates"), ("deep", "_prop62_root")):
         monkeypatch.setattr(enum_b2, attr, recorded(name, getattr(enum_b2, attr)))
+    return seen
+
+
+def test_min_derived_order_6_frozen_by_the_deep_pair(monkeypatch):
+    """Order 6 at Jmax 4 (about 12 s; Jmax 5 takes about 38 s): no endpoint
+    certificate and no interior root of order 6 in intervals 4 to 6, so the
+    deep pair of interval 6 decides."""
+    seen = _rules_seen(monkeypatch)
+    got = min_derived(6, 4, 6)
+    assert got.to_json() == MIN_DERIVED_6
+    assert seen["endpoint"] == [None] * 3 and seen["interior"] == [[]] * 3
+    assert len(seen["deep"]) == 1 and seen["deep"][0] is got
+
+
+def test_min_derived_order_7_frozen_by_the_deep_pair(monkeypatch):
+    """Order 7 at Jmax 2: no endpoint certificate and no interior root of
+    order 7 in intervals 4 to 7, so the deep pair of interval 7 decides."""
+    seen = _rules_seen(monkeypatch)
     got = min_derived(7, 2, 7)
     assert got.to_json() == MIN_DERIVED_7
     assert seen["endpoint"] == [None] * 4 and seen["interior"] == [[]] * 4

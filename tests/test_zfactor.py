@@ -3,7 +3,7 @@ certificate of `zfactor`, against sympy's factor_list as the oracle."""
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twobases import polys, zfactor
@@ -75,11 +75,21 @@ def test_factor_int_when_every_listed_prime_divides_the_leading_coefficient():
     assert polys.factor_int(f) == sympy_factors(f)
 
 
+Q_S_POLY = (-1, -1, -2, 0, 1)
+Q_F_POLY = (-1, 1, -2, 1)
+
+
 @ORACLE
 @given(st.lists(FACTOR, min_size=2, max_size=4))
+@example([(-1, 1), Q_F_POLY])
+@example([(1, 1), Q_F_POLY])
+@example([(-1, 1), Q_S_POLY])
+@example([(1, 1), Q_S_POLY])
 def test_degree_certificate_never_accepts_a_product(fs):
     """Every degree of a factor over Z survives the mod-p analysis, so a
-    product of two or more factors is never declared irreducible."""
+    product of two or more factors is never declared irreducible.  The
+    examples are (x -+ 1) g with unit ends, whose linear factor only the
+    test of f(1) and f(-1) keeps allowed."""
     f = (1,)
     for g in fs:
         f = polys.mul(f, g)
@@ -100,3 +110,57 @@ def test_degree_certificate_never_accepts_a_product(fs):
 def test_degree_analysis_refuses_a_repeated_factor():
     with pytest.raises(ValueError):
         zfactor.degree_analysis(polys.mul((-1, -1, 1), (-1, -1, 1)))
+
+
+@st.composite
+def squarefree_mod_p(draw):
+    """(f, p): a random monic f over Z/p, p in PRIMES[:6], squarefree mod p."""
+    p = draw(st.sampled_from(zfactor.PRIMES[:6]))
+    n = draw(st.integers(1, 24))
+    f = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    fp = zfactor._usable(tuple(f), p)
+    assume(fp is not None)
+    return fp, p
+
+
+@ORACLE
+@given(squarefree_mod_p())
+def test_ddf_degrees_match_sympy(fp):
+    f, p = fp
+    parts = zfactor.ddf(f, p)
+    assert [d for d, _ in parts] == sorted({d for d, _ in parts})
+    got = sorted(d for d, g in parts for _ in range((len(g) - 1) // d))
+    _, fl = sympy.Poly(list(reversed(f)), X, modulus=p).factor_list()
+    assert got == sorted(g.degree() for g, m in fl for _ in range(m))
+    prod = [1]
+    for _, g in parts:
+        prod = zfactor._mul(prod, g, p)
+    assert prod == f
+
+
+def _primes_to_certify(monkeypatch, f):
+    """How many primes the degree analysis takes to prove f irreducible."""
+    calls, real = [], zfactor.ddf
+
+    def counted(fp, p):
+        calls.append(p)
+        return real(fp, p)
+    monkeypatch.setattr(zfactor, "ddf", counted)
+    allowed, _ = zfactor.degree_analysis(f)
+    assert allowed == 1 | 1 << polys.degree(f)
+    return len(calls)
+
+
+def test_ladder_minimal_polynomials_need_few_primes(monkeypatch):
+    """q_5 and q_6 have unit ends and no root at +-1, so no linear factor
+    is possible; without that test every prime leaves degree 1 allowed at
+    q_6, and it takes 7 primes instead of 3."""
+    from twobases.enum_b2 import GEN0, qn_ladder
+
+    ladder = qn_ladder(GEN0, 6)
+    q5, q6 = ladder[4].base.minpoly(), ladder[5].base.minpoly()
+    assert polys.degree(q6) == 33
+    assert _primes_to_certify(monkeypatch, q6) <= 3
+    assert _primes_to_certify(monkeypatch, q5) <= 2
+    # q_f's cubic needs no prime at all
+    assert _primes_to_certify(monkeypatch, Q_F_POLY) == 0

@@ -600,9 +600,9 @@ def _rules_seen(monkeypatch) -> dict:
 
 
 def test_min_derived_order_6_frozen_by_the_deep_pair(monkeypatch):
-    """Order 6 at Jmax 4 (about 12 s; Jmax 5 takes about 38 s): no endpoint
-    certificate and no interior root of order 6 in intervals 4 to 6, so the
-    deep pair of interval 6 decides."""
+    """Order 6 at Jmax 4 (about 12 s): no endpoint certificate and no
+    interior root of order 6 in intervals 4 to 6, so the deep pair of
+    interval 6 decides."""
     seen = _rules_seen(monkeypatch)
     got = min_derived(6, 4, 6)
     assert got.to_json() == MIN_DERIVED_6

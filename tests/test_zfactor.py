@@ -153,8 +153,7 @@ def _primes_to_certify(monkeypatch, f):
 
 def test_ladder_minimal_polynomials_need_few_primes(monkeypatch):
     """q_5 and q_6 have unit ends and no root at +-1, so no linear factor
-    is possible; without that test every prime leaves degree 1 allowed at
-    q_6, and it takes 7 primes instead of 3."""
+    is possible; without that test q_6 takes 7 primes instead of 3."""
     from twobases.enum_b2 import GEN0, qn_ladder
 
     ladder = qn_ladder(GEN0, 6)

@@ -12,6 +12,13 @@ block levels are k and k' certifies order 2n - (k+1) - (k'+1) relative to
 the interval, a right endpoint inherits one order more than the families
 converging down to it, and the explicit deep pairs of `prop62_pair` give an
 order-n point strictly inside (q_n, q_{n+1}).
+
+A derived-order scan caps the weight (k+1) + (k'+1) of its pairs, so every
+pair it wants joins a light sequence (weight at most half the cap) to one of
+any weight.  Its profile walk therefore keeps every light sequence, then
+walks the heavy ones with bounds on the enclosure keys of each subtree and
+keeps only the leaves that some light sequence can partner; uncapped scans
+store the whole walk.
 """
 
 from __future__ import annotations
@@ -153,7 +160,7 @@ def _text_key(text) -> tuple:
     return len(pre) + len(per), pre + "(" + per + ")"
 
 
-def _walk(comp, top, Jmax, encs=()) -> dict:
+def _walk(comp, top, Jmax, encs=(), weights=None) -> dict:
     """Every block profile with levels below `top` and finite repetition
     counts at most Jmax (a nonempty leading run), by the sequence it
     assembles: {(pre, per): (weight, *bounds, *ids)}, with the canonical
@@ -170,6 +177,14 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
     prefix of the raw one, so the bounds are exactly
     `enc.enclose(EPSeq(pre, per), "1")`.  Entries are flat tuples of
     numbers, which the garbage collector stops tracking at once.
+
+    A sequence's weight is fixed by its period: the period is a turn of the
+    primitive period of block k[-1], and these have distinct lengths, so
+    every profile of a sequence has the same top level.  `weights` maps the
+    weights to walk, each to a `_Reach` that skips the subtrees and drops
+    the leaves that cannot pair, or to None, which keeps every leaf; by
+    default every weight is walked and kept.  Profiles left out still count
+    their places, so ids are those of the full walk.
     """
     periods = [_primitive(_block(comp, k)) for k in range(top)]
     tails = {}
@@ -184,7 +199,7 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
             d = runs[word, at] = tuple(x for enc in encs for x in enc.digit_sums(word, at))
         return d
 
-    def leaf(pre, per, weight, sums, start=0):
+    def leaf(pre, per, weight, sums, start=0, reach=None):
         nonlocal count
         text = _shortest_memo(strips, pre, per, start)
         seen = tails.get(text)
@@ -197,20 +212,23 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
             entry = [weight]
             for i, enc in enumerate(encs):
                 entry += enc.with_period(sums[2 * i], sums[2 * i + 1], text[1], cut + 1)
-            entry.append(count)
-            tails[text] = tuple(entry)
+            if reach is None or reach.leaf(entry):
+                entry.append(count)
+                tails[text] = tuple(entry)
         count += 1
 
-    def grow(k, s, i, pre, sums):
+    def grow(k, s, i, pre, sums, reach):
         # the run of stage i: the generator (i = 0, nonempty), or block
         # k[i - 1] and then the bridge to k[i] where s[i - 1] is set; the
         # last stage ends in the periodic tail of block k[-1]
+        nonlocal count
         if i == 0:
             block, bridge = comp.generator, ""
         else:
             block = _block(comp, k[i - 1])
             bridge = _bridge(comp, k[i - 1], k[i]) if s[i - 1] else ""
         last = i + 1 == len(k)
+        below = (Jmax + 1) ** (len(k) - 1 - i)  # leaves below each count
         start = len(pre)
         for c in range(Jmax + 1):
             if c:
@@ -218,22 +236,35 @@ def _walk(comp, top, Jmax, encs=()) -> dict:
                 pre += block
             elif i == 0:
                 continue
+            if reach is not None and not reach.lo_allows(pre, sums):
+                # more blocks only raise the lo sum: no later count pairs
+                count += (Jmax + 1 - c) * below
+                break
             child, child_sums = pre, sums
             if bridge:
                 child += bridge
                 child_sums = tuple(map(operator.add, sums, run(bridge, len(pre) + 2)))
             if last:
-                leaf(child, periods[k[-1]], k[-1] + 1, child_sums, start)
+                leaf(child, periods[k[-1]], k[-1] + 1, child_sums, start, reach)
+            elif reach is None or reach.node(child, child_sums):
+                grow(k, s, i + 1, child, child_sums, reach)
             else:
-                grow(k, s, i + 1, child, child_sums)
+                count += below
 
     # digit i of the raw preperiod sits at position i + 2, after the lead 1
     ones = run("1", 1)
-    leaf("", "0", 0, ones)
+    if weights is None or 0 in weights:
+        leaf("", "0", 0, ones)
+    else:
+        count += 1
     for m in range(1, top + 1):
         for k in itertools.combinations(range(top), m):
+            if weights is not None and k[-1] + 1 not in weights:
+                count += Jmax * (Jmax + 1) ** (m - 1) << (m - 1)
+                continue
+            reach = None if weights is None else weights[k[-1] + 1]
             for s in itertools.product((0, 1), repeat=m - 1):
-                grow(k, s, 0, "", ones)
+                grow(k, s, 0, "", ones, reach)
     return tails
 
 
@@ -276,7 +307,7 @@ def _profile(top, Jmax, i) -> tuple:
     raise DomainError("no such profile")
 
 
-def _graded_tails(comp, n, Jmax, cap=math.inf, encs=()) -> dict:
+def _graded_tails(comp, n, Jmax, cap=math.inf, encs=(), ends=None) -> dict:
     """Distinct assembled sequences of interval n as (text, ids, bounds),
     grouped by the weight of the lightest profile; each group in (length,
     text) order.  `ids` are `_profile` places and `bounds` the enclosures
@@ -284,14 +315,90 @@ def _graded_tails(comp, n, Jmax, cap=math.inf, encs=()) -> dict:
 
     A weight cap enumerates only block levels below it (top_k + 1 <= cap),
     which prunes the profile space hard when cap < n.
+
+    With `ends` = (floor, ceil), the pairs wanted are those of weight at most
+    cap whose keys pass the band test of `_Band` (lo at encs[0], hi at
+    encs[1]).  Such a pair joins a light sequence (weight <= cap / 2) to one
+    of weight at most cap minus its own, so the light weights are walked and
+    kept first.  The heavy ones are walked next, skipping every subtree and
+    dropping every leaf that no light sequence of a weight it may pair with
+    can partner (`_Reach`); a heavy group holds only the sequences kept, in
+    the same order.
     """
+    top = min(n, cap)
+    if ends is None or 2 * top <= cap:
+        tails = _walk(comp, top, Jmax, encs)
+    else:
+        half = cap // 2
+        tails = _walk(comp, top, Jmax, encs, dict.fromkeys(range(half + 1)))
+        end = _longest_pre(comp, top, Jmax) + 1
+        reach = {}
+        for w in range(half + 1, top + 1):
+            light = [e for e in tails.values() if e[0] <= cap - w]
+            band = _Band([e[1] for e in light], [e[4] for e in light], *ends)
+            reach[w] = _Reach(band, _primitive(_block(comp, w - 1)), encs[1], end)
+        tails.update(_walk(comp, top, Jmax, encs, reach))
     grades = {}
     ids = 1 + 2 * len(encs)
-    for text, entry in _walk(comp, min(n, cap), Jmax, encs).items():
+    for text, entry in tails.items():
         grades.setdefault(entry[0], []).append((text, entry[ids:], entry[1:ids]))
     for bucket in grades.values():
         bucket.sort(key=lambda t: _text_key(t[0]))
     return grades
+
+
+def _longest_pre(comp, top, Jmax) -> int:
+    """A bound on the raw preperiod length of the profiles below `top`:
+    Jmax runs of the generator and of every block, and a bridge, shorter
+    than the top block, into each level but the first."""
+    return (Jmax * (len(comp.generator) + sum(len(_block(comp, k)) for k in range(top)))
+            + (top - 1) * len(_block(comp, top - 1)))
+
+
+class _Reach:
+    """Which leaves of one heavy weight can still pair with a light tail of
+    `band`, judged at every node of `_walk` from its raw preperiod N (of
+    length L) and the digit sums of 1N.
+
+    Every leaf below the node is a sequence N ... per^inf, p = |per|, and
+    its keys come from its canonical text.  The canonical preperiod can cut
+    into N only by a suffix that per^inf repeats.  While that suffix is at
+    most p long, the leaf's period starts at some m >= L + 1 - p, so its
+    first repetition, summed digit by digit, covers position L + 1.  Its lo
+    is then at least the lo digit sum of 1N, as the geometric rest adds at
+    least 0, and its hi at most the hi digit sum plus
+    `SeriesEnclosure.hi_growth`, and at most 1^inf's.  A node whose last
+    p + 1 digits per^inf repeats has no such bounds and is kept; that is
+    checked only where the bounds would drop the node.
+    """
+
+    def __init__(self, band, per, enc, end):
+        self.band = band
+        self._p, self._twice = len(per), per + per
+        self._ceil = enc.ones[1]
+        self._growth = enc.hi_growth(len(per), end)
+
+    def bounds(self, pre, sums) -> tuple:
+        """(least lo, greatest hi) of the leaves below the node, unless
+        `cuts_deep(pre)`."""
+        return sums[0], min(self._ceil, sums[3] + self._growth[len(pre)])
+
+    def cuts_deep(self, pre) -> bool:
+        """Whether a canonical cut may take more than p digits of pre."""
+        return len(pre) > self._p and pre[-self._p - 1:] in self._twice
+
+    def lo_allows(self, pre, sums) -> bool:
+        """Whether a leaf below this node, or below any longer run of its
+        last block, can have a lo that some light partner allows."""
+        return self.band.reaches(sums[0], math.inf) or self.cuts_deep(pre)
+
+    def node(self, pre, sums) -> bool:
+        """Whether a leaf below this node can pair."""
+        return self.band.reaches(*self.bounds(pre, sums)) or self.cuts_deep(pre)
+
+    def leaf(self, entry) -> bool:
+        """Whether the leaf with this `_walk` entry pairs."""
+        return self.band.reaches(entry[1], entry[4])
 
 
 def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
@@ -311,6 +418,12 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
     bracket ends at scan start.  Shape-III defects increase on [a0, b1],
     the other shapes are positive there, and later refinement only moves
     the ends inward, so `_pair_roots` returns [] for every dropped pair.
+    Under a cap, a sequence heavier than cap / 2 can pair only with a
+    lighter one, so the walk stores the light grades whole and, of the
+    heavy ones, only the sequences that pass that test with some light
+    sequence; whole heavy subtrees are skipped on bounds of their keys
+    (`_graded_tails`).  Positions, pairs and profile ids are those of the
+    full walk.
 
     EPSeqs and ReprVectors are built only for the sequences of the pairs
     formed.
@@ -318,14 +431,16 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
     points = ()
     if iv is not None and iv.monotone:
         points = (iv.lo.bracket()[0], iv.hi.bracket()[1])
-    grades = _graded_tails(comp, n, Jmax, cap, iv.enclosures(points) if points else ())
     bands = None
     if points:
         a0, b1 = points
+        ends = iv.ones(a0)[0], iv.ones(b1)[1]
+        grades = _graded_tails(comp, n, Jmax, cap, iv.enclosures(points), ends)
         # bounds are (lo, hi) at a0, then (lo, hi) at b1
-        bands = {w: _Band([b[0] for _, _, b in bucket], [b[3] for _, _, b in bucket],
-                          iv.ones(a0)[0], iv.ones(b1)[1])
+        bands = {w: _Band([b[0] for _, _, b in bucket], [b[3] for _, _, b in bucket], *ends)
                  for w, bucket in grades.items()}
+    else:
+        grades = _graded_tails(comp, n, Jmax, cap)
     built = {}
 
     def tail(w, x):
@@ -392,6 +507,17 @@ class _Band:
         start = bisect.bisect_left(self._lo, need - self._gap, 0, end)
         return sorted(i for i, h in zip(self._order[start:end], self._hi[start:end])
                       if h >= need)
+
+    def reaches(self, lc: int, hc: int) -> bool:
+        """Whether a tail with keys (lc, hc) has a partner here: one
+        bisection on the lo order and the greatest hi of that prefix."""
+        end = bisect.bisect_right(self._lo, self.floor - lc)
+        return end > 0 and self._most_hi[end - 1] >= self.ceil - hc
+
+    @functools.cached_property
+    def _most_hi(self) -> list:
+        # the greatest hi of each prefix of the lo order
+        return list(itertools.accumulate(self._hi, max))
 
     def pairs(self, first: "_Band"):
         """(x, y) for each tail x of `first` and each partner y of it here, in
@@ -615,23 +741,27 @@ def _endpoint_certificate(comp, iv, n, j, Jmax):
     rooted at q_n iff value(1c) + value(1d) = 1/(q_n - 1) in Q(q_n).  Both
     sides decrease in q, so on q_n's bracket [a0, a1] such a pair has
     (1c) + (1d) at most 1/(a0 - 1) at a1 and at least 1/(a1 - 1) at a0; only
-    tails with a partner passing those enclosure tests are evaluated."""
+    tails with a partner passing those enclosure tests are evaluated.  A
+    pair of weight at most 2n - j holds a tail of at most half that weight,
+    so a heavier tail is built only when some such light tail partners it,
+    and whole heavy subtrees are skipped (`_graded_tails`): a dropped tail
+    is in no rooted pair the join could accept."""
     maxweight = 2 * n - j
     if maxweight < 1:
         return None
     qn = iv.lo
     a0, a1 = qn.bracket()
     points = (a1, a0)
+    ends = iv.ones(a0)[0], iv.ones(a1)[1]
     tails = [(w, text, ids, bounds)
              for w, bucket in sorted(_graded_tails(comp, n - 1, Jmax, maxweight,
-                                                   iv.enclosures(points)).items())
+                                                   iv.enclosures(points), ends).items())
              for text, ids, bounds in bucket]
     # lo at a1 and hi at a0, from bounds (lo, hi) at a1, then (lo, hi) at a0
-    band = _Band([b[0] for *_, b in tails], [b[3] for *_, b in tails],
-                 iv.ones(a0)[0], iv.ones(a1)[1])
+    band = _Band([b[0] for *_, b in tails], [b[3] for *_, b in tails], *ends)
     entries = []
     for (w, text, ids, bounds), lc, hc in zip(tails, band.lo, band.hi):
-        if band.partners(lc, hc):
+        if band.reaches(lc, hc):
             s = EPSeq(*text)
             iv.record(s, points, bounds)
             # each sequence stands for itself through its first lightest profile

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from math import lcm
 
 from . import polys
@@ -329,6 +329,30 @@ class SeriesEnclosure:
                 -(-phi * one // den) if den > 0 else self.ones[1])
         # every 0/1 series is at most 1^inf
         return lo + part[0], min(hi + part[1], self.ones[1])
+
+    def hi_growth(self, p: int, end: int) -> list:
+        """For L = 0 .. end - 1, the most by which the hi of `with_period(lo,
+        hi, per, m)`, before its cap at 1^inf, can exceed H, the rounded-up
+        digit sum of positions 1 .. L + 1: over every 0/1 sequence whose
+        period of length p starts at position m + 1, 1 <= m <= end and
+        m >= L + 1 - p, with (lo, hi) the sums of its positions 1 .. m.
+
+        The period's share is W + ceil(W x'/(1 - x')) for its p-digit sum W
+        and x' the rounded-up x^p, so a digit 1 at a position past m never
+        lowers the excess; digits 1 from position m + 1 on attain the most
+        for each m, which is the sum of positions L + 2 .. m + p plus
+        ceil(W x'/(1 - x'))."""
+        one = self._one
+        hi = self._powers(end + p + 1)[1]
+        den = one - hi[p]
+        if den <= 0:
+            return [self.ones[1]] * end
+        acc = list(accumulate(hi, initial=0))
+        # most[m - 1]: the largest excess plus acc[L + 2] over periods from m' >= m
+        most = list(accumulate(
+            (acc[m + p + 1] - (-(acc[m + p + 1] - acc[m + 1]) * hi[p] // den)
+             for m in range(end, 0, -1)), max))[::-1]
+        return [most[max(0, L - p)] - acc[L + 2] for L in range(end)]
 
     def enclose(self, s: EPSeq, lead: str = "") -> tuple:
         """(lo, hi) around 2^K times the value of the sequence lead s."""

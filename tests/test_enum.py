@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from twobases import enum_b2, words
 from twobases.b2core import (
     MonotoneCase, f_eval, f_minpoly, monotone_case, solve_qcd, udiff_generate,
-    B2Witness,
+    B2Witness, _block, _bridge,
 )
 from twobases.bases import AlgBase, beta_digits, real_roots
 from twobases.classify import CountResult, count_expansions, is_univoque_seq
@@ -20,7 +20,7 @@ from twobases.classify import in_A_prime
 from twobases.enum_b2 import (
     LadderEntry, ReprVector, derived_order_bound, enum_B2, enum_reprs,
     min_derived, pair_weight, qn_ladder, repr_to_seq,
-    _Interval, _interval, _pair_roots, _tail_pairs,
+    _Interval, _endpoint_certificate, _interval, _pair_roots, _tail_pairs,
 )
 from twobases.errors import DomainError
 from twobases.words import (
@@ -149,11 +149,14 @@ def _graded_oracle(comp, n, Jmax, cap=INF):
     return grades
 
 
-@pytest.mark.parametrize("gen, n, Jmax, cap", [
+WALK_GRID = [
     ("0", 0, 3, INF), ("0", 1, 4, INF), ("0", 2, 3, INF), ("0", 3, 2, INF),
     ("0", 4, 2, INF), ("0", 3, 3, 2), ("0", 4, 2, 3), ("0", 4, 1, 1),
     ("10", 1, 3, INF), ("10", 2, 2, INF), ("10", 2, 3, 1),
-])
+]
+
+
+@pytest.mark.parametrize("gen, n, Jmax, cap", WALK_GRID)
 def test_walk_matches_profile_route(gen, n, Jmax, cap):
     # the same sequences with the same profiles in generation order, the
     # same lightest weights, in the same order; the text is canonical
@@ -168,6 +171,18 @@ def test_walk_matches_profile_route(gen, n, Jmax, cap):
         for text, _, _ in bucket:
             t = EPSeq(*text)
             assert (t.pre, t.per) == text
+
+
+@pytest.mark.parametrize("gen, n, Jmax, cap", WALK_GRID)
+def test_text_weight_fixed_by_period(gen, n, Jmax, cap):
+    # capped scans split the walk by weight, which rests on every profile of
+    # a sequence having the same top level: it is read off the period length
+    comp = ComponentSpec(gen)
+    weight_of = {}
+    for v in _profiles_oracle(min(n, cap), Jmax):
+        t = repr_to_seq(v, comp)
+        assert weight_of.setdefault(len(t.per), v.top_k + 1) == v.top_k + 1
+    assert len(weight_of) == min(n, cap) + 1
 
 
 @pytest.mark.parametrize("n, Jmax", [(0, 1), (1, 4), (2, 4), (3, 3), (4, 4)])
@@ -434,10 +449,13 @@ def test_band_matches_pairwise_tests(keys, other, floor, ceil, sorted_hi):
 
 class _EveryPair(enum_b2._Band):
     """A band that rules nothing out: the exact endpoint join and the full
-    pair scan."""
+    pair scan, over every tail of the stored walk (no subtree is pruned)."""
 
     def partners(self, lc, hc):
         return list(range(len(self.lo)))
+
+    def reaches(self, lc, hc):
+        return True
 
 
 @pytest.mark.parametrize("j, saved", [(2, 1), (3, 10), (4, 10)])
@@ -455,6 +473,121 @@ def test_filtered_scans_match_exact_scans(monkeypatch, j, saved):
     monkeypatch.setattr(enum_b2, "_Band", _EveryPair)
     assert min_derived(j, 4, 5).to_json() == fast
     assert n_fast * saved <= len(evaluated) - n_fast
+
+
+def _stored_walk(monkeypatch):
+    """Switch subtree pruning off: capped scans then keep every heavy leaf,
+    as the stored walk does, and the endpoint join evaluates every tail;
+    the pair band is left on."""
+    monkeypatch.setattr(enum_b2._Band, "reaches", lambda self, lc, hc: True)
+
+
+def _counted_leaves(monkeypatch) -> list:
+    """One entry per leaf the walks build (each canonicalises its text once)."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return shortest_memo(*args)
+    shortest_memo = enum_b2._shortest_memo
+    monkeypatch.setattr(enum_b2, "_shortest_memo", counted)
+    return built
+
+
+@pytest.mark.parametrize("gen, n, Jmax", [("0", 3, 4), ("0", 4, 3), ("0", 5, 2),
+                                          ("10", 3, 3), ("10", 4, 2), ("10", 5, 1)])
+def test_pruned_scan_matches_stored_scan(monkeypatch, gen, n, Jmax):
+    # on a monotone interval, capped scans that prune heavy subtrees yield
+    # the stored scan's (c, d, pairs) sequence, profile ids included, and
+    # the endpoint join returns the same result
+    comp = ComponentSpec(gen)
+    iv = _interval(qn_ladder(comp, n + 1), n)
+    assert iv.monotone
+
+    def scans():
+        out = [list(_tail_pairs(comp, n, Jmax, cap, iv)) for cap in (3, 4, 5, 6)]
+        for j in range(1, 2 * n):
+            try:
+                got = _endpoint_certificate(comp, iv, n, j, Jmax)
+                out.append(None if got is None else got.to_json())
+            except DomainError as e:
+                out.append(str(e))
+        return out
+    built = _counted_leaves(monkeypatch)
+    pruned, n_pruned = scans(), len(built)
+    _stored_walk(monkeypatch)
+    assert scans() == pruned
+    assert n_pruned < len(built) - n_pruned
+
+
+def test_pruned_walk_builds_few_leaves(monkeypatch):
+    # min_derived(4, 4, 5) builds at most a fifth of the stored walk's leaves
+    built = _counted_leaves(monkeypatch)
+    fast, n_fast = min_derived(4, 4, 5).to_json(), len(built)
+    _stored_walk(monkeypatch)
+    assert min_derived(4, 4, 5).to_json() == fast
+    assert n_fast * 5 <= len(built) - n_fast
+
+
+def _raw_nodes(comp, k, s, j):
+    """The raw preperiod of profile (k, s, j) as `_walk` assembles it, and
+    the nodes on the way: the preperiod after every run and bridge."""
+    pre, nodes = "", []
+    for _ in range(j[0]):
+        pre += comp.generator
+        nodes.append(pre)
+    for i in range(1, len(k)):
+        for _ in range(j[i]):
+            pre += _block(comp, k[i - 1])
+            nodes.append(pre)
+        if s[i - 1]:
+            pre += _bridge(comp, k[i - 1], k[i])
+            nodes.append(pre)
+    return pre, nodes
+
+
+def _bound_misses(bits, slack=(0, 0)) -> int:
+    """(node, leaf) pairs whose leaf keys fall outside the node's bounds,
+    tightened by slack = (on lo, on hi), over monotone intervals of both
+    components at ENCLOSE_BITS = bits.  Leaf keys are enclosed afresh from
+    the leaf's canonical sequence, cut period included."""
+    saved = words.ENCLOSE_BITS
+    words.ENCLOSE_BITS = bits
+    misses = 0
+    try:
+        for gen, n, Jmax in (("0", 3, 3), ("0", 4, 2), ("10", 2, 3), ("10", 3, 2)):
+            comp = ComponentSpec(gen)
+            iv = _interval(qn_ladder(comp, n + 1), n)
+            at_lo = words.SeriesEnclosure(iv.lo.bracket()[0])
+            at_hi = words.SeriesEnclosure(iv.hi.bracket()[1])
+            end = enum_b2._longest_pre(comp, n, Jmax) + 1
+            for v in _profiles_oracle(n, Jmax):
+                if not v.m:
+                    continue
+                per = words._primitive(_block(comp, v.k[-1]))
+                reach = enum_b2._Reach(None, per, at_hi, end)
+                raw, nodes = _raw_nodes(comp, v.k, v.s, v.j)
+                t = EPSeq(raw, per)
+                assert t == repr_to_seq(v, comp) and len(raw) < end
+                lo, hi = at_lo.enclose(t, "1")[0], at_hi.enclose(t, "1")[1]
+                for node in nodes:
+                    if reach.cuts_deep(node):
+                        continue  # no bounds claimed
+                    sums = (*at_lo.digit_sums("1" + node), *at_hi.digit_sums("1" + node))
+                    lmin, hmax = reach.bounds(node, sums)
+                    misses += lo < lmin + slack[0] or hi > hmax - slack[1]
+    finally:
+        words.ENCLOSE_BITS = saved
+    return misses
+
+
+def test_subtree_bounds_hold_for_every_leaf():
+    # every node's (least lo, greatest hi) holds for the integer keys of
+    # every leaf below it, at a coarse and at the default precision; a bound
+    # one unit tighter on either side fails
+    assert _bound_misses(4) == 0 and _bound_misses(128) == 0
+    for slack in ((1, 0), (0, 1)):
+        assert _bound_misses(4, slack) + _bound_misses(128, slack) > 0
 
 
 def test_enum_B2_first_interval():
@@ -600,7 +733,7 @@ def _rules_seen(monkeypatch) -> dict:
 
 
 def test_min_derived_order_6_frozen_by_the_deep_pair(monkeypatch):
-    """Order 6 at Jmax 4 (about 12 s): no endpoint certificate and no
+    """Order 6 at Jmax 4 (under a second): no endpoint certificate and no
     interior root of order 6 in intervals 4 to 6, so the deep pair of
     interval 6 decides."""
     seen = _rules_seen(monkeypatch)
@@ -617,4 +750,17 @@ def test_min_derived_order_7_frozen_by_the_deep_pair(monkeypatch):
     got = min_derived(7, 2, 7)
     assert got.to_json() == MIN_DERIVED_7
     assert seen["endpoint"] == [None] * 4 and seen["interior"] == [[]] * 4
+    assert len(seen["deep"]) == 1 and seen["deep"][0] is got
+
+
+@pytest.mark.parametrize("j, Jmax, frozen, scans", [(6, 6, MIN_DERIVED_6, 3),
+                                                     (7, 3, MIN_DERIVED_7, 4)])
+def test_deep_orders_at_larger_jmax_keep_the_deep_pair(monkeypatch, j, Jmax, frozen, scans):
+    """(6, 6, 6) and (7, 3, 7), reachable since heavy subtrees are pruned
+    (about 1 s and 5 s): still no endpoint certificate and no interior root
+    of the order, so the same deep-pair root decides."""
+    seen = _rules_seen(monkeypatch)
+    got = min_derived(j, Jmax, j)
+    assert got.to_json() == frozen
+    assert seen["endpoint"] == [None] * scans and seen["interior"] == [[]] * scans
     assert len(seen["deep"]) == 1 and seen["deep"][0] is got

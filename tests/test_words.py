@@ -222,6 +222,39 @@ def test_series_enclosure_contains_exact_value(s, e, lead, bits):
         assert hi - lo < 2**20
 
 
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.fractions(1, 3, max_denominator=10**30).filter(lambda e: e > Fraction(21, 20)),
+       st.sampled_from([4, 9, 128]), st.integers(1, 9),
+       st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23), st.text("01", max_size=23),
+                          st.text("01", min_size=9, max_size=9)), max_size=12))
+def test_hi_growth_bounds_every_sequence_and_is_attained(e, bits, p, seqs):
+    # g[L] bounds the hi of with_period over the digit sum of positions
+    # 1 .. L + 1 for every sequence whose period starts at m >= L + 1 - p,
+    # and digits 1 from position L + 2 or m + 1 on attain it (a large
+    # negative hi argument keeps the sum below the cap at 1^inf)
+    saved, words.ENCLOSE_BITS = words.ENCLOSE_BITS, bits
+    try:
+        enc, end = SeriesEnclosure(e), 24
+        g = enc.hi_growth(p, end)
+        for L in range(end):
+            excess = []
+            for m in range(max(1, L + 1 - p), end + 1):
+                head = ("1" + "0" * min(m - 1, L)).ljust(m, "1")
+                h = enc.digit_sums((head + "1" * (L + 1))[:L + 1])[1]
+                big = 2 ** (bits + 40)
+                got = enc.with_period(0, enc.digit_sums(head)[1] - big, "1" * p, m)[1]
+                excess.append(got + big - h)
+            assert max(excess) == g[L]
+        for L, m, word, per in seqs:
+            m = min(end, max(m, 1, L + 1 - p))
+            head = ("1" + word + "0" * end)[:m]
+            h = enc.digit_sums((head + per[:p] * (L + 1))[:L + 1])[1]
+            hi = enc.with_period(*enc.digit_sums(head), per[:p], m)[1]
+            assert hi <= min(h + g[L], enc.ones[1])
+    finally:
+        words.ENCLOSE_BITS = saved
+
+
 def test_series_enclosure_refuses_bad_input():
     with pytest.raises(DomainError):
         SeriesEnclosure(1)

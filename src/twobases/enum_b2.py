@@ -372,11 +372,13 @@ class _Reach:
     checked only where the bounds would drop the node.
     """
 
-    def __init__(self, band, per, enc, end):
+    def __init__(self, band, per, hi_enc, end):
+        # hi_enc: the SeriesEnclosure of the hi key; end: 1 + the longest
+        # raw preperiod below
         self.band = band
         self._p, self._twice = len(per), per + per
-        self._ceil = enc.ones[1]
-        self._growth = enc.hi_growth(len(per), end)
+        self._ceil = hi_enc.ones[1]
+        self._growth = hi_enc.hi_growth(len(per), end)
 
     def bounds(self, pre, sums) -> tuple:
         """(least lo, greatest hi) of the leaves below the node, unless

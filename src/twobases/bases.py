@@ -24,7 +24,7 @@ from operator import add, mul, sub
 
 from . import polys
 from .errors import DomainError, UnsupportedBaseError
-from .polys import _sign
+from .polys import _hvalue, _sign
 from .words import EPSeq, lex_cmp, _tail_numerator
 
 # ---------------------------------------------------------------------------
@@ -46,16 +46,6 @@ SIGN_GUARD_BITS = 64
 def _undecided(what: str) -> UnsupportedBaseError:
     return UnsupportedBaseError(
         f"{what} undecided after {SIGN_REFINE_BUDGET} bracket refinements")
-
-
-def _hvalue(rev: tuple, m: int, d: int) -> int:
-    """d^deg poly(m / d) for d > 0, by homogenised Horner in integers on the
-    reversed coefficients rev: an integer with the sign of poly(m / d)."""
-    acc, dk = 0, 1
-    for c in rev:
-        acc = acc * m + c * dk
-        dk *= d
-    return acc
 
 
 def _secant_index(fa: int, fb: int, k: int) -> int:
@@ -100,7 +90,7 @@ def _bisect(rev: tuple, a: int, b: int, d: int, n: int) -> tuple:
     steps and 4n + 2 evaluations.  Near a simple root the secant's guess
     lands in the right sub-cell from some k on: 2000 levels take about a
     dozen steps and twenty evaluations.  The sign at m / D is that of
-    D^deg poly(m / D), by homogenised Horner in integers (`_hvalue`)."""
+    D^deg poly(m / D), by homogenised Horner in integers (`polys._hvalue`)."""
     w = b - a
     deg = len(rev) - 1
     fa = _hvalue(rev, a, d)
@@ -428,14 +418,8 @@ class AlgBase:
         r = Fraction(r)
         if not (1 < r <= 2):
             raise DomainError(f"base must lie in (1,2], got {r}")
-        poly = polys.to_int_poly((-r.numerator, r.denominator))
-        self = cls.__new__(cls)
-        self.poly = poly
-        self._lo = self._hi = r
-        self.exact_rational = r
-        self.alpha_hint = None
-        self._minpoly = poly
-        self._field = None
+        self = cls((-r.numerator, r.denominator), r, r, exact=r)
+        self._minpoly = self.poly
         return self
 
     @classmethod

@@ -33,8 +33,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import polys
 from .bases import AlgBase, alpha_epseq, base_from_alpha, parry_check, real_roots
 from .classify import _sccs
@@ -270,28 +268,70 @@ def _perron_root(cp) -> AlgBase:
     return best
 
 
-def _frac_from_mpf(t) -> Fraction:
-    sign, man, exp, _bc = t
-    if man == 0:
-        if exp != 0:
-            raise DomainError("nonfinite interval endpoint")
-        return Fraction(0)
-    v = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -v if sign else v
+# Guard bits of `_log_ends`' first try, 8 times more per retry: speed, not bounds.
+LOG_GUARD_BITS = 32
 
 
-def _log_bounds(x: Fraction, prec: int = 120) -> tuple:
-    """Certified rational bounds around log x for a positive rational x."""
+def _atanh_floor(a: int, b: int, w: int) -> tuple:
+    """(s, e) with s <= 2^w atanh(a/b) < s + e, for 0 <= a/b <= 1/3.
+
+    The powers u_j = floor(u_{j-1} a^2 / b^2), u_0 = floor(2^w a / b), fall
+    short of 2^w (a/b)^(2j+1) by less than 1 / (1 - (a/b)^2) <= 9/8, so each
+    term u_j // (2j + 1) by less than 3, and the terms after the last (u_n = 0)
+    sum to less than 2.  Each u_j <= u_{j-1} / 9: at most w / 3 + 1 steps."""
+    u, a2, b2 = (a << w) // b, a * a, b * b
+    s = n = 0
+    while u:
+        s += u // (2 * n + 1)
+        u = u * a2 // b2
+        n += 1
+    return s, 3 * n + 2
+
+
+def _float_ends(n: int, w: int) -> tuple:
+    """The largest 120-bit float at or below n 2^-w and the least one at or
+    above it, each as (m, e) for m 2^e with |m| <= 2^120."""
+    s = max(n.bit_length() - 120, 0)
+    return (n >> s, s - w), (-(-n >> s), s - w)
+
+
+def _log_ends(m: int, s: int) -> tuple:
+    """`_float_ends` of log x, for x = m 2^s with m > 0.
+
+    With B the bit length of m, y = m / 2^(B-1) in [1, 2) and k = s + B - 1,
+    log x = 2 atanh((y - 1)/(y + 1)) + 2k atanh(1/3), both series enclosed by
+    `_atanh_floor` in units of 2^-w.  As |log x| >= |x - 1| / max(x, 1) >= 2^-e,
+    w = 120 + e + guard bits puts the enclosure well inside one unit in the
+    last place.  When its ends round apart, it retries with 8 times the guard
+    bits, at most three times, then rounds the enclosure outward: still
+    bounds, at most two units apart."""
+    p, q = m << max(s, 0), 1 << max(-s, 0)
+    if p == q:
+        return (0, 0), (0, 0)
+    b, k = 1 << m.bit_length() - 1, s + m.bit_length() - 1
+    e = max(p, q).bit_length() - abs(p - q).bit_length() + 1
+    for i in range(4):
+        w = 120 + e + k.bit_length() + (LOG_GUARD_BITS << 3 * i)
+        s2, e2 = _atanh_floor(1, 3, w)
+        sy, ey = _atanh_floor(m - b, m + b, w)
+        lo = 2 * (sy + k * (s2 + (e2 if k < 0 else 0)))
+        ends = _float_ends(lo, w), _float_ends(lo + 2 * (ey + abs(k) * e2), w)
+        if ends[0] == ends[1]:
+            break
+    return ends[0][0], ends[1][1]
+
+
+def _log_bounds(x: Fraction) -> tuple:
+    """Certified rational bounds around log x for a positive rational x: x
+    rounded outward to 120-bit floats, and the log of each end rounded
+    outward to 120 bits.  Printed dimension bounds depend on these ends."""
     if x <= 0:
         raise DomainError("log needs a positive argument")
-    old = mpmath.iv.prec
-    mpmath.iv.prec = prec
-    try:
-        val = mpmath.iv.log(mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator))
-        a, b = val._mpi_
-        return _frac_from_mpf(a), _frac_from_mpf(b)
-    finally:
-        mpmath.iv.prec = old
+    w = 121 + x.denominator.bit_length() - x.numerator.bit_length()
+    n, r = divmod(x.numerator << max(w, 0), x.denominator << max(-w, 0))
+    lo = _log_ends(*_float_ends(n, w)[0])[0]
+    hi = _log_ends(*_float_ends(n + (r > 0), w)[1])[1]
+    return tuple(Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in (lo, hi))
 
 
 def _log_bracket(q: AlgBase) -> tuple:

@@ -76,19 +76,20 @@ def eval_at(p: Poly, x):
     return acc
 
 
-def sign_at_rational(p: Poly, x) -> int:
-    """Sign of p at the rational x, by homogenised Horner.
+def _hvalue(rev, m: int, d: int) -> int:
+    """d^deg poly(m / d) for d > 0, by homogenised Horner in integers on the
+    coefficients rev of poly from the leading one down: an integer with the
+    sign of poly(m / d), found with no division and no gcd."""
+    acc, dk = 0, 1
+    for c in rev:
+        acc = acc * m + c * dk
+        dk *= d
+    return acc
 
-    For x = a/b with b > 0 and n = deg p, b^n p(x) = sum c_i a^i b^(n-i) has
-    the sign of p(x); with integer coefficients it is computed in integers,
-    with no division and no gcd."""
-    a, b = x.numerator, x.denominator
-    acc = 0
-    bk = 1
-    for c in reversed(p):
-        acc = acc * a + c * bk
-        bk *= b
-    return _sign(acc)
+
+def sign_at_rational(p: Poly, x) -> int:
+    """Sign of p at the rational x, by homogenised Horner (`_hvalue`)."""
+    return _sign(_hvalue(reversed(p), x.numerator, x.denominator))
 
 
 def derivative(p: Poly) -> Poly:

@@ -266,7 +266,8 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(run(argv))
-print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules}))
+print(json.dumps({"codes": codes, "sympy": "sympy" in sys.modules,
+                  "mpmath": "mpmath" in sys.modules}))
 """
 
 
@@ -276,4 +277,5 @@ def test_no_subcommand_loads_sympy():
         proc = subprocess.run([sys.executable, *flags, "-c", NO_SYMPY_SCRIPT, json.dumps(NO_SYMPY)],
                               capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {"codes": [0] * len(NO_SYMPY), "sympy": False}
+        assert json.loads(proc.stdout) == {"codes": [0] * len(NO_SYMPY), "sympy": False,
+                                           "mpmath": False}

@@ -4,10 +4,12 @@ of the unique-expansion set, and the local two-expansion bound."""
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twobases import dimension
 from twobases.bases import AlgBase, alpha_epseq, base_from_alpha, parry_check
 from twobases.dimension import (
     UqAutomaton, _charpoly,
@@ -165,3 +167,123 @@ def test_charpoly_matches_sympy_on_sparse_matrices(edges):
     have; a repeated target makes an entry 2."""
     aut = UqAutomaton(None, tuple(range(len(edges))), tuple(edges))
     assert _charpoly(aut) == _sympy_charpoly(aut)
+
+
+def _iv_log(x, prec):
+    """Oracle: mpmath.iv.log of x at prec bits, as two Fractions."""
+    old = mpmath.iv.prec
+    mpmath.iv.prec = prec
+    try:
+        v = mpmath.iv.log(mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator))
+        return tuple(Fraction(-int(man) if sign else int(man)) * Fraction(2) ** int(exp)
+                     for sign, man, exp, _bc in v._mpi_)
+    finally:
+        mpmath.iv.prec = old
+
+
+def _is_float120(v):
+    """v = m 2^e with |m| < 2^120."""
+    m, d = v.numerator, v.denominator
+    while m and m % 2 == 0:
+        m //= 2
+    return d & (d - 1) == 0 and abs(m).bit_length() <= 120
+
+
+def _ulp120(v):
+    """One unit in the last place of a 120-bit float of magnitude |v| > 0."""
+    v = abs(v)
+    e = v.numerator.bit_length() - v.denominator.bit_length()
+    if v < Fraction(2) ** e:
+        e -= 1
+    return Fraction(2) ** (e - 119)
+
+
+POSITIVE_RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(1, 2 ** 300), st.integers(1, 2 ** 300)),
+    st.builds(lambda p, d: Fraction(p, p + d), st.integers(1, 2 ** 100), st.integers(1, 2 ** 100)),
+    st.builds(lambda j, i, s: 1 + s * Fraction(1, j * 2 ** (100 + i)),
+              st.integers(1, 2 ** 20), st.integers(0, 200), st.sampled_from((1, -1))),
+    st.integers(-300, 300).map(lambda k: Fraction(2) ** k),
+    st.integers(1, 2 ** 96).map(Fraction),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(POSITIVE_RATIONALS)
+def test_log_bounds_enclose_log(x):
+    """The ends are 120-bit floats around log x, and at most two units in
+    the last place apart when x itself is a 120-bit float; otherwise the
+    outward rounding of x adds at most x's relative spacing, 2^-119."""
+    lo, hi = dimension._log_bounds(x)
+    L, H = _iv_log(x, 400)
+    assert lo <= L and hi >= H
+    assert _is_float120(lo) and _is_float120(hi)
+    if x == 1:
+        assert lo == hi == 0
+        return
+    slack = 0 if _is_float120(x) else Fraction(2) ** -118
+    assert hi - lo <= 2 * _ulp120(max(-lo, hi)) + slack
+
+
+GOLDEN_LOG_ARGUMENTS = [
+    (38, 1),
+    (40, 1),
+    (2681516728338079250731871, 2417851639229258349412352),
+    (2726946131101157678182155, 2417851639229258349412352),
+    (7824332264055177242726003, 4835703278458516698824704),
+    (21452133826704634005854967, 19342813113834066795298816),
+    (21815569048809261425457241, 19342813113834066795298816),
+    (31297329056220708970904013, 19342813113834066795298816),
+    (142307919875431140350303753, 77371252455336267181195264),
+    (284615839750862280700607505, 154742504910672534362390528),
+    (135039349793041974878420283989, 75557863725914323419136000000),
+    (540157399172167899513681120331, 302231454903657293676544000000),
+]
+
+
+@pytest.mark.parametrize("p, q", GOLDEN_LOG_ARGUMENTS)
+def test_log_bounds_match_mpmath_on_golden_arguments(p, q):
+    """Every argument `_log_bounds` gets in the golden CLI commands: the
+    bounds are mpmath.iv.log's at 120 bits, bit for bit, which is what keeps
+    the printed dimension bounds byte-identical."""
+    x = Fraction(p, q)
+    assert dimension._log_bounds(x) == _iv_log(x, 120)
+
+
+@pytest.mark.parametrize("p, q", GOLDEN_LOG_ARGUMENTS)
+def test_log_bounds_retry_at_two_guard_bits(monkeypatch, p, q):
+    """With 2 guard bits the first try at each end rounds apart here, and
+    the retry reaches mpmath's ends."""
+    calls = []
+    atanh = dimension._atanh_floor
+
+    def counted(*args):
+        calls.append(args)
+        return atanh(*args)
+    monkeypatch.setattr(dimension, "_atanh_floor", counted)
+    monkeypatch.setattr(dimension, "LOG_GUARD_BITS", 2)
+    x = Fraction(p, q)
+    assert dimension._log_bounds(x) == _iv_log(x, 120)
+    assert len(calls) > 4    # two series a try, one end at least retried
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(POSITIVE_RATIONALS)
+def test_log_bounds_retry_path(x):
+    """With 2 guard bits the retries reach the same ends; with none every
+    try may round apart, and the last enclosure rounded outward still holds
+    log x."""
+    want = dimension._log_bounds(x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimension, "LOG_GUARD_BITS", 2)
+        assert dimension._log_bounds(x) == want
+        mp.setattr(dimension, "LOG_GUARD_BITS", 0)
+        lo, hi = dimension._log_bounds(x)
+    L, H = _iv_log(x, 400)
+    assert lo <= L and hi >= H
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(-1), Fraction(-3, 7)])
+def test_log_bounds_reject_nonpositive(x):
+    with pytest.raises(DomainError):
+        dimension._log_bounds(x)

@@ -20,16 +20,20 @@ subset search, trying only subsets whose degree sum survived every prime
 (von zur Gathen and Gerhard, Modern Computer Algebra, algorithms 14.8, 14.20,
 15.10, 15.17 and 15.19).
 
-Here a polynomial over Z/m is a list of residues in [0, m), ascending by
-degree, with no trailing zeros; [] is zero.  Integer polynomials come in and
-go out as tuples, as in `polys`.
+Modulo a prime p, in `_usable`, `ddf` and `edf`, a polynomial is packed
+into one non-negative int by `_Zp`: coefficient i, in [0, p), sits in a
+slot of w bits at bit i w, so sums and products act on all coefficients
+at once (Kronecker substitution), and the slots are taken mod p together
+by a Barrett step.  Modulo p^(2^k), in the rarely taken Hensel lifting and
+recombination, a polynomial is a list of residues ascending by degree with
+no trailing zeros ([] is zero); `_kmul`, `_mul`, `_add`, `_sub`, `_divmod`
+and `_xgcd` serve that path only.  Integer polynomials come in and go out
+as tuples, as in `polys`.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from array import array
 from itertools import combinations
 from math import gcd, isqrt
 
@@ -44,14 +48,147 @@ PRIME_BUDGET = 8
 # splits a product of two or more factors with probability at least 1/2.
 _EDF_TRIES = 200
 
-_ORDER = sys.byteorder
-# the narrowest unsigned array type with at least w bytes, for w = 1..8
-_TYPECODES = [None] + [min((c for c in "BHILQ" if array(c).itemsize >= w),
-                           key=lambda c: array(c).itemsize) for w in range(1, 9)]
+
+def _pack(a: list, w: int) -> int:
+    """The int with a[i] in the w-bit slot i, for entries in [0, 2^w)."""
+    x = 0
+    for c in reversed(a):
+        x = x << w | c
+    return x
+
+
+def _unpack(x: int, w: int) -> list:
+    """The slots of x, lowest first, up to the highest nonzero one."""
+    mask = (1 << w) - 1
+    return [x >> i & mask for i in range(0, x.bit_length(), w)]
 
 
 # ---------------------------------------------------------------------------
-# arithmetic over Z/m
+# arithmetic over Z/p on packed polynomials
+
+
+def _width(p: int, n: int) -> tuple:
+    """(b, w): every slot value that `_Zp` forms for polynomials of degree
+    at most n over Z/p lies below 2^b, and its slots are w = 2b bits wide.
+
+    No slot of a sum or product ever carries into the next, since each
+    value formed stays below (n + 1) p^2 < 2^b <= 2^w:
+    - a product of two reduced polynomials (slots below p) with at most
+      n + 1 coefficients has slot sums of at most (n + 1)(p - 1)^2;
+    - the Barrett correction of `_Zp.mulmod` adds q f' to a reduced c, where
+      q has at most n - 1 and f' (slots p - f_i, i < n) n coefficients, so
+      it adds at most (n - 1)(p - 1) p and a slot stays below n p^2;
+    - each elimination of `_Zp.divmod` adds t (p - b_i) <= (p - 1) p to a
+      slot, and a division makes at most n + 1 eliminations, as its
+      dividend has degree at most n or it is x^K div f (n - 1 of them), so
+      a slot that starts below p stays below p + (n + 1)(p - 1) p.
+    Slot reduction (`_Zp.reduce`) takes slot values v < 2^b: with
+    m = floor(2^b / p), v m < 2^(2b) fits in its slot since w >= 2b, and the
+    next slot's product starts w - b >= b bits above the slot's shifted
+    quotient floor(v m / 2^b) < 2^b, which the mask therefore isolates; then
+    v - q p lies in [0, 2p), as q > v / p - 2, and one masked subtraction of
+    p leaves [0, p).  One bit less fails whenever m is odd: the low bit of
+    the next slot's v m then reaches the mask.  b is computed from p at run
+    time, so the bound holds for every prime `_primes` yields, inside
+    PRIMES or past it."""
+    b = ((n + 1) * p * p).bit_length()
+    return b, 2 * b
+
+
+class _Zp:
+    """Packed arithmetic over Z/p for polynomials of degree at most n and
+    their products: a polynomial is one int with coefficient i in slot i
+    (bits i w to i w + w - 1, w from `_width`), reduced when every slot is
+    in [0, p).  0 is the zero polynomial; a value has at most 2n + 1 slots."""
+
+    def __init__(self, p: int, n: int):
+        b, w = _width(p, n)
+        self.p, self.b, self.w = p, b, w
+        self.m = (1 << b) // p
+        self.flag = p.bit_length()
+        self.slot = (1 << w) - 1
+        self.slots = 2 * n + 1
+        ones = ((1 << self.slots * w) - 1) // self.slot
+        self.ones, self.low = ones, ones * ((1 << b) - 1)
+        # r + pad has bit `flag` of a slot set exactly when that slot of r,
+        # below 2p, is at least p
+        self.pad, self.fill = ones * ((1 << self.flag) - p), ones * p
+
+    def deg(self, x: int) -> int:
+        return (x.bit_length() - 1) // self.w
+
+    def reduce(self, x: int) -> int:
+        """x with every slot taken mod p, for slots below 2^b: a Barrett
+        quotient per slot, then one masked conditional subtraction."""
+        r = x - ((x * self.m >> self.b) & self.low) * self.p
+        return r - ((r + self.pad) >> self.flag & self.ones) * self.p
+
+    def _bar(self, f: int, k: int) -> int:
+        """The slots p - f_i of the k lowest slots of f."""
+        return (self.fill >> (self.slots - k) * self.w) - f
+
+    def divmod(self, a: int, b: int) -> tuple:
+        """Quotient and remainder of reduced a by reduced b != 0.  Each step
+        cancels the top slot t' of the remainder mod p by adding t (p - b_i)
+        at the right shift, t = t' / lc(b) mod p; the cancelled slots are
+        multiples of p, which the final reduction clears."""
+        w, p, slot = self.w, self.p, self.slot
+        da, db = (a.bit_length() - 1) // w, (b.bit_length() - 1) // w
+        if da < db:
+            return 0, a
+        inv = pow(b >> db * w, -1, p)
+        bar = self._bar(b, db + 1)
+        q = 0
+        for at in range(da * w, db * w - 1, -w):
+            t = (a >> at & slot) * inv % p
+            q = q << w | t
+            if t:
+                a += t * bar << (at - db * w)
+        return q, self.reduce(a)
+
+    def monic(self, a: int) -> int:
+        return self.reduce(a * pow(a >> self.deg(a) * self.w, -1, self.p))
+
+    def gcd(self, a: int, b: int) -> int:
+        """The monic gcd of reduced a != 0 and b; 1 when they are coprime.
+        Each remainder lowers the degree of b, so deg b steps leave b
+        constant."""
+        for _ in range(self.deg(b)):
+            if b <= self.slot:
+                break
+            a, b = b, self.divmod(a, b)[1]
+        return 1 if b else self.monic(a)
+
+    def modulus(self, f: int) -> tuple:
+        """Barrett data for products modulo a monic f of degree n >= 1:
+        mu = x^K div f with K = max(2n - 2, n), and the slots p - f_i."""
+        w = self.w
+        n = self.deg(f)
+        k = max(2 * n - 2, n)
+        return (n * w, (k - n) * w, self.divmod(1 << k * w, f)[0],
+                self._bar(f - (1 << n * w), n), (1 << n * w) - 1)
+
+    def mulmod(self, a: int, b: int, mod: tuple) -> int:
+        """a b mod f, for a and b reduced of degree below n = deg f.  The
+        product c has degree at most K, so its quotient by f is exactly
+        ((c div x^n) mu) div x^(K - n), and c - q f has degree below n."""
+        nw, kw, mu, bar, mask = mod
+        c = self.reduce(a * b)
+        q = self.reduce((c >> nw) * mu >> kw)
+        return self.reduce(c + q * bar & mask)
+
+    def powmod(self, a: int, e: int, mod: tuple) -> int:
+        """a^e mod f for e >= 1 and a reduced of degree below deg f."""
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mulmod(out, out, mod)
+            if bit == "1":
+                out = self.mulmod(out, a, mod)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# arithmetic over Z/m on lists, for Hensel lifting
 
 
 def _trim(a: list) -> list:
@@ -62,24 +199,11 @@ def _trim(a: list) -> list:
 
 def _kmul(a: list, b: list, m: int) -> list:
     """Unreduced product of a and b, entries in [0, m), by Kronecker
-    substitution: each list is packed into one integer with slots wide
-    enough for any coefficient of the product, the two integers are
-    multiplied, and the product is unpacked."""
+    substitution, with slots wide enough for any coefficient of it."""
     if not a or not b:
         return []
-    n = len(a) + len(b) - 1
-    w = ((min(len(a), len(b)) * (m - 1) ** 2).bit_length() + 7) // 8
-    if w <= 8:
-        code = _TYPECODES[w]
-        x = (int.from_bytes(array(code, a).tobytes(), _ORDER)
-             * int.from_bytes(array(code, b).tobytes(), _ORDER))
-        out = array(code)
-        out.frombytes(x.to_bytes(out.itemsize * n, _ORDER))
-        return out.tolist()
-    x = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a), "little")
-         * int.from_bytes(b"".join(c.to_bytes(w, "little") for c in b), "little"))
-    raw = x.to_bytes(w * n, "little")
-    return [int.from_bytes(raw[i:i + w], "little") for i in range(0, w * n, w)]
+    w = (min(len(a), len(b)) * (m - 1) ** 2).bit_length()
+    return _unpack(_pack(a, w) * _pack(b, w), w)
 
 
 def _mul(a: list, b: list, m: int) -> list:
@@ -114,18 +238,6 @@ def _divmod(a: list, b: list, m: int) -> tuple:
     return _trim(q), _trim([u % m for u in r[:db]])
 
 
-def _monic(a: list, p: int) -> list:
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd over the field Z/p; gcd(0, 0) = 0."""
-    while b:
-        a, b = b, _divmod(a, b, p)[1]
-    return _monic(a, p) if a else []
-
-
 def _xgcd(a: list, b: list, p: int) -> tuple:
     """(s, t) with s a + t b = 1 over Z/p, deg s < deg b and deg t < deg a,
     for coprime a and b of positive degree."""
@@ -137,66 +249,6 @@ def _xgcd(a: list, b: list, p: int) -> tuple:
         t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
     inv = pow(r0[0], -1, p)
     return [c * inv % p for c in s0], [c * inv % p for c in t0]
-
-
-def _minus_x(h: list, p: int) -> list:
-    h = h + [0] * (2 - len(h))
-    h[1] = (h[1] - 1) % p
-    return _trim(h)
-
-
-class _Modulus:
-    """Products modulo a fixed monic f of degree n >= 1 over Z/p.  A
-    product of degree below 2n is reduced by two more Kronecker products
-    with the precomputed inverse of reversed f (Barrett's method for
-    polynomials)."""
-
-    def __init__(self, f: list, p: int):
-        self.f, self.p, self.n = f, p, len(f) - 1
-        self.low = f[:-1]
-        # inverse of reversed f modulo x^n by Newton iteration; its constant
-        # term is 1 as f is monic
-        rev = f[::-1]
-        inv, k = [1], 1
-        while k < self.n:
-            k = min(2 * k, self.n)
-            e = [c % p for c in _kmul(rev[:k], inv, p)[:k]]
-            e[0] = (e[0] - 1) % p
-            d = _kmul(inv, _trim(e), p)[:k]
-            d += [0] * (k - len(d))
-            inv = [(u - v) % p for u, v in zip(inv + [0] * (k - len(inv)), d)]
-        self.inv = inv
-
-    def reduce(self, c: list) -> list:
-        """c mod f, for c of degree below 2n with entries in [0, p)."""
-        n, p = self.n, self.p
-        k = len(c) - n
-        if k <= 0:
-            return c
-        q = [x % p for x in _kmul(c[:n - 1:-1], self.inv[:k], p)[:k]]
-        q.reverse()
-        return _trim([(x - y) % p for x, y in zip(c[:n], _kmul(q, self.low, p))])
-
-    def mulmod(self, a: list, b: list) -> list:
-        p = self.p
-        return self.reduce(_trim([c % p for c in _kmul(a, b, p)]))
-
-    def powmod(self, a: list, e: int) -> list:
-        """a^e mod f for e >= 1 and a reduced mod f."""
-        out = a
-        for bit in bin(e)[3:]:
-            out = self.mulmod(out, out)
-            if bit == "1":
-                out = self.mulmod(out, a)
-        return out
-
-
-def _rem(a: list, f: list, p: int) -> list:
-    return _divmod(a, f, p)[1]
-
-
-def _div(a: list, b: list, p: int) -> list:
-    return _divmod(a, b, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +265,27 @@ def ddf(f: list, p: int) -> list:
     irreducibles of degree dividing i; so g_i = gcd(rest, h_i - x), one gcd
     per Frobenius step.  Once 2i exceeds the degree of rest, it is
     irreducible."""
-    out = []
-    mod = _Modulus(f, p)
-    h = mod.reduce([0, 1])
-    i = 0
-    while 2 * (i + 1) <= mod.n:
-        i += 1
-        h = mod.powmod(h, p)
-        g = _gcd(mod.f, _minus_x(h, p), p)
-        if len(g) > 1:
-            out.append((i, g))
-            rest = _div(mod.f, g, p)
-            if len(rest) == 1:
+    n = len(f) - 1
+    zp = _Zp(p, n)
+    w = zp.w
+    rest = _pack(f, w)
+    mod = zp.modulus(rest)
+    h, out = 1 << w, []
+    for i in range(1, n // 2 + 1):
+        if 2 * i > n:
+            break
+        h = zp.powmod(h, p, mod)
+        # h - x, taking 1 from slot 1 mod p
+        g = zp.gcd(rest, h - (1 << w) if h >> w & zp.slot else h + ((p - 1) << w))
+        if g != 1:
+            out.append((i, _unpack(g, w)))
+            rest = zp.divmod(rest, g)[0]
+            n = zp.deg(rest)
+            if not n:
                 return out
-            mod = _Modulus(rest, p)
-            h = _rem(h, rest, p)
-    out.append((mod.n, mod.f))
+            mod = zp.modulus(rest)
+            h = zp.divmod(h, rest)[1]
+    out.append((n, _unpack(rest, w)))
     return out
 
 
@@ -239,17 +296,21 @@ def edf(g: list, d: int, p: int, rng: random.Random) -> list:
     n = len(g) - 1
     if n == d:
         return [g]
-    mod = _Modulus(g, p)
+    zp = _Zp(p, n)
+    w = zp.w
+    gp = _pack(g, w)
+    mod = zp.modulus(gp)
     e = (p ** d - 1) // 2
     for _ in range(_EDF_TRIES):
         a = _trim([rng.randrange(p) for _ in range(n)])
         if len(a) < 2:
             continue
-        b = list(mod.powmod(a, e)) or [0]
-        b[0] = (b[0] - 1) % p
-        c = _gcd(g, _trim(b), p)
-        if 1 < len(c) < len(g):
-            return edf(c, d, p, rng) + edf(_div(g, c, p), d, p, rng)
+        b = zp.powmod(_pack(a, w), e, mod)
+        # b - 1, taking 1 from slot 0 mod p
+        c = zp.gcd(gp, b - 1 if b & zp.slot else b + p - 1)
+        if 0 < zp.deg(c) < n:
+            return (edf(_unpack(c, w), d, p, rng)
+                    + edf(_unpack(zp.divmod(gp, c)[0], w), d, p, rng))
     raise ArithmeticError("no equal-degree split found")
 
 
@@ -258,9 +319,11 @@ def _usable(f: tuple, p: int):
     or f mod p is not squarefree."""
     if f[-1] % p == 0:
         return None
-    fp = _monic([c % p for c in f], p)
-    deriv = _trim([i * c % p for i, c in enumerate(fp) if i])
-    return fp if len(_gcd(fp, deriv, p)) == 1 else None
+    inv = pow(f[-1], -1, p)
+    fp = [c * inv % p for c in f]
+    zp = _Zp(p, len(fp) - 1)
+    deriv = [i * c % p for i, c in enumerate(fp) if i]
+    return fp if zp.gcd(_pack(fp, zp.w), _pack(deriv, zp.w)) == 1 else None
 
 
 def squarefree_mod_p(f: tuple) -> bool:

@@ -764,3 +764,39 @@ def test_deep_orders_at_larger_jmax_keep_the_deep_pair(monkeypatch, j, Jmax, fro
     assert got.to_json() == frozen
     assert seen["endpoint"] == [None] * scans and seen["interior"] == [[]] * scans
     assert len(seen["deep"]) == 1 and seen["deep"][0] is got
+
+
+# The minimal polynomial of the deep-pair root of interval 8 (degree 322,
+# from a defect of degree 385), frozen when the factoriser still worked on
+# lists of residues mod p.  Intervals 6 to 8 agree to 16 digits, so the
+# whole polynomial is compared, not the decimals.
+DEEP_ROOT_8 = (
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+    -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+    -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+    -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+    -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+    -2, -2, -3, -2, 0, -2, -2, -2, -4, -2, 0, -2, -4, -2, -2, -2,
+    0, -2, -2, -2, -4, -2, -2, -2, 0, -2, -4, -2, 0, -2, -2, -2,
+    -4, -2, 0, -2, -4, -2, -2, -2, 0, -2, -4, -2, 0, -2, -2, -2,
+    -4, -2, -2, -2, 0, -2, -2, -2, -4, -2, 0, -2, -4, -2, -2, -2,
+    0, -2, -3, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+    -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+    -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+    -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2, -2,
+    -2, -1, 0, -1, -2, -1, -1, -1, 0, -1, -2, -1, 0, -1, -1, -1,
+    -2, -1, -1, -1, 0, -1, -1, -1, -2, -1, 0, -1, -2, -1, -1, -1,
+    0, -1, -2, -1, 0, -1, -1, -1, -2, -1, 0, -1, -2, -1, -1, -1,
+    0, -1, -1, -1, -2, -1, -1, -1, 0, -1, -2, -1, 0, -1, -1, -1,
+    -2, 0, 1,
+)
+
+
+def test_deep_pair_root_of_interval_8_frozen():
+    """The largest polynomial the degree analysis proves irreducible in the
+    tests (about 6 s)."""
+    root = enum_b2._prop62_root(GEN0, _interval(qn_ladder(GEN0, 9), 8), 8)
+    assert root.minpoly() == DEEP_ROOT_8

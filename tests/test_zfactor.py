@@ -1,6 +1,8 @@
 """Factoring over Z without sympy: `polys.factor_int` and the mod-p degree
 certificate of `zfactor`, against sympy's factor_list as the oracle."""
 
+import random
+
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
@@ -163,3 +165,180 @@ def test_ladder_minimal_polynomials_need_few_primes(monkeypatch):
     assert _primes_to_certify(monkeypatch, q5) <= 2
     # q_f's cubic needs no prime at all
     assert _primes_to_certify(monkeypatch, Q_F_POLY) == 0
+
+
+# ---------------------------------------------------------------------------
+# the packed arithmetic mod p against schoolbook lists over Z/p, the slow
+# oracle: residues ascending by degree, no trailing zeros, [] is zero
+
+KERNEL_PRIMES = zfactor.PRIMES + (101, 1009, 65521, 2 ** 31 - 1)
+KERNEL = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def _strip(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def school_mul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _strip(out)
+
+
+def school_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _strip([(x - y) % p for x, y in zip(a, b)])
+
+
+def school_divmod(a, b, p):
+    """Long division by b != 0, one coefficient at a time."""
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    inv = pow(b[-1], -1, p)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = q[i - db] = r[i] * inv % p
+        for j in range(db + 1):
+            r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+    return _strip(q), _strip(r[:db])
+
+
+def school_gcd(a, b, p):
+    while b:
+        a, b = b, school_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
+
+
+def school_powmod(a, e, f, p):
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = school_divmod(school_mul(out, out, p), f, p)[1]
+        if bit == "1":
+            out = school_divmod(school_mul(out, a, p), f, p)[1]
+    return out
+
+
+def school_ddf(f, p):
+    """`zfactor.ddf`'s algorithm on lists."""
+    out, rest, h, i = [], f, [0, 1], 0
+    while 2 * (i + 1) <= len(rest) - 1:
+        i += 1
+        h = school_powmod(h, p, rest, p)
+        g = school_gcd(rest, school_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((i, g))
+            rest = school_divmod(rest, g, p)[0]
+            if len(rest) == 1:
+                return out
+            h = school_divmod(h, rest, p)[1]
+    out.append((len(rest) - 1, rest))
+    return out
+
+
+def school_edf(g, d, p, rng):
+    """`zfactor.edf`'s algorithm on lists, drawing the same random a."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    for _ in range(zfactor._EDF_TRIES):
+        a = _strip([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        b = school_sub(school_powmod(a, (p ** d - 1) // 2, g, p), [1], p)
+        c = school_gcd(g, b, p)
+        if 1 < len(c) < len(g):
+            return (school_edf(c, d, p, rng)
+                    + school_edf(school_divmod(g, c, p)[0], d, p, rng))
+    raise ArithmeticError("no equal-degree split found")
+
+
+@st.composite
+def kernel_cases(draw):
+    """(p, a, b, f, e): a and b of degree at most n <= 80 and f monic of
+    degree max(n, 1) over Z/p."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    n = draw(st.integers(0, 80))
+    coeffs = st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1)
+    a, b = _strip(draw(coeffs)), _strip(draw(coeffs))
+    f = draw(st.lists(st.integers(0, p - 1), min_size=max(n, 1), max_size=max(n, 1)))
+    return p, a, b, f + [1], draw(st.integers(1, 5000))
+
+
+def _full(p):
+    """Every coefficient p - 1 at degree 80, f monic: the largest slot sums
+    the kernel forms."""
+    return p, [p - 1] * 81, [p - 1] * 81, [p - 1] * 80 + [1], p - 1
+
+
+def _check_kernel(p, a, b, f, e):
+    zp = zfactor._Zp(p, len(f) - 1)
+    w = zp.w
+    A, B, F = (zfactor._pack(x, w) for x in (a, b, f))
+    if b:
+        q, r = zp.divmod(A, B)
+        assert [zfactor._unpack(q, w), zfactor._unpack(r, w)] == list(school_divmod(a, b, p))
+    if a:
+        assert zfactor._unpack(zp.gcd(A, B), w) == school_gcd(a, b, p)
+    ar, br = school_divmod(a, f, p)[1], school_divmod(b, f, p)[1]
+    mod = zp.modulus(F)
+    AR, BR = zfactor._pack(ar, w), zfactor._pack(br, w)
+    assert zfactor._unpack(zp.mulmod(AR, BR, mod), w) == school_divmod(
+        school_mul(ar, br, p), f, p)[1]
+    assert zfactor._unpack(zp.powmod(AR, e, mod), w) == school_powmod(ar, e, f, p)
+
+
+@KERNEL
+@given(kernel_cases())
+@example(_full(97))
+@example(_full(3))
+@example(_full(2 ** 31 - 1))
+def test_packed_arithmetic_matches_schoolbook(case):
+    _check_kernel(*case)
+
+
+@st.composite
+def ddf_cases(draw):
+    """(f, p, seed): f monic squarefree over Z/p; the degree cap keeps the
+    schoolbook Frobenius powers affordable at the large primes."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    n = draw(st.integers(1, 80 if p <= 101 else 40 if p < 2 ** 16 else 16))
+    f = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    deriv = _strip([i * c % p for i, c in enumerate(f)][1:])
+    assume(school_gcd(f, deriv, p) == [1])
+    return f, p, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(ddf_cases())
+@example(([96] * 80 + [1], 97, 0))
+def test_ddf_and_edf_match_schoolbook(case):
+    """edf is compared on the parts whose split exponent (p^d - 1)/2 has at
+    most 160 bits, which bounds the schoolbook powers."""
+    f, p, seed = case
+    parts = zfactor.ddf(f, p)
+    assert parts == school_ddf(f, p)
+    for d, g in parts:
+        if d * p.bit_length() <= 160:
+            got = zfactor.edf(g, d, p, random.Random(seed))
+            assert got == school_edf(g, d, p, random.Random(seed))
+
+
+def test_one_bit_narrower_slots_break_the_packed_arithmetic(monkeypatch):
+    """The slot width w = 2b of `zfactor._width` is tight whenever the
+    Barrett multiplier m = floor(2^b / p) is odd: with one bit less, the low
+    bit of the next slot's product v m lands in the quotient's field.  (With
+    m even that bit is always 0, and 2b - 1 bits happen to suffice.)"""
+    real = zfactor._width
+    monkeypatch.setattr(zfactor, "_width", lambda p, n: (real(p, n)[0], real(p, n)[1] - 1))
+    odd = [p for p in KERNEL_PRIMES if (1 << real(p, 80)[0]) // p % 2]
+    assert 3 in odd and 101 in odd
+    for p in odd:
+        with pytest.raises((AssertionError, ValueError)):
+            _check_kernel(*_full(p))
+    with pytest.raises(AssertionError):
+        test_packed_arithmetic_matches_schoolbook()

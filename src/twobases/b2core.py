@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import polys
-from .bases import AlgBase, FieldElem, base_from_alpha, gcd_has_root_in, real_roots
+from .bases import AlgBase, FieldElem, base_from_alpha, real_roots
 from .classify import in_A_prime, in_Vq_seq
 from .errors import DomainError, NoRootByCaseError
 from .words import (
@@ -144,25 +144,15 @@ def f_sign(c: EPSeq, d: EPSeq, q: AlgBase) -> int:
 
 def sign_at(F, q: AlgBase) -> int:
     """Certified sign of the integer polynomial F at the algebraic point q,
-    from q's power table (`AlgBase.sign_of`); UnsupportedBaseError when
-    bases.SIGN_REFINE_BUDGET halvings of q's sign bracket leave it
-    undecided.  q's printed bracket does not move."""
+    from q's power table (`AlgBase.sign_of`) after an exact zero test
+    (`AlgBase.is_root_of`); UnsupportedBaseError when
+    bases.SIGN_REFINE_BUDGET halvings of q's working bracket leave it
+    undecided.  What q prints does not move."""
     F = polys.trim(F)
     # exact-zero test first: the table separates only a nonzero F(q) from zero
-    if _is_root_of(q, F):
+    if q.is_root_of(F):
         return 0
     return q.sign_of(F)
-
-
-def _is_root_of(q: AlgBase, F) -> bool:
-    """Does the value q root the integer polynomial F?  Exact."""
-    if q.exact_rational is not None:
-        return polys.sign_at_rational(F, q.exact_rational) == 0
-    if q._minpoly is not None:
-        return polys.is_zero(polys.pseudo_divmod(F, q._minpoly)[2])
-    # no minimal polynomial yet: the bracket of q holds exactly one root of
-    # q.poly, so q roots F iff gcd(q.poly, F) has a root in that bracket
-    return gcd_has_root_in(q.poly, F, q._lo, q._hi)
 
 
 # ---------------------------------------------------------------------------

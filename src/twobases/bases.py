@@ -1,19 +1,20 @@
 """Bases as exact real algebraic numbers, and expansions of 1.
 
-An AlgBase carries an integer polynomial and a shrinking rational bracket
-isolating one root in (1, 2].  All sign decisions are exact: either the
+An AlgBase carries an integer polynomial, the rational bracket it was built
+with, isolating one root in (1, 2], and one working bracket, a bisection
+cell of that, which every refinement and sign test narrows through one
+descent (`AlgBase._descend`).  All sign decisions are exact: either the
 number is rational and we compare directly, or an enclosure excludes zero.
-The sign of an integer polynomial at q comes from one engine,
-`AlgBase.sign_of`: a fixed-point table of the powers of q, built on a
-bracket that the base keeps to itself, so signs never move the bracket a
-base prints.  Brackets narrow by quadratic interval refinement whose cells
-are bisection's (`_bisect`): a bracket is the one bisection would reach,
-found in a few dozen polynomial evaluations for thousands of levels near a
-simple root, and in at most 4n + 2 for n levels at any root.  FieldElem
+The descent is quadratic interval refinement whose cells are bisection's
+(`_bisect`): a few dozen polynomial evaluations for thousands of levels
+near a simple root, and at most 4n + 2 for n levels at any root.  A base
+prints the bisection cell of its construction bracket at a given width,
+so what it prints does not depend on which calls ran first.  The sign of
+an integer polynomial at q comes from one engine, `AlgBase.sign_of`: a
+fixed-point table of the powers of q on the working bracket.  FieldElem
 gives exact arithmetic in Q(q), as integer coefficients over one
-denominator, for quasi-greedy remainders and expansion counting; its
-signs, `b2core.sign_at` and `AlgBase.cmp_rational` all come from that
-table.
+denominator, for quasi-greedy remainders and expansion counting; its signs,
+`b2core.sign_at` and `AlgBase.cmp_rational` all come from that table.
 """
 
 from __future__ import annotations
@@ -388,17 +389,17 @@ def _over_one_den(lo: Fraction, hi: Fraction) -> tuple:
 class AlgBase:
     """A real algebraic number q in (1, 2], the base of the expansions."""
 
-    # the sign engine's state, made at the first `sign_of`: the bracket
-    # (a/d, b/d) of q private to the engine, its width bits K, and the table
-    # of the powers of q at precision K
-    _sign_bracket = None
+    # the sign engine's table of the powers of q at width bits K
     _sign_bits = 0
     _powers = ((), ())
 
     def __init__(self, poly, lo, hi, *, exact=None, alpha_hint=None, _verified=False):
         self.poly = polys.to_int_poly(polys.trim(poly))
-        self._lo = Fraction(lo)
-        self._hi = Fraction(hi)
+        lo, hi = Fraction(lo), Fraction(hi)
+        # the construction bracket and the working one, as (a, b, d) for
+        # (a/d, b/d); _lo and _hi are the working ends, or q when it is exact
+        self._built = self._cell = _over_one_den(lo, hi)
+        self._lo, self._hi = (lo, hi) if exact is None else (exact, exact)
         self.exact_rational = exact
         self.alpha_hint = alpha_hint
         self._minpoly = None
@@ -406,8 +407,8 @@ class AlgBase:
         if exact is None:
             if not _verified:
                 raise DomainError("use a from_* constructor")
-            slo = polys.sign_at_rational(self.poly, self._lo)
-            shi = polys.sign_at_rational(self.poly, self._hi)
+            slo = polys.sign_at_rational(self.poly, lo)
+            shi = polys.sign_at_rational(self.poly, hi)
             if slo * shi >= 0:
                 raise DomainError("bracket endpoints must straddle the root")
 
@@ -455,38 +456,55 @@ class AlgBase:
     # -- bracket handling --------------------------------------------------
 
     def bracket(self, width=None) -> tuple:
-        if width is not None:
-            self.refine(width)
-        if self.exact_rational is not None:
-            return self.exact_rational, self.exact_rational
-        return self._lo, self._hi
+        """Without a width, the working bracket, for code that only decides.
+        With one, what the base prints: the bisection cell of its
+        construction bracket at the fewest levels narrower than width, or
+        (q, q) when bisection meets q on the way.  It is read off the
+        working cell, refined first if needed, with no evaluation."""
+        if width is None:
+            return self._lo, self._hi
+        self.refine(width)
+        a0, b0, d0 = self._built
+        n, w, lo = self._levels(width, d0), b0 - a0, self._lo
+        # lo = (a0 + t w) / d0 lies in the level-n cell of index floor(2^n t);
+        # w = 0 only for a rational base, built on the point (q, q)
+        i, off = divmod((lo.numerator * d0 - a0 * lo.denominator) << n,
+                        (w or 1) * lo.denominator)
+        if self.exact_rational is not None and not off:
+            return lo, lo
+        a = (a0 << n) + i * w
+        return Fraction(a, d0 << n), Fraction(a + w, d0 << n)
 
-    def refine(self, width) -> "AlgBase":
-        """Narrow the bracket to the bisection cell of the fewest levels
-        that is narrower than width.
-
-        The ends are integer numerators a < b over one denominator d; every
-        halving keeps b - a and doubles d, so the fewest halvings that leave
-        the bracket narrower than width are the bit length of
-        floor((b - a) / (width d)).  `_bisect` reaches that level by QIR
-        whose cells are bisection's, in at most 4n + 2 evaluations for n
-        levels and far fewer near a simple root, so the stored Fractions are
-        those of bisecting in Fractions."""
-        if self.exact_rational is not None:
-            return self
+    def _levels(self, width, d: int) -> int:
+        """The fewest halvings that leave a bisection cell over denominator
+        d narrower than width: each keeps its numerator width b - a and
+        doubles d, so the bit length of floor((b - a) / (width d))."""
         width = Fraction(width)
         if width <= 0:
             raise DomainError("refinement width must be positive")
-        a, b, d = _over_one_den(self._lo, self._hi)
-        n = ((b - a) * width.denominator // (width.numerator * d)).bit_length()
+        a, b, _ = self._built
+        return ((b - a) * width.denominator // (width.numerator * d)).bit_length()
+
+    def refine(self, width) -> "AlgBase":
+        """Narrow the working bracket to the bisection cell of the fewest
+        levels that is narrower than width, unless it is narrower already."""
+        if self.exact_rational is None:
+            self._descend(self._levels(width, self._cell[2]))
+        return self
+
+    def _descend(self, n: int):
+        """Narrow the working bracket n levels down by `_bisect`, on the
+        minimal polynomial once it is known: the bracket holds exactly one
+        root of it and of the base's polynomial, so the cells are the same.
+        A grid point that is q makes the base exact."""
         if not n:
-            return self
-        a, b, d = _bisect(tuple(reversed(self.poly)), a, b, d, n)
+            return
+        a, b, d = _bisect(tuple(reversed(self._minpoly or self.poly)), *self._cell, n)
         if a == b:
             self.exact_rational = self._lo = self._hi = Fraction(a, d)
         else:
+            self._cell = a, b, d
             self._lo, self._hi = Fraction(a, d), Fraction(b, d)
-        return self
 
     def __float__(self):
         lo, hi = self.bracket(Fraction(1, 10**17))
@@ -522,40 +540,32 @@ class AlgBase:
         return self.field().base_elem()
 
     def cmp(self, other: "AlgBase") -> int:
+        """Sign of self - other.  Four rounds refine both brackets to a
+        quarter of the narrower width (at most 1/2), one equality test
+        follows, then each is refined to a quarter of its own width until
+        they separate.  A base turned exact is compared as a rational."""
         a, b = self, other
-        if a.exact_rational is not None and b.exact_rational is not None:
-            return _sign(a.exact_rational - b.exact_rational)
-        if b.exact_rational is not None:
-            return a.cmp_rational(b.exact_rational)
-        if a.exact_rational is not None:
-            return -b.cmp_rational(a.exact_rational)
-        # try to separate the brackets
-        for _ in range(4):
-            alo, ahi = a.bracket()
-            blo, bhi = b.bracket()
+        for i in range(4 + SIGN_REFINE_BUDGET):
+            ra, rb = a.exact_rational, b.exact_rational
+            if ra is not None:
+                return -b.cmp_rational(ra) if rb is None else _sign(ra - rb)
+            if rb is not None:
+                return a.cmp_rational(rb)
+            alo, ahi, blo, bhi = a._lo, a._hi, b._lo, b._hi
             if ahi < blo:
                 return -1
             if bhi < alo:
                 return 1
-            w = min(ahi - alo, bhi - blo, Fraction(1, 2))
-            a.refine(w / 4)
-            b.refine(w / 4)
-        # persistent overlap: each bracket holds one root of its own poly, so
-        # a = b exactly when the two polys share a root in the overlap
-        if a.exact_rational is not None or b.exact_rational is not None:
-            return a.cmp(b)
-        if gcd_has_root_in(a.poly, b.poly, max(a._lo, b._lo), min(a._hi, b._hi)):
-            return 0
-        # distinct algebraic numbers: refinement must separate them
-        for _ in range(SIGN_REFINE_BUDGET):
-            alo, ahi = a.bracket()
-            blo, bhi = b.bracket()
-            if ahi < blo:
-                return -1
-            if bhi < alo:
-                return 1
-            a.refine((ahi - alo) / 4)
-            b.refine((bhi - blo) / 4)
+            if i < 4:
+                wa = wb = min(ahi - alo, bhi - blo, Fraction(1, 2)) / 4
+            else:
+                # each bracket holds one root of its own poly, so a = b
+                # exactly when the two polys share a root in the overlap
+                if i == 4 and gcd_has_root_in(a.poly, b.poly, max(alo, blo), min(ahi, bhi)):
+                    return 0
+                wa, wb = (ahi - alo) / 4, (bhi - blo) / 4
+            a.refine(wa)
+            b.refine(wb)
         raise _undecided("comparison")
 
     def same_value(self, other: "AlgBase") -> bool:
@@ -577,11 +587,21 @@ class AlgBase:
 
     # -- the sign engine ---------------------------------------------------
 
+    def is_root_of(self, F) -> bool:
+        """Does q root the integer polynomial F?  Exact."""
+        if self.exact_rational is not None:
+            return polys.sign_at_rational(F, self.exact_rational) == 0
+        if self._minpoly is not None:
+            return polys.is_zero(polys.pseudo_divmod(F, self._minpoly)[2])
+        # no minimal polynomial yet: the bracket holds exactly one root of
+        # the base's poly, so q roots F iff their gcd has a root in it
+        return gcd_has_root_in(self.poly, F, self._lo, self._hi)
+
     def sign_of(self, p) -> int:
         """Exact sign of p(q), for an integer polynomial p (ascending
         coefficients) with p(q) != 0; UnsupportedBaseError when
-        SIGN_REFINE_BUDGET halvings of the base's sign bracket in this call
-        do not separate p(q) from zero.
+        SIGN_REFINE_BUDGET halvings of the working bracket in this call do
+        not separate p(q) from zero.
 
         With lo <= q <= hi and 1 <= lo, integers lo_i <= 2^K q^i <= hi_i,
         rounded outward, bound each term by the end its coefficient's sign
@@ -589,18 +609,15 @@ class AlgBase:
         which give the same enclosure of 2^(K+1) p(q): sum c_i mid_i plus or
         minus sum |c_i| rad_i.  It grows to the longest p asked for.
 
-        The bracket is the engine's own copy of the base's, taken at the
-        base's width on first use.  Narrowing it never moves the base's
-        bracket, so what the base prints does not depend on the signs taken
-        at it.  When the test is undecided, the precision K grows to the
-        coefficients' size plus SIGN_GUARD_BITS, and at least by a quarter,
-        and the table is rebuilt once.  A halving that lands on q makes the
-        base exact, as `refine` does, and the sign is then taken at that
-        rational."""
+        The table is built on the working bracket and stays valid as other
+        calls narrow it.  When the test is undecided, the precision K grows
+        to the coefficients' size plus SIGN_GUARD_BITS, and at least by a
+        quarter: the working bracket is narrowed to that width unless it is
+        narrower already, and the table is rebuilt on it once.  A halving
+        that lands on q makes the base exact, and the sign is then taken
+        at that rational."""
         spent = 0
         while self.exact_rational is None:
-            if self._sign_bracket is None:
-                self._sign_bracket = _over_one_den(self._lo, self._hi)
             mid, rad = self._powers
             if len(mid) < len(p):
                 self._tabulate(len(p))
@@ -613,34 +630,19 @@ class AlgBase:
                 raise _undecided("sign")
             size = max(abs(c) for c in p).bit_length()
             k = self._sign_bits
-            spent += self._narrow(max(size + SIGN_GUARD_BITS, k + k // 4 + 1), left)
+            bits = max(size + SIGN_GUARD_BITS, k + k // 4 + 1)
+            a, b, d = self._cell
+            # the fewest halvings n with (b - a) 2^bits <= d 2^n
+            n = min((-(-((b - a) << bits) // d) - 1).bit_length(), left)
+            self._descend(n)
+            spent += n
+            self._tabulate(len(mid))
         return polys.sign_at_rational(p, self.exact_rational)
 
-    def _narrow(self, bits: int, budget: int) -> int:
-        """Narrow the sign bracket to the bisection cell at most 2^-bits
-        wide, or budget levels down, and rebuild the power table at the
-        width reached; the number of levels (halvings) descended.
-
-        `_bisect` narrows with the minimal polynomial when it is known and
-        the base's polynomial otherwise: the bracket holds exactly one root
-        of either, so the cells are the same."""
-        a, b, d = self._sign_bracket
-        # halvings n with (b - a) 2^bits <= d 2^n
-        k = -(-((b - a) << bits) // d)
-        n = min((k - 1).bit_length() if k > 1 else 0, budget)
-        p = self._minpoly or self.poly
-        a, b, d = _bisect(tuple(reversed(p)), a, b, d, n)
-        if a == b:
-            self.exact_rational = self._lo = self._hi = Fraction(a, d)
-        else:
-            self._sign_bracket = a, b, d
-            self._tabulate(len(self._powers[0]))
-        return n
-
     def _tabulate(self, n: int):
-        """Build the table of q^0, ..., q^(n-1) at the width of the sign
+        """Build the table of q^0, ..., q^(n-1) at the width of the working
         bracket."""
-        a, b, d = self._sign_bracket
+        a, b, d = self._cell
         # the largest K with (b - a) 2^K <= d: a width of at most 2^-K
         self._sign_bits = K = (d // (b - a)).bit_length() - 1
         lo, hi = [1 << K], [1 << K]

@@ -82,22 +82,24 @@ def classify_base(q: AlgBase, max_steps: int = 4096) -> BaseClass:
     alpha = alpha_epseq(q, max_steps)
     ralpha = reflect(alpha)
     window = len(alpha.pre) + len(alpha.per)
-    fails = {"strict_upper": None, "weak_upper": None,
-             "strict_lower": None, "weak_lower": None}
-    for n in range(1, window + 1):
-        t = shift(alpha, n)
-        up = lex_cmp(t, alpha)
-        lo = lex_cmp(ralpha, t)
-        if up >= 0 and fails["strict_upper"] is None:
-            fails["strict_upper"] = n
-        if up > 0 and fails["weak_upper"] is None:
-            fails["weak_upper"] = n
-        if lo >= 0 and fails["strict_lower"] is None:
-            fails["strict_lower"] = n
-        if lo > 0 and fails["weak_lower"] is None:
-            fails["weak_lower"] = n
+    tails = (shift(alpha, n) for n in range(1, window + 1))
+    fails = _first_fails((lex_cmp(t, alpha), lex_cmp(ralpha, t)) for t in tails)
     evidence = {"window": window, "first_fail": fails}
     return BaseClass(_tag_from_fails(fails), evidence, alpha)
+
+
+def _first_fails(orders) -> dict:
+    """The first shift n >= 1 at which each of the four shift conditions
+    on alpha fails (None: it never does), from the pairs (up, lo) for
+    n = 1, 2, ...: up orders the n-th tail of alpha against alpha, and lo
+    the reflected alpha against that tail, as -1, 0 or 1."""
+    fails = dict.fromkeys(("strict_upper", "weak_upper", "strict_lower", "weak_lower"))
+    for n, (up, lo) in enumerate(orders, 1):
+        for key, hit in (("strict_upper", up >= 0), ("weak_upper", up > 0),
+                         ("strict_lower", lo >= 0), ("weak_lower", lo > 0)):
+            if fails[key] is None and hit:
+                fails[key] = n
+    return fails
 
 
 def _tag_from_fails(fails: dict) -> BaseTag:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bases import AlgBase, alpha_digits, base_from_alpha, _dec_str
 from .b2core import certify_b2, f_sign, prop62_pair, solve_qcd, witness_for_V_base
-from .classify import classify_base, count_expansions, _tag_from_fails
+from .classify import classify_base, count_expansions, _first_fails, _tag_from_fails
 from .dimension import b2_local_bound, dim_U, entropy
 from .enum_b2 import enum_B2, min_derived, qn_ladder
 from .errors import DomainError, NotFoundWithinBoundsError
@@ -133,18 +133,15 @@ def _cmd_classify(args) -> int:
 def _probable_classify(q: AlgBase, depth: int) -> dict:
     """Depth-bounded verdict from a finite alpha prefix; never certified.
     Window ties count against the strict conditions only."""
+    def order(x, y):
+        return (x > y) - (x < y)
+
     w = alpha_digits(q, depth)
     rw = w.translate(str.maketrans("01", "10"))
-    fails = dict.fromkeys(
-        ("strict_upper", "weak_upper", "strict_lower", "weak_lower"))
-    for n in range(1, len(w)):
-        a = w[n:]
-        b = w[: len(w) - n]
-        r = rw[: len(a)]
-        for key, hit in (("strict_upper", a >= b), ("weak_upper", a > b),
-                         ("strict_lower", r >= a), ("weak_lower", r > a)):
-            if fails[key] is None and hit:
-                fails[key] = n
+    # the n-th tail against the prefixes of alpha and of its reflection of
+    # the same length
+    fails = _first_fails((order(w[n:], w[:-n]), order(rw[:-n], w[n:]))
+                         for n in range(1, len(w)))
     return {"class": _tag_from_fails(fails).value, "probable": True,
             "depth": depth, "note": "finite-prefix verdict, not certified"}
 

@@ -253,16 +253,19 @@ def bisected_base(draw):
 @example(((-3, 2), Fraction(1), Fraction(2), [Fraction(1, 10**9)]))
 @example((polys.mul((-13, 8), (1, 0, 1)), Fraction(3, 2), Fraction(7, 4), [Fraction(1, 3), Fraction(1, 10**20)]))
 def test_integer_refine_matches_fraction_bisection_after_each_width(case):
-    """Refining one base to several widths in turn keeps the brackets of
-    the Fraction bisection, including an exact hit on a midpoint."""
+    """Asked for several widths in turn, one base prints for each the
+    Fraction bisection of the bracket it was built with, including an
+    exact hit on a midpoint, and its working bracket lies inside that."""
     p, lo, hi, widths = case
     if polys.sign_at_rational(p, lo) == 0:
         return
     q = AlgBase.from_bracket(p, lo, hi)
     for w in widths:
-        lo, hi = _fraction_bisection(q.poly, lo, hi, w)
-        assert q.bracket(w) == (lo, hi)
-        assert (q.exact_rational is not None) == (lo == hi)
+        want = _fraction_bisection(q.poly, lo, hi, w)
+        assert q.bracket(w) == want
+        if want[0] == want[1]:
+            assert q.exact_rational == want[0]
+        assert want[0] <= q.bracket()[0] <= q.bracket()[1] <= want[1]
 
 
 def bisection_loop(poly, a, b, d, n):
@@ -785,25 +788,22 @@ def test_field_sign_matches_interval_horner_on_a_fresh_base(case):
 
 
 def test_walks_leave_the_base_bracket_as_built():
-    """The printed interval of a base is a function of the base alone: the
-    remainder walks and field signs refine only the base's sign bracket."""
+    """The printed interval of a base is a function of the base alone: after
+    the remainder walks and field signs it is what a fresh copy prints."""
     q = _fresh(Q_S)
     alpha_digits(q, 300)
     with pytest.raises(UnsupportedBaseError):
         alpha_epseq(q)
     assert count_expansions("1000(01)", q, cap=3) == CountResult(2)
     fresh = _fresh(Q_S)
-    assert q.bracket() == fresh.bracket() == FRESH_BRACKETS[Q_S]
-    before = q.bracket()
     near = q.field().base_elem() - Fraction(17106440950451, 10**13)
     assert near.sign() == -1
-    assert q.bracket() == before
     assert q.to_json() == fresh.to_json()
 
 
 def test_signs_leave_the_base_bracket_as_built():
-    """`sign_at` and `cmp_rational` decide on the base's sign bracket, so a
-    base prints what a fresh copy prints after either of them."""
+    """A base prints what a fresh copy prints after `sign_at` and
+    `cmp_rational`, however far they narrowed its working bracket."""
     q, fresh = _fresh(Q_S), _fresh(Q_S)
     r = Fraction(17106440950451, 10**13)
     assert q.cmp_rational(r) == -1
@@ -811,7 +811,6 @@ def test_signs_leave_the_base_bracket_as_built():
     # q_s^40 is about 2^30.98: longer than the field degree, and closer to
     # 2^31 than the bracket [17/10, 9/5] can tell
     assert sign_at(polys.sub(polys.shift((1,), 40), (2**31,)), q) == -1
-    assert q.bracket() == fresh.bracket() == FRESH_BRACKETS[Q_S]
     assert q.to_json() == fresh.to_json()
 
 
@@ -853,27 +852,125 @@ def test_a_halving_on_the_root_makes_the_base_exact():
     assert q.sign_of((-3, 2)) == 0
 
 
+def _three_halves():
+    """3/2, the only root of (2x - 3)(x^2 - 3) in (7/5, 8/5] and the first
+    midpoint of that bracket."""
+    return AlgBase.from_poly((9, -6, -3, 2), Fraction(7, 5), Fraction(8, 5))
+
+
+def _near_three_halves():
+    """sqrt(9/4 + 10^-9), about 3.3e-10 above 3/2, in the same bracket."""
+    return AlgBase.from_poly((-(9 * 10**9 + 4), 0, 4 * 10**9), Fraction(7, 5), Fraction(8, 5))
+
+
+def test_cmp_with_a_base_that_turns_exact_in_the_first_rounds():
+    """The first quarter-width refinement lands _three_halves on 3/2;
+    the comparison then goes on as one against a rational, whichever
+    side that base is on."""
+    a, b = _three_halves(), _near_three_halves()
+    assert b.cmp(a) == 1
+    assert a.exact_rational == Fraction(3, 2) and b.exact_rational is None
+    a, b = _three_halves(), _near_three_halves()
+    assert a.cmp(b) == -1
+    assert a.exact_rational == Fraction(3, 2) and b.exact_rational is None
+
+
+# bases for the history test: the SIGN_FIELDS bases, the pair above, and
+# 10/7, the only root of (7x - 10)(x^2 - 3) in (7/5, 3/2], which no
+# bisection of that bracket meets, so only cmp_rational makes it exact
+HISTORY_BASES = tuple(functools.partial(_fresh, q) for q, _ in SIGN_FIELDS) + (
+    _three_halves, _near_three_halves,
+    lambda: AlgBase.from_poly(polys.mul((-10, 7), (-3, 0, 1)), Fraction(7, 5), Fraction(3, 2)))
+
+HISTORY_WIDTHS = st.one_of(st.integers(0, 120).map(lambda k: Fraction(1, 2**k)),
+                           st.integers(0, 40).map(lambda k: Fraction(3, 10**k)))
+
+
+@st.composite
+def history_op(draw):
+    """One call that may narrow a base's working bracket: (name, argument)."""
+    kind = draw(st.sampled_from(("cmp", "cmp_rational", "sign_at", "refine",
+                                 "decimal", "walk")))
+    if kind == "cmp":
+        return kind, draw(st.integers(0, len(HISTORY_BASES) - 1))
+    if kind == "cmp_rational":
+        # a rational j 2^-k from the base, give or take 2^-100
+        return kind, (draw(st.integers(1, 90)), draw(st.integers(-3, 3)))
+    if kind == "sign_at":
+        return kind, tuple(draw(st.lists(st.integers(-2**20, 2**20), min_size=1, max_size=12)))
+    if kind == "refine":
+        return kind, draw(HISTORY_WIDTHS)
+    if kind == "decimal":
+        return kind, draw(st.integers(0, 30))
+    return kind, draw(st.integers(1, 60))
+
+
+@functools.cache
+def _history_value(i):
+    """Base i when it is rational, else the middle of a bracket of it at
+    most 2^-100 wide, from a fresh copy."""
+    q = HISTORY_BASES[i]()
+    m = q.minpoly()
+    if len(m) == 2:
+        return Fraction(-m[0], m[1])
+    lo, hi = q.bracket(Fraction(1, 2**100))
+    return (lo + hi) / 2
+
+
+def _run_history_op(q, i, kind, arg):
+    if kind == "cmp":
+        q.cmp(HISTORY_BASES[arg]())
+    elif kind == "cmp_rational":
+        k, j = arg
+        q.cmp_rational(_history_value(i) + Fraction(j, 2**k))
+    elif kind == "sign_at":
+        sign_at(arg, q)
+    elif kind == "refine":
+        q.refine(arg)
+    elif kind == "decimal":
+        q.decimal(arg)
+    else:
+        alpha_digits(q, arg)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(0, len(HISTORY_BASES) - 1), st.lists(history_op(), max_size=6),
+       st.lists(HISTORY_WIDTHS, min_size=1, max_size=4))
+def test_printed_bracket_does_not_depend_on_history(i, ops, widths):
+    """After any mix of cmp, cmp_rational, sign_at, refine, decimal and the
+    remainder walk, a base prints what a fresh copy prints: `to_json()` and
+    `bracket(w)` for several widths in turn."""
+    q, fresh = HISTORY_BASES[i](), HISTORY_BASES[i]()
+    for kind, arg in ops:
+        _run_history_op(q, i, kind, arg)
+    assert q.to_json() == fresh.to_json()
+    for w in widths:
+        assert q.bracket(w) == fresh.bracket(w)
+
+
 def test_one_sign_call_halves_the_field_bracket_at_most_budget_times(monkeypatch):
     q = _fresh(Q_S)
     fld = q.field()
-    # q - 1 > 0 is decided on the table of the base's own bracket
+    # q - 1 > 0 is decided on the table of the bracket the base was built with
     assert (fld.base_elem() - 1).sign() == 1
-    a, b, d0 = q._sign_bracket
-    assert FRESH_BRACKETS[Q_S] == (Fraction(a, d0), Fraction(b, d0))
+    lo, hi = q.bracket()
+    assert (lo, hi) == FRESH_BRACKETS[Q_S]
+    w0 = hi - lo
     # about 40 halvings of [17/10, 9/5] separate q_s from this rational
     near = fld.base_elem() - Fraction(17106440950451, 10**13)
     monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 15)
     for _ in range(2):
         with pytest.raises(UnsupportedBaseError):
             near.sign()
-        _, _, d1 = q._sign_bracket
-        assert d1 == d0 * 2**15
-        d0 = d1
+        lo, hi = q.bracket()
+        assert hi - lo == w0 / 2**15
+        w0 = hi - lo
     # a third call of 15 halvings at most reaches the 40 or so needed
     assert near.sign() == -1
-    _, _, d1 = q._sign_bracket
-    assert d1 % d0 == 0 and d1 // d0 <= 2**15
-    assert q.bracket() == FRESH_BRACKETS[Q_S]
+    lo, hi = q.bracket()
+    ratio = w0 / (hi - lo)
+    assert ratio.denominator == 1 and ratio <= 2**15
+    assert q.to_json() == _fresh(Q_S).to_json()
 
 
 def test_cmp_rational_refinement_budget(monkeypatch):

@@ -1,9 +1,11 @@
 """Golden CLI output: stdout of a fixed set of commands, byte for byte.
 
-Each command runs in a fresh interpreter, so cached bases and refined
-brackets from other tests cannot leak into the printed intervals.  JSON
-output is used wherever a subcommand has it, so the exact rational brackets
-are pinned along with the decimals.
+Each command runs in a fresh interpreter, so no cached base or alpha hint
+from another test is shared.  JSON output is used wherever a subcommand has
+it, so the exact rational brackets are pinned along with the decimals.  A
+printed bracket is the bisection cell of the bracket its base was built
+with at the printing width, whatever comparisons and signs ran before, so
+changing how far a comparison refines moves no golden byte.
 
 The expected bytes live in cli_golden.json.  After a deliberate output
 change, rewrite them with
@@ -55,13 +57,15 @@ def _case_ids(cases):
     return ids
 
 
-# cases whose bases are certified by enum_b2._pair_roots, compared by
-# AlgBase.cmp's equality test, signed by the base's power table
+# cases whose bases are certified by enum_b2._pair_roots, ordered by
+# AlgBase.cmp (the 45 witnesses of `enum-b2 --n 2`) or compared by its
+# equality test, signed by the base's power table
 # (AlgBase.sign_of, behind sign_at in `witness --prop62` and cmp_rational in
 # `dim-bound`) or counted in Q(q) through FieldElem.inv and the remainder
 # walks, run again with assert statements stripped: their answers may not
 # rest on them
 OPTIMIZED = [
+    ["enum-b2", "--n", "2", "--jmax", "4"],
     ["derived", "--min", "2"],
     ["--jmax", "4", "--nmax", "5", "derived", "--min", "4"],
     ["witness", "--gen", "0", "--prop62", "3"],

@@ -238,14 +238,20 @@ GOLDEN_LOG_ARGUMENTS = [
     (284615839750862280700607505, 154742504910672534362390528),
     (135039349793041974878420283989, 75557863725914323419136000000),
     (540157399172167899513681120331, 302231454903657293676544000000),
+    # q's bracket in `entropy alpha:(110)`; the entries with denominators
+    # 77371252455336267181195264 and 154742504910672534362390528 above are
+    # the narrower one that comparing q with the growth rate left there
+    # while brackets at a width still depended on earlier comparisons
+    (17788489984428892543787969, 9671406556917033397649408),
+    (35576979968857785087575939, 19342813113834066795298816),
 ]
 
 
 @pytest.mark.parametrize("p, q", GOLDEN_LOG_ARGUMENTS)
 def test_log_bounds_match_mpmath_on_golden_arguments(p, q):
-    """Every argument `_log_bounds` gets in the golden CLI commands: the
-    bounds are mpmath.iv.log's at 120 bits, bit for bit, which is what keeps
-    the printed dimension bounds byte-identical."""
+    """Every argument `_log_bounds` gets in the golden CLI commands, and
+    two it got before: the bounds are mpmath.iv.log's at 120 bits, bit for
+    bit, which is what keeps the printed dimension bounds byte-identical."""
     x = Fraction(p, q)
     assert dimension._log_bounds(x) == _iv_log(x, 120)
 

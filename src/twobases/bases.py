@@ -33,7 +33,7 @@ from .words import EPSeq, lex_cmp, _tail_numerator
 
 # Refinements of a bracket (each at least halves it) that one call of a
 # comparison or printing loop, or one call of `AlgBase.sign_of` counted in
-# halvings of the base's sign bracket, may make before it gives up with
+# halvings of the base's working bracket, may make before it gives up with
 # UnsupportedBaseError.
 SIGN_REFINE_BUDGET = 4096
 

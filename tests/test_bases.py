@@ -777,7 +777,7 @@ def interval_horner_sign(F, q) -> int:
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.one_of(field_numerator(), long_polynomial()))
 def test_field_sign_matches_interval_horner_on_a_fresh_base(case):
-    """`NumberField.sign` and `b2core.sign_at` on a base whose sign bracket
+    """`NumberField.sign` and `b2core.sign_at` on a base whose working bracket
     carries the history of every earlier example, each against interval
     Horner on a fresh copy of the base (`interval_horner_sign`)."""
     q, F = case
@@ -815,7 +815,7 @@ def test_signs_leave_the_base_bracket_as_built():
 
 
 def test_sign_engine_halves_with_the_minimal_polynomial_once_known():
-    """Before the minimal polynomial is known the sign bracket is halved
+    """Before the minimal polynomial is known the working bracket is halved
     with the base's polynomial, after it with the minimal polynomial, each
     read by the kernel at the lower end.  The golden ratio phi < r exactly
     when (2r - 1)^2 > 5."""
@@ -834,7 +834,7 @@ def test_sign_engine_halves_with_the_minimal_polynomial_once_known():
 
 def test_a_halving_on_the_root_makes_the_base_exact():
     """(2x - 3)(x^2 - 3) has only 3/2 in (7/5, 8/5]; from_poly keeps the
-    reducible polynomial, and the first halving of the sign bracket lands
+    reducible polynomial, and the first halving of the working bracket lands
     on the root.  The base becomes exact and answers from 3/2."""
     def base():
         return AlgBase.from_poly((9, -6, -3, 2), Fraction(7, 5), Fraction(8, 5))

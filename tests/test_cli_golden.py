@@ -43,16 +43,22 @@ CASES = [
     ["classify", Q_S_SPEC, "--probable-depth", "64"],
     ["count", "--x", "100(10)", "--base", Q_S_SPEC, "--cap", "3"],
     ["witness", "--gen", "0", "--prop62", "3"],
+    ["alpha", Q_S_SPEC, "--digits", "4096"],
+    ["classify", Q_S_SPEC],
+    ["count", "--x", "1(100)", "--base", "alpha:(1100010)"],
 ]
 
 
 def _case_ids(cases):
     """The first two words of each command, or the whole command where those
-    two repeat an earlier case."""
+    two repeat an earlier case, marked "alone" when it has no more words."""
     seen, ids = set(), []
     for a in cases:
         short = " ".join(a[:2])
-        ids.append(" ".join(a) if short in seen else short)
+        if short not in seen:
+            ids.append(short)
+        else:
+            ids.append(" ".join(a) if len(a) > 2 else short + " alone")
         seen.add(short)
     return ids
 
@@ -62,8 +68,9 @@ def _case_ids(cases):
 # equality test, signed by the base's power table
 # (AlgBase.sign_of, behind sign_at in `witness --prop62` and cmp_rational in
 # `dim-bound`) or counted in Q(q) through FieldElem.inv and the remainder
-# walks, run again with assert statements stripped: their answers may not
-# rest on them
+# walks (the 4,096-step refusals of the q_s walk and of a remainder graph
+# among them), run again with assert statements stripped: their answers may
+# not rest on them
 OPTIMIZED = [
     ["enum-b2", "--n", "2", "--jmax", "4"],
     ["derived", "--min", "2"],
@@ -74,6 +81,9 @@ OPTIMIZED = [
     ["classify", Q_S_SPEC, "--probable-depth", "64"],
     ["count", "--x", "100(10)", "--base", Q_S_SPEC, "--cap", "3"],
     ["entropy", "alpha:(110)"],
+    ["alpha", Q_S_SPEC, "--digits", "4096"],
+    ["classify", Q_S_SPEC],
+    ["count", "--x", "1(100)", "--base", "alpha:(1100010)"],
 ]
 
 

@@ -15,6 +15,14 @@ fixed-point table of the powers of q on the working bracket.  FieldElem
 gives exact arithmetic in Q(q), as integer coefficients over one
 denominator, for quasi-greedy remainders and expansion counting; its signs,
 `b2core.sign_at` and `AlgBase.cmp_rational` all come from that table.
+The remainders of a walk keep their value O(1) while their coefficients
+grow without bound, so a walk carries beside each exact remainder r an
+integer enclosure of 2^WALK_BITS r, in a local variable and never in the
+element.  One step (`NumberField.step`) makes q r - 1 exactly and its
+enclosure by one outward-rounded multiply; the sign comes from the
+enclosure when that excludes zero, else from the table.  Once the
+enclosure has grown past 2^-42 it is re-anchored on the exact coefficients
+by the same table sum that signs them (`AlgBase._table_sum`).
 """
 
 from __future__ import annotations
@@ -34,7 +42,9 @@ from .words import EPSeq, lex_cmp, _tail_numerator
 # Refinements of a bracket (each at least halves it) that one call of a
 # comparison or printing loop, or one call of `AlgBase.sign_of` counted in
 # halvings of the base's working bracket, may make before it gives up with
-# UnsupportedBaseError.
+# UnsupportedBaseError.  A walk's anchor (`NumberField.enclose`) and its
+# enclosure of q spend at most as many halvings per call, and keep the
+# wider enclosure they reach.
 SIGN_REFINE_BUDGET = 4096
 
 
@@ -42,6 +52,17 @@ SIGN_REFINE_BUDGET = 4096
 # precision at.  It decides only how often a table is rebuilt, never whether
 # an enclosure holds.
 SIGN_GUARD_BITS = 64
+
+
+# Bits of the fixed-point enclosure lo <= 2^WALK_BITS v <= hi that a
+# remainder walk carries beside its exact remainder v.  It decides only how
+# often a walk re-anchors, never whether an enclosure holds.
+WALK_BITS = 128
+
+
+def _apart(s: int, e: int, k: int) -> bool:
+    """Does the power table's sum s +- e exclude zero?"""
+    return abs(s) > e
 
 
 def _undecided(what: str) -> UnsupportedBaseError:
@@ -143,6 +164,8 @@ class NumberField:
         # the nonzero lower coefficients of m, for reduction
         self._terms = tuple((j, c) for j, c in enumerate(self.minpoly[:-1]) if c)
         self._series_den_inv = {}
+        # (P, lo, hi) with lo <= 2^P q <= hi, for the walks' multiply
+        self._walk_q = (None, 0, 0)
 
     def reduce(self, coeffs, den: int = 1) -> "FieldElem":
         """The element coeffs(q) / den, for integer coeffs and den > 0.
@@ -207,6 +230,64 @@ class NumberField:
         """q r - 1, the step of every remainder walk: (-den, *num) has
         degree deg, so one reduction step of its top term gives it."""
         return self.reduce((-r.den,) + r.num, r.den)
+
+    def step(self, r: "FieldElem", enc: tuple) -> tuple:
+        """(t, (lo, hi), sign of t) for t = q r - 1, given a remainder r with
+        enc = (lo, hi) an integer enclosure of 2^P r, P = WALK_BITS: the
+        kernel of every remainder walk.
+
+        t is exact (`qr_minus_one`).  Its enclosure comes from r's by one
+        multiply by an enclosure of 2^P q, rounded outward, less 2^P.  Each
+        step widens it by a factor of about q; once it is wider than
+        2^-(P // 3), 2^-42 at P = 128, it is re-anchored on t's exact
+        coefficients (`enclose`).  The sign is the enclosure's when that
+        excludes zero, and otherwise t's exact sign."""
+        t = self.qr_minus_one(r)
+        P, qlo, qhi = self._walk_q
+        if P != WALK_BITS:
+            P, qlo, qhi = self._enclose_q()
+        lo, hi = enc
+        # qlo > 0: the product's ends pair each end of r with the end of q
+        # that makes it extreme
+        lo = (lo * (qlo if lo >= 0 else qhi) >> P) - (1 << P)
+        hi = -(-hi * (qhi if hi >= 0 else qlo) >> P) - (1 << P)
+        if (hi - lo).bit_length() > P - P // 3:
+            if qhi - qlo > 2:
+                self._enclose_q()
+            lo, hi = self.enclose(t)
+        s = 1 if lo > 0 else -1 if hi < 0 else t.sign()
+        return t, (lo, hi), s
+
+    def _enclose_q(self) -> tuple:
+        """Cache and return (P, lo, hi) with lo <= 2^P q <= hi and
+        P = WALK_BITS, read off the working bracket after narrowing it
+        towards width 2^-P by at most SIGN_REFINE_BUDGET halvings: within
+        two units once the budget allows."""
+        P, q = WALK_BITS, self.base
+        if q.exact_rational is None:
+            a, b, d = q._cell
+            q._descend(min((((b - a) << P) // d).bit_length(), SIGN_REFINE_BUDGET))
+        lo, hi = q._lo, q._hi
+        self._walk_q = enc = (P, (lo.numerator << P) // lo.denominator,
+                              -((-hi.numerator << P) // hi.denominator))
+        return enc
+
+    def enclose(self, r: "FieldElem") -> tuple:
+        """Integers lo <= 2^P r <= hi, P = WALK_BITS, from r's exact
+        coefficients: a walk's anchor.  The power table's sum
+        (`AlgBase._table_sum`) is aimed at a width of one unit, rounded
+        outward, and at most SIGN_REFINE_BUDGET halvings are spent on it;
+        the enclosure holds however wide that leaves it."""
+        P, num, den = WALK_BITS, r.num, r.den
+        if not any(num[1:]):
+            x = Fraction(num[0], den)
+            return (x.numerator << P) // x.denominator, -((-x.numerator << P) // x.denominator)
+        # deg >= 2: q is irrational, so no halving makes the base exact and
+        # the sum is returned
+        s, e, k = self.base._table_sum(num, P + SIGN_GUARD_BITS - den.bit_length(),
+                                       lambda s, e, k: e << P <= den << k)
+        den <<= k + 1
+        return (s - e << P) // den, -((-(s + e) << P) // den)
 
     def sign(self, num) -> int:
         """Exact sign of num(q), for an integer numerator of length deg, by
@@ -601,21 +682,37 @@ class AlgBase:
         """Exact sign of p(q), for an integer polynomial p (ascending
         coefficients) with p(q) != 0; UnsupportedBaseError when
         SIGN_REFINE_BUDGET halvings of the working bracket in this call do
-        not separate p(q) from zero.
+        not separate p(q) from zero.  The power table's sum
+        (`_table_sum`) decides once it excludes zero, its precision aimed at
+        the coefficients' size plus SIGN_GUARD_BITS.  A halving that lands
+        on q makes the base exact, and the sign is then taken at that
+        rational."""
+        enc = self._table_sum(p, SIGN_GUARD_BITS, _apart)
+        if enc is None:
+            return polys.sign_at_rational(p, self.exact_rational)
+        s, e, _ = enc
+        if abs(s) > e:
+            return 1 if s > 0 else -1
+        raise _undecided("sign")
+
+    def _table_sum(self, p, extra: int, done):
+        """Integers s, e and K with |2^(K+1) p(q) - s| <= e, for an integer
+        polynomial p, from the table of the powers of q at K bits; None once
+        a halving has made the base exact.
 
         With lo <= q <= hi and 1 <= lo, integers lo_i <= 2^K q^i <= hi_i,
         rounded outward, bound each term by the end its coefficient's sign
         picks.  The table keeps mid_i = lo_i + hi_i and rad_i = hi_i - lo_i,
-        which give the same enclosure of 2^(K+1) p(q): sum c_i mid_i plus or
-        minus sum |c_i| rad_i.  It grows to the longest p asked for.
+        which give the same enclosure: s = sum c_i mid_i and
+        e = sum |c_i| rad_i.  It grows to the longest p asked for.
 
         The table is built on the working bracket and stays valid as other
-        calls narrow it.  When the test is undecided, the precision K grows
-        to the coefficients' size plus SIGN_GUARD_BITS, and at least by a
+        calls narrow it.  While done(s, e, K) is false, the precision K grows
+        to the coefficients' size plus extra bits, and at least by a
         quarter: the working bracket is narrowed to that width unless it is
-        narrower already, and the table is rebuilt on it once.  A halving
-        that lands on q makes the base exact, and the sign is then taken
-        at that rational."""
+        narrower already, and the table is rebuilt on it once.  After
+        SIGN_REFINE_BUDGET halvings in one call the last sum is returned as
+        it stands."""
         spent = 0
         while self.exact_rational is None:
             mid, rad = self._powers
@@ -623,21 +720,20 @@ class AlgBase:
                 self._tabulate(len(p))
                 mid, rad = self._powers
             s = sum(map(mul, p, mid))
-            if abs(s) > sum(map(mul, map(abs, p), rad)):
-                return 1 if s > 0 else -1
-            left = SIGN_REFINE_BUDGET - spent
-            if left <= 0:
-                raise _undecided("sign")
-            size = max(abs(c) for c in p).bit_length()
+            e = sum(map(mul, map(abs, p), rad))
             k = self._sign_bits
-            bits = max(size + SIGN_GUARD_BITS, k + k // 4 + 1)
+            left = SIGN_REFINE_BUDGET - spent
+            if done(s, e, k) or left <= 0:
+                return s, e, k
+            size = max(abs(c) for c in p).bit_length()
+            bits = max(size + extra, k + k // 4 + 1)
             a, b, d = self._cell
             # the fewest halvings n with (b - a) 2^bits <= d 2^n
             n = min((-(-((b - a) << bits) // d) - 1).bit_length(), left)
             self._descend(n)
             spent += n
             self._tabulate(len(mid))
-        return polys.sign_at_rational(p, self.exact_rational)
+        return None
 
     def _tabulate(self, n: int):
         """Build the table of q^0, ..., q^(n-1) at the width of the working
@@ -720,14 +816,22 @@ def real_roots(F, lo, hi) -> list:
 # expansions of 1
 
 
-def _step(r: FieldElem) -> tuple:
+def _start(q: AlgBase) -> tuple:
+    """The remainder 1 that starts the orbit of 1 in Q(q), with its
+    enclosure (2^WALK_BITS, 2^WALK_BITS)."""
+    r = q.field().one()
+    return r, r.field.enclose(r)
+
+
+def _step(r: FieldElem, enc: tuple) -> tuple:
     """One step of the remainder orbit of 1 in the field of r, from
-    remainder r: (quasi-greedy digit, sign of q r - 1, next remainder)."""
-    t = r.field.qr_minus_one(r)
-    s = t.sign()
+    remainder r with its enclosure enc (`NumberField.step`): (quasi-greedy
+    digit, sign of q r - 1, next remainder, its enclosure)."""
+    t, (lo, hi), s = r.field.step(r, enc)
     if s > 0:
-        return 1, s, t
-    return 0, s, t + 1
+        return 1, s, t, (lo, hi)
+    one = 1 << WALK_BITS
+    return 0, s, t + 1, (lo + one, hi + one)
 
 
 def alpha_digits(q: AlgBase, n: int) -> str:
@@ -737,10 +841,10 @@ def alpha_digits(q: AlgBase, n: int) -> str:
         raise DomainError("need n >= 1")
     if q.alpha_hint is not None:
         return q.alpha_hint.prefix(n)
-    r = q.field().one()
+    r, e = _start(q)
     out = []
     for _ in range(n):
-        a, _, r = _step(r)
+        a, _, r, e = _step(r, e)
         out.append("01"[a])
     return "".join(out)
 
@@ -750,10 +854,10 @@ def beta_digits(q: AlgBase, n: int):
     is the full expansion b with beta = b 0^inf."""
     if n < 1:
         raise DomainError("need n >= 1")
-    r = q.field().one()
+    r, e = _start(q)
     out = []
     for _ in range(n):
-        a, s, r = _step(r)
+        a, s, r, e = _step(r, e)
         if s == 0:
             return "".join(out) + "1", True
         out.append("01"[a])
@@ -765,7 +869,7 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
     exact cycle detection on the remainder orbit."""
     if q.alpha_hint is not None:
         return q.alpha_hint
-    r = q.field().one()
+    r, e = _start(q)
     seen = {}
     digits = []
     for step in range(max_steps):
@@ -775,7 +879,7 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
             q.alpha_hint = seq
             return seq
         seen[r] = step
-        a, _, r = _step(r)
+        a, _, r, e = _step(r, e)
         digits.append("01"[a])
     raise UnsupportedBaseError(
         f"no remainder cycle within {max_steps} steps; "
@@ -830,7 +934,7 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
     every eventually periodic t."""
     if q.alpha_hint is not None:
         return lex_cmp(t, q.alpha_hint)
-    r = q.field().one()
+    r, e = _start(q)
     k, p = len(t.pre), len(t.per)
     seen = set()
     for i in range(max_steps):
@@ -839,7 +943,7 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
         if state in seen:
             return 0
         seen.add(state)
-        a, _, r = _step(r)
+        a, _, r, e = _step(r, e)
         ti = t.digit(i)
         if ti != a:
             return -1 if ti < a else 1

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from . import bases
 from .bases import AlgBase, alpha_epseq, cmp_seq_alpha
 from .errors import DomainError, UnsupportedBaseError
 from .words import EPSeq, _check_seq, eval_seq, lex_cmp, parse_epseq, reflect, shift
@@ -149,26 +150,7 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
     lim = fld.series_den_inv(0, 1)
     if val.sign() < 0 or (lim - val).sign() < 0:
         return CountResult(0)
-
-    # breadth-first closure of the remainder graph
-    children = {}
-    queue = [val]
-    while queue:
-        r = queue.pop()
-        if r in children:
-            continue
-        t1 = fld.qr_minus_one(r)
-        t = t1 + 1
-        outs = []
-        if (lim - t).sign() >= 0:
-            outs.append(t)
-        if t1.sign() >= 0:
-            outs.append(t1)
-        children[r] = tuple(outs)
-        if len(children) > max_states:
-            raise UnsupportedBaseError("remainder graph exceeded the state budget")
-        queue.extend(c for c in outs if c not in children)
-
+    children = _remainder_graph(val, lim, max_states)
     cyclic = {s for comp in _sccs(children)
               if len(comp) > 1 or comp[0] in children[comp[0]]
               for s in comp}
@@ -189,6 +171,38 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
             stack.append((s, True))
             stack.extend((c, False) for c in children[s] if c not in seen)
     return CountResult(counts[val])
+
+
+def _remainder_graph(val, lim, max_states: int) -> dict:
+    """The remainders reachable from val in [0, lim], lim = 1 / (q - 1),
+    each mapped to its children: q r - 1 + d for the digits d in (1, 0)
+    that keep it in [0, lim].  UnsupportedBaseError past max_states.
+
+    Each queued remainder carries an enclosure of 2^WALK_BITS times its
+    value, and q r - 1 and its sign come from the walks' step
+    (`NumberField.step`).  Whether q r <= lim is read off the enclosures of
+    q r and of lim; only where they overlap is the difference built and
+    signed exactly."""
+    fld = val.field
+    one = 1 << bases.WALK_BITS
+    lim_lo, lim_hi = fld.enclose(lim)
+    children = {}
+    queue = [(val, fld.enclose(val))]
+    while queue:
+        r, e = queue.pop()
+        if r in children:
+            continue
+        t1, (lo, hi), s = fld.step(r, e)
+        outs = []
+        if hi + one <= lim_lo or (lo + one <= lim_hi and (lim - t1 - 1).sign() >= 0):
+            outs.append((t1 + 1, (lo + one, hi + one)))
+        if s >= 0:
+            outs.append((t1, (lo, hi)))
+        children[r] = tuple(c for c, _ in outs)
+        if len(children) > max_states:
+            raise UnsupportedBaseError("remainder graph exceeded the state budget")
+        queue.extend(o for o in outs if o[0] not in children)
+    return children
 
 
 def _sccs(graph) -> list:

@@ -132,7 +132,10 @@ def _cmd_classify(args) -> int:
 
 def _probable_classify(q: AlgBase, depth: int) -> dict:
     """Depth-bounded verdict from a finite alpha prefix; never certified.
-    Window ties count against the strict conditions only."""
+    Window ties count against the strict conditions only.  Only the shifts
+    n <= depth / 2 are tested, so that every tail compared keeps at least
+    half the prefix: a tie between a few end digits says nothing about
+    the sequences."""
     def order(x, y):
         return (x > y) - (x < y)
 
@@ -141,7 +144,7 @@ def _probable_classify(q: AlgBase, depth: int) -> dict:
     # the n-th tail against the prefixes of alpha and of its reflection of
     # the same length
     fails = _first_fails((order(w[n:], w[:-n]), order(rw[:-n], w[n:]))
-                         for n in range(1, len(w)))
+                         for n in range(1, len(w) // 2 + 1))
     return {"class": _tag_from_fails(fails).value, "probable": True,
             "depth": depth, "note": "finite-prefix verdict, not certified"}
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import floor, gcd, isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twobases import bases, polys
@@ -1159,3 +1159,180 @@ def test_bracket_refine_decimal_consistency():
         with pytest.raises(DomainError):
             q.refine(width)
     assert q.bracket() == before
+
+
+# ---------------------------------------------------------------------------
+# remainder walks with a carried enclosure, against the exact step
+
+
+def exact_step(r):
+    """Oracle: one step of the remainder walk with q r - 1 signed exactly
+    and no enclosure: (digit, sign of q r - 1, next remainder)."""
+    t = r.field.qr_minus_one(r)
+    s = t.sign()
+    return (1, s, t) if s > 0 else (0, s, t + 1)
+
+
+def exact_alpha_digits(q, n):
+    r, out = q.field().one(), []
+    for _ in range(n):
+        a, _, r = exact_step(r)
+        out.append("01"[a])
+    return "".join(out)
+
+
+def exact_beta_digits(q, n):
+    r, out = q.field().one(), []
+    for _ in range(n):
+        a, s, r = exact_step(r)
+        if s == 0:
+            return "".join(out) + "1", True
+        out.append("01"[a])
+    return "".join(out), False
+
+
+def exact_cmp_seq_alpha(t, q, max_steps=100000):
+    r, seen = q.field().one(), set()
+    k, p = len(t.pre), len(t.per)
+    for i in range(max_steps):
+        state = (i if i < k else k + (i - k) % p, r)
+        if state in seen:
+            return 0
+        seen.add(state)
+        a, _, r = exact_step(r)
+        if t.digit(i) != a:
+            return -1 if t.digit(i) < a else 1
+    raise AssertionError("oracle comparison unresolved")
+
+
+def walk_enclosures_hold(q, n):
+    """Walk n steps with the carried enclosures and check, by exact signs,
+    that lo <= 2^WALK_BITS r <= hi for every remainder r met."""
+    r, e = bases._start(q)
+    scale = 1 << bases.WALK_BITS
+    for _ in range(n):
+        lo, hi = e
+        x = r * scale
+        assert (x - lo).sign() >= 0 and (hi - x).sign() >= 0
+        _, _, r, e = bases._step(r, e)
+
+
+@st.composite
+def parry_word(draw):
+    """An eventually periodic word that is the quasi-greedy expansion of 1
+    of some base in (1, 2)."""
+    pre = draw(st.text("01", max_size=5))
+    per = draw(st.text("01", min_size=1, max_size=7).filter(lambda w: "1" in w))
+    s = EPSeq("1" + pre, per)
+    assume(parry_check(s))
+    return s
+
+
+WALK_BITS_TRIED = (8, 24, 128)
+
+
+def _walk_base(s):
+    """The base with quasi-greedy expansion s, its hint dropped so that the
+    walks compute the digits."""
+    q = base_from_alpha(s)
+    q.alpha_hint = None
+    return q
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.one_of(parry_word().map(_walk_base), st.sampled_from(ORACLE_FIELDS),
+                 RATIONAL_BASES.map(AlgBase.from_rational)),
+       st.sampled_from(WALK_BITS_TRIED), WORDS, WORDS.filter(bool))
+@example(Q_S, 8, "", "1")
+@example(Q_S, 24, "1100100001", "0")
+@example(AlgBase.from_rational(Fraction(19, 10)), 8, "", "1")
+def test_walks_match_the_exact_step(q, bits, pre, per):
+    want = exact_alpha_digits(q, 600)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bases, "WALK_BITS", bits)
+        walk_enclosures_hold(q, 200)
+        assert alpha_digits(q, 600) == want
+        assert beta_digits(q, 600) == exact_beta_digits(q, 600)
+        # a word that follows alpha for a while before it is free to differ
+        for t in (EPSeq(pre, per), EPSeq(want[: len(pre)] + pre, per)):
+            assert cmp_seq_alpha(t, q, 600) == exact_cmp_seq_alpha(t, q, 600)
+
+
+def test_parry_walks_give_their_words():
+    """A base built from a quasi-greedy word walks back to that word."""
+    for word in ("(1100010)", "(100000)", "11(10)", "(1110)", "1(1010010)"):
+        s = parse_epseq(word)
+        q = _walk_base(s)
+        assert alpha_digits(q, 300) == s.prefix(300)
+        assert alpha_epseq(q) == s
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    f = getattr(owner, name)
+
+    def counted(*args):
+        counts[name] += 1
+        return f(*args)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_narrow_walk_enclosures_re_anchor_and_fall_back(monkeypatch):
+    """With few bits the walks re-anchor often (`NumberField.enclose`),
+    and at 8 bits, where an enclosure grows to 1/4 before it is re-anchored,
+    many signs fall back to the exact test (`AlgBase.sign_of`); the digits
+    stay the exact step's."""
+    want = [exact_alpha_digits(q, 600) for q in ORACLE_FIELDS]
+    counts = {"enclose": 0, "sign_of": 0}
+    _count_calls(monkeypatch, bases.NumberField, "enclose", counts)
+    _count_calls(monkeypatch, AlgBase, "sign_of", counts)
+    for bits in (24, 8):
+        monkeypatch.setattr(bases, "WALK_BITS", bits)
+        counts.update(enclose=0, sign_of=0)
+        assert [alpha_digits(q, 600) for q in ORACLE_FIELDS] == want
+        assert counts["enclose"] >= 600 // bits
+    assert counts["sign_of"] > 0
+
+
+def test_q_s_walk_re_anchors_rarely(monkeypatch):
+    """At 128 bits the 4,096-step q_s walk signs from its enclosure: it
+    re-anchors a few dozen times, each a power-table sum as costly as one
+    exact sign."""
+    q = _fresh(Q_S)
+    want = exact_alpha_digits(q, 4096)
+    counts = {"enclose": 0, "sign_of": 0}
+    _count_calls(monkeypatch, bases.NumberField, "enclose", counts)
+    _count_calls(monkeypatch, AlgBase, "sign_of", counts)
+    assert alpha_digits(q, 4096) == want
+    assert 0 < counts["enclose"] + counts["sign_of"] <= 4096 // 64
+
+
+def test_walks_under_a_small_sign_budget(monkeypatch):
+    """Under SIGN_REFINE_BUDGET = 15 the exact step gives every digit, and
+    so do the walks, whose q enclosure and anchors keep to that budget.
+    Under tighter budgets the exact step gives up earlier; a walk never
+    gives a wrong digit, and gives up, if at all, only with
+    UnsupportedBaseError."""
+    def fresh():
+        return [AlgBase.from_poly(q.poly, *b) for q, b in zip(ORACLE_FIELDS, ORACLE_BRACKETS)]
+
+    full = [exact_alpha_digits(q, 1500) for q in fresh()]
+    monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 15)
+    assert [exact_alpha_digits(q, 1500) for q in fresh()] == full
+    assert [alpha_digits(q, 1500) for q in fresh()] == full
+    for budget in (4, 8):
+        monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", budget)
+        for q, want in zip(fresh(), full):
+            r, e = bases._start(q)
+            got = ""
+            try:
+                for _ in range(1500):
+                    a, _, r, e = bases._step(r, e)
+                    got += "01"[a]
+            except UnsupportedBaseError:
+                pass
+            assert want.startswith(got)
+
+
+# the brackets ORACLE_FIELDS are built with
+ORACLE_BRACKETS = ((Fraction(17, 10), Fraction(9, 5)), (Fraction(13, 10), Fraction(7, 5)),
+                   (Fraction(1785, 1000), Fraction(1786, 1000)))

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twobases.bases import AlgBase, base_from_alpha
+from twobases import bases, classify
+from twobases.bases import AlgBase, base_from_alpha, parry_check
 from twobases.classify import (
     BaseTag, CountResult, classify_base, count_expansions, in_A_prime,
     in_Vq_seq, is_univoque_seq, _sccs,
@@ -236,3 +237,85 @@ def test_scc_cyclic_states_match_reachability():
             return False
 
         assert cyclic == {v for v in graph if reaches_itself(v)}
+
+
+# ---------------------------------------------------------------------------
+# the remainder graph against the exact step
+
+
+def exact_remainder_graph(val, lim, max_states):
+    """Oracle: the closure of the remainder graph with q r - 1 and
+    lim - (q r) signed exactly, no enclosure carried."""
+    fld = val.field
+    children, queue = {}, [val]
+    while queue:
+        r = queue.pop()
+        if r in children:
+            continue
+        t1 = fld.qr_minus_one(r)
+        t = t1 + 1
+        outs = []
+        if (lim - t).sign() >= 0:
+            outs.append(t)
+        if t1.sign() >= 0:
+            outs.append(t1)
+        children[r] = tuple(outs)
+        if len(children) > max_states:
+            raise UnsupportedBaseError("remainder graph exceeded the state budget")
+        queue.extend(c for c in outs if c not in children)
+    return children
+
+
+def _or_refusal(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedBaseError:
+        return "refused"
+
+
+@st.composite
+def count_case(draw):
+    """(x, q): a point given by a word, and a base built from a quasi-greedy
+    word or one of q_s, q_f and the golden ratio."""
+    x = EPSeq(draw(st.text("01", max_size=6)), draw(st.text("01", min_size=1, max_size=5)))
+    pre = draw(st.text("01", max_size=4))
+    s = EPSeq("1" + pre, draw(st.text("01", min_size=1, max_size=6).filter(lambda w: "1" in w)))
+    assume(parry_check(s))
+    return x, draw(st.sampled_from((base_from_alpha(s), Q_S, Q_F, PHI)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(count_case(), st.sampled_from((8, 24, 128)))
+@example((EPSeq("1", "100"), base_from_alpha(EPSeq("", "1100010"))), 8)
+@example((EPSeq("1000", "01"), Q_S), 128)
+def test_remainder_graph_matches_the_exact_step(case, bits):
+    x, q = case
+    fld = q.field()
+    val = fld.zero() + eval_seq(x, q)
+    lim = fld.series_den_inv(0, 1)
+    assume(val.sign() >= 0 and (lim - val).sign() >= 0)
+    want = _or_refusal(exact_remainder_graph, val, lim, 300)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bases, "WALK_BITS", bits)
+        assert _or_refusal(classify._remainder_graph, val, lim, 300) == want
+        got = _or_refusal(count_expansions, x, q, 3, 300)
+        mp.setattr(classify, "_remainder_graph", exact_remainder_graph)
+        assert _or_refusal(count_expansions, x, q, 3, 300) == got
+
+
+@pytest.mark.parametrize("bits", [8, 24, 128])
+def test_remainder_graph_near_the_upper_end(bits, monkeypatch):
+    """Remainders r with q r just above and just below lim = 1 / (q - 1),
+    some within a few units of the enclosures' last bit: the digit 0 keeps
+    q r in [0, lim] only for the second, as the exact step says."""
+    monkeypatch.setattr(bases, "WALK_BITS", bits)
+    for q in (Q_S, Q_F, PHI):
+        fld = q.field()
+        x, lim = fld.base_elem(), fld.series_den_inv(0, 1)
+        gaps = [x ** -k for k in (4, 12, 20, 40, 80, 160)]
+        gaps += [Fraction(j, 2**bits) for j in range(1, 5)]
+        for g in gaps:
+            for gap in (g, -g):
+                val = (lim + gap) / x
+                want = _or_refusal(exact_remainder_graph, val, lim, 40)
+                assert _or_refusal(classify._remainder_graph, val, lim, 40) == want

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import twobases
-from twobases.bases import AlgBase
+from twobases.bases import AlgBase, base_from_alpha
+from twobases.classify import classify_base
 from twobases.cli import run
+from twobases.words import parse_epseq
 
 SRC = Path(twobases.__file__).resolve().parents[1]
 
@@ -114,6 +116,17 @@ def test_classify_probable_and_refusal(capsys):
     assert doc["probable"] is True and doc["depth"] == 64
     assert doc["class"] == "not-V"
     assert "not certified" in doc["note"]
+
+
+@pytest.mark.parametrize("alpha", ["(1110)", "(111010)", "(11100100)"])
+def test_probable_classify_agrees_with_classify_base_on_periodic_alphas(capsys, alpha):
+    """A tie between the last few digits of the prefix and the reflected
+    alpha is no failure of a shift condition: at depth 64 these bases are
+    placed where the certified classifier places them."""
+    rc, out, _ = _run(capsys, "classify", f"alpha:{alpha}", "--probable-depth", "64")
+    assert rc == 0
+    want = classify_base(base_from_alpha(parse_epseq(alpha))).tag.value
+    assert json.loads(out)["class"] == want == "Ubar\\U"
 
 
 def test_count_json_and_plain(capsys):

@@ -252,8 +252,6 @@ class NumberField:
         lo = (lo * (qlo if lo >= 0 else qhi) >> P) - (1 << P)
         hi = -(-hi * (qhi if hi >= 0 else qlo) >> P) - (1 << P)
         if (hi - lo).bit_length() > P - P // 3:
-            if qhi - qlo > 2:
-                self._enclose_q()
             lo, hi = self.enclose(t)
         s = 1 if lo > 0 else -1 if hi < 0 else t.sign()
         return t, (lo, hi), s
@@ -262,7 +260,7 @@ class NumberField:
         """Cache and return (P, lo, hi) with lo <= 2^P q <= hi and
         P = WALK_BITS, read off the working bracket after narrowing it
         towards width 2^-P by at most SIGN_REFINE_BUDGET halvings: within
-        two units once the budget allows."""
+        two units unless the budget stops it first."""
         P, q = WALK_BITS, self.base
         if q.exact_rational is None:
             a, b, d = q._cell

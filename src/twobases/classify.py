@@ -175,8 +175,8 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
 
 def _remainder_graph(val, lim, max_states: int) -> dict:
     """The remainders reachable from val in [0, lim], lim = 1 / (q - 1),
-    each mapped to its children: q r - 1 + d for the digits d in (1, 0)
-    that keep it in [0, lim].  UnsupportedBaseError past max_states.
+    each mapped to its children: q r - d for the digits d = 0 then 1, where
+    that lies in [0, lim].  UnsupportedBaseError past max_states.
 
     Each queued remainder carries an enclosure of 2^WALK_BITS times its
     value, and q r - 1 and its sign come from the walks' step

@@ -278,8 +278,7 @@ class NumberField:
         the enclosure holds however wide that leaves it."""
         P, num, den = WALK_BITS, r.num, r.den
         if not any(num[1:]):
-            x = Fraction(num[0], den)
-            return (x.numerator << P) // x.denominator, -((-x.numerator << P) // x.denominator)
+            return (num[0] << P) // den, -((-num[0] << P) // den)
         # deg >= 2: q is irrational, so no halving makes the base exact and
         # the sum is returned
         s, e, k = self.base._table_sum(num, P + SIGN_GUARD_BITS - den.bit_length(),

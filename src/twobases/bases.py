@@ -752,13 +752,15 @@ class AlgBase:
         if self.exact_rational is not None:
             return _dec_str(self.exact_rational, digits)
         self.refine(Fraction(1, 10 ** (digits + 2)))
-        for _ in range(SIGN_REFINE_BUDGET):
-            lo, hi = self.bracket()
-            a, b = _dec_str(lo, digits), _dec_str(hi, digits)
-            if a == b:
-                return a
-            self.refine((hi - lo) / 4)
-        raise _undecided("decimal rounding")
+        lo, hi = self.bracket()
+        a, b = _dec_str(lo, digits), _dec_str(hi, digits)
+        if a == b:
+            return a
+        # the bracket is narrower than a digit, so the one half-digit
+        # boundary m in (lo, hi] decides: q rounds up from m on
+        scale = 10 ** digits
+        m = Fraction(2 * _round_half_up(hi * scale) - 1, 2 * scale)
+        return b if self.cmp_rational(m) >= 0 else a
 
     def to_json(self, digits: int = 14) -> dict:
         lo, hi = self.bracket(Fraction(1, 10 ** (digits + 2)))
@@ -770,7 +772,7 @@ class AlgBase:
 
 
 def _round_half_up(x: Fraction) -> int:
-    # certification loops make the tie case immaterial
+    # a value on a half-digit boundary takes the upper string
     return (2 * x.numerator + x.denominator) // (2 * x.denominator)
 
 

@@ -11,7 +11,10 @@ Derived orders follow the counting rule: a representation pair whose top
 block levels are k and k' certifies order 2n - (k+1) - (k'+1) relative to
 the interval, a right endpoint inherits one order more than the families
 converging down to it, and the explicit deep pairs of `prop62_pair` give an
-order-n point strictly inside (q_n, q_{n+1}).
+order-n point strictly inside (q_n, q_{n+1}).  Both counting rules take
+their pairs from one band scan, `_tail_pairs`: interior roots with its keys
+at the interval's bracket ends, a rooted endpoint q_n with keys at q_n's
+bracket over the tails of the interval below.
 
 A derived-order scan caps the weight (k+1) + (k'+1) of its pairs, so every
 pair it wants joins a light sequence (weight at most half the cap) to one of
@@ -100,6 +103,11 @@ class ReprVector:
 
 def _vector_key(v: ReprVector) -> tuple:
     return v.k, v.s, v.j[:-1]
+
+
+def _walk_key(v: ReprVector) -> tuple:
+    """The order in which `_walk` visits profiles: levels, then the rest."""
+    return v.m, *_vector_key(v)
 
 
 def pair_weight(vc: ReprVector, vd: ReprVector) -> int:
@@ -403,42 +411,45 @@ class _Reach:
         return self.band.reaches(entry[1], entry[4])
 
 
-def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
+def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None, keys=None):
     """Unordered pairs of distinct sequences of interval n, as (c, d, pairs)
     with c <= d lexicographically and `pairs` every profile pair (vc, vd)
     assembling them; a sequence paired with itself gets its profile pairs in
     `enum_reprs` order.
 
-    Sequences are paired grade by grade, lightest first.  A cap keeps only
-    pairs whose lightest weights sum to at most it, so heavy-by-heavy
-    products are never formed.  (0^inf, 0^inf) is left out: its defect
-    vanishes only at 2.
+    Sequences are paired grade by grade, lightest first: grades (w1, w2)
+    with w1 <= w2 in turn, and within them the first member in its grade's
+    order, then the second.  A cap keeps only pairs whose lightest weights
+    sum to at most it, so heavy-by-heavy products are never formed.
+    (0^inf, 0^inf) is left out: its defect vanishes only at 2.
 
-    On a monotone interval iv, only the pairs whose window can hold a root
-    are formed, in the same order: a pair is dropped when its defect is
-    decided positive at a0 = lo(q_n) or negative at b1 = hi(q_{n+1}), the
-    bracket ends at scan start.  Shape-III defects increase on [a0, b1],
-    the other shapes are positive there, and later refinement only moves
-    the ends inward, so `_pair_roots` returns [] for every dropped pair.
-    Under a cap, a sequence heavier than cap / 2 can pair only with a
-    lighter one, so the walk stores the light grades whole and, of the
-    heavy ones, only the sequences that pass that test with some light
-    sequence; whole heavy subtrees are skipped on bounds of their keys
-    (`_graded_tails`).  Positions, pairs and profile ids are those of the
-    full walk.
+    With keys = (points, ends), only the pairs that pass the band test of
+    `_Band` are formed, in the same order: the lower ends of the integer
+    enclosures of (1c) and (1d) at points[0] sum to at most ends[0], and
+    the upper ends at points[1] to at least ends[1].  On a monotone
+    interval iv the keys default to points (a0, b1) = (lo(q_n), hi(q_{n+1})),
+    the bracket ends at scan start, with ends the floor of 1/(a0 - 1) and
+    the ceiling of 1/(b1 - 1): a pair is dropped when its defect is decided
+    positive at a0 or negative at b1.  Shape-III defects increase on [a0, b1], the other
+    shapes are positive there, and later refinement only moves the ends
+    inward, so `_pair_roots` returns [] for every dropped pair.  Under a
+    cap, a sequence heavier than cap / 2 can pair only with a lighter one,
+    so the walk stores the light grades whole and, of the heavy ones, only
+    the sequences that pass that test with some light sequence; whole heavy
+    subtrees are skipped on bounds of their keys (`_graded_tails`).
+    Positions, pairs and profile ids are those of the full walk.
 
     EPSeqs and ReprVectors are built only for the sequences of the pairs
-    formed.
+    formed, and their enclosures at the points are kept in iv.
     """
-    points = ()
-    if iv is not None and iv.monotone:
-        points = (iv.lo.bracket()[0], iv.hi.bracket()[1])
+    if keys is None and iv is not None and iv.monotone:
+        a0, b1 = iv.lo.bracket()[0], iv.hi.bracket()[1]
+        keys = (a0, b1), (iv.ones(a0)[0], iv.ones(b1)[1])
     bands = None
-    if points:
-        a0, b1 = points
-        ends = iv.ones(a0)[0], iv.ones(b1)[1]
+    if keys is not None:
+        points, ends = keys
         grades = _graded_tails(comp, n, Jmax, cap, iv.enclosures(points), ends)
-        # bounds are (lo, hi) at a0, then (lo, hi) at b1
+        # bounds are (lo, hi) at points[0], then (lo, hi) at points[1]
         bands = {w: _Band([b[0] for _, _, b in bucket], [b[3] for _, _, b in bucket], *ends)
                  for w, bucket in grades.items()}
     else:
@@ -450,7 +461,7 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None):
         if got is None:
             text, ids, bounds = grades[w][x]
             t = EPSeq(*text)
-            if points:
+            if keys is not None:
                 iv.record(t, points, bounds)
             got = built[w, x] = (t, [ReprVector(*_profile(min(n, cap), Jmax, i))
                                      for i in ids])
@@ -724,11 +735,7 @@ def min_derived(j: int, Jmax: int = 6, Nmax: int = 6, comp: ComponentSpec = GEN0
         if n == j and j >= 2:
             cands.append(_prop62_root(comp, iv, j))
         if cands:
-            best = cands[0]
-            for c in cands[1:]:
-                if c.cmp(best) < 0:
-                    best = c
-            return best
+            return min(cands, key=functools.cmp_to_key(AlgBase.cmp))
     raise NotFoundWithinBoundsError(
         f"no derived-order-{j} certificate with Jmax={Jmax}, Nmax={Nmax}"
     )
@@ -739,63 +746,42 @@ def _endpoint_certificate(comp, iv, n, j, Jmax):
     2n - S >= j, and the appended family strictly decreases to q_n through
     admissible roots, return q_n.
 
-    Rooted pairs are found by a hash join on exact field values: (c, d) is
-    rooted at q_n iff value(1c) + value(1d) = 1/(q_n - 1) in Q(q_n).  Both
+    (c, d) is rooted at q_n iff (1c) + (1d) = 1/(q_n - 1) in Q(q_n).  Both
     sides decrease in q, so on q_n's bracket [a0, a1] such a pair has
-    (1c) + (1d) at most 1/(a0 - 1) at a1 and at least 1/(a1 - 1) at a0; only
-    tails with a partner passing those enclosure tests are evaluated.  A
-    pair of weight at most 2n - j holds a tail of at most half that weight,
-    so a heavier tail is built only when some such light tail partners it,
-    and whole heavy subtrees are skipped (`_graded_tails`): a dropped tail
-    is in no rooted pair the join could accept."""
-    maxweight = 2 * n - j
-    if maxweight < 1:
+    (1c) + (1d) at most 1/(a0 - 1) at a1 and at least 1/(a1 - 1) at a0:
+    `_tail_pairs` with those keys forms every pair that can root there (and
+    skips the heavy subtrees that cannot), and each is tested exactly by one
+    addition, every tail's value in Q(q_n) computed at most once.  The first
+    rooted pair of least weight the scan meets is certified.  Its members go
+    to `_family_decreases_to` in `_graded_tails` order, each standing for
+    itself through its first profile in walk order."""
+    cap = 2 * n - j
+    if cap < 1:
         return None
     qn = iv.lo
     a0, a1 = qn.bracket()
-    points = (a1, a0)
-    ends = iv.ones(a0)[0], iv.ones(a1)[1]
-    tails = [(w, text, ids, bounds)
-             for w, bucket in sorted(_graded_tails(comp, n - 1, Jmax, maxweight,
-                                                   iv.enclosures(points), ends).items())
-             for text, ids, bounds in bucket]
-    # lo at a1 and hi at a0, from bounds (lo, hi) at a1, then (lo, hi) at a0
-    band = _Band([b[0] for *_, b in tails], [b[3] for *_, b in tails], *ends)
-    entries = []
-    for (w, text, ids, bounds), lc, hc in zip(tails, band.lo, band.hi):
-        if band.reaches(lc, hc):
-            s = EPSeq(*text)
-            iv.record(s, points, bounds)
-            # each sequence stands for itself through its first lightest profile
-            v = min((ReprVector(*_profile(min(n - 1, maxweight), Jmax, i)) for i in ids),
-                    key=lambda v: v.top_k)
-            entries.append((w, s, v, eval_seq(prepend("1", s), qn)))
-    if not entries:
+    keys = (a1, a0), (iv.ones(a0)[0], iv.ones(a1)[1])
+    ones, values, best = None, {}, None
+    for c, d, pairs in _tail_pairs(comp, n - 1, Jmax, cap, iv, keys):
+        if ones is None:
+            ones = qn.field().series_den_inv(0, 1)
+        for t in (c, d):
+            if t not in values:
+                values[t] = eval_seq(prepend("1", t), qn)
+        S = pair_weight(*pairs[0])
+        if values[c] + values[d] == ones and (best is None or S < best[0]):
+            best = S, c, d, pairs
+    if best is None:
         return None
-    ones = qn.field().series_den_inv(0, 1)
-    by_value = {}
-    for w, s, v, val in entries:
-        cur = by_value.get(val)
-        if cur is None or w < cur[0]:
-            by_value[val] = (w, s, v)
-    best = None
-    for w, s, v, val in entries:
-        hit = by_value.get(ones - val)
-        if hit is None:
-            continue
-        w2, s2, v2 = hit
-        if v.m == 0 and v2.m == 0:
-            continue
-        if w + w2 > maxweight:
-            continue
-        if best is None or w + w2 < best[0]:
-            best = (w + w2, (v, v2), (s, s2))
-    if best is None or 2 * n - best[0] < j:
-        return None
-    S, pair, (c, d) = best
+    _, c, d, pairs = best
+    # from lexicographic back to `_graded_tails` order
+    vc = min((p[0] for p in pairs), key=_walk_key)
+    vd = min((p[1] for p in pairs), key=_walk_key)
+    if (vd.top_k, _text_key((d.pre, d.per))) < (vc.top_k, _text_key((c.pre, c.per))):
+        c, d, vc, vd = d, c, vd, vc
     if not (in_A_prime(c, qn) and in_A_prime(d, qn)):
         raise DomainError("endpoint pair must be admissible at its root")
-    if not _family_decreases_to(comp, iv, pair):
+    if not _family_decreases_to(comp, iv, (vc, vd)):
         raise DomainError("endpoint family certificate failed")
     return qn
 

@@ -1015,6 +1015,46 @@ def test_decimal_refinement_budget(monkeypatch):
     assert base().decimal(2) == "1.76"
 
 
+def _decimal_by_bisection(poly, lo, hi, digits) -> str:
+    """Oracle: halve (lo, hi] on the sign of poly at Fraction midpoints
+    until both ends round half up to the same `digits`-digit string."""
+    def rounded(x):
+        n = floor(x * 10**digits + Fraction(1, 2))
+        return f"{n // 10**digits}.{n % 10**digits:0{digits}d}"
+
+    def sign(x):
+        v = sum(c * x**i for i, c in enumerate(poly))
+        return (v > 0) - (v < 0)
+    s_hi = sign(hi)
+    while rounded(lo) != rounded(hi):
+        mid = (lo + hi) / 2
+        if sign(mid) == s_hi:
+            hi = mid
+        else:
+            lo = mid
+    return rounded(lo)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 10**12 - 1), st.integers(3, 30), st.booleans())
+@example(2, 755 * 10**9, 30, True)
+@example(12, 0, 3, False)
+def test_decimal_near_a_rounding_boundary(digits, k, gap, above):
+    # q = sqrt(N) / D lies 10^-(digits + gap) above or below the half-digit
+    # boundary (2k + 1) / (2 10^digits) in (1, 2), up to 10^-(2 gap) or so
+    scale = 10**digits
+    boundary = Fraction(2 * (scale + k % scale) + 1, 2 * scale)
+    target = boundary + (1 if above else -1) * Fraction(1, 10 ** (digits + gap))
+    D = 10 ** (digits + gap + 2)
+    N = floor(target**2 * D**2)
+    N += isqrt(N) ** 2 == N
+    poly = (-N, 0, D * D)
+    q = AlgBase.from_poly(poly, 1, 2)
+    want = _decimal_by_bisection(poly, Fraction(1), Fraction(2), digits)
+    assert q.decimal(digits) == want
+    assert int(want.replace(".", "")) == scale + k % scale + above
+
+
 def test_alpha_digits_frozen():
     assert alpha_digits(PHI, 10) == "10" * 5
     assert alpha_digits(Q_F, 12) == "1100" * 3

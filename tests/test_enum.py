@@ -22,7 +22,7 @@ from twobases.enum_b2 import (
     min_derived, pair_weight, qn_ladder, repr_to_seq,
     _Interval, _endpoint_certificate, _interval, _pair_roots, _tail_pairs,
 )
-from twobases.errors import DomainError
+from twobases.errors import DomainError, NotFoundWithinBoundsError
 from twobases.words import (
     ComponentSpec, EPSeq, format_epseq, lex_cmp, parse_epseq, prepend, word_dec,
 )
@@ -448,8 +448,9 @@ def test_band_matches_pairwise_tests(keys, other, floor, ceil, sorted_hi):
 
 
 class _EveryPair(enum_b2._Band):
-    """A band that rules nothing out: the exact endpoint join and the full
-    pair scan, over every tail of the stored walk (no subtree is pruned)."""
+    """A band that rules nothing out: the endpoint rule then tests every
+    pair of the stored walk exactly (no subtree is pruned), and the interior
+    scan forms every pair."""
 
     def partners(self, lc, hc):
         return list(range(len(self.lo)))
@@ -458,21 +459,124 @@ class _EveryPair(enum_b2._Band):
         return True
 
 
-@pytest.mark.parametrize("j, saved", [(2, 1), (3, 10), (4, 10)])
-def test_filtered_scans_match_exact_scans(monkeypatch, j, saved):
-    # the same base, bracket included; the endpoint join evaluates at most
-    # 1/saved of the tails the exact join does (at j = 2 the band rules out
-    # none of interval 1's five tails at q_2's bracket)
-    evaluated = []
+def _counted_endpoint_tests(monkeypatch) -> list:
+    """One entry per pair the endpoint rule tests exactly: the pairs of the
+    `_tail_pairs` scans that pass band keys."""
+    tested = []
+    tail_pairs = enum_b2._tail_pairs
 
-    def counted(s, q):
-        evaluated.append(s)
-        return words.eval_seq(s, q)
-    monkeypatch.setattr(enum_b2, "eval_seq", counted)
-    fast, n_fast = min_derived(j, 4, 5).to_json(), len(evaluated)
+    def counted(*args):
+        for t in tail_pairs(*args):
+            if len(args) == 6:
+                tested.append(t)
+            yield t
+    monkeypatch.setattr(enum_b2, "_tail_pairs", counted)
+    return tested
+
+
+@pytest.mark.parametrize("j, saved", [(2, 1), (3, 50), (4, 50)])
+def test_filtered_scans_match_exact_scans(monkeypatch, j, saved):
+    # the same base, bracket included; the endpoint rule tests exactly at
+    # most 1/saved of the pairs it tests with no band (at j = 2 the band
+    # rules out none of interval 1's pairs at q_2's bracket; at j = 4 it
+    # leaves no pair at q_3's)
+    tested = _counted_endpoint_tests(monkeypatch)
+    fast, n_fast = min_derived(j, 4, 5).to_json(), len(tested)
+    assert (n_fast > 0) == (j < 4)
     monkeypatch.setattr(enum_b2, "_Band", _EveryPair)
     assert min_derived(j, 4, 5).to_json() == fast
-    assert n_fast * saved <= len(evaluated) - n_fast
+    assert len(tested) > n_fast and n_fast * saved <= len(tested) - n_fast
+
+
+def _endpoint_join(comp, iv, n, j, Jmax):
+    """The endpoint rule as a hash join on exact values, the oracle of
+    `_endpoint_certificate`: every tail of interval n - 1 with a partner in
+    one band over all weights is evaluated in Q(q_n), and each is joined to
+    the lightest tail (the first in `_graded_tails` order among equals) of
+    value 1/(q_n - 1) minus its own.  Each sequence stands for itself
+    through its first profile of least top_k."""
+    maxweight = 2 * n - j
+    if maxweight < 1:
+        return None
+    qn = iv.lo
+    a0, a1 = qn.bracket()
+    points = (a1, a0)
+    ends = iv.ones(a0)[0], iv.ones(a1)[1]
+    tails = [(w, text, ids, bounds)
+             for w, bucket in sorted(enum_b2._graded_tails(
+                 comp, n - 1, Jmax, maxweight, iv.enclosures(points), ends).items())
+             for text, ids, bounds in bucket]
+    # lo at a1 and hi at a0, from bounds (lo, hi) at a1, then (lo, hi) at a0
+    band = enum_b2._Band([b[0] for *_, b in tails], [b[3] for *_, b in tails], *ends)
+    entries = []
+    for (w, text, ids, bounds), lc, hc in zip(tails, band.lo, band.hi):
+        if band.reaches(lc, hc):
+            s = EPSeq(*text)
+            iv.record(s, points, bounds)
+            v = min((ReprVector(*enum_b2._profile(min(n - 1, maxweight), Jmax, i))
+                     for i in ids), key=lambda v: v.top_k)
+            entries.append((w, s, v, words.eval_seq(prepend("1", s), qn)))
+    if not entries:
+        return None
+    ones = qn.field().series_den_inv(0, 1)
+    by_value = {}
+    for w, s, v, val in entries:
+        cur = by_value.get(val)
+        if cur is None or w < cur[0]:
+            by_value[val] = (w, s, v)
+    best = None
+    for w, s, v, val in entries:
+        hit = by_value.get(ones - val)
+        if hit is None:
+            continue
+        w2, s2, v2 = hit
+        if v.m == 0 and v2.m == 0:
+            continue
+        if w + w2 > maxweight:
+            continue
+        if best is None or w + w2 < best[0]:
+            best = (w + w2, (v, v2), (s, s2))
+    if best is None:
+        return None
+    S, pair, (c, d) = best
+    if not (in_A_prime(c, qn) and in_A_prime(d, qn)):
+        raise DomainError("endpoint pair must be admissible at its root")
+    if not enum_b2._family_decreases_to(comp, iv, pair):
+        raise DomainError("endpoint family certificate failed")
+    return qn
+
+
+def _min_derived_run(monkeypatch, rule, comp, j, Jmax, Nmax) -> tuple:
+    """min_derived with `rule` as the endpoint rule: its base (or the error
+    it raises) and the pairs it hands `_family_decreases_to`, in order."""
+    families = []
+    family = enum_b2._family_decreases_to
+
+    def recorded(comp, iv, pair):
+        families.append(pair)
+        return family(comp, iv, pair)
+    monkeypatch.setattr(enum_b2, "_family_decreases_to", recorded)
+    monkeypatch.setattr(enum_b2, "_endpoint_certificate", rule)
+    try:
+        got = min_derived(j, Jmax, Nmax, comp).to_json()
+    except (DomainError, NotFoundWithinBoundsError) as e:
+        got = type(e).__name__, str(e)
+    monkeypatch.undo()
+    return got, families
+
+
+def test_endpoint_rule_matches_the_exact_join(monkeypatch):
+    # the same base, and the same family checks on the same profile pairs
+    # in the same order, as the hash join; only Jmax >= 5 reaches a family
+    # check (q_2 from the pair of counts 2 and 5 of interval 1)
+    checked = 0
+    for gen, j, Jmax, Nmax in itertools.product(("0", "10"), range(1, 5), range(2, 7), (4, 5)):
+        comp = ComponentSpec(gen)
+        got = _min_derived_run(monkeypatch, enum_b2._endpoint_certificate,
+                               comp, j, Jmax, Nmax)
+        assert got == _min_derived_run(monkeypatch, _endpoint_join, comp, j, Jmax, Nmax)
+        checked += len(got[1])
+    assert checked == 8
 
 
 def _stored_walk(monkeypatch):

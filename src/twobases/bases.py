@@ -13,16 +13,20 @@ so what it prints does not depend on which calls ran first.  The sign of
 an integer polynomial at q comes from one engine, `AlgBase.sign_of`: a
 fixed-point table of the powers of q on the working bracket.  FieldElem
 gives exact arithmetic in Q(q), as integer coefficients over one
-denominator, for quasi-greedy remainders and expansion counting; its signs,
-`b2core.sign_at` and `AlgBase.cmp_rational` all come from that table.
-The remainders of a walk keep their value O(1) while their coefficients
-grow without bound, so a walk carries beside each exact remainder r an
-integer enclosure of 2^WALK_BITS r, in a local variable and never in the
-element.  One step (`NumberField.step`) makes q r - 1 exactly and its
-enclosure by one outward-rounded multiply; the sign comes from the
-enclosure when that excludes zero, else from the table.  Once the
-enclosure has grown past 2^-42 it is re-anchored on the exact coefficients
-by the same table sum that signs them (`AlgBase._table_sum`).
+denominator, for series values and the points expansion counting starts
+from; its signs, `b2core.sign_at` and `AlgBase.cmp_rational` all come from
+that table.
+A remainder walk (the orbit of 1, or of a point, under r -> q r - d) keeps
+no FieldElem: its state is a bare integer vector num with a denominator
+den, r = num(q) / den, and it keys its dicts and sets by (num, den).  The
+remainders keep their value O(1) while their coefficients grow without
+bound, so a walk carries beside each r an integer enclosure of
+2^WALK_BITS r.  One step (`NumberField.step`) makes q r - 1 exactly, by
+one companion shift of num, and its enclosure by one outward-rounded
+multiply; the sign comes from the enclosure when that excludes zero, else
+from the table.  Once the enclosure has grown past 2^-42 it is re-anchored
+on the exact coefficients (`NumberField.enclose`) by the same table sum
+that signs them (`AlgBase._table_sum`).
 """
 
 from __future__ import annotations
@@ -161,11 +165,13 @@ class NumberField:
         self.deg = len(self.minpoly) - 1
         if self.deg < 1:
             raise DomainError("degenerate minimal polynomial")
-        # the nonzero lower coefficients of m, for reduction
+        # the nonzero lower coefficients of m, for reduction and the walks'
+        # companion shift
         self._terms = tuple((j, c) for j, c in enumerate(self.minpoly[:-1]) if c)
         self._series_den_inv = {}
-        # (P, lo, hi) with lo <= 2^P q <= hi, for the walks' multiply
-        self._walk_q = (None, 0, 0)
+        # (P, lo, hi, 2^P, 2^(P - P // 3)) with lo <= 2^P q <= hi, for the
+        # walks' multiply and their re-anchoring width
+        self._walk_q = (None, 0, 0, 1, 1)
 
     def reduce(self, coeffs, den: int = 1) -> "FieldElem":
         """The element coeffs(q) / den, for integer coeffs and den > 0.
@@ -226,57 +232,76 @@ class NumberField:
             inv = self._series_den_inv[(m, p)] = self.elem(den).inv()
         return inv
 
-    def qr_minus_one(self, r: "FieldElem") -> "FieldElem":
-        """q r - 1, the step of every remainder walk: (-den, *num) has
-        degree deg, so one reduction step of its top term gives it."""
-        return self.reduce((-r.den,) + r.num, r.den)
-
-    def step(self, r: "FieldElem", enc: tuple) -> tuple:
-        """(t, (lo, hi), sign of t) for t = q r - 1, given a remainder r with
+    def step(self, num: tuple, den: int, enc: tuple) -> tuple:
+        """(num', den', (lo, hi), s) for t = q r - 1 = num'(q) / den', given
+        r = num(q) / den, num an integer tuple of length deg, with
         enc = (lo, hi) an integer enclosure of 2^P r, P = WALK_BITS: the
         kernel of every remainder walk.
 
-        t is exact (`qr_minus_one`).  Its enclosure comes from r's by one
-        multiply by an enclosure of 2^P q, rounded outward, less 2^P.  Each
-        step widens it by a factor of about q; once it is wider than
-        2^-(P // 3), 2^-42 at P = 128, it is re-anchored on t's exact
-        coefficients (`enclose`).  The sign is the enclosure's when that
-        excludes zero, and otherwise t's exact sign."""
-        t = self.qr_minus_one(r)
-        P, qlo, qhi = self._walk_q
+        t is exact: the companion shift (-den, num[0], ..., num[deg-2]) less
+        num[-1] (m_0, ..., m_(deg-1)), one reduction of q num(q) - den by m.
+        For a monic m den stays, so one walk keeps one den and its vectors
+        are canonical with no gcd.  Otherwise the top term is scaled first,
+        as in `reduce`, and (num', den') divided by its gcd: lowest terms
+        stay lowest.
+
+        The enclosure comes from r's by one multiply by an enclosure of
+        2^P q, rounded outward, less 2^P.  Each step widens it by a factor
+        of about q; once it is wider than 2^-(P // 3), 2^-42 at P = 128, it
+        is re-anchored on t's exact coefficients (`enclose`).  The sign is
+        the enclosure's when that excludes zero, and otherwise t's exact
+        sign."""
+        top = num[-1]
+        t = [-den, *num[:-1]]
+        if top:
+            lead = self.minpoly[-1]
+            if lead != 1:
+                g = gcd(top, lead)
+                t = [a * (lead // g) for a in t]
+                den *= lead // g
+                top //= g
+            for j, m in self._terms:
+                t[j] -= top * m
+            if lead != 1:
+                g = gcd(den, *t)
+                t = [a // g for a in t]
+                den //= g
+        t = tuple(t)
+        P, qlo, qhi, one, wide = self._walk_q
         if P != WALK_BITS:
-            P, qlo, qhi = self._enclose_q()
+            P, qlo, qhi, one, wide = self._enclose_q()
         lo, hi = enc
         # qlo > 0: the product's ends pair each end of r with the end of q
         # that makes it extreme
-        lo = (lo * (qlo if lo >= 0 else qhi) >> P) - (1 << P)
-        hi = -(-hi * (qhi if hi >= 0 else qlo) >> P) - (1 << P)
-        if (hi - lo).bit_length() > P - P // 3:
-            lo, hi = self.enclose(t)
-        s = 1 if lo > 0 else -1 if hi < 0 else t.sign()
-        return t, (lo, hi), s
+        lo = (lo * (qlo if lo >= 0 else qhi) >> P) - one
+        hi = -(-hi * (qhi if hi >= 0 else qlo) >> P) - one
+        if hi - lo >= wide:
+            lo, hi = self.enclose(t, den)
+        s = 1 if lo > 0 else -1 if hi < 0 else self.sign(t)
+        return t, den, (lo, hi), s
 
     def _enclose_q(self) -> tuple:
-        """Cache and return (P, lo, hi) with lo <= 2^P q <= hi and
-        P = WALK_BITS, read off the working bracket after narrowing it
-        towards width 2^-P by at most SIGN_REFINE_BUDGET halvings: within
-        two units unless the budget stops it first."""
+        """Cache and return (P, lo, hi, 2^P, 2^(P - P // 3)) with
+        lo <= 2^P q <= hi and P = WALK_BITS, read off the working bracket
+        after narrowing it towards width 2^-P by at most SIGN_REFINE_BUDGET
+        halvings: within two units unless the budget stops it first."""
         P, q = WALK_BITS, self.base
         if q.exact_rational is None:
             a, b, d = q._cell
             q._descend(min((((b - a) << P) // d).bit_length(), SIGN_REFINE_BUDGET))
         lo, hi = q._lo, q._hi
         self._walk_q = enc = (P, (lo.numerator << P) // lo.denominator,
-                              -((-hi.numerator << P) // hi.denominator))
+                              -((-hi.numerator << P) // hi.denominator),
+                              1 << P, 1 << (P - P // 3))
         return enc
 
-    def enclose(self, r: "FieldElem") -> tuple:
-        """Integers lo <= 2^P r <= hi, P = WALK_BITS, from r's exact
-        coefficients: a walk's anchor.  The power table's sum
+    def enclose(self, num: tuple, den: int) -> tuple:
+        """Integers lo <= 2^P r <= hi, P = WALK_BITS, for r = num(q) / den,
+        from its exact coefficients: a walk's anchor.  The power table's sum
         (`AlgBase._table_sum`) is aimed at a width of one unit, rounded
         outward, and at most SIGN_REFINE_BUDGET halvings are spent on it;
         the enclosure holds however wide that leaves it."""
-        P, num, den = WALK_BITS, r.num, r.den
+        P = WALK_BITS
         if not any(num[1:]):
             return (num[0] << P) // den, -((-num[0] << P) // den)
         # deg >= 2: q is irrational, so no halving makes the base exact and
@@ -816,21 +841,24 @@ def real_roots(F, lo, hi) -> list:
 
 
 def _start(q: AlgBase) -> tuple:
-    """The remainder 1 that starts the orbit of 1 in Q(q), with its
-    enclosure (2^WALK_BITS, 2^WALK_BITS)."""
-    r = q.field().one()
-    return r, r.field.enclose(r)
+    """The field of q, and the remainder 1 = (num, den) that starts the
+    orbit of 1 in it with its enclosure (2^WALK_BITS, 2^WALK_BITS)."""
+    fld = q.field()
+    r = ((1,) + (0,) * (fld.deg - 1), 1)
+    return fld, r, fld.enclose(*r)
 
 
-def _step(r: FieldElem, enc: tuple) -> tuple:
-    """One step of the remainder orbit of 1 in the field of r, from
-    remainder r with its enclosure enc (`NumberField.step`): (quasi-greedy
+def _step(fld: NumberField, r: tuple, enc: tuple) -> tuple:
+    """One step of the remainder orbit of 1 in fld, from the remainder
+    r = (num, den) with its enclosure enc (`NumberField.step`): (quasi-greedy
     digit, sign of q r - 1, next remainder, its enclosure)."""
-    t, (lo, hi), s = r.field.step(r, enc)
+    num, den = r
+    num, den, enc, s = fld.step(num, den, enc)
     if s > 0:
-        return 1, s, t, (lo, hi)
+        return 1, s, (num, den), enc
+    lo, hi = enc
     one = 1 << WALK_BITS
-    return 0, s, t + 1, (lo + one, hi + one)
+    return 0, s, ((num[0] + den, *num[1:]), den), (lo + one, hi + one)
 
 
 def alpha_digits(q: AlgBase, n: int) -> str:
@@ -840,10 +868,10 @@ def alpha_digits(q: AlgBase, n: int) -> str:
         raise DomainError("need n >= 1")
     if q.alpha_hint is not None:
         return q.alpha_hint.prefix(n)
-    r, e = _start(q)
+    fld, r, e = _start(q)
     out = []
     for _ in range(n):
-        a, _, r, e = _step(r, e)
+        a, _, r, e = _step(fld, r, e)
         out.append("01"[a])
     return "".join(out)
 
@@ -853,10 +881,10 @@ def beta_digits(q: AlgBase, n: int):
     is the full expansion b with beta = b 0^inf."""
     if n < 1:
         raise DomainError("need n >= 1")
-    r, e = _start(q)
+    fld, r, e = _start(q)
     out = []
     for _ in range(n):
-        a, s, r, e = _step(r, e)
+        a, s, r, e = _step(fld, r, e)
         if s == 0:
             return "".join(out) + "1", True
         out.append("01"[a])
@@ -868,17 +896,16 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
     exact cycle detection on the remainder orbit."""
     if q.alpha_hint is not None:
         return q.alpha_hint
-    r, e = _start(q)
+    fld, r, e = _start(q)
     seen = {}
     digits = []
     for step in range(max_steps):
-        if r in seen:
-            k = seen[r]
+        k = seen.setdefault(r, step)
+        if k != step:
             seq = EPSeq("".join(digits[:k]), "".join(digits[k:]))
             q.alpha_hint = seq
             return seq
-        seen[r] = step
-        a, _, r, e = _step(r, e)
+        a, _, r, e = _step(fld, r, e)
         digits.append("01"[a])
     raise UnsupportedBaseError(
         f"no remainder cycle within {max_steps} steps; "
@@ -933,7 +960,7 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
     every eventually periodic t."""
     if q.alpha_hint is not None:
         return lex_cmp(t, q.alpha_hint)
-    r, e = _start(q)
+    fld, r, e = _start(q)
     k, p = len(t.pre), len(t.per)
     seen = set()
     for i in range(max_steps):
@@ -942,7 +969,7 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
         if state in seen:
             return 0
         seen.add(state)
-        a, _, r, e = _step(r, e)
+        a, _, r, e = _step(fld, r, e)
         ti = t.digit(i)
         if ti != a:
             return -1 if ti < a else 1

@@ -150,6 +150,7 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
     lim = fld.series_den_inv(0, 1)
     if val.sign() < 0 or (lim - val).sign() < 0:
         return CountResult(0)
+    start = (val.num, val.den)
     children = _remainder_graph(val, lim, max_states)
     cyclic = {s for comp in _sccs(children)
               if len(comp) > 1 or comp[0] in children[comp[0]]
@@ -159,7 +160,7 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
     # remaining graph: cycles are exit-free, everything else is acyclic
     counts = {s: 1 for s in cyclic}
     seen = set(cyclic)
-    stack = [(val, False)]
+    stack = [(start, False)]
     while stack:  # post-order over the acyclic part
         s, expanded = stack.pop()
         if s in seen:
@@ -170,7 +171,7 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
         else:
             stack.append((s, True))
             stack.extend((c, False) for c in children[s] if c not in seen)
-    return CountResult(counts[val])
+    return CountResult(counts[start])
 
 
 def _remainder_graph(val, lim, max_states: int) -> dict:
@@ -178,30 +179,41 @@ def _remainder_graph(val, lim, max_states: int) -> dict:
     each mapped to its children: q r - d for the digits d = 0 then 1, where
     that lies in [0, lim].  UnsupportedBaseError past max_states.
 
-    Each queued remainder carries an enclosure of 2^WALK_BITS times its
-    value, and q r - 1 and its sign come from the walks' step
-    (`NumberField.step`).  Whether q r <= lim is read off the enclosures of
-    q r and of lim; only where they overlap is the difference built and
-    signed exactly."""
+    val and lim are FieldElems.  The remainders are the walks' integer
+    vectors, keyed by (num, den) with r = num(q) / den, canonical within
+    the graph (`NumberField.step`), and each queued one carries an
+    enclosure of 2^WALK_BITS times its value.  Whether q r <= lim is read
+    off the enclosures of q r and of lim; only where they overlap is
+    lim - q r signed exactly, as the integer vector Ln D - t Ld for
+    lim = Ln(q) / Ld and q r = t(q) / D."""
     fld = val.field
     one = 1 << bases.WALK_BITS
-    lim_lo, lim_hi = fld.enclose(lim)
+    lnum, lden = lim.num, lim.den
+    lim_lo, lim_hi = fld.enclose(lnum, lden)
     children = {}
-    queue = [(val, fld.enclose(val))]
+    r = (val.num, val.den)
+    queue = [(r, fld.enclose(*r))]
     while queue:
         r, e = queue.pop()
         if r in children:
             continue
-        t1, (lo, hi), s = fld.step(r, e)
-        outs = []
-        if hi + one <= lim_lo or (lo + one <= lim_hi and (lim - t1 - 1).sign() >= 0):
-            outs.append((t1 + 1, (lo + one, hi + one)))
+        num, den = r
+        t1, den, (lo, hi), s = fld.step(num, den, e)
+        # q r, the digit-0 child
+        t = (t1[0] + den, *t1[1:])
+        kids = ()
+        if hi + one <= lim_lo or (lo + one <= lim_hi and fld.sign(
+                [a * den - b * lden for a, b in zip(lnum, t)]) >= 0):
+            c = (t, den)
+            kids = (c,)
+            queue.append((c, (lo + one, hi + one)))
         if s >= 0:
-            outs.append((t1, (lo, hi)))
-        children[r] = tuple(c for c, _ in outs)
+            c = (t1, den)
+            kids += (c,)
+            queue.append((c, (lo, hi)))
+        children[r] = kids
         if len(children) > max_states:
             raise UnsupportedBaseError("remainder graph exceeded the state budget")
-        queue.extend(o for o in outs if o[0] not in children)
     return children
 
 

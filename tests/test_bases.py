@@ -493,6 +493,12 @@ ORACLE_FIELDS = (
     AlgBase.from_poly((-1, -1, -2, -2, -2, -2, -1, -2, -3, -1, -1, 0, 1),
                       Fraction(1785, 1000), Fraction(1786, 1000)),
 )
+# irrational bases with minimal polynomials that are not monic: the roots
+# of 2x^2 - 2x - 1 (~1.366) and of 3x^3 - 3x^2 - 2 (~1.36).  In the
+# second, the companion shift makes q (q + q^2) / 2 - 1 as (-4 + 6 q^2) / 6,
+# which the step's gcd brings to lowest terms.
+NON_MONIC = (ORACLE_FIELDS[1],
+             AlgBase.from_poly((-2, 0, -3, 3), Fraction(13, 10), Fraction(7, 5)))
 COEFFS = st.lists(st.one_of(st.integers(-5, 5), st.integers(-10**20, 10**20),
                             st.fractions(max_denominator=60)), max_size=26)
 RATIONALS = st.one_of(st.integers(-40, 40), st.fractions(max_denominator=10**6))
@@ -506,6 +512,7 @@ def _normal(e) -> bool:
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(ORACLE_FIELDS), COEFFS, COEFFS, RATIONALS)
+@example(NON_MONIC[1], [0, Fraction(1, 2), Fraction(1, 2)], [1], 3)
 def test_field_elem_matches_fraction_oracle(q, ca, cb, r):
     fld, ref = q.field(), _FractionField(q)
     a, b = fld.elem(ca), fld.elem(cb)
@@ -522,7 +529,6 @@ def test_field_elem_matches_fraction_oracle(q, ca, cb, r):
         (a + r, ref.add(ra, ref.elem((r,)))),
         (r - a, ref.add(ref.elem((r,)), tuple(-x for x in ra))),
         (fld.from_rational(r), ref.elem((r,))),
-        (fld.qr_minus_one(a), ref.add(ref.mul(ref.elem((0, 1)), ra), ref.elem((-1,)))),
     ]
     if any(rb):
         cases.append((b.inv(), ref.inv(rb)))
@@ -531,6 +537,16 @@ def test_field_elem_matches_fraction_oracle(q, ca, cb, r):
         assert _normal(e)
         assert e.coeffs == want
         assert e.sign() == ref.sign(want)
+    # the walks' step on a's integer vector: q a - 1 over a's den when m is
+    # monic, in lowest terms otherwise, with its sign and enclosure
+    num, den, (lo, hi), sgn = fld.step(a.num, a.den, fld.enclose(a.num, a.den))
+    want = ref.add(ref.mul(ref.elem((0, 1)), ra), ref.elem((-1,)))
+    assert tuple(Fraction(x, den) for x in num) == want
+    assert den == a.den if fld.minpoly[-1] == 1 else gcd(den, *num) == 1
+    assert sgn == ref.sign(want)
+    scaled = tuple(x * 2**bases.WALK_BITS for x in want)
+    assert ref.sign(ref.add(scaled, ref.elem((-lo,)))) >= 0
+    assert ref.sign(ref.add(ref.elem((hi,)), tuple(-x for x in scaled))) >= 0
     # equal values reached by different paths are equal, with equal hashes
     same = [(a, (a * 2) / 2), (a, (a * r) / r if r else a),
             (a, (a + b) - b), (fld.from_rational(r), fld.elem((r, 0)) + fld.zero()),
@@ -1206,9 +1222,10 @@ def test_bracket_refine_decimal_consistency():
 
 
 def exact_step(r):
-    """Oracle: one step of the remainder walk with q r - 1 signed exactly
-    and no enclosure: (digit, sign of q r - 1, next remainder)."""
-    t = r.field.qr_minus_one(r)
+    """Oracle: one step of the remainder walk with q r - 1 made by the
+    general field multiply and signed exactly, no enclosure carried:
+    (digit, sign of q r - 1, next remainder)."""
+    t = r * r.field.base_elem() - 1
     s = t.sign()
     return (1, s, t) if s > 0 else (0, s, t + 1)
 
@@ -1247,14 +1264,18 @@ def exact_cmp_seq_alpha(t, q, max_steps=100000):
 
 def walk_enclosures_hold(q, n):
     """Walk n steps with the carried enclosures and check, by exact signs,
-    that lo <= 2^WALK_BITS r <= hi for every remainder r met."""
-    r, e = bases._start(q)
+    that lo <= 2^WALK_BITS r <= hi for every remainder r = (num, den) met,
+    and that r is the exact step's remainder."""
+    fld, r, e = bases._start(q)
+    want = fld.one()
     scale = 1 << bases.WALK_BITS
     for _ in range(n):
         lo, hi = e
-        x = r * scale
+        assert r == (want.num, want.den)
+        x = want * scale
         assert (x - lo).sign() >= 0 and (hi - x).sign() >= 0
-        _, _, r, e = bases._step(r, e)
+        _, _, r, e = bases._step(fld, r, e)
+        want = exact_step(want)[2]
 
 
 @st.composite
@@ -1286,6 +1307,10 @@ def _walk_base(s):
 @example(Q_S, 8, "", "1")
 @example(Q_S, 24, "1100100001", "0")
 @example(AlgBase.from_rational(Fraction(19, 10)), 8, "", "1")
+@example(NON_MONIC[0], 8, "", "1")
+@example(NON_MONIC[0], 128, "1000", "01")
+@example(NON_MONIC[1], 8, "10", "0")
+@example(NON_MONIC[1], 24, "", "10")
 def test_walks_match_the_exact_step(q, bits, pre, per):
     want = exact_alpha_digits(q, 600)
     with pytest.MonkeyPatch.context() as mp:
@@ -1346,6 +1371,23 @@ def test_q_s_walk_re_anchors_rarely(monkeypatch):
     assert 0 < counts["enclose"] + counts["sign_of"] <= 4096 // 64
 
 
+def test_walks_build_no_field_element_per_step(monkeypatch):
+    """The 4,096-step q_s refusal of `alpha_epseq`, and the refused count
+    at 1(100) in the base of (1100010), walk on bare integer vectors: each
+    makes at most 4096 // 64 FieldElem constructions and as many
+    reductions, about one per anchor, so no per-step object comes back."""
+    counts = {"__init__": 0, "reduce": 0}
+    _count_calls(monkeypatch, bases.FieldElem, "__init__", counts)
+    _count_calls(monkeypatch, bases.NumberField, "reduce", counts)
+    refusals = (lambda: alpha_epseq(_fresh(Q_S)),
+                lambda: count_expansions("1(100)", base_from_alpha(parse_epseq("(1100010)"))))
+    for refused in refusals:
+        counts.update(__init__=0, reduce=0)
+        with pytest.raises(UnsupportedBaseError):
+            refused()
+        assert counts["__init__"] <= 4096 // 64 and counts["reduce"] <= 4096 // 64
+
+
 def test_walks_under_a_small_sign_budget(monkeypatch):
     """Under SIGN_REFINE_BUDGET = 15 the exact step gives every digit, and
     so do the walks, whose q enclosure and anchors keep to that budget.
@@ -1362,11 +1404,11 @@ def test_walks_under_a_small_sign_budget(monkeypatch):
     for budget in (4, 8):
         monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", budget)
         for q, want in zip(fresh(), full):
-            r, e = bases._start(q)
+            fld, r, e = bases._start(q)
             got = ""
             try:
                 for _ in range(1500):
-                    a, _, r, e = bases._step(r, e)
+                    a, _, r, e = bases._step(fld, r, e)
                     got += "01"[a]
             except UnsupportedBaseError:
                 pass

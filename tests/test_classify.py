@@ -25,6 +25,10 @@ Q_F = AlgBase.from_poly((-1, 1, -2, 1), Fraction(17, 10), Fraction(9, 5))
 PHI3 = base_from_alpha(EPSeq("", "110"))
 FAT4 = base_from_alpha(EPSeq("", "1110"))
 TWO = AlgBase.from_rational(2)
+# irrational bases with minimal polynomials that are not monic: the roots
+# of 2x^2 - 2x - 1 (~1.366) and of 3x^3 - 3x^2 - 2 (~1.36)
+NON_MONIC = (AlgBase.from_poly((-1, -2, 2), Fraction(13, 10), Fraction(7, 5)),
+             AlgBase.from_poly((-2, 0, -3, 3), Fraction(13, 10), Fraction(7, 5)))
 
 
 def test_membership_examples():
@@ -244,15 +248,17 @@ def test_scc_cyclic_states_match_reachability():
 
 
 def exact_remainder_graph(val, lim, max_states):
-    """Oracle: the closure of the remainder graph with q r - 1 and
-    lim - (q r) signed exactly, no enclosure carried."""
+    """Oracle: the closure of the remainder graph with q r - 1 made by the
+    general field multiply, and it and lim - (q r) signed exactly, no
+    enclosure carried.  Its nodes are FieldElems."""
     fld = val.field
+    q = fld.base_elem()
     children, queue = {}, [val]
     while queue:
         r = queue.pop()
         if r in children:
             continue
-        t1 = fld.qr_minus_one(r)
+        t1 = r * q - 1
         t = t1 + 1
         outs = []
         if (lim - t).sign() >= 0:
@@ -273,6 +279,24 @@ def _or_refusal(fn, *args):
         return "refused"
 
 
+def vector_graph(fld, graph):
+    """A remainder graph keyed by integer vectors (num, den), with each
+    node mapped to the FieldElem num(q) / den.  Distinct keys must stay
+    distinct: the walks' keys are canonical within one graph."""
+    if graph == "refused":
+        return graph
+    elem = {r: bases.FieldElem(fld, *r) for r in graph}
+    assert len(set(elem.values())) == len(elem)
+    return {elem[r]: tuple(elem[c] for c in cs) for r, cs in graph.items()}
+
+
+def exact_vector_graph(val, lim, max_states):
+    """The exact oracle's graph keyed as the walks key theirs, by
+    (num, den)."""
+    return {(r.num, r.den): tuple((c.num, c.den) for c in cs)
+            for r, cs in exact_remainder_graph(val, lim, max_states).items()}
+
+
 @st.composite
 def count_case(draw):
     """(x, q): a point given by a word, and a base built from a quasi-greedy
@@ -281,7 +305,7 @@ def count_case(draw):
     pre = draw(st.text("01", max_size=4))
     s = EPSeq("1" + pre, draw(st.text("01", min_size=1, max_size=6).filter(lambda w: "1" in w)))
     assume(parry_check(s))
-    return x, draw(st.sampled_from((base_from_alpha(s), Q_S, Q_F, PHI)))
+    return x, draw(st.sampled_from((base_from_alpha(s), Q_S, Q_F, PHI) + NON_MONIC))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -297,9 +321,9 @@ def test_remainder_graph_matches_the_exact_step(case, bits):
     want = _or_refusal(exact_remainder_graph, val, lim, 300)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bases, "WALK_BITS", bits)
-        assert _or_refusal(classify._remainder_graph, val, lim, 300) == want
+        assert vector_graph(fld, _or_refusal(classify._remainder_graph, val, lim, 300)) == want
         got = _or_refusal(count_expansions, x, q, 3, 300)
-        mp.setattr(classify, "_remainder_graph", exact_remainder_graph)
+        mp.setattr(classify, "_remainder_graph", exact_vector_graph)
         assert _or_refusal(count_expansions, x, q, 3, 300) == got
 
 
@@ -318,4 +342,5 @@ def test_remainder_graph_near_the_upper_end(bits, monkeypatch):
             for gap in (g, -g):
                 val = (lim + gap) / x
                 want = _or_refusal(exact_remainder_graph, val, lim, 40)
-                assert _or_refusal(classify._remainder_graph, val, lim, 40) == want
+                got = _or_refusal(classify._remainder_graph, val, lim, 40)
+                assert vector_graph(fld, got) == want

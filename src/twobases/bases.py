@@ -23,15 +23,18 @@ remainders keep their value O(1) while their coefficients grow without
 bound, so a walk carries beside each r an integer enclosure of
 2^WALK_BITS r.  One step (`NumberField.step`) makes q r - 1 exactly, by
 one companion shift of num, and its enclosure by one outward-rounded
-multiply; the sign comes from the enclosure when that excludes zero, else
-from the table.  Once the enclosure has grown past 2^-42 it is re-anchored
-on the exact coefficients (`NumberField.enclose`) by the same table sum
-that signs them (`AlgBase._table_sum`).
+multiply by an enclosure of q that each walk builds once
+(`NumberField._enclose_q`); the sign comes from the enclosure when that
+excludes zero, else from the table.  Once the enclosure has grown past
+2^-42 it is re-anchored on the exact coefficients (`NumberField.enclose`)
+by the same table sum that signs them (`AlgBase._table_sum`).  One
+generator, `_orbit`, walks the orbit of 1 and owns its state.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -169,9 +172,6 @@ class NumberField:
         # companion shift
         self._terms = tuple((j, c) for j, c in enumerate(self.minpoly[:-1]) if c)
         self._series_den_inv = {}
-        # (P, lo, hi, 2^P, 2^(P - P // 3)) with lo <= 2^P q <= hi, for the
-        # walks' multiply and their re-anchoring width
-        self._walk_q = (None, 0, 0, 1, 1)
 
     def reduce(self, coeffs, den: int = 1) -> "FieldElem":
         """The element coeffs(q) / den, for integer coeffs and den > 0.
@@ -232,11 +232,12 @@ class NumberField:
             inv = self._series_den_inv[(m, p)] = self.elem(den).inv()
         return inv
 
-    def step(self, num: tuple, den: int, enc: tuple) -> tuple:
+    def step(self, num: tuple, den: int, enc: tuple, qenc: tuple) -> tuple:
         """(num', den', (lo, hi), s) for t = q r - 1 = num'(q) / den', given
         r = num(q) / den, num an integer tuple of length deg, with
-        enc = (lo, hi) an integer enclosure of 2^P r, P = WALK_BITS: the
-        kernel of every remainder walk.
+        enc = (lo, hi) an integer enclosure of 2^P r and qenc the walk's
+        enclosure of 2^P q (`_enclose_q`), P = WALK_BITS: the kernel of
+        every remainder walk.
 
         t is exact: the companion shift (-den, num[0], ..., num[deg-2]) less
         num[-1] (m_0, ..., m_(deg-1)), one reduction of q num(q) - den by m.
@@ -245,11 +246,11 @@ class NumberField:
         as in `reduce`, and (num', den') divided by its gcd: lowest terms
         stay lowest.
 
-        The enclosure comes from r's by one multiply by an enclosure of
-        2^P q, rounded outward, less 2^P.  Each step widens it by a factor
-        of about q; once it is wider than 2^-(P // 3), 2^-42 at P = 128, it
-        is re-anchored on t's exact coefficients (`enclose`).  The sign is
-        the enclosure's when that excludes zero, and otherwise t's exact
+        The enclosure comes from r's by one multiply by qenc, rounded
+        outward, less 2^P.  Each step widens it by a factor of about q;
+        once it is wider than 2^-(P // 3), 2^-42 at P = 128, it is
+        re-anchored on t's exact coefficients (`enclose`).  The sign is the
+        enclosure's when that excludes zero, and otherwise t's exact
         sign."""
         top = num[-1]
         t = [-den, *num[:-1]]
@@ -267,9 +268,7 @@ class NumberField:
                 t = [a // g for a in t]
                 den //= g
         t = tuple(t)
-        P, qlo, qhi, one, wide = self._walk_q
-        if P != WALK_BITS:
-            P, qlo, qhi, one, wide = self._enclose_q()
+        P, qlo, qhi, one, wide = qenc
         lo, hi = enc
         # qlo > 0: the product's ends pair each end of r with the end of q
         # that makes it extreme
@@ -281,19 +280,18 @@ class NumberField:
         return t, den, (lo, hi), s
 
     def _enclose_q(self) -> tuple:
-        """Cache and return (P, lo, hi, 2^P, 2^(P - P // 3)) with
-        lo <= 2^P q <= hi and P = WALK_BITS, read off the working bracket
-        after narrowing it towards width 2^-P by at most SIGN_REFINE_BUDGET
-        halvings: within two units unless the budget stops it first."""
+        """(P, lo, hi, 2^P, 2^(P - P // 3)) with lo <= 2^P q <= hi and
+        P = WALK_BITS, the enclosure of q that one walk steps by, read off
+        the working bracket after narrowing it towards width 2^-P by at
+        most SIGN_REFINE_BUDGET halvings: within two units unless the
+        budget stops it first."""
         P, q = WALK_BITS, self.base
         if q.exact_rational is None:
             a, b, d = q._cell
             q._descend(min((((b - a) << P) // d).bit_length(), SIGN_REFINE_BUDGET))
         lo, hi = q._lo, q._hi
-        self._walk_q = enc = (P, (lo.numerator << P) // lo.denominator,
-                              -((-hi.numerator << P) // hi.denominator),
-                              1 << P, 1 << (P - P // 3))
-        return enc
+        return (P, (lo.numerator << P) // lo.denominator,
+                -((-hi.numerator << P) // hi.denominator), 1 << P, 1 << (P - P // 3))
 
     def enclose(self, num: tuple, den: int) -> tuple:
         """Integers lo <= 2^P r <= hi, P = WALK_BITS, for r = num(q) / den,
@@ -840,25 +838,26 @@ def real_roots(F, lo, hi) -> list:
 # expansions of 1
 
 
-def _start(q: AlgBase) -> tuple:
-    """The field of q, and the remainder 1 = (num, den) that starts the
-    orbit of 1 in it with its enclosure (2^WALK_BITS, 2^WALK_BITS)."""
+def _orbit(q: AlgBase):
+    """The remainder orbit of 1 under r -> q r - d, d the quasi-greedy
+    digit: for each remainder r = (num, den) from 1 on, yields
+    (r, enc, d, s), with enc an enclosure of 2^WALK_BITS r and s the sign
+    of q r - 1; d = 1 exactly when s > 0, and the next remainder is
+    q r - d.  The enclosure of q that every step multiplies by is built
+    once, when the walk starts (`NumberField._enclose_q`)."""
     fld = q.field()
-    r = ((1,) + (0,) * (fld.deg - 1), 1)
-    return fld, r, fld.enclose(*r)
-
-
-def _step(fld: NumberField, r: tuple, enc: tuple) -> tuple:
-    """One step of the remainder orbit of 1 in fld, from the remainder
-    r = (num, den) with its enclosure enc (`NumberField.step`): (quasi-greedy
-    digit, sign of q r - 1, next remainder, its enclosure)."""
-    num, den = r
-    num, den, enc, s = fld.step(num, den, enc)
-    if s > 0:
-        return 1, s, (num, den), enc
-    lo, hi = enc
+    qenc = fld._enclose_q()
     one = 1 << WALK_BITS
-    return 0, s, ((num[0] + den, *num[1:]), den), (lo + one, hi + one)
+    num, den = (1,) + (0,) * (fld.deg - 1), 1
+    e = fld.enclose(num, den)
+    while True:
+        t, tden, (lo, hi), s = fld.step(num, den, e, qenc)
+        d = 1 if s > 0 else 0
+        yield (num, den), e, d, s
+        if not d:
+            # the next remainder is q r = t + 1
+            t, lo, hi = (t[0] + tden, *t[1:]), lo + one, hi + one
+        num, den, e = t, tden, (lo, hi)
 
 
 def alpha_digits(q: AlgBase, n: int) -> str:
@@ -868,12 +867,7 @@ def alpha_digits(q: AlgBase, n: int) -> str:
         raise DomainError("need n >= 1")
     if q.alpha_hint is not None:
         return q.alpha_hint.prefix(n)
-    fld, r, e = _start(q)
-    out = []
-    for _ in range(n):
-        a, _, r, e = _step(fld, r, e)
-        out.append("01"[a])
-    return "".join(out)
+    return "".join("01"[a] for _, _, a, _ in islice(_orbit(q), n))
 
 
 def beta_digits(q: AlgBase, n: int):
@@ -881,10 +875,8 @@ def beta_digits(q: AlgBase, n: int):
     is the full expansion b with beta = b 0^inf."""
     if n < 1:
         raise DomainError("need n >= 1")
-    fld, r, e = _start(q)
     out = []
-    for _ in range(n):
-        a, s, r, e = _step(fld, r, e)
+    for _, _, a, s in islice(_orbit(q), n):
         if s == 0:
             return "".join(out) + "1", True
         out.append("01"[a])
@@ -896,16 +888,14 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
     exact cycle detection on the remainder orbit."""
     if q.alpha_hint is not None:
         return q.alpha_hint
-    fld, r, e = _start(q)
     seen = {}
     digits = []
-    for step in range(max_steps):
+    for step, (r, _, a, _) in enumerate(islice(_orbit(q), max_steps)):
         k = seen.setdefault(r, step)
         if k != step:
             seq = EPSeq("".join(digits[:k]), "".join(digits[k:]))
             q.alpha_hint = seq
             return seq
-        a, _, r, e = _step(fld, r, e)
         digits.append("01"[a])
     raise UnsupportedBaseError(
         f"no remainder cycle within {max_steps} steps; "
@@ -960,16 +950,14 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
     every eventually periodic t."""
     if q.alpha_hint is not None:
         return lex_cmp(t, q.alpha_hint)
-    fld, r, e = _start(q)
     k, p = len(t.pre), len(t.per)
     seen = set()
-    for i in range(max_steps):
+    for i, (r, _, a, _) in enumerate(islice(_orbit(q), max_steps)):
         cls = i if i < k else k + (i - k) % p
         state = (cls, r)
         if state in seen:
             return 0
         seen.add(state)
-        a, _, r, e = _step(fld, r, e)
         ti = t.digit(i)
         if ti != a:
             return -1 if ti < a else 1

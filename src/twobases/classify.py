@@ -181,12 +181,15 @@ def _remainder_graph(val, lim, max_states: int) -> dict:
 
     val and lim are FieldElems.  The remainders are the walks' integer
     vectors, keyed by (num, den) with r = num(q) / den, canonical within
-    the graph (`NumberField.step`), and each queued one carries an
-    enclosure of 2^WALK_BITS times its value.  Whether q r <= lim is read
-    off the enclosures of q r and of lim; only where they overlap is
-    lim - q r signed exactly, as the integer vector Ln D - t Ld for
-    lim = Ln(q) / Ld and q r = t(q) / D."""
+    the graph, and each queued one carries an enclosure of 2^WALK_BITS
+    times its value.  Each is stepped by the walks' kernel
+    (`NumberField.step`), with one enclosure of q built when the graph
+    starts (`NumberField._enclose_q`).  Whether q r <= lim is read off the
+    enclosures of q r and of lim; only where they overlap is lim - q r
+    signed exactly, as the integer vector Ln D - t Ld for lim = Ln(q) / Ld
+    and q r = t(q) / D."""
     fld = val.field
+    qenc = fld._enclose_q()
     one = 1 << bases.WALK_BITS
     lnum, lden = lim.num, lim.den
     lim_lo, lim_hi = fld.enclose(lnum, lden)
@@ -198,7 +201,7 @@ def _remainder_graph(val, lim, max_states: int) -> dict:
         if r in children:
             continue
         num, den = r
-        t1, den, (lo, hi), s = fld.step(num, den, e)
+        t1, den, (lo, hi), s = fld.step(num, den, e, qenc)
         # q r, the digit-0 child
         t = (t1[0] + den, *t1[1:])
         kids = ()

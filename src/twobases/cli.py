@@ -21,7 +21,7 @@ from fractions import Fraction
 from .bases import AlgBase, alpha_digits, base_from_alpha, _dec_str
 from .b2core import certify_b2, f_sign, prop62_pair, solve_qcd, witness_for_V_base
 from .classify import classify_base, count_expansions, _first_fails, _tag_from_fails
-from .dimension import b2_local_bound, dim_U, entropy
+from .dimension import b2_local_bound, entropy, _dim_of
 from .enum_b2 import enum_B2, min_derived, qn_ladder
 from .errors import DomainError, NotFoundWithinBoundsError
 from .words import ComponentSpec, check_generator, parse_epseq
@@ -224,7 +224,7 @@ def _cmd_derived(args) -> int:
 def _cmd_entropy(args) -> int:
     q = _parse_base(args.base)
     ent = entropy(q, nmax=max(args.nmax, 4))
-    lo, hi = dim_U(q, nmax=max(args.nmax, 4))
+    lo, hi = _dim_of(q, ent)
     log_dec = _dec_outward(ent.lower, ent.upper, args.precision)
     if (args.format or "json") == "plain":
         print(*log_dec)

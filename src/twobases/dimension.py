@@ -441,6 +441,13 @@ def dim_U(q: AlgBase, nmax: int = 24, pool=None) -> tuple:
         ent = entropy(q, nmax)
     except UnsupportedBaseError:
         return _dim_sandwich(q, nmax, pool)
+    return _dim_of(q, ent)
+
+
+def _dim_of(q: AlgBase, ent: EntropyResult) -> tuple:
+    """The dimension enclosure of `dim_U` from the entropy ent of q's
+    language: zero for zero entropy, one when the growth rate is q, else
+    the entropy over a bracket of log q."""
     if ent.zero:
         return Fraction(0), Fraction(0)
     if ent.growth is not None and ent.growth.cmp(q) == 0:

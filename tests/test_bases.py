@@ -539,7 +539,8 @@ def test_field_elem_matches_fraction_oracle(q, ca, cb, r):
         assert e.sign() == ref.sign(want)
     # the walks' step on a's integer vector: q a - 1 over a's den when m is
     # monic, in lowest terms otherwise, with its sign and enclosure
-    num, den, (lo, hi), sgn = fld.step(a.num, a.den, fld.enclose(a.num, a.den))
+    num, den, (lo, hi), sgn = fld.step(a.num, a.den, fld.enclose(a.num, a.den),
+                                       fld._enclose_q())
     want = ref.add(ref.mul(ref.elem((0, 1)), ra), ref.elem((-1,)))
     assert tuple(Fraction(x, den) for x in num) == want
     assert den == a.den if fld.minpoly[-1] == 1 else gcd(den, *num) == 1
@@ -1266,15 +1267,12 @@ def walk_enclosures_hold(q, n):
     """Walk n steps with the carried enclosures and check, by exact signs,
     that lo <= 2^WALK_BITS r <= hi for every remainder r = (num, den) met,
     and that r is the exact step's remainder."""
-    fld, r, e = bases._start(q)
-    want = fld.one()
+    want = q.field().one()
     scale = 1 << bases.WALK_BITS
-    for _ in range(n):
-        lo, hi = e
+    for r, (lo, hi), _, _ in itertools.islice(bases._orbit(q), n):
         assert r == (want.num, want.den)
         x = want * scale
         assert (x - lo).sign() >= 0 and (hi - x).sign() >= 0
-        _, _, r, e = bases._step(fld, r, e)
         want = exact_step(want)[2]
 
 
@@ -1332,6 +1330,24 @@ def test_parry_walks_give_their_words():
         assert alpha_epseq(q) == s
 
 
+@pytest.mark.parametrize("word", ["(1100010)", "(100000)", "11(10)", "(1110)",
+                                  "1(1010010)", "(110)"])
+def test_walk_budgets_end_where_the_cycle_closes(word):
+    """The orbit of 1 for the word pre (per) repeats first at step
+    L = |pre| + |per|, where it meets the remainder of step |pre| again.
+    A walk tests each state before its step, so a budget of L steps
+    refuses and L + 1 finds the cycle: in `alpha_epseq`, and in
+    `cmp_seq_alpha` of the word against its own base."""
+    s = parse_epseq(word)
+    L = len(s.pre) + len(s.per)
+    with pytest.raises(UnsupportedBaseError):
+        alpha_epseq(_walk_base(s), L)
+    assert alpha_epseq(_walk_base(s), L + 1) == s
+    with pytest.raises(UnsupportedBaseError):
+        cmp_seq_alpha(s, _walk_base(s), L)
+    assert cmp_seq_alpha(s, _walk_base(s), L + 1) == 0
+
+
 def _count_calls(monkeypatch, owner, name, counts):
     f = getattr(owner, name)
 
@@ -1375,17 +1391,20 @@ def test_walks_build_no_field_element_per_step(monkeypatch):
     """The 4,096-step q_s refusal of `alpha_epseq`, and the refused count
     at 1(100) in the base of (1100010), walk on bare integer vectors: each
     makes at most 4096 // 64 FieldElem constructions and as many
-    reductions, about one per anchor, so no per-step object comes back."""
-    counts = {"__init__": 0, "reduce": 0}
+    reductions, about one per anchor, so no per-step object comes back.
+    Each builds its enclosure of q once, not once per step."""
+    counts = {"__init__": 0, "reduce": 0, "_enclose_q": 0}
     _count_calls(monkeypatch, bases.FieldElem, "__init__", counts)
     _count_calls(monkeypatch, bases.NumberField, "reduce", counts)
+    _count_calls(monkeypatch, bases.NumberField, "_enclose_q", counts)
     refusals = (lambda: alpha_epseq(_fresh(Q_S)),
                 lambda: count_expansions("1(100)", base_from_alpha(parse_epseq("(1100010)"))))
     for refused in refusals:
-        counts.update(__init__=0, reduce=0)
+        counts.update(__init__=0, reduce=0, _enclose_q=0)
         with pytest.raises(UnsupportedBaseError):
             refused()
         assert counts["__init__"] <= 4096 // 64 and counts["reduce"] <= 4096 // 64
+        assert counts["_enclose_q"] == 1
 
 
 def test_walks_under_a_small_sign_budget(monkeypatch):
@@ -1404,11 +1423,9 @@ def test_walks_under_a_small_sign_budget(monkeypatch):
     for budget in (4, 8):
         monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", budget)
         for q, want in zip(fresh(), full):
-            fld, r, e = bases._start(q)
             got = ""
             try:
-                for _ in range(1500):
-                    a, _, r, e = bases._step(fld, r, e)
+                for _, _, a, _ in itertools.islice(bases._orbit(q), 1500):
                     got += "01"[a]
             except UnsupportedBaseError:
                 pass

@@ -525,7 +525,7 @@ class AlgBase:
         return self
 
     @classmethod
-    def from_poly(cls, poly, lo, hi, alpha_hint=None) -> "AlgBase":
+    def from_poly(cls, poly, lo, hi) -> "AlgBase":
         """Bracket verified by a root count: exactly one root in (lo, hi]."""
         lo, hi = Fraction(lo), Fraction(hi)
         if not (1 <= lo < hi <= 2):
@@ -537,9 +537,9 @@ class AlgBase:
         if polys._chain_count(polys.sturm_chain(sf), lo, hi) != 1:
             raise DomainError("polynomial must have exactly one root in (lo, hi]")
         if polys.sign_at_rational(sf, hi) == 0:
-            return cls(p, lo, hi, exact=hi, alpha_hint=alpha_hint)
+            return cls(p, lo, hi, exact=hi)
         # the one root is simple in sf and interior, so sf straddles it
-        return cls(sf, lo, hi, alpha_hint=alpha_hint, _verified=True)
+        return cls(sf, lo, hi, _verified=True)
 
     @classmethod
     def from_bracket(cls, poly, lo, hi, alpha_hint=None) -> "AlgBase":
@@ -841,23 +841,26 @@ def real_roots(F, lo, hi) -> list:
 def _orbit(q: AlgBase):
     """The remainder orbit of 1 under r -> q r - d, d the quasi-greedy
     digit: for each remainder r = (num, den) from 1 on, yields
-    (r, enc, d, s), with enc an enclosure of 2^WALK_BITS r and s the sign
-    of q r - 1; d = 1 exactly when s > 0, and the next remainder is
-    q r - d.  The enclosure of q that every step multiplies by is built
+    (r, enc, d, s), with enc an enclosure of 2^WALK_BITS r and d and s the
+    digit and the sign of q r' - 1 at the remainder r' before it (None at
+    r = 1); d = 1 exactly when s > 0, and r = q r' - d.  Each remainder is
+    yielded before it is stepped, so a walk that stops at a state pays no
+    step for it.  The enclosure of q that every step multiplies by is built
     once, when the walk starts (`NumberField._enclose_q`)."""
     fld = q.field()
     qenc = fld._enclose_q()
     one = 1 << WALK_BITS
     num, den = (1,) + (0,) * (fld.deg - 1), 1
     e = fld.enclose(num, den)
+    d = s = None
     while True:
-        t, tden, (lo, hi), s = fld.step(num, den, e, qenc)
-        d = 1 if s > 0 else 0
         yield (num, den), e, d, s
+        num, den, (lo, hi), s = fld.step(num, den, e, qenc)
+        d = 1 if s > 0 else 0
         if not d:
-            # the next remainder is q r = t + 1
-            t, lo, hi = (t[0] + tden, *t[1:]), lo + one, hi + one
-        num, den, e = t, tden, (lo, hi)
+            # the next remainder is q r = (q r - 1) + 1
+            num, lo, hi = (num[0] + den, *num[1:]), lo + one, hi + one
+        e = (lo, hi)
 
 
 def alpha_digits(q: AlgBase, n: int) -> str:
@@ -867,7 +870,7 @@ def alpha_digits(q: AlgBase, n: int) -> str:
         raise DomainError("need n >= 1")
     if q.alpha_hint is not None:
         return q.alpha_hint.prefix(n)
-    return "".join("01"[a] for _, _, a, _ in islice(_orbit(q), n))
+    return "".join("01"[a] for _, _, a, _ in islice(_orbit(q), 1, n + 1))
 
 
 def beta_digits(q: AlgBase, n: int):
@@ -876,7 +879,7 @@ def beta_digits(q: AlgBase, n: int):
     if n < 1:
         raise DomainError("need n >= 1")
     out = []
-    for _, _, a, s in islice(_orbit(q), n):
+    for _, _, a, s in islice(_orbit(q), 1, n + 1):
         if s == 0:
             return "".join(out) + "1", True
         out.append("01"[a])
@@ -885,18 +888,20 @@ def beta_digits(q: AlgBase, n: int):
 
 def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
     """Quasi-greedy expansion as an eventually periodic sequence, found by
-    exact cycle detection on the remainder orbit."""
+    exact cycle detection among the first max_steps remainders of the
+    orbit."""
     if q.alpha_hint is not None:
         return q.alpha_hint
     seen = {}
     digits = []
     for step, (r, _, a, _) in enumerate(islice(_orbit(q), max_steps)):
+        if step:
+            digits.append("01"[a])
         k = seen.setdefault(r, step)
         if k != step:
             seq = EPSeq("".join(digits[:k]), "".join(digits[k:]))
             q.alpha_hint = seq
             return seq
-        digits.append("01"[a])
     raise UnsupportedBaseError(
         f"no remainder cycle within {max_steps} steps; "
         "quasi-greedy expansion not detected to be eventually periodic"
@@ -945,20 +950,20 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
     """Lexicographic comparison of t with the quasi-greedy expansion of 1,
     certified without assuming that expansion is eventually periodic.
 
-    Walks both digit streams; a repeated (position class, remainder) pair
-    proves equality, a digit mismatch decides the order.  Terminates for
-    every eventually periodic t."""
+    Walks both digit streams over the first max_steps remainders; a
+    repeated (position class, remainder) pair proves equality, a digit
+    mismatch decides the order.  Terminates for every eventually periodic
+    t."""
     if q.alpha_hint is not None:
         return lex_cmp(t, q.alpha_hint)
     k, p = len(t.pre), len(t.per)
     seen = set()
     for i, (r, _, a, _) in enumerate(islice(_orbit(q), max_steps)):
+        if i and t.digit(i - 1) != a:
+            return -1 if t.digit(i - 1) < a else 1
         cls = i if i < k else k + (i - k) % p
         state = (cls, r)
         if state in seen:
             return 0
         seen.add(state)
-        ti = t.digit(i)
-        if ti != a:
-            return -1 if ti < a else 1
-    raise UnsupportedBaseError(f"comparison unresolved after {max_steps} digits")
+    raise UnsupportedBaseError(f"comparison unresolved within {max_steps} remainders")

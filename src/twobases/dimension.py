@@ -37,8 +37,8 @@ from . import polys
 from .bases import AlgBase, alpha_epseq, base_from_alpha, parry_check, real_roots
 from .classify import _sccs
 from .enum_b2 import qn_ladder
-from .errors import DomainError, NotFoundWithinBoundsError, UnsupportedBaseError
-from .words import EPSeq, ComponentSpec, GEN0
+from .errors import DomainError, UnsupportedBaseError
+from .words import EPSeq, GEN0
 
 __all__ = [
     "UqAutomaton",
@@ -83,8 +83,9 @@ class UqAutomaton:
         return A
 
 
-def uq_automaton(alpha: EPSeq, cap: int = STATE_CAP) -> UqAutomaton:
-    """Subset automaton tracking every unresolved comparison against alpha."""
+def uq_automaton(alpha: EPSeq) -> UqAutomaton:
+    """Subset automaton tracking every unresolved comparison against alpha;
+    refused beyond STATE_CAP states."""
     if alpha.digit(0) != 1:
         raise DomainError("alpha must start with digit one")
     if alpha.per == "0":
@@ -126,7 +127,7 @@ def uq_automaton(alpha: EPSeq, cap: int = STATE_CAP) -> UqAutomaton:
             if t is None:
                 continue
             if t not in index:
-                if len(index) >= cap:
+                if len(index) >= STATE_CAP:
                     raise UnsupportedBaseError("automaton exceeded the state cap")
                 index[t] = len(order)
                 order.append(t)
@@ -136,10 +137,10 @@ def uq_automaton(alpha: EPSeq, cap: int = STATE_CAP) -> UqAutomaton:
     return UqAutomaton(alpha, tuple(order), tuple(edges))
 
 
-def build_automaton(q: AlgBase, cap: int = STATE_CAP) -> UqAutomaton:
+def build_automaton(q: AlgBase) -> UqAutomaton:
     """Automaton of the unique-expansion words of base q.  Needs the
     quasi-greedy expansion of 1 to be eventually periodic."""
-    return uq_automaton(alpha_epseq(q), cap)
+    return uq_automaton(alpha_epseq(q))
 
 
 def path_counts(aut: UqAutomaton, n: int) -> list:
@@ -354,7 +355,7 @@ def _matvec(edges, vec) -> list:
     return out
 
 
-def entropy(target, nmax: int = 24, cap: int = STATE_CAP) -> EntropyResult:
+def entropy(target, nmax: int = 24) -> EntropyResult:
     """Certified entropy of the alive-word language of a base or an alpha.
 
     Simple-cycle structure certifies zero exactly.  Automata of at most
@@ -367,7 +368,7 @@ def entropy(target, nmax: int = 24, cap: int = STATE_CAP) -> EntropyResult:
     if nmax < 1:
         raise DomainError("need nmax >= 1")
     alpha = target if isinstance(target, EPSeq) else alpha_epseq(target)
-    aut = uq_automaton(alpha, cap)
+    aut = uq_automaton(alpha)
     counts = path_counts(aut, 4 * nmax)
     n_bound = _log_bounds(Fraction(counts[nmax - 1]))[1] / nmax
     if _cycles_only(aut):
@@ -403,21 +404,22 @@ def entropy(target, nmax: int = 24, cap: int = STATE_CAP) -> EntropyResult:
 # over-approximant pool and dimension
 
 
-def _tm_prefix(comp: ComponentSpec, length: int) -> str:
+def _tm_prefix(length: int) -> str:
     k = 1
     while 2 ** k < length:
         k += 1
-    return comp.omega(k)[:length]
+    return GEN0.omega(k)[:length]
 
 
-def overapprox_pool(comp: ComponentSpec = GEN0, N: int = 6, M: int = 48) -> list:
-    """Bases with eventually periodic alpha for sandwiching entropy targets:
-    the accumulation ladder from below, bases whose alpha repeats a prefix of
-    the generator limit word (these exist on both sides of the accumulation
-    point), and 2 itself.  Sorted increasingly, duplicates removed."""
-    pool = [e.base for e in qn_ladder(comp, N)]
-    tau = _tm_prefix(comp, 4 * M)
-    for m in range(1, M + 1):
+@functools.cache
+def overapprox_pool() -> tuple:
+    """Bases with eventually periodic alpha that sandwich entropy targets:
+    the ladder q_1..q_6, the bases whose alpha repeats one of the first 48
+    prefixes of the generator limit word (on both sides of q_KL), and 2.
+    Increasing, without duplicates; built once per process."""
+    pool = [e.base for e in qn_ladder(GEN0, 6)]
+    tau = _tm_prefix(4 * 48)
+    for m in range(1, 49):
         s = EPSeq("", tau[:m])
         if parry_check(s):
             pool.append(base_from_alpha(s))
@@ -427,20 +429,40 @@ def overapprox_pool(comp: ComponentSpec = GEN0, N: int = 6, M: int = 48) -> list
     for b in pool[1:]:
         if b.cmp(out[-1]) != 0:
             out.append(b)
-    return out
+    return tuple(out)
 
 
-def dim_U(q: AlgBase, nmax: int = 24, pool=None) -> tuple:
+def _sandwich(q: AlgBase, delta: Fraction, nmax: int) -> tuple:
+    """Entropy per log of contraction near q, between pool neighbours (the
+    language only grows with the base): (h_lo / log(q_hi - delta),
+    h_hi / log(q_lo - delta)), from the last pool base at most q and the
+    first at least q_hi + delta, or the last, 2, which is at least q + delta
+    as both callers require; q's bracket at width 10^-25."""
+    qlo, qhi = q.bracket(Fraction(1, 10 ** 25))
+    below = None
+    for r in overapprox_pool():
+        if r.cmp(q) <= 0:
+            below = r
+        if r.cmp_rational(qhi + delta) >= 0:
+            break
+    log_lo = _log_bounds(qlo - delta)[0]
+    if log_lo <= 0:
+        raise DomainError("q - delta must stay above 1")
+    lower = Fraction(0)
+    if below is not None:
+        lower = max(entropy(below, nmax).lower / _log_bounds(qhi - delta)[1], Fraction(0))
+    return lower, entropy(r, nmax).upper / log_lo
+
+
+def dim_U(q: AlgBase) -> tuple:
     """Certified rational enclosure of the Hausdorff dimension of the set of
-    points with a unique expansion in base q.
-
-    When the quasi-greedy expansion of 1 in base q is not detected to be
-    eventually periodic, the entropy is sandwiched between pool neighbours
-    instead (the language only grows with the base)."""
+    points with a unique expansion in base q; the pool sandwich when q's
+    quasi-greedy expansion of 1 is not found eventually periodic."""
     try:
-        ent = entropy(q, nmax)
+        ent = entropy(q)
     except UnsupportedBaseError:
-        return _dim_sandwich(q, nmax, pool)
+        lower, upper = _sandwich(q, Fraction(0), 24)
+        return lower, min(upper, Fraction(1))
     return _dim_of(q, ent)
 
 
@@ -458,55 +480,15 @@ def _dim_of(q: AlgBase, ent: EntropyResult) -> tuple:
     return lower, upper
 
 
-def _dim_sandwich(q: AlgBase, nmax: int, pool) -> tuple:
-    pool = overapprox_pool() if pool is None else list(pool)
-    below = None
-    above = None
-    for r in pool:
-        c = r.cmp(q)
-        if c <= 0:
-            below = r
-        if c >= 0 and above is None:
-            above = r
-    if above is None:
-        raise DomainError("pool must contain a base at least q")
-    log_lo, log_hi = _log_bracket(q)
-    lower = Fraction(0)
-    if below is not None:
-        lower = max(entropy(below, nmax).lower / log_hi, Fraction(0))
-    upper = min(entropy(above, nmax).upper / log_lo, Fraction(1))
-    return lower, upper
-
-
 # ---------------------------------------------------------------------------
 # local bound for the two-expansion spectrum
 
 
-def _certified_geq(r: AlgBase, q: AlgBase, delta: Fraction, depth: int = 40) -> bool:
-    """Bracket separation proof of r >= q + delta; False when not provable."""
-    eps = Fraction(1, 10 ** 6)
-    for _ in range(depth):
-        if r.bracket()[0] >= q.bracket()[1] + delta:
-            return True
-        if r.bracket()[1] < q.bracket()[0] + delta:
-            return False
-        r.refine(eps)
-        q.refine(eps)
-        eps /= 16
-    return False
-
-
-def b2_local_bound(q: AlgBase, delta, pool=None, nmax: int = 24) -> tuple:
+def b2_local_bound(q: AlgBase, delta, nmax: int = 24) -> tuple:
     """Certified enclosure of the dimension bound for two-expansion bases
-    within distance delta of q: twice the unique-expansion entropy just above
-    the window, per log of the contraction just below it.
-
-    Soundness needs 0 < delta < (2 - q)/3 and q - delta > 1.  Each base in
-    the window is pinned down by a pair of tails alive for every base up to
-    q + delta, so any pool base above q + delta caps the count of such pairs
-    and 2 * entropy(pool base) / log(q - delta) dominates the dimension of
-    the spectrum piece.  The returned pair encloses the bound itself; its
-    upper end is the certified dimension bound."""
+    within distance delta of q, for 0 < delta < (2 - q)/3 and q - delta > 1:
+    twice `_sandwich`, as each such base is pinned down by a pair of tails
+    alive in every base up to q + delta.  The upper end is the bound."""
     delta = Fraction(delta)
     if delta <= 0:
         raise DomainError("delta must be positive")
@@ -514,26 +496,5 @@ def b2_local_bound(q: AlgBase, delta, pool=None, nmax: int = 24) -> tuple:
         raise DomainError("delta must stay below (2 - q) / 3")
     if q.cmp_rational(1 + delta) <= 0:
         raise DomainError("q - delta must stay above 1")
-    pool = overapprox_pool() if pool is None else list(pool)
-    chosen = None
-    for r in pool:
-        if _certified_geq(r, q, delta):
-            chosen = r
-            break
-    if chosen is None:
-        raise NotFoundWithinBoundsError("no pool base certified above q + delta")
-    h_up = entropy(chosen, nmax).upper
-    qlo, qhi = q.bracket(Fraction(1, 10 ** 25))
-    log_lo = _log_bounds(qlo - delta)[0]
-    if log_lo <= 0:
-        raise DomainError("q - delta must stay above 1")
-    hi = 2 * h_up / log_lo
-    lo = Fraction(0)
-    best_below = None
-    for r in pool:
-        if r.cmp(q) <= 0:
-            best_below = r
-    if best_below is not None:
-        h_lo = entropy(best_below, nmax).lower
-        lo = max(2 * h_lo / _log_bounds(qhi - delta)[1], Fraction(0))
-    return lo, hi
+    lo, hi = _sandwich(q, delta, nmax)
+    return 2 * lo, 2 * hi

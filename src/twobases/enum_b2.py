@@ -115,11 +115,11 @@ def pair_weight(vc: ReprVector, vd: ReprVector) -> int:
     return (vc.top_k + 1) + (vd.top_k + 1)
 
 
-def repr_to_seq(v: ReprVector, comp: ComponentSpec = GEN0, initial: str = "") -> EPSeq:
-    if initial == "" and v.m >= 1 and v.j[0] < 1:
+def repr_to_seq(v: ReprVector, comp: ComponentSpec = GEN0) -> EPSeq:
+    if v.m >= 1 and v.j[0] < 1:
         raise DomainError("leading generator run must be nonempty")
-    # the profile was checked when v was built; EPSeq checks the initial word
-    return _assemble(comp, initial, v.k, v.s, v.j)
+    # the profile was checked when v was built
+    return _assemble(comp, "", v.k, v.s, v.j)
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,7 @@ def root_factors(p: Poly, lo, hi) -> list:
     return out
 
 
-def poly_text(p: Poly, var: str = "q") -> str:
+def poly_text(p: Poly) -> str:
     """Human-readable rendering, highest degree first."""
     if not p:
         return "0"
@@ -379,9 +379,9 @@ def poly_text(p: Poly, var: str = "q") -> str:
         if i == 0:
             term = f"{mag}"
         elif i == 1:
-            term = f"{var}" if mag == 1 else f"{mag}*{var}"
+            term = "q" if mag == 1 else f"{mag}*q"
         else:
-            term = f"{var}^{i}" if mag == 1 else f"{mag}*{var}^{i}"
+            term = f"q^{i}" if mag == 1 else f"{mag}*q^{i}"
         if not parts:
             parts.append(term if a > 0 else f"-{term}")
         else:

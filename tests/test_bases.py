@@ -1348,6 +1348,22 @@ def test_walk_budgets_end_where_the_cycle_closes(word):
     assert cmp_seq_alpha(s, _walk_base(s), L + 1) == 0
 
 
+@pytest.mark.parametrize("word, steps", [("(1100010)", 7), ("11(10)", 4), ("1(1010010)", 8)])
+def test_walks_step_each_remainder_only_when_asked(monkeypatch, word, steps):
+    """A walk yields each remainder before it steps it: the cycle that
+    closes at L = |pre| + |per| costs L steps (`NumberField.step`) in
+    `alpha_epseq` and in `cmp_seq_alpha`, and n digits cost n steps."""
+    counts = {"step": 0}
+    _count_calls(monkeypatch, bases.NumberField, "step", counts)
+    s = parse_epseq(word)
+    assert alpha_epseq(_walk_base(s)) == s and counts["step"] == steps
+    counts["step"] = 0
+    assert cmp_seq_alpha(s, _walk_base(s)) == 0 and counts["step"] == steps
+    for n in (1, 5, 40):
+        counts["step"] = 0
+        assert alpha_digits(_walk_base(s), n) == s.prefix(n) and counts["step"] == n
+
+
 def _count_calls(monkeypatch, owner, name, counts):
     f = getattr(owner, name)
 
@@ -1425,7 +1441,7 @@ def test_walks_under_a_small_sign_budget(monkeypatch):
         for q, want in zip(fresh(), full):
             got = ""
             try:
-                for _, _, a, _ in itertools.islice(bases._orbit(q), 1500):
+                for _, _, a, _ in itertools.islice(bases._orbit(q), 1, 1501):
                     got += "01"[a]
             except UnsupportedBaseError:
                 pass

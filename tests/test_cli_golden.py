@@ -17,11 +17,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import twobases
+from twobases.bases import AlgBase
+from twobases.cli import run
+from twobases.dimension import dim_U
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 SRC = Path(twobases.__file__).resolve().parents[1]
@@ -106,6 +110,19 @@ def test_cli_stdout_matches_golden(args):
 def test_cli_stdout_matches_golden_under_python_O(args):
     expected = {tuple(e["argv"]): e for e in json.loads(GOLDEN.read_text())}
     assert _run(args, "-O") == expected[tuple(args)]
+
+
+def test_dim_bound_golden_does_not_depend_on_history(capsys):
+    """In one process, the golden dim-bound command prints its golden bytes
+    again after `dim_U` has sandwiched q_s between bases of the shared
+    pool."""
+    args = next(a for a in CASES if a[0] == "dim-bound")
+    expected = {tuple(e["argv"]): e for e in json.loads(GOLDEN.read_text())}[tuple(args)]
+    q_s = AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
+    for _ in range(2):
+        rc = run(["--format", "json", *args])
+        assert (rc, capsys.readouterr().out) == (expected["rc"], expected["stdout"])
+        assert dim_U(q_s) == (0, 0)
 
 
 if __name__ == "__main__":

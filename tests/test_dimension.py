@@ -2,6 +2,9 @@
 of the unique-expansion set, and the local two-expansion bound."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -16,7 +19,7 @@ from twobases.dimension import (
     b2_local_bound, brute_count_words, build_automaton, dim_U, entropy,
     overapprox_pool, path_counts, uq_automaton,
 )
-from twobases.errors import DomainError
+from twobases.errors import DomainError, UnsupportedBaseError
 from twobases.words import EPSeq, parse_epseq, thue_morse
 
 PHI = AlgBase.from_poly((-1, -1, 1), Fraction(3, 2), Fraction(17, 10))
@@ -40,6 +43,19 @@ def test_build_automaton_uses_quasi_greedy_expansion():
         assert build_automaton(q).alpha == alpha_epseq(q)
     aut = build_automaton(PHI3)
     assert aut.size == 7
+
+
+def test_state_cap_refusal(monkeypatch):
+    """The automaton of (110) has 7 states: a cap of 7, read when
+    `uq_automaton` runs, builds it, and a cap of 6 refuses it there and in
+    `entropy`."""
+    monkeypatch.setattr(dimension, "STATE_CAP", 7)
+    assert uq_automaton(EPSeq("", "110")).size == 7
+    monkeypatch.setattr(dimension, "STATE_CAP", 6)
+    with pytest.raises(UnsupportedBaseError, match="state cap"):
+        uq_automaton(EPSeq("", "110"))
+    with pytest.raises(UnsupportedBaseError, match="state cap"):
+        entropy(PHI3)
 
 
 def test_counts_submultiplicative_on_doubling():
@@ -100,6 +116,21 @@ def test_dimension_sandwich_for_unsupported_alpha():
     assert dim_U(q_s) == (0, 0)
     lo, hi = dim_U(AlgBase.from_rational(Fraction(19, 10)))
     assert Fraction(74, 100) < lo <= hi <= 1
+    assert (lo, hi) == (Fraction(213213409923992748576942194477147922,
+                                 284390051567897278593581650622431843), 1)
+
+
+def test_pool_is_one_tuple_built_on_first_use():
+    """The pool is built once per process, as an immutable tuple, and not
+    when the package is imported."""
+    assert overapprox_pool() is overapprox_pool()
+    assert isinstance(overapprox_pool(), tuple)
+    script = ("import twobases, twobases.cli\n"
+              "print(twobases.dimension.overapprox_pool.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dimension.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_overapprox_pool_structure():
@@ -130,6 +161,58 @@ def test_local_bound_certifies_below_one():
     lo, hi = b2_local_bound(q20, Fraction(1, 10**6))
     assert 0 <= lo <= hi < 1
     assert float(hi) < 0.42
+
+
+# b2_local_bound(q, 10^-k, 6) at the bases of the periodic Thue-Morse
+# prefixes of length L that the cli_queries dim-bound requests use, frozen
+# from the two separate sandwiches `_sandwich` replaced: (L, k) -> (lo, hi)
+LOCAL_BOUNDS = {
+    (10, 5): ("183439107051792198716539847345060176/257372279035512642168646163962935597",
+              "213213409923992748576942228415821599/257372279035512642168646151148859942"),
+    (10, 6): ("183439107051792198716539847345060176/257374509772332569309881986915717873",
+              "639640229771978245730826685247464797/772123529316997707929645922305120198"),
+    (10, 7): ("550317321155376596149619542035180528/772124198536190574722168797268433451",
+              "639640229771978245730826685247464797/772124198536190574722168758826419384"),
+    (12, 5): ("1279280459543956491461652720749192621/3087338201612137363879030540714060280",
+              "1100634642310753192299239307550077471/1543669100806068681939515193456246610"),
+    (12, 6): ("1279280459543956491461652720749192621/3087364976139435683574655301852395132",
+              "366878214103584397433079769183359157/514560829356572613929109191341933762"),
+    (12, 7): ("1279280459543956491461652720749192621/3087367653584749921141290005992406924",
+              "1100634642310753192299239307550077471/1543683826792374960570644926095845906"),
+    (20, 5): ("275158660577688298074809667000480403/771832732134153979379108073756320983",
+              "366878214103584397433079769183359157/514555154756102652919405356870584414"),
+    (20, 6): ("275158660577688298074809667000480403/771839425775134851648385721473809948",
+              "1279280459543956491461653208191163193/3087357703100539406593542732094236844"),
+    (20, 7): ("275158660577688298074809667000480403/771840095137379035202646747400802821",
+              "426426819847985497153884402730387731/1029120126849838713603528945267428596"),
+    (24, 5): ("639640229771978245730826518752870981/3087330145872198662085436898959516700",
+              "1100634642310753192299239307550077471/1543665072936099331042718372578858306"),
+    (24, 6): ("639640229771978245730826518752870981/3087356920440063432740303835278347724",
+              "1279280459543956491461653208191163193/3087356920440063432740303681477322140"),
+    (24, 7): ("639640229771978245730826518752870981/3087359597889434292931932215729986200",
+              "1100634642310753192299239163701978875/3087359597889434292931932061929038064"),
+    (40, 5): ("0", "366878214103584397433079769183359157/514555024301184928189040900691873806"),
+    (40, 6): ("0", "1279280459543956491461653208191163193/3087356920374974667559809702389972620"),
+    (40, 7): ("0", "220126928462150638459847832740395775/617471919564869112105665251445252196"),
+}
+
+
+def test_local_bound_frozen():
+    for (L, k), want in LOCAL_BOUNDS.items():
+        q = base_from_alpha(EPSeq("", thue_morse(L)))
+        got = b2_local_bound(q, Fraction(1, 10 ** k), 6)
+        assert got == tuple(map(Fraction, want)), (L, k)
+
+
+def test_local_bound_next_to_two():
+    """q is within 10^-25 of 2, so q's bracket at that width ends at 2 and
+    no pool base is certified above it plus delta by that bracket: the
+    bound comes from 2 itself, which the input checks place above q + delta."""
+    q = base_from_alpha(EPSeq("", "1" * 90 + "0"))
+    assert q.bracket(Fraction(1, 10 ** 25))[1] == 2
+    assert b2_local_bound(q, Fraction(1, 10 ** 28), 6) == (
+        Fraction(319820114885989122865413291715721883, 230337659399915326306586076901504264),
+        Fraction(307116879199887101742114769224159485, 153558439599943550871057378874379781))
 
 
 def test_local_bound_validation():

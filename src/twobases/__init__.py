@@ -74,6 +74,7 @@ from .enum_b2 import (
     enum_B2,
     derived_order_bound,
     min_derived,
+    prop62_witness,
 )
 from .dimension import (
     UqAutomaton,
@@ -109,6 +110,7 @@ __all__ = [
     "CountResult", "count_expansions",
     "ReprVector", "LadderEntry", "qn_ladder", "enum_reprs", "repr_to_seq",
     "pair_weight", "enum_B2", "derived_order_bound", "min_derived",
+    "prop62_witness",
     "UqAutomaton", "uq_automaton", "build_automaton", "path_counts",
     "brute_count_words", "EntropyResult", "entropy", "dim_U",
     "overapprox_pool", "b2_local_bound",

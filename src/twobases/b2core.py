@@ -14,11 +14,11 @@ candidate sequences used by the enumeration layer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 
 from . import polys
 from .bases import AlgBase, FieldElem, base_from_alpha, real_roots
@@ -130,7 +130,7 @@ def monotone_case(c: EPSeq, d: EPSeq) -> MonotoneCase:
     return MonotoneCase.INCREASING_III
 
 
-@lru_cache(maxsize=1)
+@functools.cache
 def q_f_base() -> AlgBase:
     """Smallest accumulation point of the two-expansion bases: the root of
     q^3 - 2q^2 + q - 1 in (1, 2)."""

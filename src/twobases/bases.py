@@ -490,21 +490,19 @@ def _over_one_den(lo: Fraction, hi: Fraction) -> tuple:
 class AlgBase:
     """A real algebraic number q in (1, 2], the base of the expansions."""
 
-    # the sign engine's table of the powers of q at width bits K
-    _sign_bits = 0
-    _powers = ((), ())
+    # the base `copy` was made from, which keeps a minimal polynomial the
+    # copy finds
+    _origin = None
 
     def __init__(self, poly, lo, hi, *, exact=None, alpha_hint=None, _verified=False):
         self.poly = polys.to_int_poly(polys.trim(poly))
         lo, hi = Fraction(lo), Fraction(hi)
-        # the construction bracket and the working one, as (a, b, d) for
-        # (a/d, b/d); _lo and _hi are the working ends, or q when it is exact
-        self._built = self._cell = _over_one_den(lo, hi)
-        self._lo, self._hi = (lo, hi) if exact is None else (exact, exact)
+        # the construction bracket, as (a, b, d) for (a/d, b/d)
+        self._built = _over_one_den(lo, hi)
         self.exact_rational = exact
         self.alpha_hint = alpha_hint
         self._minpoly = None
-        self._field = None
+        self._afresh()
         if exact is None:
             if not _verified:
                 raise DomainError("use a from_* constructor")
@@ -553,6 +551,27 @@ class AlgBase:
         if polys.sign_at_rational(p, hi) == 0:
             return cls(p, lo, hi, exact=hi, alpha_hint=alpha_hint)
         return cls(p, lo, hi, alpha_hint=alpha_hint, _verified=True)
+
+    def _afresh(self):
+        """Make the construction bracket the working one, with no power
+        table or field built on it.  The working bracket is _cell, (a, b, d)
+        for (a/d, b/d), with ends _lo and _hi, or q when it is exact; the
+        table of the powers of q is at width bits _sign_bits."""
+        a, b, d = self._cell = self._built
+        r = self.exact_rational
+        self._lo, self._hi = (Fraction(a, d), Fraction(b, d)) if r is None else (r, r)
+        self._sign_bits, self._powers = 0, ((), ())
+        self._field = None
+
+    def copy(self) -> "AlgBase":
+        """This base refined nowhere: its polynomial, construction bracket,
+        alpha hint and, once known, minimal polynomial, on a working bracket
+        of its own.  A minimal polynomial the copy finds is kept here too."""
+        new = object.__new__(AlgBase)
+        new.__dict__.update(self.__dict__)
+        new._afresh()
+        new._origin = self
+        return new
 
     # -- bracket handling --------------------------------------------------
 
@@ -630,6 +649,8 @@ class AlgBase:
                         f"bracket holds a root of {len(hits)} irreducible factors"
                     )
                 self._minpoly = hits[0]
+            if self._origin is not None:
+                self._origin._minpoly = self._minpoly
         return self._minpoly
 
     def field(self) -> NumberField:

@@ -19,10 +19,10 @@ import sys
 from fractions import Fraction
 
 from .bases import AlgBase, alpha_digits, base_from_alpha, _dec_str
-from .b2core import certify_b2, f_sign, prop62_pair, solve_qcd, witness_for_V_base
+from .b2core import solve_qcd, witness_for_V_base
 from .classify import classify_base, count_expansions, _first_fails, _tag_from_fails
 from .dimension import b2_local_bound, entropy, _dim_of
-from .enum_b2 import enum_B2, min_derived, qn_ladder
+from .enum_b2 import enum_B2, min_derived, prop62_witness, qn_ladder
 from .errors import DomainError, NotFoundWithinBoundsError
 from .words import ComponentSpec, check_generator, parse_epseq
 
@@ -268,14 +268,9 @@ def _cmd_witness(args) -> int:
     comp = _component(args.gen)
     if args.prop62 is not None:
         n = args.prop62
-        c, d = prop62_pair(comp, n)
-        ladder = qn_ladder(comp, n + 1)
-        qn, qn1 = ladder[n - 1].base, ladder[n].base
-        lo = qn.bracket(Fraction(1, 10 ** 12))[1]
-        hi = qn1.bracket(Fraction(1, 10 ** 12))[1]
-        w = certify_b2(c, d, lo, hi)
+        c, d, w, s_n, s_n1 = prop62_witness(comp.generator, n)
         out = {"gen": args.gen, "n": n, "c": str(c), "d": str(d),
-               "sign_at_qn": f_sign(c, d, qn), "sign_at_qn1": f_sign(c, d, qn1)}
+               "sign_at_qn": s_n, "sign_at_qn1": s_n1}
         if w is not None:
             out["root"] = w.root.decimal(args.precision)
             out["minpoly"] = list(w.minpoly)

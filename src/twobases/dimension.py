@@ -440,9 +440,9 @@ def _sandwich(q: AlgBase, delta: Fraction, nmax: int) -> tuple:
     as both callers require; q's bracket at width 10^-25."""
     qlo, qhi = q.bracket(Fraction(1, 10 ** 25))
     below = None
-    for r in overapprox_pool():
+    for i, r in enumerate(overapprox_pool()):
         if r.cmp(q) <= 0:
-            below = r
+            below = i
         if r.cmp_rational(qhi + delta) >= 0:
             break
     log_lo = _log_bounds(qlo - delta)[0]
@@ -450,8 +450,16 @@ def _sandwich(q: AlgBase, delta: Fraction, nmax: int) -> tuple:
         raise DomainError("q - delta must stay above 1")
     lower = Fraction(0)
     if below is not None:
-        lower = max(entropy(below, nmax).lower / _log_bounds(qhi - delta)[1], Fraction(0))
-    return lower, entropy(r, nmax).upper / log_lo
+        lower = max(_pool_entropy(below, nmax)[0] / _log_bounds(qhi - delta)[1], Fraction(0))
+    return lower, _pool_entropy(i, nmax)[1] / log_lo
+
+
+@functools.cache
+def _pool_entropy(i: int, nmax: int) -> tuple:
+    """The entropy bounds (lower, upper) of the i-th pool base at nmax,
+    once per process: both come from printed cells."""
+    ent = entropy(overapprox_pool()[i], nmax)
+    return ent.lower, ent.upper
 
 
 def dim_U(q: AlgBase) -> tuple:

@@ -39,7 +39,9 @@ from .bases import AlgBase, base_from_alpha, cmp_seq_alpha, real_roots
 from .b2core import (
     B2Witness,
     MonotoneCase,
+    certify_b2,
     f_minpoly,
+    f_sign,
     monotone_case,
     prop62_pair,
     q_f_base,
@@ -60,6 +62,7 @@ __all__ = [
     "ReprVector",
     "LadderEntry",
     "qn_ladder",
+    "prop62_witness",
     "repr_to_seq",
     "enum_reprs",
     "enum_B2",
@@ -136,14 +139,23 @@ class LadderEntry:
 
 def qn_ladder(comp: ComponentSpec, N: int) -> list:
     """Ladder bases q_1 < ... < q_N of the component: q_n has quasi-greedy
-    expansion (omega_n minus)^inf and greedy expansion omega_n 0^inf."""
+    expansion (omega_n minus)^inf and greedy expansion omega_n 0^inf.  Each
+    call returns fresh copies (`AlgBase.copy`) of bases built once per
+    process, so no call sees how an earlier one refined them."""
     if N < 1:
         raise DomainError("need N >= 1")
     out = []
     for n in range(1, N + 1):
-        w = comp.omega(n)
-        out.append(LadderEntry(n, base_from_alpha(EPSeq("", word_dec(w))), EPSeq("", word_dec(w)), w))
+        base = _ladder_base(comp.generator, n).copy()
+        out.append(LadderEntry(n, base, base.alpha_hint, comp.omega(n)))
     return out
+
+
+@functools.cache
+def _ladder_base(gen: str, n: int) -> AlgBase:
+    """q_n of the component generated by gen; `qn_ladder` hands out copies
+    and never refines it."""
+    return base_from_alpha(EPSeq("", word_dec(ComponentSpec(gen).omega(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +827,21 @@ def _interior_candidates(comp, iv, n, j, Jmax):
         return []
     return [root for c, d, _ in _tail_pairs(comp, n, Jmax, maxweight, iv)
             for root, ok in _pair_roots(c, d, iv) if ok]
+
+
+@functools.cache
+def prop62_witness(gen: str, n: int) -> tuple:
+    """The deep pair (c, d) of `prop62_pair` for the component generated by
+    gen, with its `certify_b2` witness between the brackets of q_n and
+    q_{n+1} at width 10^-12 (None when there is no root) and the defect's
+    signs at q_n and at q_{n+1}; built once per process."""
+    comp = ComponentSpec(gen)
+    c, d = prop62_pair(comp, n)
+    ladder = qn_ladder(comp, n + 1)
+    qn, qn1 = ladder[n - 1].base, ladder[n].base
+    lo = qn.bracket(Fraction(1, 10 ** 12))[1]
+    hi = qn1.bracket(Fraction(1, 10 ** 12))[1]
+    return c, d, certify_b2(c, d, lo, hi), f_sign(c, d, qn), f_sign(c, d, qn1)
 
 
 def _prop62_root(comp, iv, n) -> AlgBase:

@@ -20,7 +20,7 @@ from twobases.bases import (
 from twobases.b2core import f_minpoly, sign_at, solve_qcd
 from twobases.classify import CountResult, count_expansions
 from twobases.errors import DomainError, UnsupportedBaseError
-from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq, shift, thue_morse
+from twobases.words import EPSeq, from_word, lex_cmp, parse_epseq, shift, thue_morse, word_dec
 from test_polys import divmod_exact, interval_eval
 
 PHI = AlgBase.from_poly((-1, -1, 1), Fraction(3, 2), Fraction(17, 10))
@@ -166,8 +166,10 @@ def test_solve_qcd_factors_the_defect_once(monkeypatch):
 def test_minpoly_factors_only_the_part_holding_the_root(monkeypatch):
     # q_n's polynomial has degree 2^n and carries the cyclotomic cofactor
     # (q^(2^n) - 1)/(q - 1); the deep pair's degree-49 defect carries
-    # factors of degree 1, 2 and 4 besides its minimal polynomial
-    from twobases.enum_b2 import GEN0, prop62_pair, qn_ladder
+    # factors of degree 1, 2 and 4 besides its minimal polynomial.  The
+    # bases are built here, not taken from `qn_ladder`, whose copies start
+    # with any minimal polynomial found earlier in the process
+    from twobases.enum_b2 import GEN0, prop62_pair
 
     degrees = []
     factor_int = polys.factor_int
@@ -176,14 +178,14 @@ def test_minpoly_factors_only_the_part_holding_the_root(monkeypatch):
         degrees.append(polys.degree(p))
         return factor_int(p)
     monkeypatch.setattr(polys, "factor_int", recorded)
-    ladder = qn_ladder(GEN0, 6)
-    assert [polys.degree(e.base.poly) for e in ladder] == [2, 4, 8, 16, 32, 64]
-    assert [polys.degree(e.base.minpoly()) for e in ladder] == [2, 3, 5, 9, 17, 33]
+    ladder = [base_from_alpha(EPSeq("", word_dec(GEN0.omega(n)))) for n in range(1, 7)]
+    assert [polys.degree(q.poly) for q in ladder] == [2, 4, 8, 16, 32, 64]
+    assert [polys.degree(q.minpoly()) for q in ladder] == [2, 3, 5, 9, 17, 33]
     assert max(degrees) <= 33
     degrees.clear()
     c, d = prop62_pair(GEN0, 5)
-    lo = ladder[4].base.bracket(Fraction(1, 10**12))[1]
-    hi = ladder[5].base.bracket(Fraction(1, 10**12))[0]
+    lo = ladder[4].bracket(Fraction(1, 10**12))[1]
+    hi = ladder[5].bracket(Fraction(1, 10**12))[0]
     root = solve_qcd(c, d, lo, hi)
     assert polys.degree(root.minpoly()) == 42
     assert degrees == [42]

@@ -125,5 +125,15 @@ def test_dim_bound_golden_does_not_depend_on_history(capsys):
         assert dim_U(q_s) == (0, 0)
 
 
+def test_golden_cases_replayed_in_one_process(capsys):
+    """Every golden case through `run` in one process, forward, reversed and
+    forward again: what a request prints does not depend on the requests
+    before it, whatever bases, witnesses and entropies they built."""
+    golden = json.loads(GOLDEN.read_text())
+    for entry in golden + golden[::-1] + golden:
+        rc = run(["--format", "json", *entry["argv"]])
+        assert (rc, capsys.readouterr().out) == (entry["rc"], entry["stdout"]), entry["argv"]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps([_run(a) for a in CASES], indent=1) + "\n")

@@ -19,7 +19,7 @@ from twobases.classify import CountResult, count_expansions, is_univoque_seq
 from twobases.classify import in_A_prime
 from twobases.enum_b2 import (
     LadderEntry, ReprVector, derived_order_bound, enum_B2, enum_reprs,
-    min_derived, pair_weight, qn_ladder, repr_to_seq,
+    min_derived, pair_weight, prop62_witness, qn_ladder, repr_to_seq,
     _Interval, _endpoint_certificate, _interval, _pair_roots, _tail_pairs,
 )
 from twobases.errors import DomainError, NotFoundWithinBoundsError
@@ -52,6 +52,54 @@ def test_ladder_expansions_consistent():
         assert beta_digits(e.base, len(w) + 4) == (w, True)
     with pytest.raises(DomainError):
         qn_ladder(GEN0, 0)
+
+
+def test_ladder_calls_share_only_the_minimal_polynomial():
+    """Each call hands out fresh copies of one q_n per process: a copy
+    starts on the construction bracket whatever an earlier copy refined,
+    and starts with the minimal polynomial once a copy has found it."""
+    first = qn_ladder(GEN0, 3)[2].base
+    built = first.bracket()
+    first.minpoly()
+    first.refine(Fraction(1, 10 ** 40))
+    again = qn_ladder(GEN0, 3)[2].base
+    assert again is not first and again.bracket() == built
+    assert again._minpoly is first.minpoly()
+    assert again.to_json(20) == first.to_json(20)
+
+
+def test_min_derived_does_not_depend_on_history(capsys):
+    """In one process, the least bases of orders 2-4 print the same before
+    and after ladder, witness and dim-bound requests have used the ladder
+    bases, their minimal polynomials and the pool."""
+    from twobases.cli import run
+
+    def answers():
+        return [min_derived(j, 4, 5).to_json() for j in (2, 3, 4)]
+
+    before = answers()
+    for argv in (["ladder", "--gen", "0", "--N", "6"],
+                 ["witness", "--gen", "0", "--prop62", "4"],
+                 ["dim-bound", "--delta", "1/1000000", "alpha:(11010011001011010010)"]):
+        assert run(["--format", "json", *argv]) == 0
+    capsys.readouterr()
+    assert answers() == before
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_prop62_witness_matches_the_deep_pair_root(n):
+    """The CLI's deep-pair witness, certified between the ladder brackets at
+    width 10^-12, against `_prop62_root` on the scan's interval."""
+    c, d, w, s_n, s_n1 = prop62_witness("0", n)
+    assert (c, d) == enum_b2.prop62_pair(GEN0, n)
+    assert (s_n, s_n1) == (-1, 1) and w.admissible
+    root = enum_b2._prop62_root(GEN0, _interval(qn_ladder(GEN0, n + 1), n), n)
+    assert w.minpoly == root.minpoly()
+    assert w.root.decimal(30) == root.decimal(30)
+
+
+def test_prop62_witness_is_built_once():
+    assert prop62_witness("0", 3) is prop62_witness("0", 3)
 
 
 def test_ladder_other_component():

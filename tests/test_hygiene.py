@@ -1,8 +1,12 @@
 """Source hygiene: every import of the library is used, every private
-helper has a caller, and no certified result rests on `assert`."""
+helper has a caller, no certified result rests on `assert`, and importing
+the library builds nothing that is cached."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "twobases"
 
@@ -69,3 +73,23 @@ def test_no_assert_in_the_library():
     found = [f"{name}:{node.lineno}" for name, tree in _modules().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_import_fills_no_cache():
+    """A fresh interpreter that has imported the package and its CLI has
+    every functools cache of the library empty: each paper constant is
+    built on first use, never at import."""
+    script = ("import sys, twobases, twobases.cli\n"
+              "caches = {f'{m}.{n}': f.cache_info().currsize\n"
+              "          for m, mod in list(sys.modules.items()) if m.startswith('twobases')\n"
+              "          for n, f in vars(mod).items() if hasattr(f, 'cache_info')}\n"
+              "print(sorted(k for k, v in caches.items() if v), len(caches))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    filled, count = proc.stdout.rsplit(" ", 1)
+    assert filled == "[]"
+    # the parser, q_f, the ladder, the deep-pair witness, the pool and its
+    # entropies, each seen from its own module at least
+    assert int(count) >= 6

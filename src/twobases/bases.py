@@ -16,25 +16,24 @@ gives exact arithmetic in Q(q), as integer coefficients over one
 denominator, for series values and the points expansion counting starts
 from; its signs, `b2core.sign_at` and `AlgBase.cmp_rational` all come from
 that table.
-A remainder walk (the orbit of 1, or of a point, under r -> q r - d) keeps
-no FieldElem: its state is a bare integer vector num with a denominator
-den, r = num(q) / den, and it keys its dicts and sets by (num, den).  The
-remainders keep their value O(1) while their coefficients grow without
-bound, so a walk carries beside each r an integer enclosure of
-2^WALK_BITS r.  One step (`NumberField.step`) makes q r - 1 exactly, by
-one companion shift of num, and its enclosure by one outward-rounded
-multiply by an enclosure of q that each walk builds once
-(`NumberField._enclose_q`); the sign comes from the enclosure when that
-excludes zero, else from the table.  Once the enclosure has grown past
-2^-42 it is re-anchored on the exact coefficients (`NumberField.enclose`)
-by the same table sum that signs them (`AlgBase._table_sum`).  One
-generator, `_orbit`, walks the orbit of 1 and owns its state.
+A remainder walk (the orbit of 1, or of a point, under r -> q r - d) keys
+its states by value (`_Walk`): a remainder stays O(1) while its
+coefficients grow without bound, so a state is an integer enclosure of
+2^WALK_BITS r and the digits taken since its last exact anchor.  A step is
+one outward-rounded multiply by an enclosure of q built once per walk;
+states are filed by the buckets of their enclosure's ends.  An integer
+vector num over den, r = num(q) / den, is made only to re-anchor an
+enclosure past 2^-42 (`NumberField.enclose`, by the table sum that signs
+too), to sign where the enclosure does not, or to settle states that
+share a bucket; it is replayed from the nearest anchor in one pass over
+a table of the powers of q.  One generator, `_orbit`, walks the orbit of
+1 and owns its state.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, cycle, islice, repeat
 from math import gcd, lcm
 from operator import add, mul, sub
 
@@ -61,9 +60,9 @@ SIGN_REFINE_BUDGET = 4096
 SIGN_GUARD_BITS = 64
 
 
-# Bits of the fixed-point enclosure lo <= 2^WALK_BITS v <= hi that a
-# remainder walk carries beside its exact remainder v.  It decides only how
-# often a walk re-anchors, never whether an enclosure holds.
+# Bits of the fixed-point enclosure lo <= 2^WALK_BITS v <= hi of each
+# remainder v of a walk.  It decides only how often a walk re-anchors and
+# how wide its buckets are, never whether an enclosure holds.
 WALK_BITS = 128
 
 
@@ -169,9 +168,10 @@ class NumberField:
         if self.deg < 1:
             raise DomainError("degenerate minimal polynomial")
         # the nonzero lower coefficients of m, for reduction and the walks'
-        # companion shift
+        # table of powers
         self._terms = tuple((j, c) for j, c in enumerate(self.minpoly[:-1]) if c)
         self._series_den_inv = {}
+        self._xpow = [(1,) + (0,) * (self.deg - 1)]
 
     def reduce(self, coeffs, den: int = 1) -> "FieldElem":
         """The element coeffs(q) / den, for integer coeffs and den > 0.
@@ -232,52 +232,20 @@ class NumberField:
             inv = self._series_den_inv[(m, p)] = self.elem(den).inv()
         return inv
 
-    def step(self, num: tuple, den: int, enc: tuple, qenc: tuple) -> tuple:
-        """(num', den', (lo, hi), s) for t = q r - 1 = num'(q) / den', given
-        r = num(q) / den, num an integer tuple of length deg, with
-        enc = (lo, hi) an integer enclosure of 2^P r and qenc the walk's
-        enclosure of 2^P q (`_enclose_q`), P = WALK_BITS: the kernel of
-        every remainder walk.
-
-        t is exact: the companion shift (-den, num[0], ..., num[deg-2]) less
-        num[-1] (m_0, ..., m_(deg-1)), one reduction of q num(q) - den by m.
-        For a monic m den stays, so one walk keeps one den and its vectors
-        are canonical with no gcd.  Otherwise the top term is scaled first,
-        as in `reduce`, and (num', den') divided by its gcd: lowest terms
-        stay lowest.
-
-        The enclosure comes from r's by one multiply by qenc, rounded
-        outward, less 2^P.  Each step widens it by a factor of about q;
-        once it is wider than 2^-(P // 3), 2^-42 at P = 128, it is
-        re-anchored on t's exact coefficients (`enclose`).  The sign is the
-        enclosure's when that excludes zero, and otherwise t's exact
-        sign."""
-        top = num[-1]
-        t = [-den, *num[:-1]]
-        if top:
-            lead = self.minpoly[-1]
-            if lead != 1:
-                g = gcd(top, lead)
-                t = [a * (lead // g) for a in t]
-                den *= lead // g
-                top //= g
-            for j, m in self._terms:
-                t[j] -= top * m
-            if lead != 1:
-                g = gcd(den, *t)
-                t = [a // g for a in t]
-                den //= g
-        t = tuple(t)
-        P, qlo, qhi, one, wide = qenc
-        lo, hi = enc
-        # qlo > 0: the product's ends pair each end of r with the end of q
-        # that makes it extreme
-        lo = (lo * (qlo if lo >= 0 else qhi) >> P) - one
-        hi = -(-hi * (qhi if hi >= 0 else qlo) >> P) - one
-        if hi - lo >= wide:
-            lo, hi = self.enclose(t, den)
-        s = 1 if lo > 0 else -1 if hi < 0 else self.sign(t)
-        return t, den, (lo, hi), s
+    def _powers(self, n: int) -> list:
+        """V_0 .. V_n, q^e = V_e(q) / L^max(0, e - deg + 1) for L = lead(m),
+        kept for the walks: each the one before shifted up, and from
+        e = deg on times L less its top coefficient times m."""
+        V, L = self._xpow, self.minpoly[-1]
+        while len(V) <= n:
+            *t, top = V[-1]
+            t.insert(0, 0)
+            if len(V) >= self.deg:
+                t = [a * L for a in t]
+                for j, m in self._terms:
+                    t[j] -= top * m
+            V.append(tuple(t))
+        return V
 
     def _enclose_q(self) -> tuple:
         """(P, lo, hi, 2^P, 2^(P - P // 3)) with lo <= 2^P q <= hi and
@@ -859,29 +827,165 @@ def real_roots(F, lo, hi) -> list:
 # expansions of 1
 
 
-def _orbit(q: AlgBase):
-    """The remainder orbit of 1 under r -> q r - d, d the quasi-greedy
-    digit: for each remainder r = (num, den) from 1 on, yields
-    (r, enc, d, s), with enc an enclosure of 2^WALK_BITS r and d and s the
-    digit and the sign of q r' - 1 at the remainder r' before it (None at
-    r = 1); d = 1 exactly when s > 0, and r = q r' - d.  Each remainder is
-    yielded before it is stepped, so a walk that stops at a state pays no
-    step for it.  The enclosure of q that every step multiplies by is built
-    once, when the walk starts (`NumberField._enclose_q`)."""
-    fld = q.field()
-    qenc = fld._enclose_q()
-    one = 1 << WALK_BITS
-    num, den = (1,) + (0,) * (fld.deg - 1), 1
-    e = fld.enclose(num, den)
+class _Walk:
+    """The states of one remainder walk r -> q r - d, d in {0, 1}, in Q(q).
+    State i is (lo, hi, tag, anc, mask): lo <= 2^P r_i <= hi, P = WALK_BITS,
+    the tag it is filed under (`add`), and the digits taken since its exact
+    anchor anc, the bits of mask below its leading one.  A vector
+    (num, den), r = num(q) / den, is made only when a decision needs it;
+    kept in vec, it makes its state an anchor, with mask 1.  qenc is the
+    enclosure of q every step multiplies by (`NumberField._enclose_q`)."""
+
+    __slots__ = ("fld", "qenc", "cell", "states", "vec", "index", "wide")
+
+    def __init__(self, fld: NumberField):
+        self.fld, self.qenc = fld, fld._enclose_q()
+        P = self.qenc[0]
+        self.cell = P - P // 3 + 1
+        self.states, self.vec, self.index, self.wide = [], {}, {}, ()
+
+    def _replay(self, anchor: int, mask: int) -> tuple:
+        """The vector of q^k r - sum_s d_s q^(k-s), r the anchor's value and
+        d_1 .. d_k the bits of mask below its leading one: in one pass over
+        the field's powers (`NumberField._powers`), over L^k for L = lead(m)
+        and then in lowest terms when m is not monic, as each step is."""
+        num, den = self.vec[anchor]
+        k = mask.bit_length() - 1
+        if not k:
+            return num, den
+        deg, L = self.fld.deg, self.fld.minpoly[-1]
+        V = self.fld._powers(k + deg - 1)
+        ones = [p for p, b in zip(range(k - 1, -1, -1), bin(mask)[3:]) if b == "1"]
+        if L == 1:
+            ones = [V[p] for p in ones]
+        else:
+            num = [a * L ** min(k, deg - 1 - j) for j, a in enumerate(num)]
+            ones = [[v * L ** min(k, k + deg - 1 - p) for v in V[p]] for p in ones]
+        t = [sum(map(mul, num, col)) for col in zip(*V[k:k + deg])]
+        if ones:
+            t = [a - den * sum(col) for a, col in zip(t, zip(*ones))]
+        if L != 1:
+            den *= L ** k
+            g = gcd(den, *t)
+            t, den = [a // g for a in t], den // g
+        return tuple(t), den
+
+    def exact(self, i: int) -> tuple:
+        """The vector of state i, kept."""
+        lo, hi, tag, a, mask = self.states[i]
+        if mask == 1:
+            return self.vec[a]
+        v = self.vec[i] = self._replay(a, mask)
+        self.states[i] = lo, hi, tag, i, 1
+        return v
+
+    def child(self, i: int, d: int) -> tuple:
+        """The vector of q r_i - d."""
+        _, _, _, a, mask = self.states[i]
+        return self._replay(a, mask << 1 | d)
+
+    def add(self, lo: int, hi: int, i: int, d: int, v, tag) -> int:
+        """The state q r_i - d, with enclosure (lo, hi) and vector v (None
+        unless the step made it): an earlier state with its value and tag,
+        or else a new one, filed unless tag is None.
+
+        A state is filed in the bucket of each end of its enclosure, 2^cell
+        units wide, more than any enclosure a step keeps: so it straddles
+        at most two buckets, and two states of one value share the bucket
+        of that value.  Only an anchor whose refinement budget ran out can
+        be wider; every lookup meets it, and it meets every state.  States
+        met whose enclosures overlap are settled by exact equality, vectors
+        being canonical within a walk."""
+        states = self.states
+        j = len(states)
+        if tag is not None:
+            index, cell = self.index, self.cell
+            b, c = lo >> cell, hi >> cell
+            # j is filed at once, unless a bucket holds a state already or
+            # anything is wider than a bucket
+            if (index.setdefault(b, j) != j or self.wide
+                    or c != b and (c - b > 1 or index.setdefault(c, j) != j)):
+                keys = (b,) if c == b else (b, c)
+                held = []  # the ids in each bucket, one or a tuple of them
+                for key in keys:
+                    x = index.get(key, ())
+                    if x == j:
+                        del index[key]
+                        x = ()
+                    held.append((x,) if type(x) is int else x)
+                wide = c - b > 1
+                for k in range(j) if wide else [k for x in held for k in x] + list(self.wide):
+                    klo, khi, ktag, _, _ = states[k]
+                    if ktag == tag and klo <= hi and lo <= khi:
+                        v = v or self.child(i, d)
+                        if self.exact(k) == v:
+                            return k
+                if wide:
+                    self.wide += (j,)
+                else:
+                    for key, x in zip(keys, held):
+                        index[key] = x + (j,) if x else j
+        if v is None:
+            _, _, _, a, mask = states[i]
+            states.append((lo, hi, tag, a, mask << 1 | d))
+        else:
+            self.vec[j] = v
+            states.append((lo, hi, tag, j, 1))
+        return j
+
+
+def _plus_one(v: tuple) -> tuple:
+    """The vector of r + 1, for the vector v of r."""
+    (a, *rest), den = v
+    return (a + den, *rest), den
+
+
+def _orbit(w: _Walk, start: tuple, tags):
+    """The orbit of start, a vector (num, den), under r -> q r - d, d the
+    quasi-greedy digit, as states of w, each filed under the next tag from
+    the iterator tags: yields (i, d, s) for each state i from the start on,
+    d and s the digit and the sign of q r - 1 at the state before (None at
+    the start), with d = 1 exactly when s > 0.  A state met before comes
+    back as its i.  Each is yielded before it is stepped, so a walk that
+    stops at a state pays no step for it.
+
+    A step multiplies the enclosure by w's enclosure of q, rounded outward,
+    less 2^P, so it widens by about q; once 2^-(P // 3) wide it is
+    re-anchored on the exact q r - 1 (`NumberField.enclose`).  The sign is
+    the enclosure's where that excludes zero, else the exact sign."""
+    fld = w.fld
+    P, qlo, qhi, one, wide = w.qenc
+    lo, hi = fld.enclose(*start)
+    i = w.add(lo, hi, 0, 0, start, next(tags))
     d = s = None
     while True:
-        yield (num, den), e, d, s
-        num, den, (lo, hi), s = fld.step(num, den, e, qenc)
+        yield i, d, s
+        # qlo > 0: the product's ends pair each end of r with the end of q
+        # that makes it extreme
+        lo = (lo * (qlo if lo >= 0 else qhi) >> P) - one
+        hi = -(-hi * (qhi if hi >= 0 else qlo) >> P) - one
+        t = None  # the exact q r - 1, once a decision needs it
+        if hi - lo >= wide:
+            t = w.child(i, 1)
+            lo, hi = fld.enclose(*t)
+        if lo > 0:
+            s = 1
+        elif hi < 0:
+            s = -1
+        else:
+            t = t or w.child(i, 1)
+            s = fld.sign(t[0])
         d = 1 if s > 0 else 0
         if not d:
             # the next remainder is q r = (q r - 1) + 1
-            num, lo, hi = (num[0] + den, *num[1:]), lo + one, hi + one
-        e = (lo, hi)
+            lo, hi, t = lo + one, hi + one, t and _plus_one(t)
+        i = w.add(lo, hi, i, d, t, next(tags))
+
+
+def _walk_of_one(q: AlgBase, tags):
+    """The orbit of 1 (`_orbit`) on a walk of its own."""
+    fld = q.field()
+    return _orbit(_Walk(fld), ((1,) + (0,) * (fld.deg - 1), 1), tags)
 
 
 def alpha_digits(q: AlgBase, n: int) -> str:
@@ -891,7 +995,7 @@ def alpha_digits(q: AlgBase, n: int) -> str:
         raise DomainError("need n >= 1")
     if q.alpha_hint is not None:
         return q.alpha_hint.prefix(n)
-    return "".join("01"[a] for _, _, a, _ in islice(_orbit(q), 1, n + 1))
+    return "".join("01"[a] for _, a, _ in islice(_walk_of_one(q, repeat(None)), 1, n + 1))
 
 
 def beta_digits(q: AlgBase, n: int):
@@ -900,7 +1004,7 @@ def beta_digits(q: AlgBase, n: int):
     if n < 1:
         raise DomainError("need n >= 1")
     out = []
-    for _, _, a, s in islice(_orbit(q), 1, n + 1):
+    for _, a, s in islice(_walk_of_one(q, repeat(None)), 1, n + 1):
         if s == 0:
             return "".join(out) + "1", True
         out.append("01"[a])
@@ -913,12 +1017,10 @@ def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
     orbit."""
     if q.alpha_hint is not None:
         return q.alpha_hint
-    seen = {}
     digits = []
-    for step, (r, _, a, _) in enumerate(islice(_orbit(q), max_steps)):
+    for step, (k, a, _) in enumerate(islice(_walk_of_one(q, repeat(0)), max_steps)):
         if step:
             digits.append("01"[a])
-        k = seen.setdefault(r, step)
         if k != step:
             seq = EPSeq("".join(digits[:k]), "".join(digits[k:]))
             q.alpha_hint = seq
@@ -978,13 +1080,12 @@ def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:
     if q.alpha_hint is not None:
         return lex_cmp(t, q.alpha_hint)
     k, p = len(t.pre), len(t.per)
-    seen = set()
-    for i, (r, _, a, _) in enumerate(islice(_orbit(q), max_steps)):
+    # a state is filed under its position class, i for i < k and then
+    # k + (i - k) mod p
+    classes = chain(range(k), cycle(range(k, k + p)))
+    for i, (j, a, _) in enumerate(islice(_walk_of_one(q, classes), max_steps)):
         if i and t.digit(i - 1) != a:
             return -1 if t.digit(i - 1) < a else 1
-        cls = i if i < k else k + (i - k) % p
-        state = (cls, r)
-        if state in seen:
+        if j != i:
             return 0
-        seen.add(state)
     raise UnsupportedBaseError(f"comparison unresolved within {max_steps} remainders")

@@ -150,8 +150,7 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
     lim = fld.series_den_inv(0, 1)
     if val.sign() < 0 or (lim - val).sign() < 0:
         return CountResult(0)
-    start = (val.num, val.den)
-    children = _remainder_graph(val, lim, max_states)
+    children, _ = _remainder_graph(val, lim, max_states)
     cyclic = {s for comp in _sccs(children)
               if len(comp) > 1 or comp[0] in children[comp[0]]
               for s in comp}
@@ -160,8 +159,8 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
     # remaining graph: cycles are exit-free, everything else is acyclic
     counts = {s: 1 for s in cyclic}
     seen = set(cyclic)
-    stack = [(start, False)]
-    while stack:  # post-order over the acyclic part
+    stack = [(0, False)]
+    while stack:  # post-order over the acyclic part, from the start state 0
         s, expanded = stack.pop()
         if s in seen:
             continue
@@ -171,53 +170,63 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
         else:
             stack.append((s, True))
             stack.extend((c, False) for c in children[s] if c not in seen)
-    return CountResult(counts[start])
+    return CountResult(counts[0])
 
 
-def _remainder_graph(val, lim, max_states: int) -> dict:
-    """The remainders reachable from val in [0, lim], lim = 1 / (q - 1),
-    each mapped to its children: q r - d for the digits d = 0 then 1, where
-    that lies in [0, lim].  UnsupportedBaseError past max_states.
+def _remainder_graph(val, lim, max_states: int) -> tuple:
+    """(children, w): the remainders reachable from val in [0, lim],
+    lim = 1 / (q - 1), as the states of one walk w (`bases._Walk`, val
+    its state 0), each stepped one mapped to its children: q r - d for the
+    digits d = 0 then 1, where that lies in [0, lim].  UnsupportedBaseError
+    past max_states.
 
-    val and lim are FieldElems.  The remainders are the walks' integer
-    vectors, keyed by (num, den) with r = num(q) / den, canonical within
-    the graph, and each queued one carries an enclosure of 2^WALK_BITS
-    times its value.  Each is stepped by the walks' kernel
-    (`NumberField.step`), with one enclosure of q built when the graph
-    starts (`NumberField._enclose_q`).  Whether q r <= lim is read off the
-    enclosures of q r and of lim; only where they overlap is lim - q r
-    signed exactly, as the integer vector Ln D - t Ld for lim = Ln(q) / Ld
-    and q r = t(q) / D."""
+    val and lim are FieldElems.  A child equal to a state met before is
+    that state (`_Walk.add`).  Each step is `bases._orbit`'s.  Whether
+    q r <= lim is read off the enclosures of q r and of lim; only where
+    they overlap is lim - q r signed exactly, as the integer vector
+    Ln D - t Ld for lim = Ln(q) / Ld and q r = t(q) / D."""
     fld = val.field
-    qenc = fld._enclose_q()
-    one = 1 << bases.WALK_BITS
+    w = bases._Walk(fld)
+    P, qlo, qhi, one, wide = w.qenc
     lnum, lden = lim.num, lim.den
     lim_lo, lim_hi = fld.enclose(lnum, lden)
-    children = {}
-    r = (val.num, val.den)
-    queue = [(r, fld.enclose(*r))]
-    while queue:
-        r, e = queue.pop()
-        if r in children:
-            continue
-        num, den = r
-        t1, den, (lo, hi), s = fld.step(num, den, e, qenc)
-        # q r, the digit-0 child
-        t = (t1[0] + den, *t1[1:])
+    w.add(*fld.enclose(val.num, val.den), 0, 0, (val.num, val.den), 0)
+    states, add, children, stack = w.states, w.add, {}, [0]
+    while stack:
+        i = stack.pop()
+        lo, hi, _, _, _ = states[i]
+        lo = (lo * (qlo if lo >= 0 else qhi) >> P) - one
+        hi = -(-hi * (qhi if hi >= 0 else qlo) >> P) - one
+        # the exact q r - 1, once a decision needs it
+        t = None
+        if hi - lo >= wide:
+            t = w.child(i, 1)
+            lo, hi = fld.enclose(*t)
+        ok0 = hi + one <= lim_lo
+        if not ok0 and lo + one <= lim_hi:
+            t = t or w.child(i, 1)
+            num, den = bases._plus_one(t)
+            ok0 = fld.sign([a * den - b * lden for a, b in zip(lnum, num)]) >= 0
+        ok1 = lo >= 0
+        if not ok1 and hi >= 0:
+            t = t or w.child(i, 1)
+            ok1 = fld.sign(t[0]) >= 0
+        n = len(states)
         kids = ()
-        if hi + one <= lim_lo or (lo + one <= lim_hi and fld.sign(
-                [a * den - b * lden for a, b in zip(lnum, t)]) >= 0):
-            c = (t, den)
-            kids = (c,)
-            queue.append((c, (lo + one, hi + one)))
-        if s >= 0:
-            c = (t1, den)
-            kids += (c,)
-            queue.append((c, (lo, hi)))
-        children[r] = kids
+        if ok0:
+            k = add(lo + one, hi + one, i, 0, t and bases._plus_one(t), 0)
+            kids = (k,)
+            if k == n:
+                stack.append(k)
+        if ok1:
+            k = add(lo, hi, i, 1, t, 0)
+            kids += (k,)
+            if k >= n:
+                stack.append(k)
+        children[i] = kids
         if len(children) > max_states:
             raise UnsupportedBaseError("remainder graph exceeded the state budget")
-    return children
+    return children, w
 
 
 def _sccs(graph) -> list:

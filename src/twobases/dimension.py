@@ -462,10 +462,18 @@ def _pool_entropy(i: int, nmax: int) -> tuple:
     return ent.lower, ent.upper
 
 
+# A rational just below q_6, so below the Komornik-Loreti constant q_KL:
+# dim_H U_q = 0 for every q <= q_KL (Glendinning-Sidorov 2001).
+BELOW_KL = Fraction(1787231650182965, 10**15)
+
+
 def dim_U(q: AlgBase) -> tuple:
     """Certified rational enclosure of the Hausdorff dimension of the set of
-    points with a unique expansion in base q; the pool sandwich when q's
+    points with a unique expansion in base q: zero below BELOW_KL, else
+    from the entropy of q's language, or the pool sandwich when q's
     quasi-greedy expansion of 1 is not found eventually periodic."""
+    if q.cmp_rational(BELOW_KL) < 0:
+        return Fraction(0), Fraction(0)
     try:
         ent = entropy(q)
     except UnsupportedBaseError:

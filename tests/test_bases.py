@@ -539,15 +539,22 @@ def test_field_elem_matches_fraction_oracle(q, ca, cb, r):
         assert _normal(e)
         assert e.coeffs == want
         assert e.sign() == ref.sign(want)
-    # the walks' step on a's integer vector: q a - 1 over a's den when m is
-    # monic, in lowest terms otherwise, with its sign and enclosure
-    num, den, (lo, hi), sgn = fld.step(a.num, a.den, fld.enclose(a.num, a.den),
-                                       fld._enclose_q())
+    # one step of a walk from a: q a - 1 replayed on a's integer vector,
+    # over a's den when m is monic and in lowest terms otherwise, signed,
+    # and the next state q a - d with its enclosure and replayed vector
+    w = bases._Walk(fld)
+    _, (_, d, sgn) = itertools.islice(bases._orbit(w, (a.num, a.den), itertools.repeat(None)), 2)
     want = ref.add(ref.mul(ref.elem((0, 1)), ra), ref.elem((-1,)))
+    num, den = w.child(0, 1)
     assert tuple(Fraction(x, den) for x in num) == want
     assert den == a.den if fld.minpoly[-1] == 1 else gcd(den, *num) == 1
-    assert sgn == ref.sign(want)
+    assert sgn == ref.sign(want) and d == (sgn > 0)
+    want = ref.add(want, ref.elem((1 - d,)))
+    num, den = w.exact(1)
+    assert tuple(Fraction(x, den) for x in num) == want
+    assert den == a.den if fld.minpoly[-1] == 1 else gcd(den, *num) == 1
     scaled = tuple(x * 2**bases.WALK_BITS for x in want)
+    lo, hi, *_ = w.states[1]
     assert ref.sign(ref.add(scaled, ref.elem((-lo,)))) >= 0
     assert ref.sign(ref.add(ref.elem((hi,)), tuple(-x for x in scaled))) >= 0
     # equal values reached by different paths are equal, with equal hashes
@@ -1266,16 +1273,24 @@ def exact_cmp_seq_alpha(t, q, max_steps=100000):
 
 
 def walk_enclosures_hold(q, n):
-    """Walk n steps with the carried enclosures and check, by exact signs,
-    that lo <= 2^WALK_BITS r <= hi for every remainder r = (num, den) met,
-    and that r is the exact step's remainder."""
-    want = q.field().one()
+    """Walk the orbit of 1 over n remainders, then materialise each one,
+    from the last back to the first, so that each is replayed from the
+    anchor the walk left above it: its vector must be the exact step's
+    remainder r, and lo <= 2^WALK_BITS r <= hi must hold, by exact
+    signs."""
+    fld = q.field()
+    w = bases._Walk(fld)
+    walk = bases._orbit(w, ((1,) + (0,) * (fld.deg - 1), 1), itertools.repeat(None))
+    assert [i for i, _, _ in itertools.islice(walk, n)] == list(range(n))
+    want = [fld.one()]
+    while len(want) < n:
+        want.append(exact_step(want[-1])[2])
     scale = 1 << bases.WALK_BITS
-    for r, (lo, hi), _, _ in itertools.islice(bases._orbit(q), n):
-        assert r == (want.num, want.den)
-        x = want * scale
+    for i in reversed(range(n)):
+        assert w.exact(i) == (want[i].num, want[i].den)
+        x = want[i] * scale
+        lo, hi, *_ = w.states[i]
         assert (x - lo).sign() >= 0 and (hi - x).sign() >= 0
-        want = exact_step(want)[2]
 
 
 @st.composite
@@ -1350,20 +1365,42 @@ def test_walk_budgets_end_where_the_cycle_closes(word):
     assert cmp_seq_alpha(s, _walk_base(s), L + 1) == 0
 
 
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(parry_word(), st.sampled_from(WALK_BITS_TRIED))
+@example(parse_epseq("1(1010010)"), 8)
+@example(parse_epseq("(1100010)"), 24)
+def test_walks_close_their_cycle_where_it_closes(s, bits):
+    """At every walk width, the orbit of 1 for s = pre (per) meets its
+    remainder of step |pre| again first at step L = |pre| + |per|, and
+    the walk's lookup by value finds it there and nowhere earlier: a
+    budget of L remainders refuses and L + 1 gives s, in `alpha_epseq` and
+    in `cmp_seq_alpha` of s against its own base."""
+    L = len(s.pre) + len(s.per)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bases, "WALK_BITS", bits)
+        with pytest.raises(UnsupportedBaseError):
+            alpha_epseq(_walk_base(s), L)
+        assert alpha_epseq(_walk_base(s), L + 1) == s
+        with pytest.raises(UnsupportedBaseError):
+            cmp_seq_alpha(s, _walk_base(s), L)
+        assert cmp_seq_alpha(s, _walk_base(s), L + 1) == 0
+
+
 @pytest.mark.parametrize("word, steps", [("(1100010)", 7), ("11(10)", 4), ("1(1010010)", 8)])
 def test_walks_step_each_remainder_only_when_asked(monkeypatch, word, steps):
     """A walk yields each remainder before it steps it: the cycle that
-    closes at L = |pre| + |per| costs L steps (`NumberField.step`) in
-    `alpha_epseq` and in `cmp_seq_alpha`, and n digits cost n steps."""
-    counts = {"step": 0}
-    _count_calls(monkeypatch, bases.NumberField, "step", counts)
+    closes at L = |pre| + |per| costs L steps in `alpha_epseq` and in
+    `cmp_seq_alpha`, and n digits cost n steps.  Each step hands one state
+    to `_Walk.add`, and so does the start."""
+    counts = {"add": 0}
+    _count_calls(monkeypatch, bases._Walk, "add", counts)
     s = parse_epseq(word)
-    assert alpha_epseq(_walk_base(s)) == s and counts["step"] == steps
-    counts["step"] = 0
-    assert cmp_seq_alpha(s, _walk_base(s)) == 0 and counts["step"] == steps
+    assert alpha_epseq(_walk_base(s)) == s and counts["add"] == 1 + steps
+    counts["add"] = 0
+    assert cmp_seq_alpha(s, _walk_base(s)) == 0 and counts["add"] == 1 + steps
     for n in (1, 5, 40):
-        counts["step"] = 0
-        assert alpha_digits(_walk_base(s), n) == s.prefix(n) and counts["step"] == n
+        counts["add"] = 0
+        assert alpha_digits(_walk_base(s), n) == s.prefix(n) and counts["add"] == 1 + n
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -1425,6 +1462,55 @@ def test_walks_build_no_field_element_per_step(monkeypatch):
         assert counts["_enclose_q"] == 1
 
 
+def _exact_work(job):
+    """(states, shifts, digits, _enclose_q calls) of the one walk that job
+    makes, refused or not: the states it met, the companion shifts its
+    field's table of powers took (`NumberField._powers`), the digits its
+    exact vectors were replayed over (`_Walk._replay`), and the enclosures
+    of q it built."""
+    seen, counts = [], {"digits": 0, "_enclose_q": 0}
+    init, replay = bases._Walk.__init__, bases._Walk._replay
+
+    def walk(w, fld):
+        init(w, fld)
+        seen.append(w)
+
+    def replayed(w, anchor, mask):
+        counts["digits"] += mask.bit_length() - 1
+        return replay(w, anchor, mask)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bases._Walk, "__init__", walk)
+        mp.setattr(bases._Walk, "_replay", replayed)
+        _count_calls(mp, bases.NumberField, "_enclose_q", counts)
+        try:
+            job()
+        except UnsupportedBaseError:
+            pass
+    (w,) = seen
+    return len(w.states), len(w.fld._xpow) - 1, counts["digits"], counts["_enclose_q"]
+
+
+def test_walks_count_their_exact_work():
+    """Exact vectors are made only to re-anchor, to sign near zero, to
+    settle a shared bucket or to sign lim - q r: the 4,096-remainder q_s
+    refusal and the two count refusals replay at most one digit, and make
+    at most one companion shift, per remainder, and build one enclosure of
+    q; a Parry walk that closes its cycle, and a finite remainder graph
+    with merges, at most two per state met."""
+    refusals = [lambda: alpha_epseq(_fresh(Q_S)),
+                lambda: count_expansions("1(100)", base_from_alpha(parse_epseq("(1100010)"))),
+                lambda: count_expansions("110(100)", base_from_alpha(parse_epseq("(100000)")))]
+    for job in refusals:
+        states, shifts, digits, qencs = _exact_work(job)
+        assert states >= 4096 and shifts <= states and digits <= states and qencs == 1
+    closing = [lambda: alpha_epseq(_walk_base(parse_epseq("(1100010)"))),
+               lambda: alpha_epseq(_walk_base(parse_epseq("1(1010010)"))),
+               lambda: count_expansions("100(10)", _fresh(Q_S), 3)]
+    for job in closing:
+        states, shifts, digits, qencs = _exact_work(job)
+        assert shifts <= 2 * states and digits <= 2 * states and qencs == 1
+
+
 def test_walks_under_a_small_sign_budget(monkeypatch):
     """Under SIGN_REFINE_BUDGET = 15 the exact step gives every digit, and
     so do the walks, whose q enclosure and anchors keep to that budget.
@@ -1443,7 +1529,8 @@ def test_walks_under_a_small_sign_budget(monkeypatch):
         for q, want in zip(fresh(), full):
             got = ""
             try:
-                for _, _, a, _ in itertools.islice(bases._orbit(q), 1, 1501):
+                walk = bases._walk_of_one(q, itertools.repeat(None))
+                for _, a, _ in itertools.islice(walk, 1, 1501):
                     got += "01"[a]
             except UnsupportedBaseError:
                 pass

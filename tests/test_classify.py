@@ -280,21 +280,25 @@ def _or_refusal(fn, *args):
 
 
 def vector_graph(fld, graph):
-    """A remainder graph keyed by integer vectors (num, den), with each
-    node mapped to the FieldElem num(q) / den.  Distinct keys must stay
-    distinct: the walks' keys are canonical within one graph."""
+    """A remainder graph of `classify._remainder_graph`, (children, w),
+    with each state id mapped to the FieldElem num(q) / den of its vector,
+    materialised by the walk w from the last state back to the first.
+    Distinct ids must stay distinct values: the walk keeps one state per
+    value."""
     if graph == "refused":
         return graph
-    elem = {r: bases.FieldElem(fld, *r) for r in graph}
+    children, w = graph
+    elem = {i: bases.FieldElem(fld, *w.exact(i)) for i in sorted(children, reverse=True)}
     assert len(set(elem.values())) == len(elem)
-    return {elem[r]: tuple(elem[c] for c in cs) for r, cs in graph.items()}
+    return {elem[i]: tuple(elem[c] for c in cs) for i, cs in children.items()}
 
 
-def exact_vector_graph(val, lim, max_states):
-    """The exact oracle's graph keyed as the walks key theirs, by
-    (num, den)."""
-    return {(r.num, r.den): tuple((c.num, c.den) for c in cs)
-            for r, cs in exact_remainder_graph(val, lim, max_states).items()}
+def exact_id_graph(val, lim, max_states):
+    """The exact oracle's graph in the form `_remainder_graph` returns,
+    with its states numbered from val = 0 on and no walk."""
+    graph = exact_remainder_graph(val, lim, max_states)
+    ids = {r: i for i, r in enumerate([val] + [r for r in graph if r != val])}
+    return {ids[r]: tuple(ids[c] for c in cs) for r, cs in graph.items()}, None
 
 
 @st.composite
@@ -323,7 +327,7 @@ def test_remainder_graph_matches_the_exact_step(case, bits):
         mp.setattr(bases, "WALK_BITS", bits)
         assert vector_graph(fld, _or_refusal(classify._remainder_graph, val, lim, 300)) == want
         got = _or_refusal(count_expansions, x, q, 3, 300)
-        mp.setattr(classify, "_remainder_graph", exact_vector_graph)
+        mp.setattr(classify, "_remainder_graph", exact_id_graph)
         assert _or_refusal(count_expansions, x, q, 3, 300) == got
 
 

@@ -25,7 +25,7 @@ import pytest
 import twobases
 from twobases.bases import AlgBase
 from twobases.cli import run
-from twobases.dimension import dim_U
+from twobases.dimension import _sandwich
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 SRC = Path(twobases.__file__).resolve().parents[1]
@@ -114,15 +114,15 @@ def test_cli_stdout_matches_golden_under_python_O(args):
 
 def test_dim_bound_golden_does_not_depend_on_history(capsys):
     """In one process, the golden dim-bound command prints its golden bytes
-    again after `dim_U` has sandwiched q_s between bases of the shared
-    pool."""
+    again after the pool sandwich has placed q_s between bases of the
+    shared pool."""
     args = next(a for a in CASES if a[0] == "dim-bound")
     expected = {tuple(e["argv"]): e for e in json.loads(GOLDEN.read_text())}[tuple(args)]
     q_s = AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
     for _ in range(2):
         rc = run(["--format", "json", *args])
         assert (rc, capsys.readouterr().out) == (expected["rc"], expected["stdout"])
-        assert dim_U(q_s) == (0, 0)
+        assert _sandwich(q_s, Fraction(0), 24) == (0, 0)
 
 
 def test_golden_cases_replayed_in_one_process(capsys):

@@ -1,6 +1,7 @@
 """Alive-word automaton, topological entropy enclosures, Hausdorff dimension
 of the unique-expansion set, and the local two-expansion bound."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -19,8 +20,9 @@ from twobases.dimension import (
     b2_local_bound, brute_count_words, build_automaton, dim_U, entropy,
     overapprox_pool, path_counts, uq_automaton,
 )
+from twobases.enum_b2 import qn_ladder
 from twobases.errors import DomainError, UnsupportedBaseError
-from twobases.words import EPSeq, parse_epseq, thue_morse
+from twobases.words import GEN0, EPSeq, parse_epseq, thue_morse
 
 PHI = AlgBase.from_poly((-1, -1, 1), Fraction(3, 2), Fraction(17, 10))
 Q_F = AlgBase.from_poly((-1, 1, -2, 1), Fraction(17, 10), Fraction(9, 5))
@@ -113,11 +115,59 @@ def test_dimension_sandwich_for_unsupported_alpha():
     # the smallest two-expansion base has an aperiodic expansion of 1; both
     # ladder neighbours carry zero entropy, so the enclosure collapses
     q_s = AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
+    assert dimension._sandwich(q_s, Fraction(0), 24) == (0, 0)
     assert dim_U(q_s) == (0, 0)
     lo, hi = dim_U(AlgBase.from_rational(Fraction(19, 10)))
     assert Fraction(74, 100) < lo <= hi <= 1
     assert (lo, hi) == (Fraction(213213409923992748576942194477147922,
                                  284390051567897278593581650622431843), 1)
+
+
+def _dim_by_entropy(q):
+    """Oracle: `dim_U` without its shortcut below q_KL, from the entropy
+    of q's language or else the pool sandwich."""
+    try:
+        ent = entropy(q)
+    except UnsupportedBaseError:
+        lower, upper = dimension._sandwich(q, Fraction(0), 24)
+        return lower, min(upper, Fraction(1))
+    return dimension._dim_of(q, ent)
+
+
+def test_below_kl_lies_between_q5_and_q6():
+    """The shortcut's constant sits strictly between the ladder bases q_5
+    and q_6, both below q_KL."""
+    ladder = [e.base for e in qn_ladder(GEN0, 6)]
+    assert ladder[4].cmp_rational(dimension.BELOW_KL) < 0 < ladder[5].cmp_rational(
+        dimension.BELOW_KL)
+
+
+def test_dim_U_below_kl_matches_the_entropy_route(monkeypatch):
+    """Below BELOW_KL `dim_U` answers (0, 0) with no walk and no pool,
+    as the entropy route does: on q_s, q_f, the ladder bases q_1 to q_5,
+    the rational 3/2 and every purely periodic Parry word of length at
+    most 9 whose base lies below the constant."""
+    q_s = AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
+    below = [q_s, Q_F, AlgBase.from_rational(Fraction(3, 2))]
+    below += [e.base for e in qn_ladder(GEN0, 5)]
+    for n in range(1, 10):
+        for w in itertools.product("01", repeat=n - 1):
+            s = EPSeq("", "1" + "".join(w))
+            if s.per == "1" + "".join(w) and parry_check(s):
+                q = base_from_alpha(s)
+                if q.cmp_rational(dimension.BELOW_KL) < 0:
+                    below.append(q)
+    assert len(below) > 50
+    want = [_dim_by_entropy(q) for q in below]
+    assert all(d == (0, 0) for d in want)
+    calls = []
+    monkeypatch.setattr(dimension, "entropy", lambda *a: calls.append(a))
+    monkeypatch.setattr(dimension, "_sandwich", lambda *a: calls.append(a))
+    assert [dim_U(q) for q in below] == want and not calls
+    # at and above the constant the entropy route answers as before
+    for q in (qn_ladder(GEN0, 6)[5].base, PHI3, TWO):
+        monkeypatch.undo()
+        assert dim_U(q) == _dim_by_entropy(q)
 
 
 def test_pool_is_one_tuple_built_on_first_use():

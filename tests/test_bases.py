@@ -1386,6 +1386,31 @@ def test_walks_close_their_cycle_where_it_closes(s, bits):
         assert cmp_seq_alpha(s, _walk_base(s), L + 1) == 0
 
 
+@pytest.mark.parametrize("word", ["(1100010)", "(100000)", "11(10)", "(1110)", "1(1010010)",
+                                  "(110)", "(11010)", "1(100)"])
+def test_anchors_wider_than_a_bucket_still_close_the_cycle(monkeypatch, word):
+    """Under SIGN_REFINE_BUDGET = 4 every anchor of these walks stays wider
+    than a bucket, so each state is met by every lookup: the cycle still
+    closes at L = |pre| + |per| and nowhere earlier."""
+    monkeypatch.setattr(bases, "SIGN_REFINE_BUDGET", 4)
+    s = parse_epseq(word)
+    L = len(s.pre) + len(s.per)
+    walks = []
+    init = bases._Walk.__init__
+
+    def kept(w, fld):
+        init(w, fld)
+        walks.append(w)
+    monkeypatch.setattr(bases._Walk, "__init__", kept)
+    with pytest.raises(UnsupportedBaseError):
+        alpha_epseq(_walk_base(s), L)
+    assert alpha_epseq(_walk_base(s), L + 1) == s
+    assert walks[-1].wide == tuple(range(1, L))
+    with pytest.raises(UnsupportedBaseError):
+        cmp_seq_alpha(s, _walk_base(s), L)
+    assert cmp_seq_alpha(s, _walk_base(s), L + 1) == 0
+
+
 @pytest.mark.parametrize("word, steps", [("(1100010)", 7), ("11(10)", 4), ("1(1010010)", 8)])
 def test_walks_step_each_remainder_only_when_asked(monkeypatch, word, steps):
     """A walk yields each remainder before it steps it: the cycle that

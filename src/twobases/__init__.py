@@ -52,7 +52,6 @@ from .b2core import (
     certify_b2,
     witness_for_V_base,
     prop62_pair,
-    udiff_generate,
 )
 from .classify import (
     BaseTag,
@@ -104,7 +103,6 @@ __all__ = [
     "f_eval", "f_minpoly", "f_sign", "sign_at",
     "MonotoneCase", "monotone_case", "q_f_base", "solve_qcd",
     "B2Witness", "certify_b2", "witness_for_V_base", "prop62_pair",
-    "udiff_generate",
     "BaseTag", "BaseClass", "classify_base",
     "is_univoque_seq", "in_Vq_seq", "in_A_prime",
     "CountResult", "count_expansions",

@@ -8,8 +8,8 @@ defect function
 vanishes for a pair of tail sequences c, d drawn from the zero-leading
 unique-expansion sequences of q.  This module evaluates f exactly, clears
 its denominators into an integer polynomial with the same roots inside
-(1, 2], isolates and certifies those roots, and assembles the structured
-candidate sequences used by the enumeration layer.
+(1, 2], isolates and certifies those roots, and spells the block words
+from which the enumeration layer assembles its candidate sequences.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ __all__ = [
     "certify_b2",
     "witness_for_V_base",
     "prop62_pair",
-    "udiff_generate",
     "q_f_base",
 ]
 
@@ -275,7 +274,7 @@ def prop62_pair(comp: ComponentSpec, n: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# structured sequence assembly
+# block words
 
 
 def _block(comp: ComponentSpec, k: int) -> str:
@@ -285,46 +284,3 @@ def _block(comp: ComponentSpec, k: int) -> str:
 
 def _bridge(comp: ComponentSpec, k_from: int, k_to: int) -> str:
     return comp.omega(k_from) + reflect(comp.omega(k_to))
-
-
-def _check_profile(k: tuple, s: tuple, j: tuple) -> None:
-    """Raise DomainError unless (k, s, j) is a well-formed block profile."""
-    if len(j) != len(k) + 1 or len(s) != max(len(k) - 1, 0):
-        raise DomainError("profile shapes must satisfy |j| = |k|+1, |s| = |k|-1")
-    if not j or j[-1] is not math.inf:
-        raise DomainError("final repetition count must be math.inf")
-    if any(not isinstance(x, int) or x < 0 for x in j[:-1]):
-        raise DomainError("interior repetition counts must be integers >= 0")
-    if any(k[i] >= k[i + 1] for i in range(len(k) - 1)) or (k and k[0] < 0):
-        raise DomainError("block levels must be strictly increasing and >= 0")
-    if any(x not in (0, 1) for x in s):
-        raise DomainError("bridge indicators must be 0 or 1")
-
-
-def udiff_generate(comp: ComponentSpec, initial: str, k, s, j) -> EPSeq:
-    """Assemble the sequence with block profile (k, s, j) after the word
-    `initial`:
-
-        initial g^j0 [B(k1)]^j1 (bridge?) ... [B(k_m)]^inf
-
-    where g is the component generator, B(k) = omega_k reflect(omega_k), and
-    for s_i = 1 the bridge omega_{k_i} reflect(omega_{k_{i+1}}) is inserted
-    between the k_i and k_{i+1} runs.  The final count must be math.inf.
-    """
-    k, s, j = tuple(k), tuple(s), tuple(j)
-    if set(initial) - {"0", "1"}:
-        raise DomainError("initial word must be binary")
-    _check_profile(k, s, j)
-    return _assemble(comp, initial, k, s, j)
-
-
-def _assemble(comp: ComponentSpec, initial: str, k, s, j) -> EPSeq:
-    """udiff_generate without validation, for profiles already checked."""
-    if not k:
-        return EPSeq(initial, "0")
-    pre = initial + comp.generator * j[0]
-    for i in range(len(k) - 1):
-        pre += _block(comp, k[i]) * j[i + 1]
-        if s[i]:
-            pre += _bridge(comp, k[i], k[i + 1])
-    return EPSeq(pre, _block(comp, k[-1]))

@@ -1,11 +1,13 @@
 """Enumerating two-expansion bases interval by interval.
 
-The accumulation ladder q_1 < q_2 < ... splits the component below the
-Thue-Morse limit base into half-open intervals (q_n, q_{n+1}].  Inside each
-interval the zero-leading unique-expansion sequences are exactly the block
-profiles handled by `udiff_generate`, so pairing profiles and isolating the
-defect roots enumerates every two-expansion base of the interval, complete
-up to the repetition bound Jmax.
+The accumulation ladder q_1 < q_2 < ... splits the component generated by
+0, from the golden ratio up to the Komornik-Loreti constant, into half-open
+intervals (q_n, q_{n+1}].  Inside each interval the zero-leading
+unique-expansion sequences are exactly the block profiles that
+`repr_to_seq` assembles, so pairing profiles and isolating the defect roots
+enumerates every two-expansion base of the interval, complete up to the
+repetition bound Jmax.  The ladder itself, and the deep pair of
+`prop62_witness`, take any generator.
 
 Derived orders follow the counting rule: a representation pair whose top
 block levels are k and k' certifies order 2n - (k+1) - (k'+1) relative to
@@ -45,10 +47,8 @@ from .b2core import (
     monotone_case,
     prop62_pair,
     q_f_base,
-    _assemble,
     _block,
     _bridge,
-    _check_profile,
     _residual_check,
 )
 from .classify import in_A_prime
@@ -85,7 +85,16 @@ class ReprVector:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "j", j)
-        _check_profile(k, s, j)
+        if len(j) != len(k) + 1 or len(s) != max(len(k) - 1, 0):
+            raise DomainError("profile shapes must satisfy |j| = |k|+1, |s| = |k|-1")
+        if not j or j[-1] is not math.inf:
+            raise DomainError("final repetition count must be math.inf")
+        if any(not isinstance(x, int) or x < 0 for x in j[:-1]):
+            raise DomainError("interior repetition counts must be integers >= 0")
+        if any(k[i] >= k[i + 1] for i in range(len(k) - 1)) or (k and k[0] < 0):
+            raise DomainError("block levels must be strictly increasing and >= 0")
+        if any(x not in (0, 1) for x in s):
+            raise DomainError("bridge indicators must be 0 or 1")
 
     @property
     def m(self) -> int:
@@ -118,11 +127,25 @@ def pair_weight(vc: ReprVector, vd: ReprVector) -> int:
     return (vc.top_k + 1) + (vd.top_k + 1)
 
 
-def repr_to_seq(v: ReprVector, comp: ComponentSpec = GEN0) -> EPSeq:
-    if v.m >= 1 and v.j[0] < 1:
+def repr_to_seq(v: ReprVector) -> EPSeq:
+    """The sequence of profile v (checked when v was built):
+
+        0^j0 [B(k1)]^j1 (bridge?) ... [B(k_m)]^inf
+
+    where B(k) = omega_k reflect(omega_k) and, for s_i = 1, the bridge
+    omega_{k_i} reflect(omega_{k_{i+1}}) sits between the k_i and k_{i+1}
+    runs; the zero profile gives 0^inf."""
+    k, s, j = v.k, v.s, v.j
+    if not k:
+        return EPSeq("", "0")
+    if j[0] < 1:
         raise DomainError("leading generator run must be nonempty")
-    # the profile was checked when v was built
-    return _assemble(comp, "", v.k, v.s, v.j)
+    pre = GEN0.generator * j[0]
+    for i in range(len(k) - 1):
+        pre += _block(GEN0, k[i]) * j[i + 1]
+        if s[i]:
+            pre += _bridge(GEN0, k[i], k[i + 1])
+    return EPSeq(pre, _block(GEN0, k[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +192,7 @@ def enum_reprs(n: int, Jmax: int) -> list:
     if n < 0 or Jmax < 1:
         raise DomainError("need n >= 0 and Jmax >= 1")
     rows = [(_text_key(text), ReprVector(*_profile(n, Jmax, i)))
-            for text, (_, *ids) in _walk(GEN0, n, Jmax).items() for i in ids]
+            for text, (_, *ids) in _walk(n, Jmax).items() for i in ids]
     rows.sort(key=lambda r: (*r[0], *_vector_key(r[1])))
     return [v for _, v in rows]
 
@@ -180,7 +203,7 @@ def _text_key(text) -> tuple:
     return len(pre) + len(per), pre + "(" + per + ")"
 
 
-def _walk(comp, top, Jmax, encs=(), weights=None) -> dict:
+def _walk(top, Jmax, encs=(), weights=None) -> dict:
     """Every block profile with levels below `top` and finite repetition
     counts at most Jmax (a nonempty leading run), by the sequence it
     assembles: {(pre, per): (weight, *bounds, *ids)}, with the canonical
@@ -206,7 +229,7 @@ def _walk(comp, top, Jmax, encs=(), weights=None) -> dict:
     default every weight is walked and kept.  Profiles left out still count
     their places, so ids are those of the full walk.
     """
-    periods = [_primitive(_block(comp, k)) for k in range(top)]
+    periods = [_primitive(_block(GEN0, k)) for k in range(top)]
     tails = {}
     runs = {}
     strips = {}
@@ -243,10 +266,10 @@ def _walk(comp, top, Jmax, encs=(), weights=None) -> dict:
         # last stage ends in the periodic tail of block k[-1]
         nonlocal count
         if i == 0:
-            block, bridge = comp.generator, ""
+            block, bridge = GEN0.generator, ""
         else:
-            block = _block(comp, k[i - 1])
-            bridge = _bridge(comp, k[i - 1], k[i]) if s[i - 1] else ""
+            block = _block(GEN0, k[i - 1])
+            bridge = _bridge(GEN0, k[i - 1], k[i]) if s[i - 1] else ""
         last = i + 1 == len(k)
         below = (Jmax + 1) ** (len(k) - 1 - i)  # leaves below each count
         start = len(pre)
@@ -327,7 +350,7 @@ def _profile(top, Jmax, i) -> tuple:
     raise DomainError("no such profile")
 
 
-def _graded_tails(comp, n, Jmax, cap=math.inf, encs=(), ends=None) -> dict:
+def _graded_tails(n, Jmax, cap=math.inf, encs=(), ends=None) -> dict:
     """Distinct assembled sequences of interval n as (text, ids, bounds),
     grouped by the weight of the lightest profile; each group in (length,
     text) order.  `ids` are `_profile` places and `bounds` the enclosures
@@ -347,17 +370,17 @@ def _graded_tails(comp, n, Jmax, cap=math.inf, encs=(), ends=None) -> dict:
     """
     top = min(n, cap)
     if ends is None or 2 * top <= cap:
-        tails = _walk(comp, top, Jmax, encs)
+        tails = _walk(top, Jmax, encs)
     else:
         half = cap // 2
-        tails = _walk(comp, top, Jmax, encs, dict.fromkeys(range(half + 1)))
-        end = _longest_pre(comp, top, Jmax) + 1
+        tails = _walk(top, Jmax, encs, dict.fromkeys(range(half + 1)))
+        end = _longest_pre(top, Jmax) + 1
         reach = {}
         for w in range(half + 1, top + 1):
             light = [e for e in tails.values() if e[0] <= cap - w]
             band = _Band([e[1] for e in light], [e[4] for e in light], *ends)
-            reach[w] = _Reach(band, _primitive(_block(comp, w - 1)), encs[1], end)
-        tails.update(_walk(comp, top, Jmax, encs, reach))
+            reach[w] = _Reach(band, _primitive(_block(GEN0, w - 1)), encs[1], end)
+        tails.update(_walk(top, Jmax, encs, reach))
     grades = {}
     ids = 1 + 2 * len(encs)
     for text, entry in tails.items():
@@ -367,12 +390,12 @@ def _graded_tails(comp, n, Jmax, cap=math.inf, encs=(), ends=None) -> dict:
     return grades
 
 
-def _longest_pre(comp, top, Jmax) -> int:
+def _longest_pre(top, Jmax) -> int:
     """A bound on the raw preperiod length of the profiles below `top`:
     Jmax runs of the generator and of every block, and a bridge, shorter
     than the top block, into each level but the first."""
-    return (Jmax * (len(comp.generator) + sum(len(_block(comp, k)) for k in range(top)))
-            + (top - 1) * len(_block(comp, top - 1)))
+    return (Jmax * (len(GEN0.generator) + sum(len(_block(GEN0, k)) for k in range(top)))
+            + (top - 1) * len(_block(GEN0, top - 1)))
 
 
 class _Reach:
@@ -423,7 +446,7 @@ class _Reach:
         return self.band.reaches(entry[1], entry[4])
 
 
-def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None, keys=None):
+def _tail_pairs(n, Jmax, cap=math.inf, iv=None, keys=None):
     """Unordered pairs of distinct sequences of interval n, as (c, d, pairs)
     with c <= d lexicographically and `pairs` every profile pair (vc, vd)
     assembling them; a sequence paired with itself gets its profile pairs in
@@ -460,12 +483,12 @@ def _tail_pairs(comp, n, Jmax, cap=math.inf, iv=None, keys=None):
     bands = None
     if keys is not None:
         points, ends = keys
-        grades = _graded_tails(comp, n, Jmax, cap, iv.enclosures(points), ends)
+        grades = _graded_tails(n, Jmax, cap, iv.enclosures(points), ends)
         # bounds are (lo, hi) at points[0], then (lo, hi) at points[1]
         bands = {w: _Band([b[0] for _, _, b in bucket], [b[3] for _, _, b in bucket], *ends)
                  for w, bucket in grades.items()}
     else:
-        grades = _graded_tails(comp, n, Jmax, cap)
+        grades = _graded_tails(n, Jmax, cap)
     built = {}
 
     def tail(w, x):
@@ -666,17 +689,18 @@ def _pair_roots(c: EPSeq, d: EPSeq, iv: _Interval) -> list:
     return out
 
 
-def enum_B2(n: int, Jmax: int, comp: ComponentSpec = GEN0) -> list:
+def enum_B2(n: int, Jmax: int) -> list:
     """All two-expansion bases in (q_n, q_{n+1}] witnessed by profile pairs
-    with repetition counts at most Jmax, sorted increasingly.
+    with repetition counts at most Jmax, sorted increasingly; q_n is the
+    ladder of the component generated by 0.
 
     Complete only up to Jmax: deeper witnesses need longer generator runs.
     """
     if n < 0 or Jmax < 1:
         raise DomainError("need n >= 0 and Jmax >= 1")
-    iv = _interval(qn_ladder(comp, n + 1), n)
+    iv = _interval(qn_ladder(GEN0, n + 1), n)
     by_minpoly = {}
-    for c, d, pairs in _tail_pairs(comp, n, Jmax, iv=iv):
+    for c, d, pairs in _tail_pairs(n, Jmax, iv=iv):
         for root, ok in _pair_roots(c, d, iv):
             key = tuple(root.minpoly())
             if key in by_minpoly:
@@ -695,8 +719,8 @@ def enum_B2(n: int, Jmax: int, comp: ComponentSpec = GEN0) -> list:
         )
         vc, vd = pairs[0]
         w = B2Witness(
-            c=repr_to_seq(vc, comp),
-            d=repr_to_seq(vd, comp),
+            c=repr_to_seq(vc),
+            d=repr_to_seq(vd),
             root=data["root"],
             minpoly=key,
             admissible=data["admissible"],
@@ -722,9 +746,10 @@ def derived_order_bound(w: B2Witness, n: int) -> int:
 # smallest element of a derived set
 
 
-def min_derived(j: int, Jmax: int = 6, Nmax: int = 6, comp: ComponentSpec = GEN0) -> AlgBase:
+def min_derived(j: int, Jmax: int = 6, Nmax: int = 6) -> AlgBase:
     """Smallest two-expansion base certified to lie in the j-th derived set,
-    scanning the ladder intervals up to Nmax with profile counts up to Jmax.
+    scanning the intervals of the ladder of the component generated by 0 up
+    to Nmax with profile counts up to Jmax.
 
     Certificates, in scan order per interval: the right endpoint q_n carries
     order 2n - S whenever it roots a weight-S pair of the previous interval
@@ -736,16 +761,16 @@ def min_derived(j: int, Jmax: int = 6, Nmax: int = 6, comp: ComponentSpec = GEN0
         raise DomainError("need j >= 0")
     if Jmax < 1 or Nmax < 1:
         raise DomainError("need Jmax >= 1 and Nmax >= 1")
-    ladder = qn_ladder(comp, Nmax + 1)
+    ladder = qn_ladder(GEN0, Nmax + 1)
     n_min = max(1, (j + 2) // 2)
     for n in range(n_min, Nmax + 1):
         iv = _interval(ladder, n)
-        cand = _endpoint_certificate(comp, iv, n, j, Jmax)
+        cand = _endpoint_certificate(iv, n, j, Jmax)
         if cand is not None:
             return cand
-        cands = _interior_candidates(comp, iv, n, j, Jmax)
+        cands = _interior_candidates(iv, n, j, Jmax)
         if n == j and j >= 2:
-            cands.append(_prop62_root(comp, iv, j))
+            cands.append(_prop62_root(iv, j))
         if cands:
             return min(cands, key=functools.cmp_to_key(AlgBase.cmp))
     raise NotFoundWithinBoundsError(
@@ -753,7 +778,7 @@ def min_derived(j: int, Jmax: int = 6, Nmax: int = 6, comp: ComponentSpec = GEN0
     )
 
 
-def _endpoint_certificate(comp, iv, n, j, Jmax):
+def _endpoint_certificate(iv, n, j, Jmax):
     """If the ladder base q_n roots a previous-interval pair of weight S with
     2n - S >= j, and the appended family strictly decreases to q_n through
     admissible roots, return q_n.
@@ -774,7 +799,7 @@ def _endpoint_certificate(comp, iv, n, j, Jmax):
     a0, a1 = qn.bracket()
     keys = (a1, a0), (iv.ones(a0)[0], iv.ones(a1)[1])
     ones, values, best = None, {}, None
-    for c, d, pairs in _tail_pairs(comp, n - 1, Jmax, cap, iv, keys):
+    for c, d, pairs in _tail_pairs(n - 1, Jmax, cap, iv, keys):
         if ones is None:
             ones = qn.field().series_den_inv(0, 1)
         for t in (c, d):
@@ -793,12 +818,12 @@ def _endpoint_certificate(comp, iv, n, j, Jmax):
         c, d, vc, vd = d, c, vd, vc
     if not (in_A_prime(c, qn) and in_A_prime(d, qn)):
         raise DomainError("endpoint pair must be admissible at its root")
-    if not _family_decreases_to(comp, iv, (vc, vd)):
+    if not _family_decreases_to(iv, (vc, vd)):
         raise DomainError("endpoint family certificate failed")
     return qn
 
 
-def _family_decreases_to(comp, iv, pair) -> bool:
+def _family_decreases_to(iv, pair) -> bool:
     """Append one block level to the heavier side of the pair and check that
     the resulting roots are admissible and strictly decrease inside the
     interval as the new repetition count grows."""
@@ -807,25 +832,25 @@ def _family_decreases_to(comp, iv, pair) -> bool:
         side, other = vc, vd
     else:
         side, other = vd, vc
-    other_seq = repr_to_seq(other, comp)
+    other_seq = repr_to_seq(other)
     k_new = side.top_k + 1
     roots = []
     for u in (1, 2, 3):
         v_u = ReprVector(side.k + (k_new,), side.s + (1,), side.j[:-1] + (u, math.inf))
-        rs = _pair_roots(repr_to_seq(v_u, comp), other_seq, iv)
+        rs = _pair_roots(repr_to_seq(v_u), other_seq, iv)
         if len(rs) != 1 or not rs[0][1]:
             return False
         roots.append(rs[0][0])
     return roots[0].cmp(roots[1]) > 0 and roots[1].cmp(roots[2]) > 0
 
 
-def _interior_candidates(comp, iv, n, j, Jmax):
+def _interior_candidates(iv, n, j, Jmax):
     """Admissible interior roots of interval n certified with order >= j by
     weight."""
     maxweight = 2 * n - j
     if maxweight < 1:
         return []
-    return [root for c, d, _ in _tail_pairs(comp, n, Jmax, maxweight, iv)
+    return [root for c, d, _ in _tail_pairs(n, Jmax, maxweight, iv)
             for root, ok in _pair_roots(c, d, iv) if ok]
 
 
@@ -844,9 +869,9 @@ def prop62_witness(gen: str, n: int) -> tuple:
     return c, d, certify_b2(c, d, lo, hi), f_sign(c, d, qn), f_sign(c, d, qn1)
 
 
-def _prop62_root(comp, iv, n) -> AlgBase:
+def _prop62_root(iv, n) -> AlgBase:
     """Certified root of the deep pair strictly inside (q_n, q_{n+1})."""
-    c, d = prop62_pair(comp, n)
+    c, d = prop62_pair(GEN0, n)
     # strictly below q_{n+1}: the upper end of r's bracket decides first, so
     # r's own bracket is refined only when it reaches past q_{n+1}'s value
     roots = [(r, ok) for r, ok in _pair_roots(c, d, iv)

@@ -237,7 +237,7 @@ def test_criterion_11_property_suites():
     for n in (1, 2, 3, 4):
         om = GEN0.omega(n)
         for v in enum_reprs(n, 4):
-            s = repr_to_seq(v, GEN0)
+            s = repr_to_seq(v)
             horizon = len(s.pre) + 2 * len(s.per) + len(om)
             ok = ok and om not in "".join(str(s.digit(i)) for i in range(horizon))
     notes.append("forbidden factor n<=4")

@@ -110,7 +110,7 @@ def test_monotone_on_admissible_pool_below_two():
 
 
 def test_nonnegative_at_two_on_enumerated_pairs():
-    seqs = [repr_to_seq(v, GEN0) for v in enum_reprs(2, 4)]
+    seqs = [repr_to_seq(v) for v in enum_reprs(2, 4)]
     for i, c in enumerate(seqs):
         for d in seqs[i:]:
             assert f_eval(c, d, Fraction(2)) >= 0

@@ -80,7 +80,7 @@ def test_reflection_closure():
 
 def test_membership_monotone_in_base():
     # unique-expansion sequences persist in every larger base
-    pool = [repr_to_seq(v, GEN0) for v in enum_reprs(1, 4)]
+    pool = [repr_to_seq(v) for v in enum_reprs(1, 4)]
     pool += [parse_epseq("0" * j + "(10)") for j in range(1, 6)]
     small = [s for s in pool if in_A_prime(s, Q_S)]
     assert len(small) >= 4

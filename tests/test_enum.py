@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from twobases import enum_b2, words
 from twobases.b2core import (
-    MonotoneCase, f_eval, f_minpoly, monotone_case, solve_qcd, udiff_generate,
+    MonotoneCase, f_eval, f_minpoly, monotone_case, solve_qcd,
     B2Witness, _block, _bridge,
 )
 from twobases.bases import AlgBase, beta_digits, real_roots
@@ -93,13 +93,28 @@ def test_prop62_witness_matches_the_deep_pair_root(n):
     c, d, w, s_n, s_n1 = prop62_witness("0", n)
     assert (c, d) == enum_b2.prop62_pair(GEN0, n)
     assert (s_n, s_n1) == (-1, 1) and w.admissible
-    root = enum_b2._prop62_root(GEN0, _interval(qn_ladder(GEN0, n + 1), n), n)
+    root = enum_b2._prop62_root(_interval(qn_ladder(GEN0, n + 1), n), n)
     assert w.minpoly == root.minpoly()
     assert w.root.decimal(30) == root.decimal(30)
 
 
 def test_prop62_witness_is_built_once():
     assert prop62_witness("0", 3) is prop62_witness("0", 3)
+
+
+@pytest.mark.parametrize("gen, n", [("10", 2), ("10", 3), ("110", 2), ("110", 3)])
+def test_prop62_witness_other_components(gen, n):
+    """The deep pair of another component: certified and admissible, the
+    defect's signs at q_n and q_{n+1} are (-1, +1), and the root lies
+    strictly between them, compared exactly (at ("110", 3) the root and q_3
+    print the same 10 digits)."""
+    comp = ComponentSpec(gen)
+    c, d, w, s_n, s_n1 = prop62_witness(gen, n)
+    assert (c, d) == enum_b2.prop62_pair(comp, n)
+    assert w is not None and w.admissible
+    assert (s_n, s_n1) == (-1, 1)
+    ladder = qn_ladder(comp, n + 1)
+    assert ladder[n - 1].base.cmp(w.root) < 0 < ladder[n].base.cmp(w.root)
 
 
 def test_ladder_other_component():
@@ -126,31 +141,28 @@ def test_repr_vector_validation():
     with pytest.raises(DomainError):
         ReprVector((0,), (), (2, 3))       # finite final count
     with pytest.raises(DomainError):
-        repr_to_seq(ReprVector((0,), (), (0, INF)), GEN0)
+        repr_to_seq(ReprVector((0,), (), (0, INF)))
     v = ReprVector((0,), (), (2, INF))
     assert (v.m, v.top_k) == (1, 0)
     z = ReprVector((), (), (INF,))
-    assert z.top_k == -1 and format_epseq(repr_to_seq(z, GEN0)) == "0*"
+    assert z.top_k == -1 and format_epseq(repr_to_seq(z)) == "0*"
     assert pair_weight(v, z) == 1 + 0
 
 
 def test_udiff_assembly_examples():
     # 0^2 (10)^inf
-    assert udiff_generate(GEN0, "", (0,), (), (2, INF)) == parse_epseq("0(01)")
+    assert repr_to_seq(ReprVector((0,), (), (2, INF))) == parse_epseq("0(01)")
     # 0 (10)^0 (1 00) (1100)^inf, the bridge spelling
-    assert udiff_generate(GEN0, "0", (0, 1), (1,), (0, 0, INF)) \
-        == parse_epseq("0(1001)")
-    assert udiff_generate(GEN0, "", (0, 1), (1,), (1, 0, INF)) \
-        == parse_epseq("0(1001)")
+    assert repr_to_seq(ReprVector((0, 1), (1,), (1, 0, INF))) == parse_epseq("0(1001)")
     # 0 (1100)^inf
-    assert udiff_generate(GEN0, "0", (1,), (), (0, INF)) == parse_epseq("(0110)")
+    assert repr_to_seq(ReprVector((1,), (), (1, INF))) == parse_epseq("(0110)")
 
 
 def test_repr_sequences_admissible_above_interval():
     lad = qn_ladder(GEN0, 3)
     for n in (1, 2):
         for v in enum_reprs(n, 3):
-            s = repr_to_seq(v, GEN0)
+            s = repr_to_seq(v)
             assert s.digit(0) == 0
             assert is_univoque_seq(s, lad[n].base)
 
@@ -163,7 +175,7 @@ def test_omega_never_a_factor():
         om = GEN0.omega(n)
         rom = om.translate(str.maketrans("01", "10"))
         for v in enum_reprs(n, 4):
-            s = repr_to_seq(v, GEN0)
+            s = repr_to_seq(v)
             horizon = len(s.pre) + 2 * len(s.per) + len(om)
             w = "".join(str(s.digit(i)) for i in range(horizon))
             assert om not in w
@@ -184,11 +196,11 @@ def _profiles_oracle(top, Jmax):
                         yield ReprVector(k, s, (j0, *mids, INF))
 
 
-def _graded_oracle(comp, n, Jmax, cap=INF):
+def _graded_oracle(n, Jmax, cap=INF):
     """Grades built profile by profile through repr_to_seq and EPSeq."""
     profiles = {}
     for v in _profiles_oracle(min(n, cap), Jmax):
-        profiles.setdefault(repr_to_seq(v, comp), []).append(v)
+        profiles.setdefault(repr_to_seq(v), []).append(v)
     grades = {}
     for t, vs in profiles.items():
         grades.setdefault(min(v.top_k for v in vs) + 1, []).append((t, vs))
@@ -197,38 +209,41 @@ def _graded_oracle(comp, n, Jmax, cap=INF):
     return grades
 
 
+def _ids(cases, at=0):
+    """pytest's ids of the cases with the generator "0" inserted at place
+    `at`, so that each scan case's id names the component it covers."""
+    return ["-".join(map(str, (*c[:at], "0", *c[at:]))) for c in cases]
+
+
 WALK_GRID = [
-    ("0", 0, 3, INF), ("0", 1, 4, INF), ("0", 2, 3, INF), ("0", 3, 2, INF),
-    ("0", 4, 2, INF), ("0", 3, 3, 2), ("0", 4, 2, 3), ("0", 4, 1, 1),
-    ("10", 1, 3, INF), ("10", 2, 2, INF), ("10", 2, 3, 1),
+    (0, 3, INF), (1, 4, INF), (2, 3, INF), (3, 2, INF),
+    (4, 2, INF), (3, 3, 2), (4, 2, 3), (4, 1, 1),
 ]
 
 
-@pytest.mark.parametrize("gen, n, Jmax, cap", WALK_GRID)
-def test_walk_matches_profile_route(gen, n, Jmax, cap):
+@pytest.mark.parametrize("n, Jmax, cap", WALK_GRID, ids=_ids(WALK_GRID))
+def test_walk_matches_profile_route(n, Jmax, cap):
     # the same sequences with the same profiles in generation order, the
     # same lightest weights, in the same order; the text is canonical
-    comp = ComponentSpec(gen)
-    walked = enum_b2._graded_tails(comp, n, Jmax, cap)
+    walked = enum_b2._graded_tails(n, Jmax, cap)
     top = min(n, cap)
     got = {w: [(EPSeq(*text), [ReprVector(*enum_b2._profile(top, Jmax, i)) for i in ids])
                for text, ids, _ in bucket]
            for w, bucket in walked.items()}
-    assert got == _graded_oracle(comp, n, Jmax, cap)
+    assert got == _graded_oracle(n, Jmax, cap)
     for bucket in walked.values():
         for text, _, _ in bucket:
             t = EPSeq(*text)
             assert (t.pre, t.per) == text
 
 
-@pytest.mark.parametrize("gen, n, Jmax, cap", WALK_GRID)
-def test_text_weight_fixed_by_period(gen, n, Jmax, cap):
+@pytest.mark.parametrize("n, Jmax, cap", WALK_GRID, ids=_ids(WALK_GRID))
+def test_text_weight_fixed_by_period(n, Jmax, cap):
     # capped scans split the walk by weight, which rests on every profile of
     # a sequence having the same top level: it is read off the period length
-    comp = ComponentSpec(gen)
     weight_of = {}
     for v in _profiles_oracle(min(n, cap), Jmax):
-        t = repr_to_seq(v, comp)
+        t = repr_to_seq(v)
         assert weight_of.setdefault(len(t.per), v.top_k + 1) == v.top_k + 1
     assert len(weight_of) == min(n, cap) + 1
 
@@ -236,7 +251,7 @@ def test_text_weight_fixed_by_period(gen, n, Jmax, cap):
 @pytest.mark.parametrize("n, Jmax", [(0, 1), (1, 4), (2, 4), (3, 3), (4, 4)])
 def test_enum_reprs_matches_profile_route(n, Jmax):
     def key(v):
-        t = repr_to_seq(v, GEN0)
+        t = repr_to_seq(v)
         return (len(t.pre) + len(t.per), t.pre + "(" + t.per + ")",
                 v.k, v.s, v.j[:-1])
     assert enum_reprs(n, Jmax) == sorted(_profiles_oracle(n, Jmax), key=key)
@@ -263,17 +278,16 @@ POINTS = st.fractions(1, 3, max_denominator=10**30).filter(lambda e: e > 1)
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(POINTS, POINTS, st.sampled_from([4, 128]),
-       st.sampled_from([("0", 3, 2), ("0", 2, 4), ("10", 2, 2)]))
-@example(Fraction(3, 2), Fraction(2), 4, ("0", 3, 2))
+       st.sampled_from([(3, 2), (2, 4)]))
+@example(Fraction(3, 2), Fraction(2), 4, (3, 2))
 def test_walk_enclosures_match_enclose(e1, e2, bits, slice_):
     # the running digit sums and the cached periods give bit for bit what
     # enclosing each canonical sequence afresh gives
-    gen, n, Jmax = slice_
+    n, Jmax = slice_
     saved = words.ENCLOSE_BITS
     words.ENCLOSE_BITS = bits
     try:
-        walked = enum_b2._walk(ComponentSpec(gen), n, Jmax,
-                               [words.SeriesEnclosure(e1), words.SeriesEnclosure(e2)])
+        walked = enum_b2._walk(n, Jmax, [words.SeriesEnclosure(e1), words.SeriesEnclosure(e2)])
         fresh = words.SeriesEnclosure(e1), words.SeriesEnclosure(e2)
         for text, entry in walked.items():
             t = EPSeq(*text)
@@ -282,10 +296,10 @@ def test_walk_enclosures_match_enclose(e1, e2, bits, slice_):
         words.ENCLOSE_BITS = saved
 
 
-def _brute_vector_pairs(n, Jmax, comp):
+def _brute_vector_pairs(n, Jmax):
     """Every unordered pair of enum_reprs profiles as (c, d, vc, vd) with
     c <= d lexicographically, (0^inf, 0^inf) left out."""
-    seqs = [(v, repr_to_seq(v, comp)) for v in enum_reprs(n, Jmax)]
+    seqs = [(v, repr_to_seq(v)) for v in enum_reprs(n, Jmax)]
     out = set()
     for (vc, c), (vd, d) in itertools.combinations_with_replacement(seqs, 2):
         if vc.m == 0 and vd.m == 0:
@@ -296,14 +310,15 @@ def _brute_vector_pairs(n, Jmax, comp):
     return out
 
 
-@pytest.mark.parametrize("n, Jmax, gen", [(1, 4, "0"), (2, 4, "0"), (3, 2, "0"),
-                                          (4, 1, "0"), (2, 2, "10")])
-def test_tail_pairs_match_brute_pairing(n, Jmax, gen):
-    comp = ComponentSpec(gen)
-    got = [(c, d, vc, vd) for c, d, pairs in _tail_pairs(comp, n, Jmax)
+PAIR_GRID = [(1, 4), (2, 4), (3, 2), (4, 1)]
+
+
+@pytest.mark.parametrize("n, Jmax", PAIR_GRID, ids=_ids(PAIR_GRID, 2))
+def test_tail_pairs_match_brute_pairing(n, Jmax):
+    got = [(c, d, vc, vd) for c, d, pairs in _tail_pairs(n, Jmax)
            for vc, vd in pairs]
     assert len(got) == len(set(got))
-    assert set(got) == _brute_vector_pairs(n, Jmax, comp)
+    assert set(got) == _brute_vector_pairs(n, Jmax)
 
 
 @pytest.mark.parametrize("n, Jmax, cap", [(3, 3, 3), (4, 1, 4), (4, 1, 2)])
@@ -311,11 +326,11 @@ def test_tail_pairs_weight_cap(n, Jmax, cap):
     # a capped pair's lightest profiles weigh at most cap in total
     lightest = {}
     for v in enum_reprs(n, Jmax):
-        s = repr_to_seq(v, GEN0)
+        s = repr_to_seq(v)
         lightest[s] = min(lightest.get(s, math.inf), v.top_k + 1)
-    want = {(c, d) for c, d, _, _ in _brute_vector_pairs(n, Jmax, GEN0)
+    want = {(c, d) for c, d, _, _ in _brute_vector_pairs(n, Jmax)
             if lightest[c] + lightest[d] <= cap}
-    got = [(c, d) for c, d, _ in _tail_pairs(GEN0, n, Jmax, cap)]
+    got = [(c, d) for c, d, _ in _tail_pairs(n, Jmax, cap)]
     assert len(got) == len(set(got))
     assert set(got) == want
 
@@ -337,7 +352,7 @@ def _isolation_slice():
     iv = _interval(ladder, 3)
     assert iv.monotone
     q3, q4 = ladder[2].base, ladder[3].base
-    pairs = list(_tail_pairs(GEN0, 3, 3, 3))
+    pairs = list(_tail_pairs(3, 3, 3))
     found = []
     for c, d, _ in pairs:
         fast = [(r.minpoly(), ok) for r, ok in _pair_roots(c, d, iv)]
@@ -415,16 +430,16 @@ def test_bracket_signs_at_interval_ends():
     assert _pair_roots(c, d, starting) == []
 
 
-def _band_against_brute(comp, n, Jmax, cap=INF):
+def _band_against_brute(n, Jmax, cap=INF):
     """Scan the monotone interval n with the enclosure band and by brute
     force over `_tail_pairs`.  The band's pairs must be the brute pairs it
     keeps, in brute order, and every pair with a root must be kept.  Returns
     the band and the brute pair counts and the rooted pairs with their
     admissibility verdicts."""
-    iv = _interval(qn_ladder(comp, n + 1), n)
+    iv = _interval(qn_ladder(GEN0, n + 1), n)
     assert iv.monotone
-    band = list(_tail_pairs(comp, n, Jmax, cap, iv))
-    brute = list(_tail_pairs(comp, n, Jmax, cap))
+    band = list(_tail_pairs(n, Jmax, cap, iv))
+    brute = list(_tail_pairs(n, Jmax, cap))
     kept = {(c, d) for c, d, _ in band}
     assert band == [t for t in brute if (t[0], t[1]) in kept]
     verdicts = {(c, d): [ok for _, ok in _pair_roots(c, d, iv)] for c, d, _ in brute}
@@ -433,13 +448,15 @@ def _band_against_brute(comp, n, Jmax, cap=INF):
     return len(band), len(brute), rooted
 
 
-@pytest.mark.parametrize("gen, n, Jmax, cap, roots", [
-    ("0", 3, 3, INF, 100),      # the scan of enum_B2(3, 3)
-    ("0", 4, 3, 4, 0),
-    ("10", 2, 3, INF, 0),       # no root at this depth; the band keeps no pair
-])
-def test_band_keeps_every_rooted_pair(gen, n, Jmax, cap, roots):
-    kept, total, rooted = _band_against_brute(ComponentSpec(gen), n, Jmax, cap)
+BAND_GRID = [
+    (3, 3, INF, 100),      # the scan of enum_B2(3, 3)
+    (4, 3, 4, 0),
+]
+
+
+@pytest.mark.parametrize("n, Jmax, cap, roots", BAND_GRID, ids=_ids(BAND_GRID))
+def test_band_keeps_every_rooted_pair(n, Jmax, cap, roots):
+    kept, total, rooted = _band_against_brute(n, Jmax, cap)
     assert len(rooted) == roots
     assert kept * 20 < total
 
@@ -457,7 +474,7 @@ def test_band_falls_back_to_pairwise_tests(monkeypatch):
             bands.append(self)
     monkeypatch.setattr(words, "ENCLOSE_BITS", 4)
     monkeypatch.setattr(enum_b2, "_Band", Recorded)
-    _, _, rooted = _band_against_brute(GEN0, 3, 3, 3)
+    _, _, rooted = _band_against_brute(3, 3, 3)
     assert len(rooted) == 1
     assert any(not b._hi_sorted for b in bands)
 
@@ -509,13 +526,13 @@ class _EveryPair(enum_b2._Band):
 
 def _counted_endpoint_tests(monkeypatch) -> list:
     """One entry per pair the endpoint rule tests exactly: the pairs of the
-    `_tail_pairs` scans given band keys (its sixth argument)."""
+    `_tail_pairs` scans given band keys (its fifth argument)."""
     tested = []
     tail_pairs = enum_b2._tail_pairs
 
     def counted(*args):
         for t in tail_pairs(*args):
-            if len(args) == 6:
+            if len(args) == 5:
                 tested.append(t)
             yield t
     monkeypatch.setattr(enum_b2, "_tail_pairs", counted)
@@ -536,7 +553,7 @@ def test_filtered_scans_match_exact_scans(monkeypatch, j, saved):
     assert len(tested) > n_fast and n_fast * saved <= len(tested) - n_fast
 
 
-def _endpoint_join(comp, iv, n, j, Jmax):
+def _endpoint_join(iv, n, j, Jmax):
     """The endpoint rule as a hash join on exact values, the oracle of
     `_endpoint_certificate`: every tail of interval n - 1 with a partner in
     one band over all weights is evaluated in Q(q_n), and each is joined to
@@ -552,7 +569,7 @@ def _endpoint_join(comp, iv, n, j, Jmax):
     ends = iv.ones(a0)[0], iv.ones(a1)[1]
     tails = [(w, text, ids, bounds)
              for w, bucket in sorted(enum_b2._graded_tails(
-                 comp, n - 1, Jmax, maxweight, iv.enclosures(points), ends).items())
+                 n - 1, Jmax, maxweight, iv.enclosures(points), ends).items())
              for text, ids, bounds in bucket]
     # lo at a1 and hi at a0, from bounds (lo, hi) at a1, then (lo, hi) at a0
     band = enum_b2._Band([b[0] for *_, b in tails], [b[3] for *_, b in tails], *ends)
@@ -589,25 +606,25 @@ def _endpoint_join(comp, iv, n, j, Jmax):
     S, pair, (c, d) = best
     if not (in_A_prime(c, qn) and in_A_prime(d, qn)):
         raise DomainError("endpoint pair must be admissible at its root")
-    if not enum_b2._family_decreases_to(comp, iv, pair):
+    if not enum_b2._family_decreases_to(iv, pair):
         raise DomainError("endpoint family certificate failed")
     return qn
 
 
-def _min_derived_run(monkeypatch, rule, comp, j, Jmax, Nmax) -> tuple:
+def _min_derived_run(monkeypatch, rule, j, Jmax, Nmax) -> tuple:
     """min_derived with `rule` as the endpoint rule: its base (or the error
     it raises) and the pairs it hands `_family_decreases_to`, in order."""
     families = []
     family = enum_b2._family_decreases_to
 
-    def recorded(comp, iv, pair):
+    def recorded(iv, pair):
         families.append(pair)
-        return family(comp, iv, pair)
+        return family(iv, pair)
     with monkeypatch.context() as m:
         m.setattr(enum_b2, "_family_decreases_to", recorded)
         m.setattr(enum_b2, "_endpoint_certificate", rule)
         try:
-            got = min_derived(j, Jmax, Nmax, comp).to_json()
+            got = min_derived(j, Jmax, Nmax).to_json()
         except (DomainError, NotFoundWithinBoundsError) as e:
             got = type(e).__name__, str(e)
     return got, families
@@ -618,11 +635,9 @@ def test_endpoint_rule_matches_the_exact_join(monkeypatch):
     # in the same order, as the hash join; only Jmax >= 5 reaches a family
     # check (q_2 from the pair of counts 2 and 5 of interval 1)
     checked = 0
-    for gen, j, Jmax, Nmax in itertools.product(("0", "10"), range(1, 5), range(2, 7), (4, 5)):
-        comp = ComponentSpec(gen)
-        got = _min_derived_run(monkeypatch, enum_b2._endpoint_certificate,
-                               comp, j, Jmax, Nmax)
-        assert got == _min_derived_run(monkeypatch, _endpoint_join, comp, j, Jmax, Nmax)
+    for j, Jmax, Nmax in itertools.product(range(1, 5), range(2, 7), (4, 5)):
+        got = _min_derived_run(monkeypatch, enum_b2._endpoint_certificate, j, Jmax, Nmax)
+        assert got == _min_derived_run(monkeypatch, _endpoint_join, j, Jmax, Nmax)
         checked += len(got[1])
     assert checked == 8
 
@@ -646,21 +661,22 @@ def _counted_leaves(monkeypatch) -> list:
     return built
 
 
-@pytest.mark.parametrize("gen, n, Jmax", [("0", 3, 4), ("0", 4, 3), ("0", 5, 2),
-                                          ("10", 3, 3), ("10", 4, 2), ("10", 5, 1)])
-def test_pruned_scan_matches_stored_scan(monkeypatch, gen, n, Jmax):
+PRUNE_GRID = [(3, 4), (4, 3), (5, 2)]
+
+
+@pytest.mark.parametrize("n, Jmax", PRUNE_GRID, ids=_ids(PRUNE_GRID))
+def test_pruned_scan_matches_stored_scan(monkeypatch, n, Jmax):
     # on a monotone interval, capped scans that prune heavy subtrees yield
     # the stored scan's (c, d, pairs) sequence, profile ids included, and
     # the endpoint rule returns the same result
-    comp = ComponentSpec(gen)
-    iv = _interval(qn_ladder(comp, n + 1), n)
+    iv = _interval(qn_ladder(GEN0, n + 1), n)
     assert iv.monotone
 
     def scans():
-        out = [list(_tail_pairs(comp, n, Jmax, cap, iv)) for cap in (3, 4, 5, 6)]
+        out = [list(_tail_pairs(n, Jmax, cap, iv)) for cap in (3, 4, 5, 6)]
         for j in range(1, 2 * n):
             try:
-                got = _endpoint_certificate(comp, iv, n, j, Jmax)
+                got = _endpoint_certificate(iv, n, j, Jmax)
                 out.append(None if got is None else got.to_json())
             except DomainError as e:
                 out.append(str(e))
@@ -681,46 +697,45 @@ def test_pruned_walk_builds_few_leaves(monkeypatch):
     assert n_fast * 5 <= len(built) - n_fast
 
 
-def _raw_nodes(comp, k, s, j):
+def _raw_nodes(k, s, j):
     """The raw preperiod of profile (k, s, j) as `_walk` assembles it, and
     the nodes on the way: the preperiod after every run and bridge."""
     pre, nodes = "", []
     for _ in range(j[0]):
-        pre += comp.generator
+        pre += GEN0.generator
         nodes.append(pre)
     for i in range(1, len(k)):
         for _ in range(j[i]):
-            pre += _block(comp, k[i - 1])
+            pre += _block(GEN0, k[i - 1])
             nodes.append(pre)
         if s[i - 1]:
-            pre += _bridge(comp, k[i - 1], k[i])
+            pre += _bridge(GEN0, k[i - 1], k[i])
             nodes.append(pre)
     return pre, nodes
 
 
 def _bound_misses(bits, slack=(0, 0)) -> int:
     """(node, leaf) pairs whose leaf keys fall outside the node's bounds,
-    tightened by slack = (on lo, on hi), over monotone intervals of both
-    components at ENCLOSE_BITS = bits.  Leaf keys are enclosed afresh from
+    tightened by slack = (on lo, on hi), over two monotone intervals at
+    ENCLOSE_BITS = bits.  Leaf keys are enclosed afresh from
     the leaf's canonical sequence, cut period included."""
     saved = words.ENCLOSE_BITS
     words.ENCLOSE_BITS = bits
     misses = 0
     try:
-        for gen, n, Jmax in (("0", 3, 3), ("0", 4, 2), ("10", 2, 3), ("10", 3, 2)):
-            comp = ComponentSpec(gen)
-            iv = _interval(qn_ladder(comp, n + 1), n)
+        for n, Jmax in ((3, 3), (4, 2)):
+            iv = _interval(qn_ladder(GEN0, n + 1), n)
             at_lo = words.SeriesEnclosure(iv.lo.bracket()[0])
             at_hi = words.SeriesEnclosure(iv.hi.bracket()[1])
-            end = enum_b2._longest_pre(comp, n, Jmax) + 1
+            end = enum_b2._longest_pre(n, Jmax) + 1
             for v in _profiles_oracle(n, Jmax):
                 if not v.m:
                     continue
-                per = words._primitive(_block(comp, v.k[-1]))
+                per = words._primitive(_block(GEN0, v.k[-1]))
                 reach = enum_b2._Reach(None, per, at_hi, end)
-                raw, nodes = _raw_nodes(comp, v.k, v.s, v.j)
+                raw, nodes = _raw_nodes(v.k, v.s, v.j)
                 t = EPSeq(raw, per)
-                assert t == repr_to_seq(v, comp) and len(raw) < end
+                assert t == repr_to_seq(v) and len(raw) < end
                 lo, hi = at_lo.enclose(t, "1")[0], at_hi.enclose(t, "1")[1]
                 for node in nodes:
                     if reach.cuts_deep(node):
@@ -950,5 +965,5 @@ DEEP_ROOT_8 = (
 def test_deep_pair_root_of_interval_8_frozen():
     """The largest polynomial the degree analysis proves irreducible in the
     tests (about 6 s)."""
-    root = enum_b2._prop62_root(GEN0, _interval(qn_ladder(GEN0, 9), 8), 8)
+    root = enum_b2._prop62_root(_interval(qn_ladder(GEN0, 9), 8), 8)
     assert root.minpoly() == DEEP_ROOT_8

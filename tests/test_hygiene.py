@@ -1,6 +1,7 @@
 """Source hygiene: every import of the library is used, every private
-helper has a caller, no certified result rests on `assert`, and importing
-the library builds nothing that is cached."""
+helper has a caller, no certified result rests on `assert`, only the ladder
+and the block words take a component, and importing the library builds
+nothing that is cached."""
 
 import ast
 import os
@@ -73,6 +74,30 @@ def test_no_assert_in_the_library():
     found = [f"{name}:{node.lineno}" for name, tree in _modules().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_the_ladder_and_block_words_take_a_component():
+    """The B_2 scan covers the component generated by 0: only the ladder,
+    the deep pair and the block words take a component (a parameter named
+    `comp` or annotated `ComponentSpec`), and no module defines, imports or
+    exports the generic profile assembler `udiff_generate`."""
+    allowed = {"qn_ladder", "prop62_pair", "_block", "_bridge"}
+    takers, assemblers = [], []
+    for name, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                if node.name not in allowed and any(
+                        p.arg == "comp" or (p.annotation is not None
+                                            and "ComponentSpec" in ast.unparse(p.annotation))
+                        for p in params):
+                    takers.append(f"{name}: {node.name}")
+                if node.name == "udiff_generate":
+                    assemblers.append(f"{name}: def")
+        if "udiff_generate" in _exported(tree) or "udiff_generate" in _referenced(tree):
+            assemblers.append(f"{name}: name")
+    assert takers == [] and assemblers == []
 
 
 def test_import_fills_no_cache():

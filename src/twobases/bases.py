@@ -27,7 +27,8 @@ enclosure past 2^-42 (`NumberField.enclose`, by the table sum that signs
 too), to sign where the enclosure does not, or to settle states that
 share a bucket; it is replayed from the nearest anchor in one pass over
 a table of the powers of q.  One generator, `_orbit`, walks the orbit of
-1 and owns its state.
+1 and owns its state.  A walk that does not close may refuse early on an
+escape under a conjugate of q (`conjugates.escapes`).
 """
 
 from __future__ import annotations
@@ -172,6 +173,7 @@ class NumberField:
         self._terms = tuple((j, c) for j, c in enumerate(self.minpoly[:-1]) if c)
         self._series_den_inv = {}
         self._xpow = [(1,) + (0,) * (self.deg - 1)]
+        self.discs = None  # about the conjugates of q, made by `conjugates.escapes`
 
     def reduce(self, coeffs, den: int = 1) -> "FieldElem":
         """The element coeffs(q) / den, for integer coeffs and den > 0.
@@ -1014,17 +1016,34 @@ def beta_digits(q: AlgBase, n: int):
 def alpha_epseq(q: AlgBase, max_steps: int = 4096) -> EPSeq:
     """Quasi-greedy expansion as an eventually periodic sequence, found by
     exact cycle detection among the first max_steps remainders of the
-    orbit."""
+    orbit.  UnsupportedBaseError when none recurs: at once when q is no
+    algebraic integer (some prime P has v_P(q) < 0, and v_P of r_n falls
+    at every step), when the newest remainder at 64, 128, ... remainders
+    escapes (`conjugates.escapes`), or when the budget runs out."""
     if q.alpha_hint is not None:
         return q.alpha_hint
-    digits = []
-    for step, (k, a, _) in enumerate(islice(_walk_of_one(q, repeat(0)), max_steps)):
+    fld = q.field()
+    if fld.minpoly[-1] != 1:
+        raise UnsupportedBaseError(
+            f"q is not an algebraic integer (leading coefficient {fld.minpoly[-1]}), so "
+            "no remainder recurs; quasi-greedy expansion not eventually periodic")
+    w, digits, check = _Walk(fld), [], 64
+    orbit = _orbit(w, ((1,) + (0,) * (fld.deg - 1), 1), repeat(0))
+    for step, (k, a, _) in enumerate(islice(orbit, max_steps)):
         if step:
             digits.append("01"[a])
         if k != step:
             seq = EPSeq("".join(digits[:k]), "".join(digits[k:]))
             q.alpha_hint = seq
             return seq
+        if step + 1 == check:
+            check *= 2
+            from .conjugates import escapes  # compiled only by a walk that gets here
+            why = escapes(w, k)
+            if why:
+                raise UnsupportedBaseError(
+                    f"remainder {step} of the orbit of 1 escapes: {why}, so no "
+                    "remainder recurs; quasi-greedy expansion not eventually periodic")
     raise UnsupportedBaseError(
         f"no remainder cycle within {max_steps} steps; "
         "quasi-greedy expansion not detected to be eventually periodic"

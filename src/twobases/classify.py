@@ -135,9 +135,10 @@ def count_expansions(x, q: AlgBase, cap: int = 8, max_states: int = 4096) -> Cou
 
     x may be an eventually periodic sequence (or its string form), whose value
     is taken at q, or a rational.  Remainders are tracked exactly in Q(q), so
-    the branching graph is finite or the state budget trips.  A reachable
-    cycle that touches a branching state certifies infinitely many expansions,
-    reported as the lower bound cap + 1.
+    the branching graph is finite, or UnsupportedBaseError: proved infinite
+    by an escaping state (`_remainder_graph`), or past the state budget.  A
+    reachable cycle that touches a branching state certifies infinitely many
+    expansions, reported as the lower bound cap + 1.
     """
     if cap < 1:
         raise DomainError("need cap >= 1")
@@ -178,7 +179,9 @@ def _remainder_graph(val, lim, max_states: int) -> tuple:
     lim = 1 / (q - 1), as the states of one walk w (`bases._Walk`, val
     its state 0), each stepped one mapped to its children: q r - d for the
     digits d = 0 then 1, where that lies in [0, lim].  UnsupportedBaseError
-    past max_states.
+    past max_states, or sooner when the newest state at 64, 128, 256, ...
+    states escapes (`conjugates.escapes`): no path from it meets a state
+    twice, and every r in [0, lim] has a child, so the graph is infinite.
 
     val and lim are FieldElems.  A child equal to a state met before is
     that state (`_Walk.add`).  Each step is `bases._orbit`'s.  Whether
@@ -191,7 +194,7 @@ def _remainder_graph(val, lim, max_states: int) -> tuple:
     lnum, lden = lim.num, lim.den
     lim_lo, lim_hi = fld.enclose(lnum, lden)
     w.add(*fld.enclose(val.num, val.den), 0, 0, (val.num, val.den), 0)
-    states, add, children, stack = w.states, w.add, {}, [0]
+    states, add, children, stack, check = w.states, w.add, {}, [0], 64
     while stack:
         i = stack.pop()
         lo, hi, _, _, _ = states[i]
@@ -224,6 +227,14 @@ def _remainder_graph(val, lim, max_states: int) -> tuple:
             if k >= n:
                 stack.append(k)
         children[i] = kids
+        if len(states) >= check:
+            check *= 2
+            from .conjugates import escapes  # compiled only by a walk that gets here
+            why = escapes(w, len(states) - 1)
+            if why:
+                raise UnsupportedBaseError(
+                    f"remainder graph is infinite: state {len(states) - 1} escapes: {why}, "
+                    "so no path from it meets a state twice, and every state has a child")
         if len(children) > max_states:
             raise UnsupportedBaseError("remainder graph exceeded the state budget")
     return children, w

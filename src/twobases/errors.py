@@ -7,8 +7,9 @@ class DomainError(ValueError):
 
 class UnsupportedBaseError(DomainError):
     """The base does not satisfy a precondition (e.g. its quasi-greedy
-    expansion was not detected to be eventually periodic within the step
-    budget)."""
+    expansion is not eventually periodic: proved, as when q is no
+    algebraic integer or a remainder escapes under a conjugate, or not
+    detected within the step budget)."""
 
 
 class NoRootByCaseError(DomainError):

@@ -8,11 +8,12 @@ import types
 from fractions import Fraction
 from math import floor, gcd, isqrt
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twobases import bases, polys
+from twobases import bases, conjugates, polys
 from twobases.bases import (
     AlgBase, alpha_digits, beta_digits, alpha_epseq, parry_check,
     base_from_alpha, cmp_seq_alpha, real_roots,
@@ -1515,19 +1516,27 @@ def _exact_work(job):
     return len(w.states), len(w.fld._xpow) - 1, counts["digits"], counts["_enclose_q"]
 
 
-def test_walks_count_their_exact_work():
+def test_walks_count_their_exact_work(monkeypatch):
     """Exact vectors are made only to re-anchor, to sign near zero, to
-    settle a shared bucket or to sign lim - q r: the 4,096-remainder q_s
-    refusal and the two count refusals replay at most one digit, and make
-    at most one companion shift, per remainder, and build one enclosure of
-    q; a Parry walk that closes its cycle, and a finite remainder graph
-    with merges, at most two per state met."""
+    settle a shared bucket or to sign lim - q r: with the escape test
+    (`conjugates.escapes`) off, the 4,096-remainder q_s refusal and the two
+    count refusals replay at most one digit, and make at most one
+    companion shift, per remainder, and build one enclosure of q; a Parry
+    walk that closes its cycle, a finite remainder graph with merges, and
+    the same three refusals with the escape on, stopped by 512 states, at
+    most two per state met (an escape test replays its state from the
+    last anchor)."""
     refusals = [lambda: alpha_epseq(_fresh(Q_S)),
                 lambda: count_expansions("1(100)", base_from_alpha(parse_epseq("(1100010)"))),
                 lambda: count_expansions("110(100)", base_from_alpha(parse_epseq("(100000)")))]
     for job in refusals:
         states, shifts, digits, qencs = _exact_work(job)
-        assert states >= 4096 and shifts <= states and digits <= states and qencs == 1
+        assert states <= 512 and shifts <= 2 * states and digits <= 2 * states and qencs == 1
+    with monkeypatch.context() as mp:
+        mp.setattr(conjugates, "escapes", lambda w, i: None)
+        for job in refusals:
+            states, shifts, digits, qencs = _exact_work(job)
+            assert states >= 4096 and shifts <= states and digits <= states and qencs == 1
     closing = [lambda: alpha_epseq(_walk_base(parse_epseq("(1100010)"))),
                lambda: alpha_epseq(_walk_base(parse_epseq("1(1010010)"))),
                lambda: count_expansions("100(10)", _fresh(Q_S), 3)]
@@ -1565,3 +1574,171 @@ def test_walks_under_a_small_sign_budget(monkeypatch):
 # the brackets ORACLE_FIELDS are built with
 ORACLE_BRACKETS = ((Fraction(17, 10), Fraction(9, 5)), (Fraction(13, 10), Fraction(7, 5)),
                    (Fraction(1785, 1000), Fraction(1786, 1000)))
+
+
+# ---------------------------------------------------------------------------
+# conjugate discs and the escape test
+
+# fields whose discs are checked against mpmath's roots: q_s, the bases of
+# the two count refusals, the degree-12 and the non-monic oracle fields, and
+# a degree-16 field with many conjugates just outside the unit circle
+DISC_FIELDS = (Q_S, base_from_alpha(parse_epseq("(1100010)")),
+               base_from_alpha(parse_epseq("(100000)")), *ORACLE_FIELDS[1:], NON_MONIC[1],
+               AlgBase.from_poly((-1, 0, -1) + (0,) * 13 + (1,), 1, 2))
+
+
+def _mp_roots(m):
+    """The roots of m by mpmath, at the working precision of the caller
+    (the tests below run at 60 digits)."""
+    return mpmath.polyroots(list(reversed(m)), maxsteps=200, extraprec=400)
+
+
+def _disc_holds(m, disc, roots) -> bool:
+    """Oracle: some root z of m lies in the disc, with |z| >= rho and
+    1 / (|z| - 1) at most T and at most t / 2^(K (n - 1))."""
+    K, n = conjugates.DISC_BITS, len(m) - 1
+    c = mpmath.mpc(disc.x, disc.y) / mpmath.mpf(2) ** K
+    T = mpmath.mpf(disc.T.numerator) / disc.T.denominator
+    t = mpmath.mpf(disc.t) / mpmath.mpf(2) ** (K * (n - 1))
+    return any(abs(z - c) <= mpmath.mpf(disc.r) / mpmath.mpf(2) ** K
+               and abs(z) >= mpmath.mpf(disc.rho.numerator) / disc.rho.denominator
+               and 1 / (abs(z) - 1) <= min(T, t) for z in roots)
+
+
+@mpmath.workdps(60)
+def test_every_disc_holds_a_conjugate_outside_the_unit_circle():
+    """Each disc holds a root of m, of modulus at least rho, whose
+    threshold 1 / (|z| - 1) is at most T; every root of modulus above
+    1.01 has a disc, and so has no other root."""
+    for q in DISC_FIELDS:
+        m = q.minpoly()
+        roots = _mp_roots(m)
+        discs = conjugates.discs(m)
+        assert all(_disc_holds(m, d, roots) for d in discs)
+        K = conjugates.DISC_BITS
+        for z in roots:
+            near = [d for d in discs if abs(z - mpmath.mpc(d.x, d.y) / 2**K) <= d.r / 2**K]
+            assert bool(near) == (abs(z) > 1) or 1 < abs(z) <= 1.01
+
+
+@mpmath.workdps(60)
+def test_discs_from_a_guess_a_tenth_off():
+    """A guess 1/10 outward of a root still gives a disc that holds it:
+    the radius covers the offset, and rho and T stay on the safe side of
+    the root's own modulus though |c| lies above it.  On such a disc the
+    escape test of round(N (x - z)), small at a real root z and about N/10
+    at c, holds only where the image at z is past 1 / (|z| - 1)."""
+    K = conjugates.DISC_BITS
+    for m in ((-11, 1, 1), (5, -1, 1), (-1, -1, -2, 0, 1)):
+        for z in _mp_roots(m):
+            if abs(z) < 1.3:
+                continue
+            c = z * (1 + mpmath.mpf(1) / (10 * abs(z)))
+            disc = conjugates._disc(m, int(mpmath.nint(c.real * 2**K)), int(mpmath.nint(c.imag * 2**K)))
+            assert disc is not None and _disc_holds(m, disc, [z])
+            assert disc.r / 2**K >= 0.1
+            if mpmath.im(z) == 0:
+                for N in (10, 1000, 10**6):
+                    num = (int(mpmath.nint(-N * z)), N) + (0,) * (len(m) - 3)
+                    if conjugates.escape([disc], num, 1):
+                        assert abs(num[0] + N * z) > 1 / (abs(z) - 1)
+
+
+def test_no_disc_for_a_field_above_the_degree_cap():
+    q = AlgBase.from_poly((-1, 0, -1) + (0,) * (conjugates.DISC_MAX_DEGREE - 2) + (1,), 1, 2)
+    assert q.field().deg == conjugates.DISC_MAX_DEGREE + 1 and conjugates.discs(q.minpoly()) == []
+
+
+@mpmath.workdps(60)
+def test_escapes_only_past_a_conjugates_threshold():
+    """Along the q_s orbit the escape test fires from step 4 on, and each
+    time some conjugate z with |z| > 1 takes the state past
+    1 / (|z| - 1); on the orbit of the degree-12 oracle field likewise
+    whenever it fires."""
+    for q, bracket, steps in ((Q_S, ORACLE_BRACKETS[0], 80),
+                              (ORACLE_FIELDS[2], ORACLE_BRACKETS[2], 200)):
+        fld = AlgBase.from_poly(q.poly, *bracket).field()
+        roots = [z for z in _mp_roots(q.minpoly()) if abs(z) > 1]
+        w = bases._Walk(fld)
+        assert fld.discs is None
+        orbit = bases._orbit(w, ((1,) + (0,) * (fld.deg - 1), 1), itertools.repeat(0))
+        fired = []
+        for step, (i, _, _) in enumerate(itertools.islice(orbit, steps)):
+            if conjugates.escapes(w, i):
+                fired.append(step)
+                num, den = w.exact(i)
+                assert any(abs(sum(a * z**k for k, a in enumerate(num))) / den > 1 / (abs(z) - 1)
+                           for z in roots)
+        # the field's discs, made by the first test and kept
+        assert fld.discs == conjugates.discs(q.minpoly())
+        if q is Q_S:
+            assert fired == list(range(4, steps))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(parry_word())
+@example(parse_epseq("(1100010)"))
+@example(parse_epseq("(100000)"))
+def test_no_state_of_a_closing_orbit_escapes(s):
+    """On a base built by `from_poly` from an admissible word, so that no
+    alpha hint applies, no state of the orbit of 1 escapes, and
+    `alpha_epseq` gives the word with the escape test on and off."""
+    b = base_from_alpha(s)
+    assume(b.exact_rational is None)
+    q = AlgBase.from_poly(b.poly, *b.bracket())
+    assert q.alpha_hint is None and alpha_epseq(q) == s
+    fld = q.field()
+    w = bases._Walk(fld)
+    orbit = bases._orbit(w, ((1,) + (0,) * (fld.deg - 1), 1), itertools.repeat(0))
+    for step, (i, _, _) in enumerate(orbit):
+        if i != step:
+            break
+        assert conjugates.escapes(w, i) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjugates, "escapes", lambda w, i: None)
+        assert alpha_epseq(AlgBase.from_poly(b.poly, *b.bracket())) == s
+
+
+def _budget_refuses(q, max_steps=4096) -> bool:
+    """The budget route: no remainder of the orbit of 1 recurs within
+    max_steps remainders."""
+    walk = bases._walk_of_one(q, itertools.repeat(0))
+    return all(i == step for step, (i, _, _) in enumerate(itertools.islice(walk, max_steps)))
+
+
+@st.composite
+def non_monic_quadratic(draw):
+    """An irreducible primitive a x^2 + b x + c, a >= 2, with one root in
+    (1, 2), and that base."""
+    a, b, c = draw(st.integers(2, 6)), draw(st.integers(-14, 14)), draw(st.integers(-14, 14))
+    disc = b * b - 4 * a * c
+    assume(gcd(a, b, c) == 1 and disc > 0 and isqrt(disc) ** 2 != disc)
+    p = (c, b, a)
+    assume(polys.count_roots_halfopen(p, 1, 2) == 1 and polys.sign_at_rational(p, 2))
+    return AlgBase.from_poly(p, 1, 2)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.one_of(RATIONAL_BASES.filter(lambda r: r < 2).map(AlgBase.from_rational),
+                 non_monic_quadratic()))
+@example(AlgBase.from_rational(Fraction(101, 100)))
+@example(AlgBase.from_rational(Fraction(3, 2)))
+@example(NON_MONIC[0])
+@example(NON_MONIC[1])
+def test_a_base_that_is_no_algebraic_integer_is_refused_before_walking(q):
+    """The integrality gate refuses at once where the budget route walks
+    all 4,096 remainders and refuses; expansion counting keeps no gate,
+    as the graphs of 0 and 1 / (q - 1) are finite for every q."""
+    walks = []
+    init = bases._Walk.__init__
+
+    def kept(w, fld):
+        init(w, fld)
+        walks.append(w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bases._Walk, "__init__", kept)
+        with pytest.raises(UnsupportedBaseError, match="not an algebraic integer"):
+            alpha_epseq(q)
+    assert walks == []
+    assert _budget_refuses(q)
+    assert count_expansions(Fraction(0), q) == count_expansions("(1)", q) == CountResult(1)

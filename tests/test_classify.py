@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twobases import bases, classify
+from twobases import bases, classify, conjugates
 from twobases.bases import AlgBase, base_from_alpha, parry_check
 from twobases.classify import (
     BaseTag, CountResult, classify_base, count_expansions, in_A_prime,
@@ -348,3 +348,43 @@ def test_remainder_graph_near_the_upper_end(bits, monkeypatch):
                 want = _or_refusal(exact_remainder_graph, val, lim, 40)
                 got = _or_refusal(classify._remainder_graph, val, lim, 40)
                 assert vector_graph(fld, got) == want
+
+
+def _graph_or_refusal(val, lim, max_states):
+    """(children, w) of `classify._remainder_graph`, or the refusal's
+    message."""
+    try:
+        return classify._remainder_graph(val, lim, max_states)
+    except UnsupportedBaseError as e:
+        return str(e)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(count_case())
+@example((EPSeq("1", "100"), base_from_alpha(EPSeq("", "1100010"))))
+@example((EPSeq("110", "100"), base_from_alpha(EPSeq("", "100000"))))
+@example((EPSeq("100", "10"), Q_S))
+def test_escape_refuses_only_infinite_graphs(case):
+    """With the escape test on, with it off (the budget route), and by the
+    exact step (`exact_remainder_graph`), a remainder graph is refused or
+    counted alike, at a budget of 600 states; no state of a finite graph
+    escapes."""
+    x, q = case
+    fld = q.field()
+    val = fld.zero() + eval_seq(x, q)
+    lim = fld.series_den_inv(0, 1)
+    assume(val.sign() >= 0 and (lim - val).sign() >= 0)
+    got = _graph_or_refusal(val, lim, 600)
+    want = _or_refusal(exact_remainder_graph, val, lim, 600)
+    if isinstance(got, str):
+        assert want == "refused"
+    else:
+        children, w = got
+        assert all(conjugates.escapes(w, i) is None for i in children)
+        assert vector_graph(fld, got) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conjugates, "escapes", lambda w, i: None)
+        budget = _graph_or_refusal(val, lim, 600)
+        assert isinstance(budget, str) == isinstance(got, str)
+        off = _or_refusal(count_expansions, x, q, 3, 600)
+    assert _or_refusal(count_expansions, x, q, 3, 600) == off

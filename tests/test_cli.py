@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import twobases
+from twobases import conjugates
 from twobases.bases import AlgBase, base_from_alpha
 from twobases.classify import classify_base
 from twobases.cli import run
@@ -116,6 +117,29 @@ def test_classify_probable_and_refusal(capsys):
     assert doc["probable"] is True and doc["depth"] == 64
     assert doc["class"] == "not-V"
     assert "not certified" in doc["note"]
+
+
+# the two refusals of the golden cases, and the certificate each names
+GOLDEN_REFUSALS = [
+    (["classify", Q_S_SPEC],
+     "remainder 63 of the orbit of 1 escapes: a conjugate has modulus rho >= 1.3450",
+     "no remainder cycle within 4096 steps"),
+    (["count", "--x", "1(100)", "--base", "alpha:(1100010)"],
+     "remainder graph is infinite: state 256 escapes: a conjugate has modulus rho >= 1.0204",
+     "remainder graph exceeded the state budget"),
+]
+
+
+@pytest.mark.parametrize("argv, escape, budget", GOLDEN_REFUSALS)
+def test_golden_refusals_name_their_certificate(capsys, monkeypatch, argv, escape, budget):
+    """Each golden refusal exits 2 with nothing on stdout and names its
+    escape on stderr; with the escape test off it is refused all the
+    same, by the budget, with the budget's text."""
+    rc, out, err = _run(capsys, *argv)
+    assert (rc, out) == (2, "") and escape in err
+    monkeypatch.setattr(conjugates, "escapes", lambda w, i: None)
+    rc, out, err = _run(capsys, *argv)
+    assert (rc, out) == (2, "") and budget in err
 
 
 @pytest.mark.parametrize("alpha", ["(1110)", "(111010)", "(11100100)"])

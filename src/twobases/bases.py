@@ -460,19 +460,20 @@ def _over_one_den(lo: Fraction, hi: Fraction) -> tuple:
 class AlgBase:
     """A real algebraic number q in (1, 2], the base of the expansions."""
 
-    # the base `copy` was made from, which keeps a minimal polynomial the
-    # copy finds
-    _origin = None
-
     def __init__(self, poly, lo, hi, *, exact=None, alpha_hint=None, _verified=False):
         self.poly = polys.to_int_poly(polys.trim(poly))
         lo, hi = Fraction(lo), Fraction(hi)
-        # the construction bracket, as (a, b, d) for (a/d, b/d)
-        self._built = _over_one_den(lo, hi)
+        # the construction bracket _built and the working one _cell, each
+        # (a, b, d) for (a/d, b/d); _lo and _hi are the working ends, or q
+        # when it is exact, and the table of the powers of q is at width
+        # bits _sign_bits
+        self._built = self._cell = _over_one_den(lo, hi)
+        self._lo, self._hi = (lo, hi) if exact is None else (exact, exact)
+        self._sign_bits, self._powers = 0, ((), ())
         self.exact_rational = exact
         self.alpha_hint = alpha_hint
         self._minpoly = None
-        self._afresh()
+        self._field = None
         if exact is None:
             if not _verified:
                 raise DomainError("use a from_* constructor")
@@ -522,35 +523,17 @@ class AlgBase:
             return cls(p, lo, hi, exact=hi, alpha_hint=alpha_hint)
         return cls(p, lo, hi, alpha_hint=alpha_hint, _verified=True)
 
-    def _afresh(self):
-        """Make the construction bracket the working one, with no power
-        table or field built on it.  The working bracket is _cell, (a, b, d)
-        for (a/d, b/d), with ends _lo and _hi, or q when it is exact; the
-        table of the powers of q is at width bits _sign_bits."""
-        a, b, d = self._cell = self._built
-        r = self.exact_rational
-        self._lo, self._hi = (Fraction(a, d), Fraction(b, d)) if r is None else (r, r)
-        self._sign_bits, self._powers = 0, ((), ())
-        self._field = None
-
-    def copy(self) -> "AlgBase":
-        """This base refined nowhere: its polynomial, construction bracket,
-        alpha hint and, once known, minimal polynomial, on a working bracket
-        of its own.  A minimal polynomial the copy finds is kept here too."""
-        new = object.__new__(AlgBase)
-        new.__dict__.update(self.__dict__)
-        new._afresh()
-        new._origin = self
-        return new
-
     # -- bracket handling --------------------------------------------------
 
     def bracket(self, width=None) -> tuple:
-        """Without a width, the working bracket, for code that only decides.
-        With one, what the base prints: the bisection cell of its
-        construction bracket at the fewest levels narrower than width, or
-        (q, q) when bisection meets q on the way.  It is read off the
-        working cell, refined first if needed, with no evaluation."""
+        """Without a width, the working bracket, which every refinement,
+        comparison and sign narrows: for code that only decides.  With one,
+        a fixed cell, for what the base prints and for any end that shapes
+        an answer: the bisection cell of its construction bracket at the
+        fewest levels narrower than width, or (q, q) when bisection meets q
+        on the way, the same however far earlier work narrowed the base.
+        It is read off the working cell, refined first if needed, with no
+        evaluation."""
         if width is None:
             return self._lo, self._hi
         self.refine(width)
@@ -619,8 +602,6 @@ class AlgBase:
                         f"bracket holds a root of {len(hits)} irreducible factors"
                     )
                 self._minpoly = hits[0]
-            if self._origin is not None:
-                self._origin._minpoly = self._minpoly
         return self._minpoly
 
     def field(self) -> NumberField:

@@ -15,8 +15,8 @@ the interval, a right endpoint inherits one order more than the families
 converging down to it, and the explicit deep pairs of `prop62_pair` give an
 order-n point strictly inside (q_n, q_{n+1}).  Both counting rules take
 their pairs from one band scan, `_tail_pairs`: interior roots with its keys
-at the interval's bracket ends, a rooted endpoint q_n with keys at q_n's
-bracket over the tails of the interval below.
+at the ends of the interval's fixed ladder cells, a rooted endpoint q_n with
+keys at q_n's cell over the tails of the interval below.
 
 A derived-order scan caps the weight (k+1) + (k'+1) of its pairs, so every
 pair it wants joins a light sequence (weight at most half the cap) to one of
@@ -33,7 +33,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import polys
@@ -163,21 +163,21 @@ class LadderEntry:
 def qn_ladder(comp: ComponentSpec, N: int) -> list:
     """Ladder bases q_1 < ... < q_N of the component: q_n has quasi-greedy
     expansion (omega_n minus)^inf and greedy expansion omega_n 0^inf.  Each
-    call returns fresh copies (`AlgBase.copy`) of bases built once per
-    process, so no call sees how an earlier one refined them."""
+    q_n is built once per process and shared by every call.  What a call
+    prints or scans reads fixed cells of it (`AlgBase.bracket` with a
+    width), so no call sees how far an earlier one refined it."""
     if N < 1:
         raise DomainError("need N >= 1")
     out = []
     for n in range(1, N + 1):
-        base = _ladder_base(comp.generator, n).copy()
+        base = _ladder_base(comp.generator, n)
         out.append(LadderEntry(n, base, base.alpha_hint, comp.omega(n)))
     return out
 
 
 @functools.cache
 def _ladder_base(gen: str, n: int) -> AlgBase:
-    """q_n of the component generated by gen; `qn_ladder` hands out copies
-    and never refines it."""
+    """q_n of the component generated by gen, for `qn_ladder`."""
     return base_from_alpha(EPSeq("", word_dec(ComponentSpec(gen).omega(n))))
 
 
@@ -462,23 +462,24 @@ def _tail_pairs(n, Jmax, cap=math.inf, iv=None, keys=None):
     `_Band` are formed, in the same order: the lower ends of the integer
     enclosures of (1c) and (1d) at points[0] sum to at most ends[0], and
     the upper ends at points[1] to at least ends[1].  On a monotone
-    interval iv the keys default to points (a0, b1) = (lo(q_n), hi(q_{n+1})),
-    the bracket ends at scan start, with ends the floor of 1/(a0 - 1) and
-    the ceiling of 1/(b1 - 1): a pair is dropped when its defect is decided
-    positive at a0 or negative at b1.  Shape-III defects increase on [a0, b1], the other
-    shapes are positive there, and later refinement only moves the ends
-    inward, so `_pair_roots` returns [] for every dropped pair.  Under a
-    cap, a sequence heavier than cap / 2 can pair only with a lighter one,
-    so the walk stores the light grades whole and, of the heavy ones, only
-    the sequences that pass that test with some light sequence; whole heavy
-    subtrees are skipped on bounds of their keys (`_graded_tails`).
+    interval iv the keys default to points (a0, b1), the outer ends of its
+    fixed ladder cells (`_Interval.ends`), with ends the floor of
+    1/(a0 - 1) and the ceiling of 1/(b1 - 1): a pair is dropped when its
+    defect is decided positive at a0 or negative at b1.  Shape-III defects
+    increase on [a0, b1], the other shapes are positive there, and
+    `_pair_roots` isolates inside [a0, b1], so it returns [] for every
+    dropped pair.  Under a cap, a sequence heavier than cap / 2 can pair
+    only with a lighter one, so the walk stores the light grades whole and,
+    of the heavy ones, only the sequences that pass that test with some
+    light sequence; whole heavy subtrees are skipped on bounds of their keys
+    (`_graded_tails`).
     Positions, pairs and profile ids are those of the full walk.
 
     EPSeqs and ReprVectors are built only for the sequences of the pairs
     formed, and their enclosures at the points are kept in iv.
     """
     if keys is None and iv is not None and iv.monotone:
-        a0, b1 = iv.lo.bracket()[0], iv.hi.bracket()[1]
+        a0, _, _, b1 = iv.ends
         keys = (a0, b1), (iv.ones(a0)[0], iv.ones(b1)[1])
     bands = None
     if keys is not None:
@@ -582,19 +583,23 @@ class _Interval:
     """The ladder interval (lo, hi] = (q_n, q_{n+1}]; lo is None for n = 0,
     the interval (1, q_1].
 
+    ends: (a0, a1, b0, b1), the fixed cells of q_n and q_{n+1} that
+    `_interval` picks (a0 = a1 = 1 for n = 0).  Scans read the ladder bases'
+    values only through these cells, never through their working brackets,
+    so no answer depends on how far earlier work narrowed them.
     shaped: q_f <= q_n, so pairs of shape I or II are positive throughout.
-    monotone: q_f lies below the left end of q_n's bracket, refined to width
-    10^-30 at both ends, so shape-III defects increase strictly across both
-    brackets and four signs locate each root.
+    monotone: q_f lies below a0, so shape-III defects increase strictly on
+    [a0, b1] and four signs locate each root.
     """
 
     lo: AlgBase | None
     hi: AlgBase
+    ends: tuple
     shaped: bool
     monotone: bool
-    # per bracket end, by exact value (comparisons may refine the ladder
-    # brackets later): its enclosure table and the enclosure of each (1t)_e
-    _ends: dict = field(default_factory=dict, compare=False, repr=False)
+    # per point, by exact value: its enclosure table and the enclosure of
+    # each (1t) there
+    _tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     def ones(self, e: Fraction) -> tuple:
         """(floor, ceil) of 2^K/(e - 1)."""
@@ -619,9 +624,9 @@ class _Interval:
         return b
 
     def _table(self, e: Fraction) -> tuple:
-        table = self._ends.get(e)
+        table = self._tables.get(e)
         if table is None:
-            table = self._ends[e] = (SeriesEnclosure(e), {})
+            table = self._tables[e] = (SeriesEnclosure(e), {})
         return table
 
     def end_sign(self, c: EPSeq, d: EPSeq, e: Fraction) -> int | None:
@@ -638,16 +643,17 @@ class _Interval:
 
 def _interval(ladder, n) -> _Interval:
     lo, hi = (ladder[n - 1].base if n >= 1 else None), ladder[n].base
+    # cells of width 10^-30, narrowed from n = 6 on to 2^-(2^(n+1)): the gap
+    # q_{n+1} - q_n is about 2^-(0.85 * 2^n) (2^-109 at n = 7), and a cell
+    # narrower than the next gap keeps q_n, q_{n+1} and the roots just
+    # above q_{n+1} apart, so that fewer pairs are isolated only to be cut
+    eps = min(Fraction(1, 10 ** 30), Fraction(1, 1 << (2 << n)))
+    a0, a1 = (1, 1) if lo is None else lo.bracket(eps)
     # sign of q_n - q_f, read off the quasi-greedy expansions, which grow
-    # strictly with the base; unlike cmp, this leaves lo's bracket alone
+    # strictly with the base: exact, with no isolation of q_f
     side = -1 if lo is None else cmp_seq_alpha(ladder[n - 1].alpha, q_f_base())
-    monotone = False
-    if side > 0:
-        eps = Fraction(1, 10 ** 30)
-        lo.refine(eps)
-        hi.refine(eps)
-        monotone = q_f_base().cmp_rational(lo.bracket()[0]) < 0
-    return _Interval(lo, hi, side >= 0, monotone)
+    monotone = side > 0 and q_f_base().cmp_rational(a0) < 0
+    return _Interval(lo, hi, (a0, a1, *hi.bracket(eps)), side >= 0, monotone)
 
 
 def _pair_roots(c: EPSeq, d: EPSeq, iv: _Interval) -> list:
@@ -656,14 +662,12 @@ def _pair_roots(c: EPSeq, d: EPSeq, iv: _Interval) -> list:
     if iv.shaped and monotone_case(c, d) is not MonotoneCase.INCREASING_III:
         return []  # positive on the whole interval
     F = None
-    a0, a1 = (1, 1) if iv.lo is None else iv.lo.bracket()
-    b0, b1 = iv.hi.bracket()
+    a0, a1, b0, b1 = ends = iv.ends
     lo, hi = a0, b1  # isolate in (lo, hi]
     if iv.monotone:
         # F increases strictly from a0 to b1, so its one root there lies in
-        # the window ending at the first bracket end where F is nonnegative;
+        # the window ending at the first cell end where F is nonnegative;
         # the exact sign is taken only where the enclosures straddle
-        ends = (a0, a1, b0, b1)
         k = 0
         for i, e in enumerate(ends):
             s = iv.end_sign(c, d, e)
@@ -681,7 +685,7 @@ def _pair_roots(c: EPSeq, d: EPSeq, iv: _Interval) -> list:
         F = f_minpoly(c, d)
     out = []
     for root in real_roots(F, lo, hi):
-        # windows reaching into a ladder bracket are cut at its base
+        # windows reaching into a ladder cell are cut at its base
         if (lo < a1 and root.cmp(iv.lo) <= 0) or (hi > b0 and root.cmp(iv.hi) > 0):
             continue
         _residual_check(c, d, root)
@@ -726,9 +730,7 @@ def enum_B2(n: int, Jmax: int) -> list:
             admissible=data["admissible"],
             repr_vectors=tuple(pairs),
         )
-        order = derived_order_bound(w, n)
-        out.append(B2Witness(w.c, w.d, w.root, w.minpoly, w.admissible,
-                             w.repr_vectors, order))
+        out.append(replace(w, derived_order=derived_order_bound(w, n)))
     out.sort(key=functools.cmp_to_key(lambda a, b: a.root.cmp(b.root)))
     return out
 
@@ -784,19 +786,20 @@ def _endpoint_certificate(iv, n, j, Jmax):
     admissible roots, return q_n.
 
     (c, d) is rooted at q_n iff (1c) + (1d) = 1/(q_n - 1) in Q(q_n).  Both
-    sides decrease in q, so on q_n's bracket [a0, a1] such a pair has
-    (1c) + (1d) at most 1/(a0 - 1) at a1 and at least 1/(a1 - 1) at a0:
-    `_tail_pairs` with those keys forms every pair that can root there (and
-    skips the heavy subtrees that cannot), and each is tested exactly by one
-    addition, every tail's value in Q(q_n) computed at most once.  The first
-    rooted pair of least weight the scan meets is certified.  Its members go
-    to `_family_decreases_to` in `_graded_tails` order, each standing for
-    itself through its first profile in walk order."""
+    sides decrease in q, so on q_n's fixed cell [a0, a1] (`_Interval.ends`)
+    such a pair has (1c) + (1d) at most 1/(a0 - 1) at a1 and at least
+    1/(a1 - 1) at a0: `_tail_pairs` with those keys forms every pair that
+    can root there (and skips the heavy subtrees that cannot), and each is
+    tested exactly by one addition, every tail's value in Q(q_n) computed
+    at most once.  The first rooted pair of least weight the scan meets is
+    certified.  Its members go to `_family_decreases_to` in `_graded_tails`
+    order, each standing for itself through its first profile in walk
+    order."""
     cap = 2 * n - j
     if cap < 1:
         return None
     qn = iv.lo
-    a0, a1 = qn.bracket()
+    a0, a1 = iv.ends[:2]
     keys = (a1, a0), (iv.ones(a0)[0], iv.ones(a1)[1])
     ones, values, best = None, {}, None
     for c, d, pairs in _tail_pairs(n - 1, Jmax, cap, iv, keys):
@@ -872,8 +875,9 @@ def prop62_witness(gen: str, n: int) -> tuple:
 def _prop62_root(iv, n) -> AlgBase:
     """Certified root of the deep pair strictly inside (q_n, q_{n+1})."""
     c, d = prop62_pair(GEN0, n)
-    # strictly below q_{n+1}: the upper end of r's bracket decides first, so
-    # r's own bracket is refined only when it reaches past q_{n+1}'s value
+    # strictly below q_{n+1}: q_{n+1} against the upper end of r's working
+    # bracket decides first, and r is refined only when that end reaches
+    # past q_{n+1}; either way an exact decision, which prints nothing
     roots = [(r, ok) for r, ok in _pair_roots(c, d, iv)
              if iv.hi.cmp_rational(r.bracket()[1]) > 0 or r.cmp(iv.hi) < 0]
     if len(roots) != 1:

@@ -2,7 +2,12 @@
 two-expansion bases, and derived-order certification."""
 
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +19,7 @@ from twobases.b2core import (
     MonotoneCase, f_eval, f_minpoly, monotone_case, solve_qcd,
     B2Witness, _block, _bridge,
 )
-from twobases.bases import AlgBase, beta_digits, real_roots
+from twobases.bases import AlgBase, base_from_alpha, beta_digits, real_roots
 from twobases.classify import CountResult, count_expansions, is_univoque_seq
 from twobases.classify import in_A_prime
 from twobases.enum_b2 import (
@@ -54,18 +59,17 @@ def test_ladder_expansions_consistent():
         qn_ladder(GEN0, 0)
 
 
-def test_ladder_calls_share_only_the_minimal_polynomial():
-    """Each call hands out fresh copies of one q_n per process: a copy
-    starts on the construction bracket whatever an earlier copy refined,
-    and starts with the minimal polynomial once a copy has found it."""
+def test_ladder_calls_share_one_base_per_n():
+    """Every call hands out the same q_n, built once per process for each
+    generator and n, and it prints what a base built afresh prints however
+    far it has been refined."""
     first = qn_ladder(GEN0, 3)[2].base
-    built = first.bracket()
-    first.minpoly()
+    assert all(a.base is b.base for a, b in zip(qn_ladder(GEN0, 5), qn_ladder(GEN0, 3)))
+    assert qn_ladder(ComponentSpec("10"), 3)[2].base is not first
+    fresh = base_from_alpha(first.alpha_hint).to_json(20)
     first.refine(Fraction(1, 10 ** 40))
     again = qn_ladder(GEN0, 3)[2].base
-    assert again is not first and again.bracket() == built
-    assert again._minpoly is first.minpoly()
-    assert again.to_json(20) == first.to_json(20)
+    assert again is first and again.to_json(20) == fresh
 
 
 def test_min_derived_does_not_depend_on_history(capsys):
@@ -84,6 +88,43 @@ def test_min_derived_does_not_depend_on_history(capsys):
         assert run(["--format", "json", *argv]) == 0
     capsys.readouterr()
     assert answers() == before
+
+
+# the least bases of orders 0-5 printed by a fresh interpreter, after a
+# history given as its argument: "fresh" (none), "refined" (every ladder
+# base q_1..q_7 refined to 2^-2000 and compared with each other by cmp) or
+# "deep-first" (the deep-pair roots of intervals 2-5 built first)
+_HISTORY = """
+import itertools, json, sys
+from fractions import Fraction
+from twobases import enum_b2
+from twobases.enum_b2 import GEN0, min_derived, qn_ladder, _interval
+ladder = [e.base for e in qn_ladder(GEN0, 7)]
+if sys.argv[1] == "refined":
+    for q in ladder:
+        q.refine(Fraction(1, 2 ** 2000))
+    for a, b in itertools.combinations(ladder, 2):
+        a.cmp(b)
+elif sys.argv[1] == "deep-first":
+    for n in range(2, 6):
+        enum_b2._prop62_root(_interval(qn_ladder(GEN0, n + 1), n), n)
+print(json.dumps([min_derived(j).to_json() for j in range(5)]
+                 + [min_derived(5, 6, 5).to_json()]))
+"""
+
+
+def test_min_derived_prints_the_same_after_any_ladder_history():
+    """The scans read the shared ladder bases only through fixed cells, so
+    narrowing their working brackets first, by refinement and comparison or
+    by building the deep-pair roots, moves no printed byte."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(enum_b2.__file__).parent.parent))
+    out = {}
+    for history in ("fresh", "refined", "deep-first"):
+        proc = subprocess.run([sys.executable, "-c", _HISTORY, history], capture_output=True,
+                              text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out[history] = json.loads(proc.stdout)
+    assert out["refined"] == out["fresh"] and out["deep-first"] == out["fresh"]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -403,7 +444,7 @@ def test_end_sign_agrees_with_exact_defect(c, d, e):
     # a decided window sign is the exact sign of f(e), and an exact zero
     # never decides; away from 1, any defect above 2^-100 in size decides
     iv = _Interval(AlgBase.from_rational(Fraction(3, 2)), AlgBase.from_rational(2),
-                   False, True)
+                   (Fraction(3, 2),) * 2 + (Fraction(2),) * 2, False, True)
     s = iv.end_sign(c, d, e)
     exact = f_eval(c, d, e)
     if exact == 0:
@@ -422,11 +463,13 @@ def test_bracket_signs_at_interval_ends():
     # bracket window, and only (.., q_s] keeps it
     c, d = parse_epseq("000(01)"), parse_epseq("0(01)")
     q_s = solve_qcd(c, d, Fraction(17, 10), Fraction(9, 5))
-    q_s.refine(Fraction(1, 10**30))
-    ending = _Interval(AlgBase.from_rational(Fraction(17, 10)), q_s, False, True)
+    cell = q_s.bracket(Fraction(1, 10**30))
+    ending = _Interval(AlgBase.from_rational(Fraction(17, 10)), q_s,
+                       (Fraction(17, 10),) * 2 + cell, False, True)
     [(root, ok)] = _pair_roots(c, d, ending)
     assert root.same_value(q_s) and ok
-    starting = _Interval(q_s, AlgBase.from_rational(Fraction(9, 5)), False, True)
+    starting = _Interval(q_s, AlgBase.from_rational(Fraction(9, 5)),
+                         cell + (Fraction(9, 5),) * 2, False, True)
     assert _pair_roots(c, d, starting) == []
 
 
@@ -539,17 +582,17 @@ def _counted_endpoint_tests(monkeypatch) -> list:
     return tested
 
 
-@pytest.mark.parametrize("j, saved", [(2, 1), (3, 50), (4, 10)])
-def test_filtered_scans_match_exact_scans(monkeypatch, j, saved):
+@pytest.mark.parametrize("j, Jmax, saved", [(2, 5, 10), (2, 6, 10), (3, 4, 1), (4, 4, 1)])
+def test_filtered_scans_match_exact_scans(monkeypatch, j, Jmax, saved):
     # the same base, bracket included; the endpoint rule tests exactly at
-    # most 1/saved of the pairs it tests with no band (at j = 2 the band
-    # rules out none of interval 1's pairs at q_2's bracket; at j = 4 it
-    # leaves no pair at q_3's)
+    # most 1/saved of the pairs it tests with no band (at j = 2 and Jmax 5
+    # or 6 the band keeps one pair of interval 1 at q_2's cell, of 20 and
+    # 27; at j = 3 and 4 it keeps none at q_2's and q_3's)
     tested = _counted_endpoint_tests(monkeypatch)
-    fast, n_fast = min_derived(j, 4, 5).to_json(), len(tested)
-    assert (n_fast > 0) == (j < 4)
+    fast, n_fast = min_derived(j, Jmax, 5).to_json(), len(tested)
+    assert (n_fast > 0) == (j == 2)
     monkeypatch.setattr(enum_b2, "_Band", _EveryPair)
-    assert min_derived(j, 4, 5).to_json() == fast
+    assert min_derived(j, Jmax, 5).to_json() == fast
     assert len(tested) > n_fast and n_fast * saved <= len(tested) - n_fast
 
 
@@ -564,7 +607,7 @@ def _endpoint_join(iv, n, j, Jmax):
     if maxweight < 1:
         return None
     qn = iv.lo
-    a0, a1 = qn.bracket()
+    a0, a1 = iv.ends[:2]
     points = (a1, a0)
     ends = iv.ones(a0)[0], iv.ones(a1)[1]
     tails = [(w, text, ids, bounds)

@@ -1,7 +1,7 @@
 """Source hygiene: every import of the library is used, every private
 helper has a caller, no certified result rests on `assert`, only the ladder
-and the block words take a component, and importing the library builds
-nothing that is cached."""
+and the block words take a component, only `AlgBase` reads its working
+bracket, and importing the library builds nothing that is cached."""
 
 import ast
 import os
@@ -98,6 +98,23 @@ def test_only_the_ladder_and_block_words_take_a_component():
         if "udiff_generate" in _exported(tree) or "udiff_generate" in _referenced(tree):
             assemblers.append(f"{name}: name")
     assert takers == [] and assemblers == []
+
+
+def test_the_working_bracket_is_private_to_algbase():
+    """No module but bases.py reads `_lo`, `_hi`, `_cell` or `_built` of
+    anything but `self`, and `AlgBase` has no `copy`: every other module
+    sees a base's value through `bracket`, and a shared ladder base prints
+    and scans from its fixed cells."""
+    private = {"_lo", "_hi", "_cell", "_built"}
+    trees = _modules()
+    readers = [f"{name}:{node.lineno}" for name, tree in trees.items() if name != "bases.py"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr in private
+               and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+    [algbase] = [node for node in ast.walk(trees["bases.py"])
+                 if isinstance(node, ast.ClassDef) and node.name == "AlgBase"]
+    methods = [node.name for node in algbase.body if isinstance(node, ast.FunctionDef)]
+    assert readers == [] and "copy" not in methods and "bracket" in methods
 
 
 def test_import_fills_no_cache():

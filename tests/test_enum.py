@@ -868,10 +868,10 @@ MIN_DERIVED_5 = {
                 -2, -2, -1, -2, -4, -2, -2, -2, 0, -2, -3, -2, -2, -2, -2, -2,
                 -2, -1, -1, -1, 0, -1, -1, -1, -2, 0, 1],
     "interval": [
-        "311379668699743525062499348903975519441201/"
-        "174224571863520493293247799005065324265472",
-        "155689834349871768443638807813077269321685/"
-        "87112285931760246646623899502532662132736",
+        "76020426928648321548461755103538281821/"
+        "42535295865117307932921825928971026432",
+        "38010213464324162217685255813753884465/"
+        "21267647932558653966460912964485513216",
     ],
     "approx": "1.78723164803449",
 }
@@ -892,10 +892,10 @@ MIN_DERIVED_6 = {
         -2, 0, 1,
     ],
     "interval": [
-        "4639918641359514951756667235152891/"
-        "2596148429267413814265248164610048",
-        "4639918641359515002103933475616735/"
-        "2596148429267413814265248164610048",
+        "304081708080137171878324943922979848561/"
+        "170141183460469231731687303715884105728",
+        "1216326832320548700711533537032073477313/"
+        "680564733841876926926749214863536422912",
     ],
     "approx": "1.78723165018297",
 }
@@ -917,10 +917,10 @@ MIN_DERIVED_7 = {
         -2, 0, 1,
     ],
     "interval": [
-        "38010213510017146897235423032252296167/"
-        "21267647932558653966460912964485513216",
-        "3011479373173524409670108635726574150172109845308420489219939222585/"
-        "1684996666696914987166688442938726917102321526408785780068975640576",
+        "413894573451483746322906327654809695866978355153342571327341294821680805843217/"
+        "231584178474632390847141970017375815706539969331281128078915168015826259279872",
+        "206947286725741873161453163827405010769731272910708560553855352193813221217653/"
+        "115792089237316195423570985008687907853269984665640564039457584007913129639936",
     ],
     "approx": "1.78723165018297",
 }

@@ -214,23 +214,23 @@ class B2Witness:
         return out
 
 
-def _residual_check(c: EPSeq, d: EPSeq, root: AlgBase) -> None:
+def _witness(c: EPSeq, d: EPSeq, root: AlgBase) -> B2Witness:
+    """Certify a defect root of (c, d): the exact residual must vanish, and
+    both sequences are tested for membership in the zero-leading
+    unique-expansion set of the root."""
     val = f_eval(c, d, root)
     zero = val.is_zero() if isinstance(val, FieldElem) else val == 0
     if not zero:
         raise DomainError("root fails the exact defect residual")
+    admissible = in_A_prime(c, root) and in_A_prime(d, root)
+    return B2Witness(c, d, root, root.minpoly(), admissible)
 
 
 def certify_b2(c: EPSeq, d: EPSeq, lo, hi) -> B2Witness | None:
-    """Isolate the defect root of (c, d) in [lo, hi] and certify it: the
-    exact residual must vanish, and both sequences are tested for membership
-    in the zero-leading unique-expansion set of the root."""
+    """Isolate the defect root of (c, d) in [lo, hi] and certify it
+    (`_witness`)."""
     root = solve_qcd(c, d, lo, hi)
-    if root is None:
-        return None
-    _residual_check(c, d, root)
-    admissible = in_A_prime(c, root) and in_A_prime(d, root)
-    return B2Witness(c, d, root, root.minpoly(), admissible)
+    return None if root is None else _witness(c, d, root)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +254,7 @@ def witness_for_V_base(gen: str) -> B2Witness:
         raise DomainError("constructed expansion fails the weak shift condition")
     c = EPSeq(reflect(aplus), a)
     d = EPSeq("0" * (2 * len(a)), reflect(a))
-    _residual_check(c, d, root)
-    admissible = in_A_prime(c, root) and in_A_prime(d, root)
-    return B2Witness(c, d, root, root.minpoly(), admissible)
+    return _witness(c, d, root)
 
 
 def prop62_pair(comp: ComponentSpec, n: int) -> tuple:

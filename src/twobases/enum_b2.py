@@ -7,7 +7,9 @@ unique-expansion sequences are exactly the block profiles that
 `repr_to_seq` assembles, so pairing profiles and isolating the defect roots
 enumerates every two-expansion base of the interval, complete up to the
 repetition bound Jmax.  The ladder itself, and the deep pair of
-`prop62_witness`, take any generator.
+`prop62_witness`, take any generator; the deep pair's root is certified by
+the same interval scan (`_interval`, `_pair_roots`) as every other root, so
+`witness --prop62` and the deep rule of `min_derived` print one root.
 
 Derived orders follow the counting rule: a representation pair whose top
 block levels are k and k' certifies order 2n - (k+1) - (k'+1) relative to
@@ -41,7 +43,6 @@ from .bases import AlgBase, base_from_alpha, cmp_seq_alpha, real_roots
 from .b2core import (
     B2Witness,
     MonotoneCase,
-    certify_b2,
     f_minpoly,
     f_sign,
     monotone_case,
@@ -49,7 +50,7 @@ from .b2core import (
     q_f_base,
     _block,
     _bridge,
-    _residual_check,
+    _witness,
 )
 from .classify import in_A_prime
 from .errors import DomainError, NotFoundWithinBoundsError
@@ -657,8 +658,9 @@ def _interval(ladder, n) -> _Interval:
 
 
 def _pair_roots(c: EPSeq, d: EPSeq, iv: _Interval) -> list:
-    """Certified defect roots of the pair (c, d) in the interval, each with
-    its admissibility verdict: [(root, admissible)]."""
+    """Certified defect roots of the pair (c, d) in the interval, as
+    `B2Witness`es (`b2core._witness`) carrying the root and its
+    admissibility verdict."""
     if iv.shaped and monotone_case(c, d) is not MonotoneCase.INCREASING_III:
         return []  # positive on the whole interval
     F = None
@@ -683,14 +685,9 @@ def _pair_roots(c: EPSeq, d: EPSeq, iv: _Interval) -> list:
         lo, hi = ends[k - 1], ends[k]
     if F is None:
         F = f_minpoly(c, d)
-    out = []
-    for root in real_roots(F, lo, hi):
-        # windows reaching into a ladder cell are cut at its base
-        if (lo < a1 and root.cmp(iv.lo) <= 0) or (hi > b0 and root.cmp(iv.hi) > 0):
-            continue
-        _residual_check(c, d, root)
-        out.append((root, in_A_prime(c, root) and in_A_prime(d, root)))
-    return out
+    # windows reaching into a ladder cell are cut at its base
+    return [_witness(c, d, root) for root in real_roots(F, lo, hi)
+            if (lo >= a1 or root.cmp(iv.lo) > 0) and (hi <= b0 or root.cmp(iv.hi) <= 0)]
 
 
 def enum_B2(n: int, Jmax: int) -> list:
@@ -705,15 +702,15 @@ def enum_B2(n: int, Jmax: int) -> list:
     iv = _interval(qn_ladder(GEN0, n + 1), n)
     by_minpoly = {}
     for c, d, pairs in _tail_pairs(n, Jmax, iv=iv):
-        for root, ok in _pair_roots(c, d, iv):
-            key = tuple(root.minpoly())
+        for w in _pair_roots(c, d, iv):
+            key = tuple(w.minpoly)
             if key in by_minpoly:
                 prev = by_minpoly[key]
                 prev["pairs"].extend(pairs)
-                prev["admissible"] = prev["admissible"] or ok
+                prev["admissible"] = prev["admissible"] or w.admissible
             else:
                 by_minpoly[key] = {
-                    "root": root, "pairs": list(pairs), "admissible": ok,
+                    "root": w.root, "pairs": list(pairs), "admissible": w.admissible,
                 }
     out = []
     for key, data in by_minpoly.items():
@@ -756,8 +753,10 @@ def min_derived(j: int, Jmax: int = 6, Nmax: int = 6) -> AlgBase:
     Certificates, in scan order per interval: the right endpoint q_n carries
     order 2n - S whenever it roots a weight-S pair of the previous interval
     and the appended one-parameter family of roots decreases to it strictly;
-    an interior root of a weight-S pair carries order 2n - S; the explicit
-    deep pair of `prop62_pair` carries order n strictly inside its interval.
+    an interior root of a weight-S pair carries order 2n - S; at n = j the
+    root of the deep pair of `prop62_pair`, the one of the cached
+    `prop62_witness` of generator 0, carries order n strictly inside its
+    interval.
     """
     if j < 0:
         raise DomainError("need j >= 0")
@@ -772,7 +771,10 @@ def min_derived(j: int, Jmax: int = 6, Nmax: int = 6) -> AlgBase:
             return cand
         cands = _interior_candidates(iv, n, j, Jmax)
         if n == j and j >= 2:
-            cands.append(_prop62_root(iv, j))
+            w = prop62_witness(GEN0.generator, j)[2]
+            if w is None or not w.admissible:
+                raise DomainError("deep pair must have an admissible root in the open interval")
+            cands.append(w.root)
         if cands:
             return min(cands, key=functools.cmp_to_key(AlgBase.cmp))
     raise NotFoundWithinBoundsError(
@@ -841,9 +843,9 @@ def _family_decreases_to(iv, pair) -> bool:
     for u in (1, 2, 3):
         v_u = ReprVector(side.k + (k_new,), side.s + (1,), side.j[:-1] + (u, math.inf))
         rs = _pair_roots(repr_to_seq(v_u), other_seq, iv)
-        if len(rs) != 1 or not rs[0][1]:
+        if len(rs) != 1 or not rs[0].admissible:
             return False
-        roots.append(rs[0][0])
+        roots.append(rs[0].root)
     return roots[0].cmp(roots[1]) > 0 and roots[1].cmp(roots[2]) > 0
 
 
@@ -853,36 +855,27 @@ def _interior_candidates(iv, n, j, Jmax):
     maxweight = 2 * n - j
     if maxweight < 1:
         return []
-    return [root for c, d, _ in _tail_pairs(n, Jmax, maxweight, iv)
-            for root, ok in _pair_roots(c, d, iv) if ok]
+    return [w.root for c, d, _ in _tail_pairs(n, Jmax, maxweight, iv)
+            for w in _pair_roots(c, d, iv) if w.admissible]
 
 
 @functools.cache
 def prop62_witness(gen: str, n: int) -> tuple:
     """The deep pair (c, d) of `prop62_pair` for the component generated by
-    gen, with its `certify_b2` witness between the brackets of q_n and
-    q_{n+1} at width 10^-12 (None when there is no root) and the defect's
-    signs at q_n and at q_{n+1}; built once per process."""
+    gen, its witness strictly inside (q_n, q_{n+1}) (None when there is no
+    root there) and the defect's exact signs at q_n and at q_{n+1}; built
+    once per process.  The witness is the one root of `_pair_roots` on
+    `_interval`'s fixed ladder cells strictly below q_{n+1}; DomainError
+    when there are more."""
     comp = ComponentSpec(gen)
     c, d = prop62_pair(comp, n)
-    ladder = qn_ladder(comp, n + 1)
-    qn, qn1 = ladder[n - 1].base, ladder[n].base
-    lo = qn.bracket(Fraction(1, 10 ** 12))[1]
-    hi = qn1.bracket(Fraction(1, 10 ** 12))[1]
-    return c, d, certify_b2(c, d, lo, hi), f_sign(c, d, qn), f_sign(c, d, qn1)
-
-
-def _prop62_root(iv, n) -> AlgBase:
-    """Certified root of the deep pair strictly inside (q_n, q_{n+1})."""
-    c, d = prop62_pair(GEN0, n)
+    iv = _interval(qn_ladder(comp, n + 1), n)
     # strictly below q_{n+1}: q_{n+1} against the upper end of r's working
     # bracket decides first, and r is refined only when that end reaches
     # past q_{n+1}; either way an exact decision, which prints nothing
-    roots = [(r, ok) for r, ok in _pair_roots(c, d, iv)
-             if iv.hi.cmp_rational(r.bracket()[1]) > 0 or r.cmp(iv.hi) < 0]
-    if len(roots) != 1:
-        raise DomainError("deep pair must have a unique root in the open interval")
-    root, ok = roots[0]
-    if not ok:
-        raise DomainError("deep pair root must be admissible")
-    return root
+    found = [w for w in _pair_roots(c, d, iv)
+             if iv.hi.cmp_rational(w.root.bracket()[1]) > 0 or w.root.cmp(iv.hi) < 0]
+    if len(found) > 1:
+        raise DomainError("deep pair must have at most one root in the open interval")
+    w = found[0] if found else None
+    return c, d, w, f_sign(c, d, iv.lo), f_sign(c, d, iv.hi)

@@ -67,10 +67,11 @@ def _case_ids(cases):
     return ids
 
 
-# cases whose bases are certified by enum_b2._pair_roots, ordered by
-# AlgBase.cmp (the 45 witnesses of `enum-b2 --n 2`) or compared by its
-# equality test, signed by the base's power table
-# (AlgBase.sign_of, behind sign_at in `witness --prop62` and cmp_rational in
+# cases whose bases are certified by enum_b2._pair_roots (the deep-pair
+# root of `witness --prop62` among them), ordered by AlgBase.cmp (the 45
+# witnesses of `enum-b2 --n 2`) or compared by its equality test, signed by
+# the base's power table (AlgBase.sign_of, behind sign_at in the signs at q_n
+# and q_{n+1} that `witness --prop62` prints and cmp_rational in
 # `dim-bound`) or counted in Q(q) through FieldElem.inv and the remainder
 # walks (the 4,096-step refusals of the q_s walk and of a remainder graph
 # among them), run again with assert statements stripped: their answers may

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from twobases import enum_b2, words
 from twobases.b2core import (
-    MonotoneCase, f_eval, f_minpoly, monotone_case, solve_qcd,
+    MonotoneCase, certify_b2, f_eval, f_minpoly, monotone_case, solve_qcd,
     B2Witness, _block, _bridge,
 )
 from twobases.bases import AlgBase, base_from_alpha, beta_digits, real_roots
@@ -93,12 +93,11 @@ def test_min_derived_does_not_depend_on_history(capsys):
 # the least bases of orders 0-5 printed by a fresh interpreter, after a
 # history given as its argument: "fresh" (none), "refined" (every ladder
 # base q_1..q_7 refined to 2^-2000 and compared with each other by cmp) or
-# "deep-first" (the deep-pair roots of intervals 2-5 built first)
+# "deep-first" (the deep-pair witnesses of intervals 2-5 built first)
 _HISTORY = """
 import itertools, json, sys
 from fractions import Fraction
-from twobases import enum_b2
-from twobases.enum_b2 import GEN0, min_derived, qn_ladder, _interval
+from twobases.enum_b2 import GEN0, min_derived, prop62_witness, qn_ladder
 ladder = [e.base for e in qn_ladder(GEN0, 7)]
 if sys.argv[1] == "refined":
     for q in ladder:
@@ -107,7 +106,7 @@ if sys.argv[1] == "refined":
         a.cmp(b)
 elif sys.argv[1] == "deep-first":
     for n in range(2, 6):
-        enum_b2._prop62_root(_interval(qn_ladder(GEN0, n + 1), n), n)
+        prop62_witness("0", n)
 print(json.dumps([min_derived(j).to_json() for j in range(5)]
                  + [min_derived(5, 6, 5).to_json()]))
 """
@@ -116,7 +115,8 @@ print(json.dumps([min_derived(j).to_json() for j in range(5)]
 def test_min_derived_prints_the_same_after_any_ladder_history():
     """The scans read the shared ladder bases only through fixed cells, so
     narrowing their working brackets first, by refinement and comparison or
-    by building the deep-pair roots, moves no printed byte."""
+    by building the deep-pair witnesses and their signs, moves no printed
+    byte."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(enum_b2.__file__).parent.parent))
     out = {}
     for history in ("fresh", "refined", "deep-first"):
@@ -127,16 +127,94 @@ def test_min_derived_prints_the_same_after_any_ladder_history():
     assert out["refined"] == out["fresh"] and out["deep-first"] == out["fresh"]
 
 
+def _certified_between_cells(gen, n, width):
+    """`certify_b2` on the deep pair of generator gen and interval n, over
+    (upper end of q_n's cell, lower end of q_{n+1}'s cell] at this width:
+    an isolation that shares no window with the interval scan."""
+    comp = ComponentSpec(gen)
+    c, d = enum_b2.prop62_pair(comp, n)
+    ladder = qn_ladder(comp, n + 1)
+    return certify_b2(c, d, ladder[n - 1].base.bracket(width)[1],
+                      ladder[n].base.bracket(width)[0])
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_prop62_witness_matches_the_deep_pair_root(n):
-    """The CLI's deep-pair witness, certified between the ladder brackets at
-    width 10^-12, against `_prop62_root` on the scan's interval."""
+    """The deep-pair witness of the component generated by 0, certified on
+    the interval scan's fixed ladder cells, against `certify_b2` between
+    the 10^-30 cells of q_n and q_{n+1}."""
     c, d, w, s_n, s_n1 = prop62_witness("0", n)
     assert (c, d) == enum_b2.prop62_pair(GEN0, n)
     assert (s_n, s_n1) == (-1, 1) and w.admissible
-    root = enum_b2._prop62_root(_interval(qn_ladder(GEN0, n + 1), n), n)
-    assert w.minpoly == root.minpoly()
-    assert w.root.decimal(30) == root.decimal(30)
+    ref = _certified_between_cells("0", n, Fraction(1, 10 ** 30))
+    assert w.minpoly == ref.minpoly
+    assert w.root.decimal(30) == ref.root.decimal(30)
+
+
+@pytest.mark.parametrize("j, Jmax, Nmax", [(3, 6, 5), (4, 4, 5), (5, 6, 5)])
+def test_min_derived_takes_the_deep_root_of_prop62_witness(j, Jmax, Nmax):
+    """Orders 3 to 5 are decided by the deep pair of interval j, and the
+    answer is the very root that `witness --prop62 j` prints."""
+    assert min_derived(j, Jmax, Nmax) is prop62_witness("0", j)[2].root
+
+
+# deep-pair roots within 10^-12 of q_n, or in intervals where q_{n+1} is
+# that close to q_n: (generator, n, the root to 30 decimals)
+DEEP_ROOTS_NEAR_Q_N = [
+    ("0", 6, "1.787231650182965914716041215246"),
+    ("0", 7, "1.787231650182965933013274890337"),
+    ("1100", 3, "1.787231647905808691324490689623"),
+    ("1110", 3, "1.933579278388521224521711436041"),
+    ("110", 4, "1.870643591303705088390494833031"),
+    ("1100", 4, "1.787231650182965913620230882529"),
+    ("1110", 4, "1.933579278440980794360745714614"),
+]
+
+
+@pytest.mark.parametrize("gen, n, root", DEEP_ROOTS_NEAR_Q_N,
+                         ids=[f"{g}-{n}" for g, n, _ in DEEP_ROOTS_NEAR_Q_N])
+def test_prop62_witness_close_to_q_n(gen, n, root):
+    """Signs (-1, +1) and an admissible root, which `certify_b2` between
+    fixed cells of q_n and q_{n+1} finds too: at 10^-30, and at 10^-40 for
+    n = 7, where q_7 and q_8 lie about 2^-109 apart, inside one 10^-30
+    cell."""
+    c, d, w, s_n, s_n1 = prop62_witness(gen, n)
+    assert (s_n, s_n1) == (-1, 1)
+    assert w is not None and w.admissible and w.root.decimal(30) == root
+    ref = _certified_between_cells(gen, n, Fraction(1, 10 ** (40 if n == 7 else 30)))
+    assert ref.minpoly == w.minpoly and ref.root.decimal(30) == root
+
+
+@pytest.mark.parametrize("j, Jmax", [(6, 4), (7, 2)])
+def test_witness_prop62_prints_the_least_base_of_the_deep_orders(capsys, j, Jmax):
+    """`witness --prop62 6` and `7` answer with the root and minimal
+    polynomial of `min_derived(j, Jmax, j)`."""
+    from twobases.cli import run
+
+    assert run(["--precision", "30", "witness", "--gen", "0", "--prop62", str(j)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    want = min_derived(j, Jmax, j)
+    assert (out["sign_at_qn"], out["sign_at_qn1"], out["admissible"]) == (-1, 1, True)
+    assert out["root"] == want.decimal(30) and out["minpoly"] == list(want.minpoly())
+
+
+def test_prop62_signs_imply_a_root_between_the_ladder_bases():
+    """For every generator of at most 4 letters and n = 2..4, signs (-1, +1)
+    at q_n and q_{n+1} come with a witness strictly between them, compared
+    exactly.  "1" passes `check_generator`, but the ladder words are built
+    from a generator ending in 0, so its deep pairs are refused."""
+    gens = [w for size in range(1, 5) for w in map("".join, itertools.product("01", repeat=size))
+            if words.check_generator(w)]
+    assert gens == ["0", "1", "10", "110", "1100", "1110"]
+    with pytest.raises(DomainError):
+        prop62_witness("1", 2)
+    for gen in (g for g in gens if g != "1"):
+        ladder = qn_ladder(ComponentSpec(gen), 5)
+        for n in (2, 3, 4):
+            c, d, w, s_n, s_n1 = prop62_witness(gen, n)
+            if (s_n, s_n1) == (-1, 1):
+                assert w is not None, (gen, n)
+                assert ladder[n - 1].base.cmp(w.root) < 0 < ladder[n].base.cmp(w.root)
 
 
 def test_prop62_witness_is_built_once():
@@ -396,7 +474,7 @@ def _isolation_slice():
     pairs = list(_tail_pairs(3, 3, 3))
     found = []
     for c, d, _ in pairs:
-        fast = [(r.minpoly(), ok) for r, ok in _pair_roots(c, d, iv)]
+        fast = [(w.root.minpoly(), w.admissible) for w in _pair_roots(c, d, iv)]
         slow = [(r.minpoly(), in_A_prime(c, r) and in_A_prime(d, r))
                 for r in real_roots(f_minpoly(c, d), q3.bracket()[0], q4.bracket()[1])
                 if r.cmp(q3) > 0 and r.cmp(q4) <= 0]
@@ -466,8 +544,8 @@ def test_bracket_signs_at_interval_ends():
     cell = q_s.bracket(Fraction(1, 10**30))
     ending = _Interval(AlgBase.from_rational(Fraction(17, 10)), q_s,
                        (Fraction(17, 10),) * 2 + cell, False, True)
-    [(root, ok)] = _pair_roots(c, d, ending)
-    assert root.same_value(q_s) and ok
+    [w] = _pair_roots(c, d, ending)
+    assert w.root.same_value(q_s) and w.admissible
     starting = _Interval(q_s, AlgBase.from_rational(Fraction(9, 5)),
                          cell + (Fraction(9, 5),) * 2, False, True)
     assert _pair_roots(c, d, starting) == []
@@ -485,7 +563,7 @@ def _band_against_brute(n, Jmax, cap=INF):
     brute = list(_tail_pairs(n, Jmax, cap))
     kept = {(c, d) for c, d, _ in band}
     assert band == [t for t in brute if (t[0], t[1]) in kept]
-    verdicts = {(c, d): [ok for _, ok in _pair_roots(c, d, iv)] for c, d, _ in brute}
+    verdicts = {(c, d): [w.admissible for w in _pair_roots(c, d, iv)] for c, d, _ in brute}
     rooted = [(c, d, verdicts[c, d]) for c, d, _ in brute if verdicts[c, d]]
     assert [(c, d, verdicts[c, d]) for c, d, _ in band if verdicts[c, d]] == rooted
     return len(band), len(brute), rooted
@@ -927,17 +1005,21 @@ MIN_DERIVED_7 = {
 
 
 def _rules_seen(monkeypatch) -> dict:
-    """What each of the three derived-order rules returns, call by call."""
+    """What each of the three derived-order rules returns, call by call; for
+    the deep rule, the root of the `prop62_witness` it reads."""
     seen = {"endpoint": [], "interior": [], "deep": []}
 
     def recorded(name, fn):
         def wrapper(*args):
             out = fn(*args)
-            seen[name].append(list(out) if isinstance(out, list) else out)
+            if name == "deep":
+                seen[name].append(out[2].root)
+            else:
+                seen[name].append(list(out) if isinstance(out, list) else out)
             return out
         return wrapper
     for name, attr in (("endpoint", "_endpoint_certificate"),
-                       ("interior", "_interior_candidates"), ("deep", "_prop62_root")):
+                       ("interior", "_interior_candidates"), ("deep", "prop62_witness")):
         monkeypatch.setattr(enum_b2, attr, recorded(name, getattr(enum_b2, attr)))
     return seen
 
@@ -1007,6 +1089,5 @@ DEEP_ROOT_8 = (
 
 def test_deep_pair_root_of_interval_8_frozen():
     """The largest polynomial the degree analysis proves irreducible in the
-    tests (about 6 s)."""
-    root = enum_b2._prop62_root(_interval(qn_ladder(GEN0, 9), 8), 8)
-    assert root.minpoly() == DEEP_ROOT_8
+    tests (about 15 s)."""
+    assert prop62_witness("0", 8)[2].minpoly == DEEP_ROOT_8

@@ -1,7 +1,8 @@
 """Source hygiene: every import of the library is used, every private
 helper has a caller, no certified result rests on `assert`, only the ladder
 and the block words take a component, only `AlgBase` reads its working
-bracket, and importing the library builds nothing that is cached."""
+bracket, the interval scan's ladder cells are the only ones in the
+enumeration, and importing the library builds nothing that is cached."""
 
 import ast
 import os
@@ -115,6 +116,21 @@ def test_the_working_bracket_is_private_to_algbase():
                  if isinstance(node, ast.ClassDef) and node.name == "AlgBase"]
     methods = [node.name for node in algbase.body if isinstance(node, ast.FunctionDef)]
     assert readers == [] and "copy" not in methods and "bracket" in methods
+
+
+def test_the_ladder_cells_of_the_scan_are_the_only_ones():
+    """In enum_b2.py only `_interval` reads a ladder base through a fixed
+    cell (`bracket` with a width), and nothing there imports or calls
+    `certify_b2`: every pair root of the module, the Prop. 6.2 deep pair's
+    among them, is isolated on the interval scan's cells."""
+    tree = _modules()["enum_b2.py"]
+    cells = [f"{fn.name}:{node.lineno}"
+             for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "bracket" and (node.args or node.keywords)]
+    assert cells and all(c.startswith("_interval:") for c in cells)
+    assert "certify_b2" not in _referenced(tree)
 
 
 def test_import_fills_no_cache():

@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import polys
-from .bases import AlgBase, FieldElem, base_from_alpha, real_roots
+from .bases import AlgBase, base_from_alpha, real_roots
 from .classify import in_A_prime, in_Vq_seq
 from .errors import DomainError, NoRootByCaseError
 from .words import (
@@ -214,23 +214,22 @@ class B2Witness:
         return out
 
 
-def _witness(c: EPSeq, d: EPSeq, root: AlgBase) -> B2Witness:
-    """Certify a defect root of (c, d): the exact residual must vanish, and
-    both sequences are tested for membership in the zero-leading
-    unique-expansion set of the root."""
-    val = f_eval(c, d, root)
-    zero = val.is_zero() if isinstance(val, FieldElem) else val == 0
-    if not zero:
+def _witness(c: EPSeq, d: EPSeq, root: AlgBase, F) -> B2Witness:
+    """Certify a root of F = f_minpoly(c, d): the root's minimal polynomial
+    must divide F (`AlgBase.is_root_of`), and both sequences are tested for
+    membership in the zero-leading unique-expansion set of the root."""
+    minpoly = root.minpoly()  # first, so that the zero test is the division
+    if not root.is_root_of(F):
         raise DomainError("root fails the exact defect residual")
     admissible = in_A_prime(c, root) and in_A_prime(d, root)
-    return B2Witness(c, d, root, root.minpoly(), admissible)
+    return B2Witness(c, d, root, minpoly, admissible)
 
 
 def certify_b2(c: EPSeq, d: EPSeq, lo, hi) -> B2Witness | None:
     """Isolate the defect root of (c, d) in [lo, hi] and certify it
     (`_witness`)."""
     root = solve_qcd(c, d, lo, hi)
-    return None if root is None else _witness(c, d, root)
+    return None if root is None else _witness(c, d, root, f_minpoly(c, d))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def witness_for_V_base(gen: str) -> B2Witness:
         raise DomainError("constructed expansion fails the weak shift condition")
     c = EPSeq(reflect(aplus), a)
     d = EPSeq("0" * (2 * len(a)), reflect(a))
-    return _witness(c, d, root)
+    return _witness(c, d, root, f_minpoly(c, d))
 
 
 def prop62_pair(comp: ComponentSpec, n: int) -> tuple:

@@ -661,7 +661,9 @@ class AlgBase:
     # -- the sign engine ---------------------------------------------------
 
     def is_root_of(self, F) -> bool:
-        """Does q root the integer polynomial F?  Exact."""
+        """Does q root the integer polynomial F?  Exact: the one zero test at
+        an algebraic point (`b2core.sign_at`, `b2core._witness`,
+        `enum_b2._endpoint_certificate`)."""
         if self.exact_rational is not None:
             return polys.sign_at_rational(F, self.exact_rational) == 0
         if self._minpoly is not None:

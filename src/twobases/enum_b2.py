@@ -55,7 +55,7 @@ from .b2core import (
 from .classify import in_A_prime
 from .errors import DomainError, NotFoundWithinBoundsError
 from .words import (
-    EPSeq, ComponentSpec, GEN0, SeriesEnclosure, eval_seq, lex_cmp, prepend, word_dec,
+    EPSeq, ComponentSpec, GEN0, SeriesEnclosure, lex_cmp, word_dec,
     _primitive, _shortest,
 )
 
@@ -686,7 +686,7 @@ def _pair_roots(c: EPSeq, d: EPSeq, iv: _Interval) -> list:
     if F is None:
         F = f_minpoly(c, d)
     # windows reaching into a ladder cell are cut at its base
-    return [_witness(c, d, root) for root in real_roots(F, lo, hi)
+    return [_witness(c, d, root, F) for root in real_roots(F, lo, hi)
             if (lo >= a1 or root.cmp(iv.lo) > 0) and (hi <= b0 or root.cmp(iv.hi) <= 0)]
 
 
@@ -787,31 +787,26 @@ def _endpoint_certificate(iv, n, j, Jmax):
     2n - S >= j, and the appended family strictly decreases to q_n through
     admissible roots, return q_n.
 
-    (c, d) is rooted at q_n iff (1c) + (1d) = 1/(q_n - 1) in Q(q_n).  Both
-    sides decrease in q, so on q_n's fixed cell [a0, a1] (`_Interval.ends`)
-    such a pair has (1c) + (1d) at most 1/(a0 - 1) at a1 and at least
+    (c, d) is rooted at q_n iff (1c) + (1d) = 1/(q_n - 1).  Both sides
+    decrease in q, so on q_n's fixed cell [a0, a1] (`_Interval.ends`) such
+    a pair has (1c) + (1d) at most 1/(a0 - 1) at a1 and at least
     1/(a1 - 1) at a0: `_tail_pairs` with those keys forms every pair that
-    can root there (and skips the heavy subtrees that cannot), and each is
-    tested exactly by one addition, every tail's value in Q(q_n) computed
-    at most once.  The first rooted pair of least weight the scan meets is
-    certified.  Its members go to `_family_decreases_to` in `_graded_tails`
-    order, each standing for itself through its first profile in walk
-    order."""
+    can root there (and skips the heavy subtrees that cannot), and each
+    pair lighter than the best so far is tested exactly by the one zero
+    test `AlgBase.is_root_of` on its defect polynomial f_minpoly(c, d).
+    The first rooted pair of least weight the scan meets is certified.
+    Its members go to `_family_decreases_to` in `_graded_tails` order, each
+    standing for itself through its first profile in walk order."""
     cap = 2 * n - j
     if cap < 1:
         return None
     qn = iv.lo
     a0, a1 = iv.ends[:2]
     keys = (a1, a0), (iv.ones(a0)[0], iv.ones(a1)[1])
-    ones, values, best = None, {}, None
+    best = None
     for c, d, pairs in _tail_pairs(n - 1, Jmax, cap, iv, keys):
-        if ones is None:
-            ones = qn.field().series_den_inv(0, 1)
-        for t in (c, d):
-            if t not in values:
-                values[t] = eval_seq(prepend("1", t), qn)
         S = pair_weight(*pairs[0])
-        if values[c] + values[d] == ones and (best is None or S < best[0]):
+        if (best is None or S < best[0]) and qn.is_root_of(f_minpoly(c, d)):
             best = S, c, d, pairs
     if best is None:
         return None

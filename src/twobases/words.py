@@ -183,23 +183,21 @@ def check_generator(w: str) -> bool:
     Both chains must hold for every rotation point 0 < i <= m:
       reflect(a_i..a_m a_1..a_{i-1})      <= (a_1..a_m)+
       (a_i..a_m)+ reflect(a_1..a_{i-1})   <= (a_1..a_m)+
-    The increment may produce a transient digit 2; comparisons use the
-    zero-padded word order.
+    Comparisons use the zero-padded word order.  The word must end in 0,
+    as `word_inc` needs: the one word ending in 1 that the chains admit,
+    1, gives 1^inf, the expansion of q = 2.
     """
     if not w:
         raise DomainError("generator must be nonempty")
     _check_word(w, "generator")
-    m = len(w)
-
-    def inc_free(u: str) -> str:
-        return u[:-1] + str(int(u[-1]) + 1)
-
-    top = inc_free(w)
-    for i in range(m):
+    if w[-1] != "0":
+        return False
+    top = word_inc(w)
+    for i in range(len(w)):
         rot = w[i:] + w[:i]
         if word_cmp(reflect(rot), top) == GT:
             return False
-        if word_cmp(inc_free(w[i:]) + reflect(w[:i]), top) == GT:
+        if word_cmp(word_inc(w[i:]) + reflect(w[:i]), top) == GT:
             return False
     return True
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from twobases import bases, polys
+from twobases import b2core, bases, polys
 from twobases.b2core import (
     MonotoneCase, monotone_case, f_eval, f_minpoly, f_sign, sign_at, solve_qcd,
     certify_b2, witness_for_V_base, prop62_pair, q_f_base,
@@ -188,6 +188,20 @@ def test_certify_b2():
     # root is kept but flagged, never silently dropped
     w = certify_b2(parse_epseq("00(01)"), d, Fraction(3, 2), Fraction(17, 10))
     assert w.minpoly == (-1, -1, 1) and not w.admissible
+
+
+def test_witness_refuses_a_root_that_does_not_root_the_pair():
+    """`_witness` certifies a root only when its minimal polynomial divides
+    the pair's defect polynomial: q_f, built afresh, is no root of the q_s
+    pair's F and is refused; q_s itself passes."""
+    c, d = Q_S_PAIR
+    F = f_minpoly(c, d)
+    q_f = AlgBase.from_poly((-1, 1, -2, 1), Fraction(7, 4), Fraction(9, 5))
+    with pytest.raises(DomainError, match="root fails the exact defect residual"):
+        b2core._witness(c, d, q_f, F)
+    q_s = AlgBase.from_poly((-1, -1, -2, 0, 1), Fraction(17, 10), Fraction(9, 5))
+    w = b2core._witness(c, d, q_s, F)
+    assert w.root is q_s and w.minpoly == (-1, -1, -2, 0, 1) and w.admissible
 
 
 def test_witness_for_V_base():

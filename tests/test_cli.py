@@ -184,6 +184,20 @@ def test_witness_prop62(capsys):
     assert (doc["c"], doc["d"]) == ("00000(01)", "0(01)")
 
 
+@pytest.mark.parametrize("argv", [
+    ["ladder", "--gen", "1", "--N", "2"],
+    ["witness", "--gen", "1"],
+    ["witness", "--gen", "1", "--prop62", "2"],
+    ["omega", "--gen", "1", "--n", "1"],
+])
+def test_generator_ending_in_1_is_refused(capsys, argv):
+    """1^inf is the expansion of q = 2, not a component's generator: each
+    command refuses it as a component, with nothing on stdout."""
+    rc, out, err = _run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "'1' does not generate a component" in err
+
+
 def test_derived_json(capsys):
     rc, out, _ = _run(capsys, "--precision", "10", "derived", "--min", "2")
     doc = json.loads(out)

@@ -158,6 +158,27 @@ def test_min_derived_takes_the_deep_root_of_prop62_witness(j, Jmax, Nmax):
     assert min_derived(j, Jmax, Nmax) is prop62_witness("0", j)[2].root
 
 
+def test_zero_test_by_division_agrees_with_the_value_in_the_field():
+    """The oracle of the one zero test: on every witness of `enum_B2` at
+    (1, 6), (2, 4) and (3, 3) and of `prop62_witness("0", n)`, n = 2..5,
+    dividing the defect polynomial by the root's minimal polynomial
+    (`AlgBase.is_root_of`) decides as the defect's exact value in Q(root)
+    does, both for the witness's own pair (a root) and for the next
+    witness's pair."""
+    found = [w for n, Jmax in ((1, 6), (2, 4), (3, 3)) for w in enum_B2(n, Jmax)]
+    found += [prop62_witness("0", n)[2] for n in range(2, 6)]
+    assert len(found) == 151
+    pairs = [(w.c, w.d) for w in found]
+    verdicts = []
+    for w, other in zip(found, pairs[1:] + pairs[:1]):
+        assert w.root.minpoly() == w.minpoly  # known, so is_root_of divides
+        for c, d in ((w.c, w.d), other):
+            verdict = w.root.is_root_of(f_minpoly(c, d))
+            assert verdict == f_eval(c, d, w.root).is_zero(), (w.root.decimal(20), c, d)
+            verdicts.append(verdict)
+    assert all(verdicts[::2]) and not any(verdicts[1::2])
+
+
 # deep-pair roots within 10^-12 of q_n, or in intervals where q_{n+1} is
 # that close to q_n: (generator, n, the root to 30 decimals)
 DEEP_ROOTS_NEAR_Q_N = [
@@ -201,14 +222,14 @@ def test_witness_prop62_prints_the_least_base_of_the_deep_orders(capsys, j, Jmax
 def test_prop62_signs_imply_a_root_between_the_ladder_bases():
     """For every generator of at most 4 letters and n = 2..4, signs (-1, +1)
     at q_n and q_{n+1} come with a witness strictly between them, compared
-    exactly.  "1" passes `check_generator`, but the ladder words are built
-    from a generator ending in 0, so its deep pairs are refused."""
+    exactly.  "1" fails `check_generator`: the ladder words are built from
+    a generator ending in 0, so its deep pairs are refused."""
     gens = [w for size in range(1, 5) for w in map("".join, itertools.product("01", repeat=size))
             if words.check_generator(w)]
-    assert gens == ["0", "1", "10", "110", "1100", "1110"]
+    assert gens == ["0", "10", "110", "1100", "1110"]
     with pytest.raises(DomainError):
         prop62_witness("1", 2)
-    for gen in (g for g in gens if g != "1"):
+    for gen in gens:
         ladder = qn_ladder(ComponentSpec(gen), 5)
         for n in (2, 3, 4):
             c, d, w, s_n, s_n1 = prop62_witness(gen, n)

@@ -2,7 +2,8 @@
 helper has a caller, no certified result rests on `assert`, only the ladder
 and the block words take a component, only `AlgBase` reads its working
 bracket, the interval scan's ladder cells are the only ones in the
-enumeration, and importing the library builds nothing that is cached."""
+enumeration, pair roots and rooted endpoints are decided by the one exact
+zero test, and importing the library builds nothing that is cached."""
 
 import ast
 import os
@@ -131,6 +132,21 @@ def test_the_ladder_cells_of_the_scan_are_the_only_ones():
              and node.func.attr == "bracket" and (node.args or node.keywords)]
     assert cells and all(c.startswith("_interval:") for c in cells)
     assert "certify_b2" not in _referenced(tree)
+
+
+def test_pair_roots_and_endpoints_are_tested_by_the_one_zero_test():
+    """Whether q roots a pair's defect polynomial is decided by
+    `AlgBase.is_root_of` alone: enum_b2.py names no series evaluation in
+    Q(q) (`eval_seq`, `series_den_inv`, `f_eval`), and `b2core._witness`
+    calls none of them."""
+    in_q = {"eval_seq", "series_den_inv", "f_eval"}
+    trees = _modules()
+    assert in_q.isdisjoint(_referenced(trees["enum_b2.py"]))
+    [witness] = [node for node in ast.walk(trees["b2core.py"])
+                 if isinstance(node, ast.FunctionDef) and node.name == "_witness"]
+    called = {ast.unparse(node.func).rsplit(".", 1)[-1]
+              for node in ast.walk(witness) if isinstance(node, ast.Call)}
+    assert in_q.isdisjoint(called) and "is_root_of" in called
 
 
 def test_import_fills_no_cache():

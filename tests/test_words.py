@@ -285,6 +285,7 @@ def test_check_generator():
     assert not check_generator("01")
     assert check_generator("110")
     assert not check_generator("11")   # ends in 1: increment overflows order
+    assert not check_generator("1")    # 1^inf is the expansion of q = 2
     with pytest.raises(DomainError):
         check_generator("")
 

@@ -279,15 +279,6 @@ class NumberField:
         den <<= k + 1
         return (s - e << P) // den, -((-(s + e) << P) // den)
 
-    def sign(self, num) -> int:
-        """Exact sign of num(q), for an integer numerator of length deg, by
-        the base's power table (`AlgBase.sign_of`)."""
-        if not any(num[1:]):
-            return _sign(num[0])
-        # nonzero reduced num + irreducible minpoly => num(q) != 0, so
-        # narrowing the bracket must separate it from zero
-        return self.base.sign_of(num)
-
 
 class FieldElem:
     """Element num(q) / den of Q(q): num an integer tuple of length deg and
@@ -431,24 +422,14 @@ class FieldElem:
         return out
 
     def sign(self) -> int:
-        """Exact sign of the represented real number, by `NumberField.sign`
-        (den > 0 gives it the sign of num(q))."""
-        return self.field.sign(self.num)
+        """Exact sign of the represented real number, by `AlgBase.sign_of`
+        (den > 0 gives it the sign of num(q)): a nonconstant reduced num is
+        prime to the irreducible minimal polynomial, so num(q) != 0."""
+        return self.field.base.sign_of(self.num)
 
 
 # ---------------------------------------------------------------------------
 # algebraic bases
-
-
-def gcd_has_root_in(p, q, lo, hi) -> bool:
-    """Does gcd(p, q) have a root in (lo, hi]?  Exact, with no factoring.
-
-    When (lo, hi] holds exactly one root of p, this asks whether that root
-    is also a root of q."""
-    if not lo < hi:
-        return False
-    g = polys.poly_gcd(p, q)
-    return polys.degree(g) >= 1 and polys.count_roots_halfopen(g, lo, hi) > 0
 
 
 def _over_one_den(lo: Fraction, hi: Fraction) -> tuple:
@@ -509,19 +490,6 @@ class AlgBase:
             return cls(p, lo, hi, exact=hi)
         # the one root is simple in sf and interior, so sf straddles it
         return cls(sf, lo, hi, _verified=True)
-
-    @classmethod
-    def from_bracket(cls, poly, lo, hi, alpha_hint=None) -> "AlgBase":
-        """Bracket trusted by the caller (a monotonicity argument must
-        guarantee a unique root in (lo, hi]); only the sign change is checked.
-        Avoids Sturm chains, so it scales to large degrees."""
-        lo, hi = Fraction(lo), Fraction(hi)
-        if not (1 <= lo < hi <= 2):
-            raise DomainError("bracket must satisfy 1 <= lo < hi <= 2")
-        p = polys.trim(poly)
-        if polys.sign_at_rational(p, hi) == 0:
-            return cls(p, lo, hi, exact=hi, alpha_hint=alpha_hint)
-        return cls(p, lo, hi, alpha_hint=alpha_hint, _verified=True)
 
     # -- bracket handling --------------------------------------------------
 
@@ -614,9 +582,13 @@ class AlgBase:
 
     def cmp(self, other: "AlgBase") -> int:
         """Sign of self - other.  Four rounds refine both brackets to a
-        quarter of the narrower width (at most 1/2), one equality test
-        follows, then each is refined to a quarter of its own width until
-        they separate.  A base turned exact is compared as a rational."""
+        quarter of the narrower width (at most 1/2).  If they still overlap,
+        the fifth decides by other's bracket, whose one root of other's
+        polynomial is other: self at or below its lower end is less, above
+        its upper end greater, and inside it equal exactly when it roots
+        that polynomial (`is_root_of`).  Then each is refined to a quarter
+        of its own width until they separate.  A base turned exact is
+        compared as a rational."""
         a, b = self, other
         for i in range(4 + SIGN_REFINE_BUDGET):
             ra, rb = a.exact_rational, b.exact_rational
@@ -632,10 +604,13 @@ class AlgBase:
             if i < 4:
                 wa = wb = min(ahi - alo, bhi - blo, Fraction(1, 2)) / 4
             else:
-                # each bracket holds one root of its own poly, so a = b
-                # exactly when the two polys share a root in the overlap
-                if i == 4 and gcd_has_root_in(a.poly, b.poly, max(alo, blo), min(ahi, bhi)):
-                    return 0
+                if i == 4:
+                    if a.cmp_rational(blo) <= 0:
+                        return -1
+                    if a.cmp_rational(bhi) > 0:
+                        return 1
+                    if a.is_root_of(b.poly):
+                        return 0
                 wa, wb = (ahi - alo) / 4, (bhi - blo) / 4
             a.refine(wa)
             b.refine(wb)
@@ -662,25 +637,28 @@ class AlgBase:
 
     def is_root_of(self, F) -> bool:
         """Does q root the integer polynomial F?  Exact: the one zero test at
-        an algebraic point (`b2core.sign_at`, `b2core._witness`,
-        `enum_b2._endpoint_certificate`)."""
+        an algebraic point (`cmp`'s equality, `b2core.sign_at`,
+        `b2core._witness`, `enum_b2._endpoint_certificate`)."""
         if self.exact_rational is not None:
             return polys.sign_at_rational(F, self.exact_rational) == 0
         if self._minpoly is not None:
             return polys.is_zero(polys.pseudo_divmod(F, self._minpoly)[2])
         # no minimal polynomial yet: the bracket holds exactly one root of
         # the base's poly, so q roots F iff their gcd has a root in it
-        return gcd_has_root_in(self.poly, F, self._lo, self._hi)
+        g = polys.poly_gcd(self.poly, F)
+        return polys.degree(g) >= 1 and polys.count_roots_halfopen(g, self._lo, self._hi) > 0
 
     def sign_of(self, p) -> int:
         """Exact sign of p(q), for an integer polynomial p (ascending
-        coefficients) with p(q) != 0; UnsupportedBaseError when
-        SIGN_REFINE_BUDGET halvings of the working bracket in this call do
-        not separate p(q) from zero.  The power table's sum
-        (`_table_sum`) decides once it excludes zero, its precision aimed at
-        the coefficients' size plus SIGN_GUARD_BITS.  A halving that lands
-        on q makes the base exact, and the sign is then taken at that
-        rational."""
+        coefficients) that is constant or has p(q) != 0;
+        UnsupportedBaseError when SIGN_REFINE_BUDGET halvings of the working
+        bracket in this call do not separate p(q) from zero.  A constant is
+        its own sign.  Otherwise the power table's sum (`_table_sum`)
+        decides once it excludes zero, its precision aimed at the
+        coefficients' size plus SIGN_GUARD_BITS.  A halving that lands on q
+        makes the base exact, and the sign is then taken at that rational."""
+        if not any(p[1:]):
+            return _sign(p[0])
         enc = self._table_sum(p, SIGN_GUARD_BITS, _apart)
         if enc is None:
             return polys.sign_at_rational(p, self.exact_rational)
@@ -802,7 +780,8 @@ def real_roots(F, lo, hi) -> list:
         # isolate_roots returns (lo, hi) itself when it holds one root
         boxes = [(lo, hi)] if n == 1 else polys.isolate_roots(g, lo, hi)
         for a, b in boxes:
-            root = AlgBase.from_bracket(g, a, b)
+            # an isolating box of g, irreducible of degree > 1: its root is inside
+            root = AlgBase(g, a, b, _verified=True)
             root._minpoly = g
             found.append(root)
     return found
@@ -959,7 +938,7 @@ def _orbit(w: _Walk, start: tuple, tags):
             s = -1
         else:
             t = t or w.child(i, 1)
-            s = fld.sign(t[0])
+            s = fld.base.sign_of(t[0])
         d = 1 if s > 0 else 0
         if not d:
             # the next remainder is q r = (q r - 1) + 1
@@ -1068,7 +1047,8 @@ def base_from_alpha(s: EPSeq) -> AlgBase:
     lo = Fraction(3, 2)
     while polys.sign_at_rational(F, lo) >= 0:
         lo = 1 + (lo - 1) / 2
-    return AlgBase.from_bracket(F, lo, Fraction(2), alpha_hint=s)
+    # F(2) != 0, so the one root lies inside (lo, 2) and F straddles it
+    return AlgBase(F, lo, 2, alpha_hint=s, _verified=True)
 
 
 def cmp_seq_alpha(t: EPSeq, q: AlgBase, max_steps: int = 100000) -> int:

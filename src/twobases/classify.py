@@ -209,11 +209,11 @@ def _remainder_graph(val, lim, max_states: int) -> tuple:
         if not ok0 and lo + one <= lim_hi:
             t = t or w.child(i, 1)
             num, den = bases._plus_one(t)
-            ok0 = fld.sign([a * den - b * lden for a, b in zip(lnum, num)]) >= 0
+            ok0 = fld.base.sign_of([a * den - b * lden for a, b in zip(lnum, num)]) >= 0
         ok1 = lo >= 0
         if not ok1 and hi >= 0:
             t = t or w.child(i, 1)
-            ok1 = fld.sign(t[0]) >= 0
+            ok1 = fld.base.sign_of(t[0]) >= 0
         n = len(states)
         kids = ()
         if ok0:

@@ -47,14 +47,15 @@ def _ghorner(p, x: int, y: int) -> tuple:
 
 def _root_guesses(m: tuple) -> list:
     """Guesses (x, y) at the roots (x + y i) / 2^K, K = DISC_BITS, of m: at
-    most 64 Durand-Kerner sweeps in K-bit fixed point from (0.4 + 0.9 i)^k,
+    most 64 Durand-Kerner sweeps in K-bit fixed point from ((3 + 4 i) / 5)^k,
+    on the unit circle, so no start shrinks towards 0 at high degree;
     updating in place, until no update exceeds 2^(-K/2).  `_disc`
     certifies what is kept."""
     K, lead = DISC_BITS, m[-1] << DISC_BITS
     z = [(1 << K, 0)]
     for _ in range(len(m) - 2):
         x, y = z[-1]
-        z.append(((4 * x - 9 * y) // 10, (9 * x + 4 * y) // 10))
+        z.append(((3 * x - 4 * y) // 5, (4 * x + 3 * y) // 5))
     for _ in range(64):
         top = 0
         for i, (x, y) in enumerate(z):

@@ -38,7 +38,7 @@ from .bases import AlgBase, alpha_epseq, base_from_alpha, parry_check, real_root
 from .classify import _sccs
 from .enum_b2 import qn_ladder
 from .errors import DomainError, UnsupportedBaseError
-from .words import EPSeq, GEN0
+from .words import EPSeq, GEN0, thue_morse
 
 __all__ = [
     "UqAutomaton",
@@ -404,13 +404,6 @@ def entropy(target, nmax: int = 24) -> EntropyResult:
 # over-approximant pool and dimension
 
 
-def _tm_prefix(length: int) -> str:
-    k = 1
-    while 2 ** k < length:
-        k += 1
-    return GEN0.omega(k)[:length]
-
-
 @functools.cache
 def overapprox_pool() -> tuple:
     """Bases with eventually periodic alpha that sandwich entropy targets:
@@ -418,7 +411,7 @@ def overapprox_pool() -> tuple:
     prefixes of the generator limit word (on both sides of q_KL), and 2.
     Increasing, without duplicates; built once per process."""
     pool = [e.base for e in qn_ladder(GEN0, 6)]
-    tau = _tm_prefix(4 * 48)
+    tau = thue_morse(4 * 48)
     for m in range(1, 49):
         s = EPSeq("", tau[:m])
         if parry_check(s):

@@ -84,6 +84,108 @@ def test_cmp_decides_equality_without_factoring(monkeypatch):
     assert sum(b.cmp(q6) == 0 for b in pool) == 1
 
 
+def gcd_root_in(p, F, lo, hi) -> bool:
+    """Oracle zero test, apart from `AlgBase.is_root_of`: does gcd(p, F)
+    have a root in (lo, hi]?  By the gcd and a Sturm count."""
+    if not lo < hi:
+        return False
+    g = polys.poly_gcd(p, F)
+    return polys.degree(g) >= 1 and polys.count_roots_halfopen(g, lo, hi) > 0
+
+
+def gcd_cmp(a, b) -> int:
+    """Oracle for `AlgBase.cmp` on irrational bases, by the route it took
+    before: equal exactly when gcd(a.poly, b.poly) has a root in the
+    overlap of their brackets (`gcd_root_in`), else the order of the two
+    brackets, bisected in Fractions (`_fraction_bisection`) until apart.
+    A root lies inside its bracket, so an upper end at or below the other
+    lower end orders the two."""
+    (alo, ahi), (blo, bhi) = a.bracket(), b.bracket()
+    if gcd_root_in(a.poly, b.poly, max(alo, blo), min(ahi, bhi)):
+        return 0
+    width = Fraction(1, 2)
+    while True:
+        alo, ahi = _fraction_bisection(a.poly, alo, ahi, width)
+        blo, bhi = _fraction_bisection(b.poly, blo, bhi, width)
+        if ahi <= blo or bhi <= alo:
+            return -1 if ahi <= blo else 1
+        width /= 4
+
+
+PHI_POLY, QS_POLY, QF_POLY = (-1, -1, 1), (-1, -1, -2, 0, 1), (-1, 1, -2, 1)
+# a root 4.5e-10 above phi, and a point between the two
+NEAR_PHI = (-(10**9 + 1), -10**9, 10**9)
+BETWEEN = Fraction(16180339888, 10**10)
+PHI_NEAR = polys.mul(PHI_POLY, NEAR_PHI)
+# ("poly", p, L, H): `from_poly` of p on a bracket inside (L, H] around its
+# one root there; ("alpha", w): `base_from_alpha` of w^inf; ("roots", p, m):
+# the root of `real_roots(p, 1, 2)` whose minimal polynomial is m
+CMP_BASES = (
+    ("poly", PHI_POLY, Fraction(3, 2), Fraction(17, 10)),
+    ("alpha", "10"),
+    ("roots", polys.mul(PHI_POLY, (-2, 0, 1)), PHI_POLY),
+    # phi, with PHI_NEAR's other root just above its bracket
+    ("poly", PHI_NEAR, Fraction(3, 2), BETWEEN),
+    ("poly", NEAR_PHI, Fraction(3, 2), Fraction(17, 10)),
+    # NEAR_PHI's root, with phi just below its bracket
+    ("poly", PHI_NEAR, BETWEEN, Fraction(17, 10)),
+    ("poly", (-2, 0, 1), Fraction(1), Fraction(3, 2)),
+    ("poly", QS_POLY, Fraction(17, 10), Fraction(9, 5)),
+    ("roots", polys.mul(QS_POLY, QF_POLY), QS_POLY),
+    ("poly", QF_POLY, Fraction(17, 10), Fraction(9, 5)),
+    ("alpha", "1100"),
+    ("roots", polys.mul(QS_POLY, QF_POLY), QF_POLY),
+)
+
+
+@functools.cache
+def _root_box(p, L, H):
+    """A bracket of width below 10^-12 about the one root of p in (L, H]."""
+    return AlgBase.from_poly(p, L, H).bracket(Fraction(1, 10**12))
+
+
+def _cmp_base(case):
+    """A fresh base from a CMP_BASES entry and the fractions t, u in [0, 1]
+    that place a `from_poly` bracket's ends between the root and L, H: the
+    bracket is (L, H] at (t, u) = (0, 1)."""
+    i, t, u = case
+    kind, *args = CMP_BASES[i]
+    if kind == "alpha":
+        return base_from_alpha(EPSeq("", args[0]))
+    if kind == "roots":
+        [root] = [r for r in real_roots(args[0], 1, 2) if r.minpoly() == args[1]]
+        return root
+    p, L, H = args
+    lo, hi = _root_box(p, L, H)
+    return AlgBase.from_poly(p, L + (lo - L) * t, hi + (H - hi) * u)
+
+
+CMP_CASE = st.tuples(st.integers(0, len(CMP_BASES) - 1),
+                     st.fractions(0, 1, max_denominator=64),
+                     st.fractions(0, 1, max_denominator=64))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(CMP_CASE, CMP_CASE)
+# on the widest brackets, (t, u) = (0, 1): NEAR_PHI's root roots the
+# polynomial of phi's base, and only the upper end of phi's bracket tells
+# them apart; the lower end does in the mirror pair
+@example((4, 0, 1), (3, 0, 1))
+@example((0, 0, 1), (5, 0, 1))
+# equal values built two ways
+@example((0, 0, 1), (2, 0, 1))
+@example((9, 0, 1), (10, 0, 1))
+@example((8, 0, 1), (7, 0, 1))
+def test_cmp_matches_the_gcd_route(x, y):
+    """`cmp` against the equality route it replaced (`gcd_cmp`), each on
+    bases built afresh: equal values built two ways, `from_poly` against
+    `real_roots` and `base_from_alpha`, and brackets that stop just short
+    of another root of their polynomial, one that roots the other base."""
+    want = gcd_cmp(_cmp_base(x), _cmp_base(y))
+    assert _cmp_base(x).cmp(_cmp_base(y)) == want
+    assert _cmp_base(y).cmp(_cmp_base(x)) == -want
+
+
 def test_minpoly_squarefree_and_monic_content():
     # from_poly squares away repeated factors; minpoly() strips to the
     # irreducible factor vanishing at the root
@@ -96,10 +198,13 @@ def test_minpoly_squarefree_and_monic_content():
 
 def test_minpoly_refuses_bracket_with_several_factor_roots():
     # (2x-3)(5x-8)(10x-17) changes sign across (7/5, 9/5] but each factor has
-    # its root there: no minimal polynomial can be chosen, and the refusal
-    # must survive python -O
+    # its root there: the public constructor refuses the bracket, and on the
+    # private path, which takes a proof on trust, no minimal polynomial can
+    # be chosen; both refusals must survive python -O
     p = polys.mul(polys.mul((-3, 2), (-8, 5)), (-17, 10))
-    q = AlgBase.from_bracket(p, Fraction(7, 5), Fraction(9, 5))
+    with pytest.raises(DomainError):
+        AlgBase.from_poly(p, Fraction(7, 5), Fraction(9, 5))
+    q = AlgBase(p, Fraction(7, 5), Fraction(9, 5), _verified=True)
     with pytest.raises(DomainError):
         q.minpoly()
 
@@ -262,7 +367,7 @@ def test_integer_refine_matches_fraction_bisection_after_each_width(case):
     p, lo, hi, widths = case
     if polys.sign_at_rational(p, lo) == 0:
         return
-    q = AlgBase.from_bracket(p, lo, hi)
+    q = AlgBase.from_poly(p, lo, hi)
     for w in widths:
         want = _fraction_bisection(q.poly, lo, hi, w)
         assert q.bracket(w) == want
@@ -785,12 +890,13 @@ def _ladder():
 
 def interval_horner_sign(F, q) -> int:
     """Oracle: the sign of the integer polynomial F at q, on a fresh copy
-    of q.  An exact zero is a root of gcd(q.poly, F) in q's bracket;
-    otherwise the copy is refined by quarters until interval Horner in
-    Fractions (`test_polys.interval_eval`) excludes zero."""
-    ref = AlgBase.from_bracket(q.poly, *q.bracket())
+    of q.  An exact zero is a root of gcd(q.poly, F) in q's bracket
+    (`gcd_root_in`); otherwise the copy is refined by quarters until
+    interval Horner in Fractions (`test_polys.interval_eval`) excludes
+    zero."""
+    ref = AlgBase.from_poly(q.poly, *q.bracket())
     lo, hi = ref.bracket()
-    if bases.gcd_has_root_in(ref.poly, F, lo, hi):
+    if gcd_root_in(ref.poly, F, lo, hi):
         return 0
     for _ in range(2000):
         lo, hi = ref.bracket()
@@ -804,13 +910,14 @@ def interval_horner_sign(F, q) -> int:
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.one_of(field_numerator(), long_polynomial()))
 def test_field_sign_matches_interval_horner_on_a_fresh_base(case):
-    """`NumberField.sign` and `b2core.sign_at` on a base whose working bracket
-    carries the history of every earlier example, each against interval
-    Horner on a fresh copy of the base (`interval_horner_sign`)."""
+    """`AlgBase.sign_of` on a field numerator and `b2core.sign_at` on a
+    base whose working bracket carries the history of every earlier
+    example, each against interval Horner on a fresh copy of the base
+    (`interval_horner_sign`)."""
     q, F = case
     want = interval_horner_sign(F, q)
     if len(F) == q.field().deg:
-        assert q.field().sign(F) == want
+        assert q.sign_of(F) == want
     assert sign_at(F, q) == want
 
 
@@ -1159,7 +1266,7 @@ def test_parry_check_matches_digit_loop(pre, per):
 def _hint_free(q: AlgBase) -> AlgBase:
     """The same base with no alpha hint, so its expansion of 1 comes from
     the remainder orbit in Q(q)."""
-    return AlgBase.from_bracket(q.poly, *q.bracket())
+    return AlgBase.from_poly(q.poly, *q.bracket())
 
 
 ROUNDTRIP_WORDS = ("10", "1100", "110", "1110", "11010010", "111000")
@@ -1647,6 +1754,16 @@ def test_discs_from_a_guess_a_tenth_off():
 def test_no_disc_for_a_field_above_the_degree_cap():
     q = AlgBase.from_poly((-1, 0, -1) + (0,) * (conjugates.DISC_MAX_DEGREE - 2) + (1,), 1, 2)
     assert q.field().deg == conjugates.DISC_MAX_DEGREE + 1 and conjugates.discs(q.minpoly()) == []
+
+
+def test_root_guesses_converge_far_above_the_degree_cap():
+    """Durand-Kerner started on the unit circle certifies discs about more
+    than half the roots of x^146 - x - 1, the least n for which starts at
+    (0.4 + 0.9 i)^k, whose moduli shrink as 0.985^k, certified none.  Only
+    `discs` caps the degree."""
+    m = (-1, -1) + (0,) * 144 + (1,)
+    found = [d for d in (conjugates._disc(m, *c) for c in conjugates._root_guesses(m)) if d]
+    assert len(found) > 146 // 2 and all(d.rho > 1 for d in found)
 
 
 @mpmath.workdps(60)

@@ -3,7 +3,8 @@ helper has a caller, no certified result rests on `assert`, only the ladder
 and the block words take a component, only `AlgBase` reads its working
 bracket, the interval scan's ladder cells are the only ones in the
 enumeration, pair roots and rooted endpoints are decided by the one exact
-zero test, and importing the library builds nothing that is cached."""
+zero test, only bases.py builds a base on a bracket it proves itself, and
+importing the library builds nothing that is cached."""
 
 import ast
 import os
@@ -147,6 +148,27 @@ def test_pair_roots_and_endpoints_are_tested_by_the_one_zero_test():
     called = {ast.unparse(node.func).rsplit(".", 1)[-1]
               for node in ast.walk(witness) if isinstance(node, ast.Call)}
     assert in_q.isdisjoint(called) and "is_root_of" in called
+
+
+def test_one_bracket_rule_one_zero_test_one_sign_engine():
+    """`AlgBase` has no `from_bracket`, `bases` no `gcd_has_root_in` and
+    `NumberField` no `sign`, and no module names the first two: a public
+    base proves its bracket by `from_poly`'s root count, and only bases.py
+    takes the private path `_verified=True`, on brackets it proves; `cmp`'s
+    equality is `is_root_of`, and every sign at q is `AlgBase.sign_of`."""
+    trees = _modules()
+    tree = trees["bases.py"]
+    methods = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "from_bracket" not in methods["AlgBase"] and "sign" not in methods["NumberField"]
+    assert "gcd_has_root_in" not in functions
+    named = [f"{name}: {r}" for name, t in trees.items() for r in _referenced(t)
+             if r in {"from_bracket", "gcd_has_root_in"}]
+    verified = [f"{name}:{node.lineno}" for name, t in trees.items() for node in ast.walk(t)
+                if isinstance(node, ast.keyword) and node.arg == "_verified"
+                and isinstance(node.value, ast.Constant) and node.value.value is True]
+    assert named == [] and verified and all(v.startswith("bases.py:") for v in verified)
 
 
 def test_import_fills_no_cache():
